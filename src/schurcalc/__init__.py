@@ -35,7 +35,7 @@ from .linalg import (
 )
 from .schur import (
     BundleSymbol,
-    SchurExpansion,
+    Expansion,
     complete_from_elementary,
     from_schur,
     lr_multiply,
@@ -47,7 +47,7 @@ from .schur import (
     to_schur,
     to_schur_oracle,
 )
-from .qtilde import QExpansion, qtilde, qtilde_expand
+from .qtilde import qtilde
 from .rings import GrassmannianRing, LagrangianRing
 from .positivity import (
     CLASSICAL_THOM_TABLE,
@@ -75,11 +75,11 @@ __all__ = [
     "CPolynomial", "specialize", "truncate_family",
     "FAMILY_C", "FAMILY_CPRIME", "FAMILY_V1", "FAMILY_V2",
     "solve_exact", "InconsistentSystemError", "NonUniqueSolutionError",
-    "BundleSymbol", "SchurExpansion", "complete_from_elementary",
+    "BundleSymbol", "Expansion", "complete_from_elementary",
     "supersymmetric_s", "schur_jt", "schur_dual_jt", "to_schur",
     "to_schur_oracle", "from_schur", "lr_multiply", "lr_oracle",
     "super_split",
-    "QExpansion", "qtilde", "qtilde_expand",
+    "qtilde",
     "GrassmannianRing", "LagrangianRing",
     "PositivityReport", "certify", "verify_thom_table", "schur_bundle_class",
     "CLASSICAL_THOM_TABLE",

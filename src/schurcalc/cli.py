@@ -13,14 +13,12 @@ import json
 import sys
 
 from .legendrian import (
-    LEGENDRIAN_RANK,
     LEGENDRIAN_TABLE,
-    lagrangian_part,
-    legendrian_parse,
-    legendrian_positivity,
+    verify_lagrangian_table,
+    verify_legendrian_table,
 )
 from .parsing import ParseError, evaluate_text, parse_partition_arg
-from .polynomial import FAMILY_C, truncate_family
+from .partitions import StrictPartition
 from .positivity import (
     CLASSICAL_THOM_TABLE,
     VERDICT_NOT_NONNEGATIVE,
@@ -42,9 +40,9 @@ SUBCOMMAND_OPERATIONS = {
     "qtilde": ("qtilde",),
     "gr": ("gr_reduce", "gr_integrate", "rectangle_dual", "gr_pairing"),
     "lg": ("lg_reduce", "lg_integrate", "strict_complement", "lg_restrict",
-           "lg_pairing", "qtilde_expand"),
-    "thom-verify": ("verify_thom_table", "legendrian_parse", "lagrangian_part",
-                    "legendrian_positivity"),
+           "lg_pairing"),
+    "thom-verify": ("verify_thom_table", "verify_lagrangian_table",
+                    "verify_legendrian_table"),
     "schur-bundle": ("schur_bundle_class",),
 }
 
@@ -155,24 +153,19 @@ def _expansion_payload(expansion) -> dict:
     return {"degree": expansion.degree, "expansion": expansion.to_json()}
 
 
-def _pairing_payload(ring, label: str) -> dict:
+def _pairing_payload(ring) -> dict:
     degrees = []
-    ok_all = True
     for d in range(ring.top_degree + 1):
         rows, cols, matrix = ring.pairing_matrix(d)
-        ok = all(
-            matrix[i][j] == (1 if cols[j] == ring.dual(rows[i]) else 0)
-            for i in range(len(rows)) for j in range(len(cols))
-        )
-        ok_all = ok_all and ok
         degrees.append({
             "degree": d,
             "rows": [list(p.parts) for p in rows],
             "cols": [list(p.parts) for p in cols],
             "matrix": matrix,
-            "is_dual_permutation": ok,
+            "is_dual_permutation": ring.is_dual_permutation(rows, cols, matrix),
         })
-    return {"ring": label, "degrees": degrees, "is_dual_permutation": ok_all}
+    ok = all(block["is_dual_permutation"] for block in degrees)
+    return {"ring": ring.label, "degrees": degrees, "is_dual_permutation": ok}
 
 
 def _run_command(args) -> int:
@@ -203,54 +196,8 @@ def _run_command(args) -> int:
                "polynomial": str(poly)}, pretty)
         return 0
 
-    if args.command == "gr":
-        ring = GrassmannianRing(args.r, args.n)
-        label = f"Gr({args.r},{args.n})"
-        if args.action == "pairing":
-            _emit(_pairing_payload(ring, label), pretty)
-            return 0
-        if args.action == "dual":
-            lam = parse_partition_arg(args.arg or "")
-            _emit({"partition": list(ring.dual(lam).parts)}, pretty)
-            return 0
-        poly = evaluate_text(_expression_text(args, args.arg))
-        # on the ring the generators are Chern classes of a rank-r bundle
-        poly = truncate_family(poly, FAMILY_C, ring.r)
-        expansion = ring.reduce(poly)
-        if args.action == "reduce":
-            payload = {"ring": label}
-            payload.update(_expansion_payload(expansion))
-            _emit(payload, pretty)
-            return 0
-        _emit({"ring": label, "value": str(ring.integrate(expansion))}, pretty)
-        return 0
-
-    if args.command == "lg":
-        ring = LagrangianRing(args.n)
-        label = f"LG({args.n})"
-        if args.action == "pairing":
-            _emit(_pairing_payload(ring, label), pretty)
-            return 0
-        if args.action == "dual":
-            mu = parse_partition_arg(args.arg or "", strict=True)
-            _emit({"strict_partition": list(ring.dual(mu).parts)}, pretty)
-            return 0
-        if args.action == "restrict":
-            lam = parse_partition_arg(args.arg or "")
-            payload = {"ring": label}
-            payload.update(_expansion_payload(ring.restrict(lam)))
-            _emit(payload, pretty)
-            return 0
-        poly = evaluate_text(_expression_text(args, args.arg))
-        poly = truncate_family(poly, FAMILY_C, ring.n)
-        expansion = ring.reduce(poly)
-        if args.action == "reduce":
-            payload = {"ring": label}
-            payload.update(_expansion_payload(expansion))
-            _emit(payload, pretty)
-            return 0
-        _emit({"ring": label, "value": str(ring.integrate(expansion))}, pretty)
-        return 0
+    if args.command in ("gr", "lg"):
+        return _ring_command(args, pretty)
 
     if args.command == "thom-verify":
         return _thom_verify(args.table, pretty)
@@ -265,10 +212,34 @@ def _run_command(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+def _ring_command(args, pretty: bool) -> int:
+    if args.command == "gr":
+        ring = GrassmannianRing(args.r, args.n)
+    else:
+        ring = LagrangianRing(args.n)
+    if args.action == "pairing":
+        _emit(_pairing_payload(ring), pretty)
+        return 0
+    if args.action == "dual":
+        lam = parse_partition_arg(args.arg or "", strict=ring.key is StrictPartition)
+        _emit({ring.key.json_key: list(ring.dual(lam).parts)}, pretty)
+        return 0
+    if args.action == "restrict":
+        expansion = ring.restrict(parse_partition_arg(args.arg or ""))
+    else:
+        expansion = ring.reduce_tautological(
+            evaluate_text(_expression_text(args, args.arg)))
+    if args.action == "integrate":
+        _emit({"ring": ring.label, "value": str(ring.integrate(expansion))}, pretty)
+    else:
+        _emit({"ring": ring.label, **_expansion_payload(expansion)}, pretty)
+    return 0
+
+
 def _thom_verify(table: str, pretty: bool) -> int:
+    entries = []
     if table == "classical":
         reports = verify_thom_table()
-        entries = []
         for entry, report in zip(CLASSICAL_THOM_TABLE, reports):
             data = report.to_json()
             data["expression"] = entry.expression
@@ -277,40 +248,25 @@ def _thom_verify(table: str, pretty: bool) -> int:
             data["hook_rank"] = minimal_hook_rank(report.expansion)
             entries.append(data)
         ok = all(r.positive for r in reports)
-        _emit({"table": "classical", "entries": entries, "all_nonnegative": ok},
-              pretty)
-        return 0 if ok else 1
-
-    if table == "lagrangian":
-        entries = []
-        ok = True
-        for entry in LEGENDRIAN_TABLE:
-            parsed = legendrian_parse(entry.expression, LEGENDRIAN_RANK)
-            part = lagrangian_part(parsed)
-            nonneg = part.is_nonnegative()
-            ok = ok and nonneg
+    elif table == "lagrangian":
+        results = verify_lagrangian_table()
+        for entry, (name, part, nonneg) in zip(LEGENDRIAN_TABLE, results):
             entries.append({
-                "name": entry.name,
+                "name": name,
                 "verdict": "NONNEGATIVE" if nonneg else "NOT_NONNEGATIVE",
                 "expansion": part.to_json(),
                 "bold_expression": entry.lagrangian_expression,
             })
-        _emit({"table": "lagrangian", "entries": entries, "all_nonnegative": ok},
-              pretty)
-        return 0 if ok else 1
-
-    entries = []
-    ok = True
-    for entry in LEGENDRIAN_TABLE:
-        parsed = legendrian_parse(entry.expression, LEGENDRIAN_RANK)
-        report = legendrian_positivity(parsed, name=entry.name)
-        ok = ok and report.nonnegative
-        data = report.to_json()
-        data["codimension"] = entry.codimension
-        data["degree"] = parsed.degree
-        entries.append(data)
-    _emit({"table": "legendrian", "entries": entries, "all_nonnegative": ok},
-          pretty)
+        ok = all(nonneg for _, _, nonneg in results)
+    else:
+        reports = verify_legendrian_table()
+        for entry, report in zip(LEGENDRIAN_TABLE, reports):
+            data = report.to_json()
+            data["codimension"] = entry.codimension
+            data["degree"] = report.value.degree
+            entries.append(data)
+        ok = all(r.nonnegative for r in reports)
+    _emit({"table": table, "entries": entries, "all_nonnegative": ok}, pretty)
     return 0 if ok else 1
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .partitions import StrictPartition
 from .polynomial import FAMILY_V1, FAMILY_V2, CPolynomial
-from .qtilde import QExpansion
+from .schur import Expansion
 from . import parsing
 
 
@@ -38,10 +38,6 @@ class LegendrianClass:
     def to_json(self) -> list:
         return [{"strict_partition": list(mu.parts), "a": a, "b": b,
                  "coeff": str(c)} for (mu, a, b), c in self.items()]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LegendrianClass)
-                and self.coefficients == other.coefficients)
 
 
 def _vpoly_degree_terms(p: CPolynomial):
@@ -108,7 +104,7 @@ class _LegendrianValue:
         return _LegendrianValue.scalar(self.parts.get(None, CPolynomial.zero()) ** e)
 
 
-def _evaluate(expr) -> _LegendrianValue:
+def _atom(expr) -> _LegendrianValue:
     if isinstance(expr, parsing.Num):
         return _LegendrianValue.scalar(CPolynomial.constant(expr.value))
     if isinstance(expr, parsing.Gen):
@@ -116,24 +112,9 @@ def _evaluate(expr) -> _LegendrianValue:
             raise ValueError("only v1, v2 and q-basis atoms may appear in a "
                              "Legendrian expression")
         return _LegendrianValue.scalar(CPolynomial.gen(expr.family))
-    if isinstance(expr, parsing.Basis):
-        if expr.kind != "q":
-            raise ValueError("Legendrian expressions use the q basis only")
-        return _LegendrianValue.basis(StrictPartition(expr.parts))
-    if isinstance(expr, parsing.Pow):
-        return _evaluate(expr.base) ** expr.exponent
-    if isinstance(expr, parsing.Prod):
-        out = _LegendrianValue.scalar(CPolynomial.one())
-        for f in expr.factors:
-            out = out * _evaluate(f)
-        return out
-    if isinstance(expr, parsing.Sum):
-        out = _evaluate(expr.first)
-        for op, term in expr.rest:
-            value = _evaluate(term)
-            out = out + value if op == "+" else out - value
-        return out
-    raise TypeError(f"not an expression node: {expr!r}")
+    if expr.kind != "q":
+        raise ValueError("Legendrian expressions use the q basis only")
+    return _LegendrianValue.basis(StrictPartition(expr.parts))
 
 
 def legendrian_parse(text: str, n: int) -> LegendrianClass:
@@ -142,7 +123,7 @@ def legendrian_parse(text: str, n: int) -> LegendrianClass:
     Q-indices must already be strict basis labels inside the staircase of n;
     the whole expression must be homogeneous in |mu| + a + b.
     """
-    value = _evaluate(parsing.parse(text))
+    value = parsing.evaluate(parsing.parse(text), _atom)
     coefficients: dict[tuple[StrictPartition, int, int], int] = {}
     degrees = set()
     for key, vpoly in value.parts.items():
@@ -160,10 +141,10 @@ def legendrian_parse(text: str, n: int) -> LegendrianClass:
     return LegendrianClass(coefficients, n=n, degree=degree)
 
 
-def lagrangian_part(x: LegendrianClass) -> QExpansion:
+def lagrangian_part(x: LegendrianClass) -> Expansion:
     """The v1 = v2 = 0 slice: the Thom polynomial of the Lagrange singularity."""
     coeffs = {mu: c for (mu, a, b), c in x.coefficients.items() if a == 0 and b == 0}
-    return QExpansion(coeffs, degree=x.degree)
+    return Expansion(coeffs, degree=x.degree, key=StrictPartition)
 
 
 @dataclass
@@ -240,7 +221,7 @@ def verify_legendrian_table() -> list[LegendrianReport]:
     return out
 
 
-def verify_lagrangian_table() -> list[tuple[str, QExpansion, bool]]:
+def verify_lagrangian_table() -> list[tuple[str, Expansion, bool]]:
     """Nonnegativity of the bold Lagrangian parts of the corpus.
 
     Returns (name, expansion, nonnegative) per entry; the expansion is the

@@ -136,7 +136,3 @@ def invert_integer_matrix(matrix: list[list[int]]) -> list[list[int]]:
                 raise ValueError("inverse is not integral")
         out.append([v.numerator for v in vals])
     return out
-
-
-def multiply_matrix_vector(matrix, vector):
-    return [sum(a * x for a, x in zip(row, vector)) for row in matrix]

@@ -23,6 +23,11 @@ from .qtilde import qtilde
 from .schur import schur_dual_jt
 
 
+# Deepest parenthesis nesting the parser accepts; the recursive descent and
+# the evaluator both recurse once per level.
+MAX_NESTING = 100
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -76,6 +81,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise ParseError(message, self.pos)
@@ -144,12 +150,16 @@ class _Parser:
         if ch.isdigit():
             return Num(self.take_nat())
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             inner = self.parse_expr()
             self.skip_ws()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return inner
         if ch == "c":
             self.pos += 1
@@ -246,28 +256,34 @@ def to_text(expr: Expression) -> str:
 # -- evaluation -------------------------------------------------------------
 
 
-def evaluate(expr: Expression) -> CPolynomial:
-    """Evaluate an AST to a polynomial; basis atoms expand to their
-    defining c-polynomials (s via the Schur determinant, q via Q-tilde)."""
+def _polynomial_atom(expr: Num | Gen | Basis) -> CPolynomial:
+    """A leaf as a polynomial; s and q atoms expand to their defining
+    c-polynomials (s via the Schur determinant, q via Q-tilde)."""
     if isinstance(expr, Num):
         return CPolynomial.constant(expr.value)
     if isinstance(expr, Gen):
         return CPolynomial.gen(expr.family, expr.index)
-    if isinstance(expr, Basis):
-        if expr.kind == "s":
-            return schur_dual_jt(Partition(expr.parts))
-        return qtilde(Partition(expr.parts))
+    if expr.kind == "s":
+        return schur_dual_jt(Partition(expr.parts))
+    return qtilde(Partition(expr.parts))
+
+
+def evaluate(expr: Expression, atom=_polynomial_atom):
+    """Fold an AST bottom-up: atom maps each Num, Gen and Basis leaf to a
+    value, and the values' own +, -, * and ** combine them."""
+    if isinstance(expr, (Num, Gen, Basis)):
+        return atom(expr)
     if isinstance(expr, Pow):
-        return evaluate(expr.base) ** expr.exponent
+        return evaluate(expr.base, atom) ** expr.exponent
     if isinstance(expr, Prod):
-        out = CPolynomial.one()
-        for f in expr.factors:
-            out = out * evaluate(f)
+        out = evaluate(expr.factors[0], atom)
+        for f in expr.factors[1:]:
+            out = out * evaluate(f, atom)
         return out
     if isinstance(expr, Sum):
-        out = evaluate(expr.first)
+        out = evaluate(expr.first, atom)
         for op, term in expr.rest:
-            value = evaluate(term)
+            value = evaluate(term, atom)
             out = out + value if op == "+" else out - value
         return out
     raise TypeError(f"not an expression node: {expr!r}")

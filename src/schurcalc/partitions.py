@@ -19,6 +19,7 @@ class Partition:
     """
 
     __slots__ = ("parts",)
+    json_key = "partition"
 
     def __init__(self, parts=()):
         if isinstance(parts, Partition):
@@ -90,6 +91,7 @@ class StrictPartition(Partition):
     """A partition with strictly decreasing parts."""
 
     __slots__ = ()
+    json_key = "strict_partition"
 
     def __init__(self, parts=()):
         super().__init__(parts)

@@ -223,14 +223,8 @@ class CPolynomial:
         mono = tuple(sorted(mono, key=lambda ge: _generator_key(ge[0])))
         return self.terms.get(mono, 0)
 
-    def constant_term(self) -> int:
-        return self.terms.get((), 0)
-
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return sorted(self.terms.items(), key=lambda item: monomial_key(item[0]))
-
-    def map_coefficients(self, fn) -> "CPolynomial":
-        return CPolynomial({m: fn(c) for m, c in self.terms.items()})
 
     def __repr__(self) -> str:
         return f"CPolynomial({self})"

@@ -15,7 +15,7 @@ from functools import lru_cache
 from .partitions import Partition, hook_contains, ssyt_weights
 from .polynomial import CPolynomial
 from .schur import (
-    SchurExpansion,
+    Expansion,
     XPoly,
     peel_schur,
     schur_monomials,
@@ -34,7 +34,7 @@ class PositivityReport:
     """Outcome of the positivity criterion for one polynomial."""
 
     polynomial: CPolynomial
-    expansion: SchurExpansion
+    expansion: Expansion
     verdict: str
     witnesses: list[tuple[Partition, int]] = field(default_factory=list)
     name: str | None = None
@@ -59,7 +59,7 @@ def certify(p: CPolynomial, length_bound: int | None = None,
             name: str | None = None) -> PositivityReport:
     """Decide positivity: nonzero with a nonnegative Schur expansion."""
     if p.is_zero():
-        return PositivityReport(p, SchurExpansion({}, degree=None),
+        return PositivityReport(p, Expansion({}, degree=None),
                                 VERDICT_ZERO, name=name)
     expansion = to_schur(p, length_bound=length_bound)
     witnesses = expansion.negatives()
@@ -108,7 +108,7 @@ CLASSICAL_THOM_TABLE: tuple[ThomTableEntry, ...] = (
 )
 
 
-def minimal_hook_rank(expansion: SchurExpansion) -> int:
+def minimal_hook_rank(expansion: Expansion) -> int:
     """Smallest k with every expansion index inside the (k, k)-hook.
 
     Diagnostic only: for the equal-dimension corpus the expansion support
@@ -128,7 +128,7 @@ def verify_thom_table() -> list[PositivityReport]:
 
 
 def schur_bundle_class(lam: Partition, mu: Partition, n: int,
-                       max_roots: int = 20, max_weight: int = 4) -> SchurExpansion:
+                       max_roots: int = 20, max_weight: int = 4) -> Expansion:
     """Expansion of s_mu of the Schur bundle S^lam(E) over the Schur basis of E.
 
     The Chern roots of S^lam(E) for E of rank n are the tableau weights
@@ -137,15 +137,17 @@ def schur_bundle_class(lam: Partition, mu: Partition, n: int,
     is expanded by peeling.  All coefficients are nonnegative.
     """
     lam, mu = Partition(lam), Partition(mu)
+    if n < 0:
+        raise ValueError(f"rank must be nonnegative, got {n}")
     roots = ssyt_weights(lam, n)
     if len(roots) > max_roots:
         raise ValueError(f"{len(roots)} roots exceed the work bound {max_roots}")
     if mu.weight > max_weight:
         raise ValueError(f"|mu| = {mu.weight} exceeds the work bound {max_weight}")
     if mu.weight == 0:
-        return SchurExpansion({Partition(): 1}, degree=0)
+        return Expansion({Partition(): 1}, degree=0)
     if len(mu) > len(roots):
-        return SchurExpansion({}, degree=mu.weight)
+        return Expansion({}, degree=mu.weight)
     # each root is the linear form sum_i w_i x_i given by a tableau weight w
     root_polys: list[XPoly] = []
     for w in roots:
@@ -162,4 +164,4 @@ def schur_bundle_class(lam: Partition, mu: Partition, n: int,
             for _ in range(e):
                 term = xp_mul(term, root_polys[var])
         xp_accumulate(acc, term, coeff)
-    return SchurExpansion(peel_schur(acc, n), degree=mu.weight)
+    return Expansion(peel_schur(acc, n), degree=mu.weight)

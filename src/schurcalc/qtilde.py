@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import Partition, StrictPartition
+from .partitions import Partition
 from .polynomial import CPolynomial
-from .schur import SchurExpansion
 
 
 @lru_cache(maxsize=None)
@@ -67,28 +66,3 @@ def qtilde(mu: Partition) -> CPolynomial:
             # printed sign (-1)^p with p counted from 1
             total = total + (term if (p + 1) % 2 == 0 else -term)
     return total
-
-
-class QExpansion(SchurExpansion):
-    """An integer combination of Q-tilde basis classes, indexed strictly."""
-
-    key_name = "strict_partition"
-
-    def __init__(self, coefficients: dict, degree: int | None = None):
-        checked = {StrictPartition(mu): c for mu, c in coefficients.items() if c}
-        super().__init__(checked, degree=degree)
-        self.coefficients = {StrictPartition(lam): c
-                             for lam, c in self.coefficients.items()}
-
-    def get(self, mu, default: int = 0) -> int:
-        return self.coefficients.get(StrictPartition(mu), default)
-
-
-def qtilde_expand(p: CPolynomial, n: int) -> QExpansion:
-    """Expand p over the Q-tilde basis modulo the Lagrangian relations.
-
-    Delegates to the degreewise reduction of the rank-n Lagrangian ring.
-    """
-    from .rings import LagrangianRing
-
-    return LagrangianRing(n).reduce(p)

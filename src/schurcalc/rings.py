@@ -1,8 +1,9 @@
 """Cohomology rings of Grassmannians and Lagrangian Grassmannians.
 
 Both rings are finite graded quotients of a polynomial ring in Chern
-generators, with reduction onto the geometric Schubert basis done by exact
-degreewise linear algebra:
+generators with a self-dual Schubert basis, a point class in the top degree
+and a Poincare pairing; SchubertRing holds what they share.  Each ring
+reduces onto its own basis by exact degreewise linear algebra:
 
 * Gr(r, n): generators c_1..c_r, relations h_k = 0 for n-r < k <= n, basis
   the Schur classes of partitions in the r x (n-r) rectangle.  Reduction
@@ -17,8 +18,6 @@ degreewise linear algebra:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .linalg import matrix_rank, solve_exact
 from .partitions import (
     Partition,
@@ -30,92 +29,59 @@ from .partitions import (
     strict_complement,
 )
 from .polynomial import FAMILY_C, CPolynomial, monomials_of_degree, truncate_family
-from .qtilde import QExpansion, qtilde, qtilde_pair
-from .schur import SchurExpansion, lr_multiply, schur_dual_jt, to_schur
+from .qtilde import qtilde, qtilde_pair
+from .schur import Expansion, lr_multiply, schur_dual_jt, to_schur
 
 
-def _validate_input(p: CPolynomial, max_index: int, top: int, where: str) -> int | None:
-    families = p.families()
-    if families - {FAMILY_C}:
-        raise ValueError(f"{where} expects a polynomial in the c family only")
-    bad = [g for g in p.generators() if g[1] > max_index]
-    if bad:
-        raise ValueError(
-            f"{where} expects generators c_1..c_{max_index}; got "
-            f"{sorted(g[1] for g in bad)}"
-        )
-    degree = p.homogeneous_degree()
-    if degree is not None and degree > top:
-        raise ValueError(f"degree {degree} exceeds the top degree {top} of {where}")
-    return degree
+class SchubertRing:
+    """A graded quotient ring with a self-dual Schubert basis.
 
-
-class GrassmannianRing:
-    """H*(Gr(r, n)) with the Schur/Schubert basis of the r x (n-r) rectangle."""
-
-    def __init__(self, r: int, n: int):
-        if not 0 < r < n:
-            raise ValueError("require 0 < r < n")
-        self.r = r
-        self.n = n
-        self.cols = n - r
-        self.top_degree = r * self.cols
-        self.rectangle = Partition((self.cols,) * r)
+    Subclasses set key (the type of the basis indices), label, rank (the
+    generators are c_1..c_rank), top_degree and point_class, and define
+    basis, basis_polynomial, reduce and dual.
+    """
 
     def __repr__(self) -> str:
-        return f"GrassmannianRing(r={self.r}, n={self.n})"
-
-    def basis(self, d: int) -> list[Partition]:
-        return [lam for lam in enumerate_partitions(d, max_part=self.cols,
-                                                    max_length=self.r)]
+        return f"{type(self).__name__}({self.label})"
 
     def all_basis(self) -> list[Partition]:
-        out = []
-        for d in range(self.top_degree + 1):
-            out.extend(self.basis(d))
-        return out
+        return [lam for d in range(self.top_degree + 1) for lam in self.basis(d)]
 
-    def basis_polynomial(self, lam: Partition) -> CPolynomial:
-        """The Giambelli representative: the Schur determinant in c_1..c_r."""
-        lam = Partition(lam)
-        if not lam.fits_rectangle(self.r, self.cols):
-            raise ValueError(f"{lam!r} is not in the {self.r}x{self.cols} rectangle")
-        return truncate_family(schur_dual_jt(lam), FAMILY_C, self.r)
+    def _degree(self, p: CPolynomial, degree: int | None) -> int | None:
+        """Check that p is a class of the ring and return its degree.
 
-    def reduce(self, p: CPolynomial) -> SchurExpansion:
-        """Schubert-basis expansion of the class of p.
-
-        Expands over all Schur functions of the degree, then discards the
-        indices that vanish in the quotient: length above r (Schur classes
-        of a rank-r bundle) and first part above n-r (the ideal kills the
-        first determinant row).
+        A zero p takes the given degree, which is how a class that vanished
+        before reduction keeps the degree it had.
         """
-        d = _validate_input(p, self.r, self.top_degree, f"Gr({self.r},{self.n})")
-        full = to_schur(p)
-        kept = {lam: c for lam, c in full.items()
-                if lam.fits_rectangle(self.r, self.cols)}
-        return SchurExpansion(kept, degree=d)
+        if p.families() - {FAMILY_C}:
+            raise ValueError(f"{self.label} expects a polynomial in the c family only")
+        bad = sorted(g[1] for g in p.generators() if g[1] > self.rank)
+        if bad:
+            raise ValueError(f"{self.label} expects generators c_1..c_{self.rank}; got {bad}")
+        d = p.homogeneous_degree()
+        if d is None:
+            d = degree
+        if d is not None and d > self.top_degree:
+            raise ValueError(f"degree {d} exceeds the top degree {self.top_degree} "
+                             f"of {self.label}")
+        return d
 
-    def integrate(self, x: SchurExpansion) -> int:
+    def reduce_tautological(self, p: CPolynomial) -> Expansion:
+        """Reduce p read in the Chern classes of the tautological subbundle.
+
+        c_k with k above the rank is zero there; when that kills p, the zero
+        class keeps the degree p had.
+        """
+        degree = p.homogeneous_degree() if p.is_homogeneous() else None
+        return self.reduce(truncate_family(p, FAMILY_C, self.rank), degree=degree)
+
+    def integrate(self, x: Expansion) -> int:
         """Coefficient of the point class; defined only in the top degree."""
         if x.degree != self.top_degree:
             raise ValueError(
                 f"integration needs degree {self.top_degree}, got {x.degree}"
             )
-        return x.get(self.rectangle)
-
-    def dual(self, lam: Partition) -> Partition:
-        return rectangle_dual(lam, self.r, self.n)
-
-    def basis_product(self, lam: Partition, mu: Partition) -> SchurExpansion:
-        """Product of two Schubert classes: LR expansion truncated to the ring."""
-        lam, mu = Partition(lam), Partition(mu)
-        if lam.weight + mu.weight > self.top_degree:
-            return SchurExpansion({}, degree=lam.weight + mu.weight)
-        full = lr_multiply(lam, mu)
-        kept = {nu: c for nu, c in full.items()
-                if nu.fits_rectangle(self.r, self.cols)}
-        return SchurExpansion(kept, degree=lam.weight + mu.weight)
+        return x.get(self.point_class)
 
     def pairing(self, lam: Partition, mu: Partition) -> int:
         product = self.basis_polynomial(lam) * self.basis_polynomial(mu)
@@ -127,39 +93,89 @@ class GrassmannianRing:
         matrix = [[self.pairing(lam, mu) for mu in cols] for lam in rows]
         return rows, cols, matrix
 
-    def pairing_is_dual_permutation(self) -> bool:
-        """Whole-ring check that the pairing matrix realizes rectangle duality."""
-        for d in range(self.top_degree + 1):
-            rows, cols, matrix = self.pairing_matrix(d)
-            for i, lam in enumerate(rows):
-                partner = self.dual(lam)
-                for j, mu in enumerate(cols):
-                    if matrix[i][j] != (1 if mu == partner else 0):
-                        return False
+    def is_dual_permutation(self, rows, cols, matrix) -> bool:
+        """Whether a pairing matrix pairs each row with its dual and nothing else."""
+        for lam, values in zip(rows, matrix):
+            partner = self.dual(lam)
+            if any(value != int(mu == partner) for mu, value in zip(cols, values)):
+                return False
         return True
 
+    def pairing_is_dual_permutation(self) -> bool:
+        """Whole-ring check that every pairing matrix realizes the duality."""
+        return all(self.is_dual_permutation(*self.pairing_matrix(d))
+                   for d in range(self.top_degree + 1))
 
-class LagrangianRing:
+
+class GrassmannianRing(SchubertRing):
+    """H*(Gr(r, n)) with the Schur/Schubert basis of the r x (n-r) rectangle."""
+
+    key = Partition
+
+    def __init__(self, r: int, n: int):
+        if not 0 < r < n:
+            raise ValueError("require 0 < r < n")
+        self.r = r
+        self.n = n
+        self.cols = n - r
+        self.rank = r
+        self.label = f"Gr({r},{n})"
+        self.top_degree = r * self.cols
+        self.point_class = Partition((self.cols,) * r)
+
+    def basis(self, d: int) -> list[Partition]:
+        return enumerate_partitions(d, max_part=self.cols, max_length=self.r)
+
+    def basis_polynomial(self, lam: Partition) -> CPolynomial:
+        """The Giambelli representative: the Schur determinant in c_1..c_r."""
+        lam = Partition(lam)
+        if not lam.fits_rectangle(self.r, self.cols):
+            raise ValueError(f"{lam!r} is not in the {self.r}x{self.cols} rectangle")
+        return truncate_family(schur_dual_jt(lam), FAMILY_C, self.r)
+
+    def reduce(self, p: CPolynomial, degree: int | None = None) -> Expansion:
+        """Schubert-basis expansion of the class of p.
+
+        Expands over all Schur functions of the degree, then discards the
+        indices that vanish in the quotient: length above r (Schur classes
+        of a rank-r bundle) and first part above n-r (the ideal kills the
+        first determinant row).  degree is the degree of a zero p.
+        """
+        d = self._degree(p, degree)
+        kept = {lam: c for lam, c in to_schur(p).coefficients.items()
+                if lam.fits_rectangle(self.r, self.cols)}
+        return Expansion(kept, degree=d)
+
+    def dual(self, lam: Partition) -> Partition:
+        return rectangle_dual(lam, self.r, self.n)
+
+    def basis_product(self, lam: Partition, mu: Partition) -> Expansion:
+        """Product of two Schubert classes: LR expansion truncated to the ring."""
+        lam, mu = Partition(lam), Partition(mu)
+        if lam.weight + mu.weight > self.top_degree:
+            return Expansion({}, degree=lam.weight + mu.weight)
+        full = lr_multiply(lam, mu)
+        kept = {nu: c for nu, c in full.coefficients.items()
+                if nu.fits_rectangle(self.r, self.cols)}
+        return Expansion(kept, degree=lam.weight + mu.weight)
+
+
+class LagrangianRing(SchubertRing):
     """H*(LG(n)) with the Q-tilde basis of strict partitions in the staircase."""
+
+    key = StrictPartition
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("require n >= 1")
         self.n = n
+        self.rank = n
+        self.label = f"LG({n})"
         self.top_degree = n * (n + 1) // 2
         self.point_class = staircase(n)
 
-    def __repr__(self) -> str:
-        return f"LagrangianRing(n={self.n})"
-
     def basis(self, d: int) -> list[StrictPartition]:
         return enumerate_strict_partitions(d, self.n)
-
-    def all_basis(self) -> list[StrictPartition]:
-        out = []
-        for d in range(self.top_degree + 1):
-            out.extend(self.basis(d))
-        return out
 
     def basis_polynomial(self, mu: StrictPartition) -> CPolynomial:
         """Q_mu truncated to c_1..c_n, the Giambelli representative of Y^mu."""
@@ -173,9 +189,6 @@ class LagrangianRing:
         if not 1 <= i <= self.n:
             raise ValueError(f"ideal generators are indexed 1..{self.n}")
         return truncate_family(qtilde_pair(i, i), FAMILY_C, self.n)
-
-    def ideal_generators(self) -> list[CPolynomial]:
-        return [self.ideal_generator(i) for i in range(1, self.n + 1)]
 
     def _monomials(self, d: int):
         return monomials_of_degree(d, FAMILY_C, max_index=self.n)
@@ -191,16 +204,17 @@ class LagrangianRing:
                 cols.append(CPolynomial.from_monomial(mono) * gen)
         return cols
 
-    def reduce(self, p: CPolynomial) -> QExpansion:
+    def reduce(self, p: CPolynomial, degree: int | None = None) -> Expansion:
         """Q-tilde basis expansion of p modulo the relations.
 
         Solves p = sum a_mu Q_mu + (ideal slice) exactly; the a_mu block
         must be unique and integral, anything else signals a broken
-        presentation rather than a user error.
+        presentation rather than a user error.  degree is the degree of a
+        zero p.
         """
-        d = _validate_input(p, self.n, self.top_degree, f"LG({self.n})")
-        if d is None:
-            return QExpansion({}, degree=None)
+        d = self._degree(p, degree)
+        if p.is_zero():
+            return Expansion({}, degree=d, key=self.key)
         basis = self.basis(d)
         basis_cols = [self.basis_polynomial(mu) for mu in basis]
         all_cols = basis_cols + self._ideal_columns(d)
@@ -215,20 +229,12 @@ class LagrangianRing:
                                  "(internal bug)")
             if value:
                 coeffs[mu] = value.numerator
-        return QExpansion(coeffs, degree=d)
-
-    def integrate(self, x: QExpansion) -> int:
-        """Coefficient of the point class Y^{staircase}; top degree only."""
-        if x.degree != self.top_degree:
-            raise ValueError(
-                f"integration needs degree {self.top_degree}, got {x.degree}"
-            )
-        return x.get(self.point_class)
+        return Expansion(coeffs, degree=d, key=self.key)
 
     def dual(self, mu: StrictPartition) -> StrictPartition:
         return strict_complement(mu, self.n)
 
-    def restrict(self, lam: Partition) -> QExpansion:
+    def restrict(self, lam: Partition) -> Expansion:
         """Pullback of the ambient Schubert class X^lam along LG(V) in G_n(V).
 
         The tautological subbundles agree under the inclusion, so the class
@@ -240,8 +246,8 @@ class LagrangianRing:
         if not lam.fits_rectangle(self.n, self.n):
             raise ValueError(f"{lam!r} is not a Schubert index of G_{self.n}(V)")
         if lam.weight > self.top_degree:
-            return QExpansion({}, degree=lam.weight)
-        return self.reduce(truncate_family(schur_dual_jt(lam), FAMILY_C, self.n))
+            return Expansion({}, degree=lam.weight, key=self.key)
+        return self.reduce_tautological(schur_dual_jt(lam))
 
     def dimension_identity(self, d: int) -> dict[str, int]:
         """Degreewise certificate: #monomials = #basis + rank(ideal slice)."""
@@ -257,33 +263,3 @@ class LagrangianRing:
             "basis": len(self.basis(d)),
             "ideal_rank": rank,
         }
-
-    def pairing(self, mu: StrictPartition, nu: StrictPartition) -> int:
-        product = self.basis_polynomial(mu) * self.basis_polynomial(nu)
-        return self.integrate(self.reduce(product))
-
-    def pairing_matrix(self, d: int):
-        rows = self.basis(d)
-        cols = self.basis(self.top_degree - d)
-        matrix = [[self.pairing(mu, nu) for nu in cols] for mu in rows]
-        return rows, cols, matrix
-
-    def pairing_is_dual_permutation(self) -> bool:
-        for d in range(self.top_degree + 1):
-            rows, cols, matrix = self.pairing_matrix(d)
-            for i, mu in enumerate(rows):
-                partner = self.dual(mu)
-                for j, nu in enumerate(cols):
-                    if matrix[i][j] != (1 if nu == partner else 0):
-                        return False
-        return True
-
-
-@lru_cache(maxsize=None)
-def grassmannian(r: int, n: int) -> GrassmannianRing:
-    return GrassmannianRing(r, n)
-
-
-@lru_cache(maxsize=None)
-def lagrangian(n: int) -> LagrangianRing:
-    return LagrangianRing(n)

@@ -155,21 +155,19 @@ def schur_dual_jt(lam: Partition, family: str = FAMILY_C) -> CPolynomial:
     return poly_det(rows)
 
 
-class SchurExpansion:
-    """A homogeneous integer combination of Schur basis elements.
+class Expansion:
+    """A homogeneous integer combination of basis classes.
 
-    Coefficients map partitions of a common weight to nonzero integers.
-    The degree is kept explicitly so the zero expansion of a known degree
-    integrates and serializes unambiguously.
+    Coefficients map partitions of a common weight to nonzero integers; the
+    key type is Partition for the Schur basis and StrictPartition for the
+    Q-tilde basis, and every key is checked against it.  The degree is kept
+    explicitly so the zero expansion of a known degree integrates and
+    serializes unambiguously.
     """
 
-    key_name = "partition"
-
-    def __init__(self, coefficients: dict, degree: int | None = None):
-        cleaned: dict[Partition, int] = {}
-        for lam, coeff in coefficients.items():
-            if coeff:
-                cleaned[Partition(lam)] = coeff
+    def __init__(self, coefficients: dict, degree: int | None = None,
+                 key: type[Partition] = Partition):
+        cleaned = {key(lam): coeff for lam, coeff in coefficients.items() if coeff}
         weights = {lam.weight for lam in cleaned}
         if len(weights) > 1:
             raise ValueError(f"mixed weights in expansion: {sorted(weights)}")
@@ -180,12 +178,13 @@ class SchurExpansion:
             degree = common
         self.coefficients = cleaned
         self.degree = degree
+        self.key = key
 
     def items(self) -> list[tuple[Partition, int]]:
         return sorted(self.coefficients.items(), key=lambda kv: kv[0].sort_key())
 
     def get(self, lam, default: int = 0) -> int:
-        return self.coefficients.get(Partition(lam), default)
+        return self.coefficients.get(self.key(lam), default)
 
     def coefficient_sum(self) -> int:
         return sum(self.coefficients.values())
@@ -199,31 +198,21 @@ class SchurExpansion:
     def is_nonnegative(self) -> bool:
         return not self.negatives()
 
-    def scaled(self, factor: int) -> "SchurExpansion":
-        return type(self)({lam: factor * c for lam, c in self.coefficients.items()},
-                          degree=self.degree)
-
-    def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
-        merged = dict(self.coefficients)
-        for lam, c in other.coefficients.items():
-            merged[lam] = merged.get(lam, 0) + c
-        degree = self.degree if self.degree is not None else other.degree
-        return type(self)(merged, degree=degree)
-
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SchurExpansion)
+        return (isinstance(other, Expansion) and self.key is other.key
+                and self.degree == other.degree
                 and self.coefficients == other.coefficients)
 
     def __bool__(self) -> bool:
         return bool(self.coefficients)
 
     def to_json(self) -> list:
-        return [{self.key_name: list(lam.parts), "coeff": str(c)}
+        return [{self.key.json_key: list(lam.parts), "coeff": str(c)}
                 for lam, c in self.items()]
 
     def __repr__(self) -> str:
         body = ", ".join(f"{tuple(lam.parts)}: {c}" for lam, c in self.items())
-        return f"{type(self).__name__}({{{body}}})"
+        return f"Expansion({{{body}}}, degree={self.degree}, key={self.key.__name__})"
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +230,7 @@ def _schur_transition_inverse(d: int) -> tuple[tuple[Partition, ...], list[list[
     return partitions, invert_integer_matrix(matrix)
 
 
-def to_schur(p: CPolynomial, length_bound: int | None = None) -> SchurExpansion:
+def to_schur(p: CPolynomial, length_bound: int | None = None) -> Expansion:
     """Expand a homogeneous single-family polynomial over the Schur basis.
 
     The expansion over all partitions of the degree is unique; when a
@@ -256,7 +245,7 @@ def to_schur(p: CPolynomial, length_bound: int | None = None) -> SchurExpansion:
         raise ValueError("Schur expansion is defined for c-type families only")
     d = p.homogeneous_degree()
     if d is None:
-        return SchurExpansion({}, degree=None)
+        return Expansion({}, degree=None)
     partitions, inverse = _schur_transition_inverse(d)
     vector = [p.coefficient(_refamily(mono, fam))
               for mono in monomials_of_degree(d, FAMILY_C)]
@@ -272,14 +261,14 @@ def to_schur(p: CPolynomial, length_bound: int | None = None) -> SchurExpansion:
                 f"not expressible with length bound {length_bound}: "
                 f"support on {sorted(tuple(l.parts) for l in long)}"
             )
-    return SchurExpansion(coeffs, degree=d)
+    return Expansion(coeffs, degree=d)
 
 
 def _refamily(mono, family):
     return tuple(((family, g[1]), e) for g, e in mono)
 
 
-def from_schur(x: SchurExpansion, family: str = FAMILY_C) -> CPolynomial:
+def from_schur(x: Expansion, family: str = FAMILY_C) -> CPolynomial:
     """Inverse of to_schur: substitute the defining determinants and expand."""
     total = CPolynomial.zero()
     for lam, coeff in x.items():
@@ -287,7 +276,7 @@ def from_schur(x: SchurExpansion, family: str = FAMILY_C) -> CPolynomial:
     return total
 
 
-def lr_multiply(lam: Partition, mu: Partition) -> SchurExpansion:
+def lr_multiply(lam: Partition, mu: Partition) -> Expansion:
     """Littlewood-Richardson expansion of s_lam . s_mu via the Schur kernel."""
     product = schur_dual_jt(Partition(lam)) * schur_dual_jt(Partition(mu))
     return to_schur(product)
@@ -355,7 +344,7 @@ def peel_schur(poly: XPoly, n: int) -> dict[Partition, int]:
     return out
 
 
-def lr_oracle(lam: Partition, mu: Partition, bound: int = 8) -> SchurExpansion:
+def lr_oracle(lam: Partition, mu: Partition, bound: int = 8) -> Expansion:
     """Littlewood-Richardson product by brute-force monomial expansion.
 
     Expands both factors as SSYT sums in N = |lam| + |mu| variables,
@@ -366,11 +355,11 @@ def lr_oracle(lam: Partition, mu: Partition, bound: int = 8) -> SchurExpansion:
     if total > bound:
         raise ValueError(f"total weight {total} exceeds the oracle bound {bound}")
     if total == 0:
-        return SchurExpansion({Partition(): 1}, degree=0)
+        return Expansion({Partition(): 1}, degree=0)
     n = total
     a: XPoly = dict(schur_monomials(lam, n))
     b: XPoly = dict(schur_monomials(mu, n))
-    return SchurExpansion(peel_schur(xp_mul(a, b), n), degree=total)
+    return Expansion(peel_schur(xp_mul(a, b), n), degree=total)
 
 
 def elementary_xpoly(i: int, n: int) -> XPoly:
@@ -382,7 +371,7 @@ def elementary_xpoly(i: int, n: int) -> XPoly:
     return dict(schur_monomials(Partition((1,) * i), n))
 
 
-def to_schur_oracle(p: CPolynomial, nvars: int | None = None) -> SchurExpansion:
+def to_schur_oracle(p: CPolynomial, nvars: int | None = None) -> Expansion:
     """Independent Schur expansion: substitute c_i -> e_i(x) and peel.
 
     Uses as many formal variables as the degree, which is faithful for
@@ -390,7 +379,7 @@ def to_schur_oracle(p: CPolynomial, nvars: int | None = None) -> SchurExpansion:
     """
     d = p.homogeneous_degree()
     if d is None:
-        return SchurExpansion({}, degree=None)
+        return Expansion({}, degree=None)
     n = nvars if nvars is not None else max(d, 1)
     acc: XPoly = {}
     for mono, coeff in p.terms.items():
@@ -401,7 +390,7 @@ def to_schur_oracle(p: CPolynomial, nvars: int | None = None) -> SchurExpansion:
             for _ in range(e):
                 term = xp_mul(term, elementary_xpoly(idx, n))
         xp_accumulate(acc, term, coeff)
-    return SchurExpansion(peel_schur(acc, n), degree=d)
+    return Expansion(peel_schur(acc, n), degree=d)
 
 
 # ---------------------------------------------------------------------------

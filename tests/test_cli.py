@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import schurcalc
 from schurcalc.cli import SUBCOMMAND_OPERATIONS, main
 
 
@@ -184,8 +185,43 @@ def test_audit_each_operation_has_one_subcommand():
         "to_schur", "certify", "lr_multiply", "qtilde",
         "gr_reduce", "gr_integrate", "rectangle_dual", "gr_pairing",
         "lg_reduce", "lg_integrate", "strict_complement", "lg_restrict",
-        "lg_pairing", "qtilde_expand",
-        "verify_thom_table", "legendrian_parse", "lagrangian_part",
-        "legendrian_positivity", "schur_bundle_class",
+        "lg_pairing",
+        "verify_thom_table", "verify_lagrangian_table", "verify_legendrian_table",
+        "schur_bundle_class",
     }
     assert set(seen) == expected
+
+
+def test_public_names_resolve():
+    for name in schurcalc.__all__:
+        assert hasattr(schurcalc, name), name
+
+
+def test_zero_class_keeps_its_degree(capsys):
+    code, payload = run_json(capsys, "gr", "--r", "2", "--n", "4", "integrate", "c3*c1")
+    assert (code, payload) == (0, {"ring": "Gr(2,4)", "value": "0"})
+    code, payload = run_json(capsys, "gr", "--r", "2", "--n", "4", "reduce", "c3")
+    assert (code, payload) == (0, {"ring": "Gr(2,4)", "degree": 3, "expansion": []})
+    code, payload = run_json(capsys, "lg", "--n", "2", "integrate", "c3")
+    assert (code, payload) == (0, {"ring": "LG(2)", "value": "0"})
+    code, payload = run_json(capsys, "lg", "--n", "2", "reduce", "c3")
+    assert (code, payload) == (0, {"ring": "LG(2)", "degree": 3, "expansion": []})
+    # degree 4 lies above the top degree 3 of LG(2)
+    assert main(["lg", "--n", "2", "integrate", "c3*c1"]) == 2
+    assert "exceeds the top degree 3" in capsys.readouterr().err
+
+
+def test_deep_nesting_is_a_parse_error():
+    deep = "(" * 3000 + "c1" + ")" * 3000
+    code, out, err = run_cli("certify", deep)
+    assert code == 2
+    assert b"parse error" in err
+    assert b"Traceback" not in err
+
+
+def test_negative_rank_is_rejected():
+    code, out, err = run_cli("schur-bundle", "--rank", "-1", "--functor", "2",
+                             "--class", "1")
+    assert code == 2
+    assert out == b""
+    assert b"rank must be nonnegative" in err

@@ -5,6 +5,7 @@ import pytest
 from schurcalc.legendrian import (
     LEGENDRIAN_RANK,
     LEGENDRIAN_TABLE,
+    LegendrianClass,
     lagrangian_part,
     legendrian_parse,
     legendrian_positivity,
@@ -95,3 +96,10 @@ def test_scalar_v_powers_allowed():
     parsed = legendrian_parse("(v1 + v2)^2*q[1]", 2)
     assert parsed.coefficients == {
         key([1], 2, 0): 1, key([1], 1, 1): 2, key([1], 0, 2): 1}
+
+
+def test_class_equality_compares_rank_and_degree():
+    parsed = legendrian_parse("q[1]", 2)
+    assert parsed == legendrian_parse("q[1]", 2)
+    assert parsed != legendrian_parse("q[1]", 3)
+    assert parsed != LegendrianClass(dict(parsed.coefficients), n=2, degree=None)

@@ -8,10 +8,13 @@ from schurcalc.linalg import (
     NonUniqueSolutionError,
     invert_integer_matrix,
     matrix_rank,
-    multiply_matrix_vector,
     rref,
     solve_exact,
 )
+
+
+def multiply_matrix_vector(matrix, vector):
+    return [sum(a * x for a, x in zip(row, vector)) for row in matrix]
 
 
 def test_identity_returns_rhs():

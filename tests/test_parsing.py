@@ -2,6 +2,7 @@ import pytest
 
 from schurcalc.legendrian import LEGENDRIAN_TABLE
 from schurcalc.parsing import (
+    MAX_NESTING,
     Basis,
     Gen,
     Num,
@@ -104,3 +105,12 @@ def test_partition_arguments():
         parse_partition_arg("2,2", strict=True)
     with pytest.raises(ValueError):
         parse_partition_arg("a,b")
+
+
+def test_nesting_limit():
+    deepest = "(" * MAX_NESTING + "c1" + ")" * MAX_NESTING
+    assert evaluate_text(deepest) == c(1)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("(" + deepest + ")")
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("(" * 3000 + "c1" + ")" * 3000)

@@ -107,3 +107,8 @@ def test_report_json_shape():
     assert data["name"] == "synthetic"
     assert data["verdict"] == VERDICT_NOT_NONNEGATIVE
     assert data["witnesses"] == [{"partition": [2], "coeff": "-1"}]
+
+
+def test_schur_bundle_rejects_negative_rank():
+    with pytest.raises(ValueError, match="rank"):
+        schur_bundle_class(Partition([2]), Partition([1]), -1)

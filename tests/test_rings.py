@@ -5,7 +5,7 @@ from schurcalc.polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial, truncate_
 from schurcalc.rings import GrassmannianRing, LagrangianRing
 from schurcalc.schur import (
     BundleSymbol,
-    SchurExpansion,
+    Expansion,
     complete_from_elementary,
     schur_dual_jt,
 )
@@ -39,10 +39,10 @@ def test_gr_reduce_errors():
 
 def test_gr_integrate():
     gr = GrassmannianRing(2, 4)
-    top = SchurExpansion({Partition([2, 2]): 1})
+    top = Expansion({Partition([2, 2]): 1})
     assert gr.integrate(top) == 1
     with pytest.raises(ValueError):
-        gr.integrate(SchurExpansion({Partition([1]): 1}))
+        gr.integrate(Expansion({Partition([1]): 1}))
 
 
 def test_gr_duality_diagonal():
@@ -191,3 +191,28 @@ def test_lg_pairing_nondual_pairs_vanish():
 def test_lg_basis_total_count():
     for n in range(1, 5):
         assert len(LagrangianRing(n).all_basis()) == 2 ** n
+
+
+# -- shared ring structure ---------------------------------------------------
+
+
+def test_zero_class_keeps_its_degree():
+    for ring, vanishing in [(GrassmannianRing(2, 4), c(3) * c(1)),
+                            (LagrangianRing(2), c(3))]:
+        d = ring.top_degree
+        x = ring.reduce_tautological(vanishing)
+        assert x.is_zero() and x.degree == d
+        assert ring.integrate(x) == 0
+        assert ring.reduce(CPolynomial.zero(), degree=d) == x
+        assert ring.reduce(CPolynomial.zero()).degree is None
+    with pytest.raises(ValueError, match="exceeds the top degree"):
+        LagrangianRing(2).reduce_tautological(c(3) * c(1))
+
+
+def test_pairing_check_is_per_degree():
+    for ring in (GrassmannianRing(2, 4), LagrangianRing(2)):
+        assert ring.pairing_is_dual_permutation()
+        rows, cols, matrix = ring.pairing_matrix(1)
+        assert ring.is_dual_permutation(rows, cols, matrix)
+        broken = [[1 - v for v in row] for row in matrix]
+        assert not ring.is_dual_permutation(rows, cols, broken)

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from schurcalc.partitions import Partition, enumerate_partitions, hook_contains, partitions_up_to
+from schurcalc.partitions import (
+    Partition,
+    StrictPartition,
+    enumerate_partitions,
+    hook_contains,
+    partitions_up_to,
+)
 from schurcalc.polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
@@ -11,7 +17,7 @@ from schurcalc.polynomial import (
 )
 from schurcalc.schur import (
     BundleSymbol,
-    SchurExpansion,
+    Expansion,
     complete_from_elementary,
     elementary_super,
     from_schur,
@@ -109,7 +115,7 @@ def test_to_schur_bijection_per_degree():
         terms = {m: rng.randint(-6, 6) for m in monos}
         p = CPolynomial(terms)
         assert from_schur(to_schur(p)) == p
-        expansion = SchurExpansion(
+        expansion = Expansion(
             {lam: rng.randint(-4, 4) for lam in enumerate_partitions(d)}, degree=d)
         assert to_schur(from_schur(expansion)).coefficients == expansion.coefficients
 
@@ -217,7 +223,7 @@ def test_elementary_super_matches_column_schur():
 
 
 def test_expansion_container():
-    x = SchurExpansion({Partition([2]): 1, Partition([1, 1]): -2})
+    x = Expansion({Partition([2]): 1, Partition([1, 1]): -2})
     assert x.degree == 2
     assert x.negatives() == [(Partition([1, 1]), -2)]
     assert not x.is_nonnegative()
@@ -226,4 +232,15 @@ def test_expansion_container():
         {"partition": [1, 1], "coeff": "-2"},
     ]
     with pytest.raises(ValueError):
-        SchurExpansion({Partition([1]): 1, Partition([2]): 1})
+        Expansion({Partition([1]): 1, Partition([2]): 1})
+
+
+def test_expansion_equality_compares_key_type_and_degree():
+    s1 = Expansion({Partition([1]): 1})
+    q1 = Expansion({StrictPartition([1]): 1}, key=StrictPartition)
+    assert s1 == to_schur(c(1))
+    assert s1 != q1
+    assert q1.get([1]) == 1
+    assert q1.to_json() == [{"strict_partition": [1], "coeff": "1"}]
+    assert Expansion({}, degree=3) == Expansion({}, degree=3)
+    assert Expansion({}, degree=3) != Expansion({}, degree=None)
