@@ -220,12 +220,15 @@ def _ring_command(args, pretty: bool) -> int:
     if args.action == "pairing":
         _emit(_pairing_payload(ring), pretty)
         return 0
+    if args.action in ("dual", "restrict") and args.arg is None:
+        raise ValueError(f"{args.command} {args.action} needs a partition argument "
+                         "(\"\", 0 or [] for the empty partition)")
     if args.action == "dual":
-        lam = parse_partition_arg(args.arg or "", strict=ring.key is StrictPartition)
+        lam = parse_partition_arg(args.arg, strict=ring.key is StrictPartition)
         _emit({ring.key.json_key: list(ring.dual(lam).parts)}, pretty)
         return 0
     if args.action == "restrict":
-        expansion = ring.restrict(parse_partition_arg(args.arg or ""))
+        expansion = ring.restrict(parse_partition_arg(args.arg))
     else:
         expansion = ring.reduce_tautological(
             evaluate_text(_expression_text(args, args.arg)))

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: elimination, solving, ranks, inverses.
+"""Exact rational linear algebra: elimination, solving and ranks.
 
 No floating point anywhere; all entries are fractions.Fraction (or ints,
 which are promoted).  Used for degreewise basis conversions where the
@@ -114,25 +114,3 @@ def solve_exact(matrix, rhs, unique_block: tuple[int, int] | None = None) -> Sol
                     )
     return Solution(values=values, unique=not free, free_columns=free)
 
-
-def invert_integer_matrix(matrix: list[list[int]]) -> list[list[int]]:
-    """Inverse of an integer matrix whose inverse is again integral.
-
-    Transition matrices between the monomial and Schur bases are
-    unitriangular in the fixed order, so their inverses are integer
-    matrices; non-integrality signals an internal bug.
-    """
-    n = len(matrix)
-    augmented = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-                 for i, row in enumerate(matrix)]
-    reduced, pivots = rref(augmented)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    out: list[list[int]] = []
-    for row in reduced:
-        vals = row[n:]
-        for v in vals:
-            if v.denominator != 1:
-                raise ValueError("inverse is not integral")
-        out.append([v.numerator for v in vals])
-    return out

@@ -61,9 +61,6 @@ class Partition:
                 cols[j] += 1
         return Partition(cols)
 
-    def contains(self, other: "Partition") -> bool:
-        return all(self.part(i + 1) >= p for i, p in enumerate(other.parts))
-
     def fits_rectangle(self, rows: int, cols: int) -> bool:
         return len(self.parts) <= rows and (not self.parts or self.parts[0] <= cols)
 

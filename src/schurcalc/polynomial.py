@@ -357,12 +357,3 @@ def monomials_of_degree(d: int, family: str, max_index: int | None = None) -> tu
     out.sort(key=monomial_key)
     return tuple(out)
 
-
-def monomial_to_partition(mono: Monomial):
-    """Index partition of a single-family monomial (c_mu -> mu)."""
-    from .partitions import Partition
-
-    parts: list[int] = []
-    for g, e in mono:
-        parts.extend([g[1]] * e)
-    return Partition(sorted(parts, reverse=True))

@@ -3,12 +3,14 @@
 Both rings are finite graded quotients of a polynomial ring in Chern
 generators with a self-dual Schubert basis, a point class in the top degree
 and a Poincare pairing; SchubertRing holds what they share.  Each ring
-reduces onto its own basis by exact degreewise linear algebra:
+reduces exactly onto its own basis:
 
 * Gr(r, n): generators c_1..c_r, relations h_k = 0 for n-r < k <= n, basis
-  the Schur classes of partitions in the r x (n-r) rectangle.  Reduction
-  expands over the full Schur basis and drops the classes that vanish on a
-  rank-r bundle inside the quotient (length > r, or first part > n-r).
+  the Schur classes of partitions in the r x (n-r) rectangle.  Reduction is
+  the dual Pieri fold of schur.py bounded to the rectangle: each factor c_k
+  adds a vertical strip of k boxes and the classes that leave the rectangle
+  (length > r, or first part > n-r) are dropped at once, since they span an
+  ideal that is zero in the quotient.
 * LG(n): generators c_1..c_n, relations the truncated pair classes Q_{i,i},
   basis the Q-tilde classes of strict partitions inside the staircase.
   Reduction solves the degree slice exactly; uniqueness of the basis
@@ -30,7 +32,7 @@ from .partitions import (
 )
 from .polynomial import FAMILY_C, CPolynomial, monomials_of_degree, truncate_family
 from .qtilde import qtilde, qtilde_pair
-from .schur import Expansion, lr_multiply, schur_dual_jt, to_schur
+from .schur import Expansion, schur_coefficients, schur_dual_jt
 
 
 class SchubertRing:
@@ -83,9 +85,15 @@ class SchubertRing:
             )
         return x.get(self.point_class)
 
+    def basis_product(self, lam: Partition, mu: Partition) -> Expansion:
+        """Product of two Schubert classes; zero above the top degree."""
+        lam, mu = self.key(lam), self.key(mu)
+        if lam.weight + mu.weight > self.top_degree:
+            return Expansion({}, degree=lam.weight + mu.weight, key=self.key)
+        return self.reduce(self.basis_polynomial(lam) * self.basis_polynomial(mu))
+
     def pairing(self, lam: Partition, mu: Partition) -> int:
-        product = self.basis_polynomial(lam) * self.basis_polynomial(mu)
-        return self.integrate(self.reduce(product))
+        return self.integrate(self.basis_product(lam, mu))
 
     def pairing_matrix(self, d: int):
         rows = self.basis(d)
@@ -136,28 +144,17 @@ class GrassmannianRing(SchubertRing):
     def reduce(self, p: CPolynomial, degree: int | None = None) -> Expansion:
         """Schubert-basis expansion of the class of p.
 
-        Expands over all Schur functions of the degree, then discards the
-        indices that vanish in the quotient: length above r (Schur classes
-        of a rank-r bundle) and first part above n-r (the ideal kills the
-        first determinant row).  degree is the degree of a zero p.
+        Runs the dual Pieri fold inside the r x (n-r) rectangle.  A class
+        that leaves it vanishes in the quotient (length above r: a Schur
+        class of a rank-r bundle; first part above n-r: the ideal kills the
+        first determinant row), and so does every multiple of it, so the
+        fold drops it at every step.  degree is the degree of a zero p.
         """
         d = self._degree(p, degree)
-        kept = {lam: c for lam, c in to_schur(p).coefficients.items()
-                if lam.fits_rectangle(self.r, self.cols)}
-        return Expansion(kept, degree=d)
+        return Expansion(schur_coefficients(p, self.r, self.cols), degree=d)
 
     def dual(self, lam: Partition) -> Partition:
         return rectangle_dual(lam, self.r, self.n)
-
-    def basis_product(self, lam: Partition, mu: Partition) -> Expansion:
-        """Product of two Schubert classes: LR expansion truncated to the ring."""
-        lam, mu = Partition(lam), Partition(mu)
-        if lam.weight + mu.weight > self.top_degree:
-            return Expansion({}, degree=lam.weight + mu.weight)
-        full = lr_multiply(lam, mu)
-        kept = {nu: c for nu, c in full.coefficients.items()
-                if nu.fits_rectangle(self.r, self.cols)}
-        return Expansion(kept, degree=lam.weight + mu.weight)
 
 
 class LagrangianRing(SchubertRing):

@@ -2,10 +2,12 @@
 
 Two determinantal presentations are implemented: the Jacobi-Trudi form in
 the complete classes s_k(E - F), and the dual form in raw c-generators
-indexed by the conjugate partition.  Conversion between the monomial and
-Schur bases is done by an exact linear solve against the (unitriangular)
-transition matrix; an independent monomial-expansion oracle in formal
-variables cross-checks it and the Littlewood-Richardson products.
+indexed by the conjugate partition.  Since c_k = s_(1^k), a monomial in the
+c-generators is expanded in the Schur basis by the dual Pieri rule, one
+vertical strip per factor, in a memoized integer fold; bounding the fold to
+an r x (n-r) box gives reduction in H*(Gr(r, n)).  An independent
+monomial-expansion oracle in formal variables cross-checks the fold and the
+Littlewood-Richardson products.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import invert_integer_matrix
-from .partitions import Partition, enumerate_partitions, ssyt_weights
+from .partitions import Partition, ssyt_weights
 from .polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
     CPolynomial,
-    monomials_of_degree,
     poly_det,
     specialize,
 )
@@ -216,26 +216,63 @@ class Expansion:
 
 
 @lru_cache(maxsize=None)
-def _schur_transition_inverse(d: int) -> tuple[tuple[Partition, ...], list[list[int]]]:
-    """Inverse of the (monomial x Schur) transition matrix in degree d.
+def _vertical_strips(lam: tuple[int, ...], k: int, cap: int | None) -> list[tuple[int, ...]]:
+    """The mu with mu/lam a vertical strip of k boxes and mu_1 <= cap (None: no cap)."""
+    if k == 0:
+        return [lam]
+    if not lam:
+        return [(1,) * k]
+    head, tail = lam[0], lam[1:]
+    out = [(head,) + mu for mu in _vertical_strips(tail, k, head)]
+    if cap is None or head < cap:
+        out += [(head + 1,) + mu for mu in _vertical_strips(tail, k - 1, None)]
+    return out
 
-    Rows and columns are both indexed by partitions of d in the global
-    order: row mu is the monomial c_mu, column lam is schur_dual_jt(lam).
-    The matrix is unimodular, so the inverse is integral.
+
+@lru_cache(maxsize=None)
+def _monomial_schur(indices: tuple[int, ...], rows: int | None,
+                    cols: int | None) -> dict[tuple[int, ...], int]:
+    """Schur expansion of c_{i1}...c_{im} (indices ascending) in the rows x cols box.
+
+    c_k is s_(1^k), so by the dual Pieri rule the expansion of the monomial
+    is that of its prefix with a vertical strip of the last index added to
+    every term.  Dropping the terms outside the box at each step is exact,
+    because the Schur classes outside a box span an ideal.
     """
-    partitions = tuple(enumerate_partitions(d))
-    monomials = monomials_of_degree(d, FAMILY_C)
-    matrix = [[schur_dual_jt(lam).coefficient(mono) for lam in partitions]
-              for mono in monomials]
-    return partitions, invert_integer_matrix(matrix)
+    if not indices:
+        return {(): 1}
+    out: dict[tuple[int, ...], int] = {}
+    for lam, coeff in _monomial_schur(indices[:-1], rows, cols).items():
+        for mu in _vertical_strips(lam, indices[-1], cols):
+            if rows is None or len(mu) <= rows:
+                out[mu] = out.get(mu, 0) + coeff
+    return out
+
+
+def schur_coefficients(p: CPolynomial, rows: int | None = None,
+                       cols: int | None = None) -> dict[tuple[int, ...], int]:
+    """Coefficients of p on the Schur classes in the box; None leaves a side open.
+
+    Generator families are ignored: c_k and c'_k both stand for s_(1^k).
+    """
+    total: dict[tuple[int, ...], int] = {}
+    for mono, coeff in p.terms.items():
+        indices = tuple(g[1] for g, e in mono for _ in range(e))
+        # warm every 200th prefix so the fold's recursion stays shallow
+        for stop in range(200, len(indices), 200):
+            _monomial_schur(indices[:stop], rows, cols)
+        for lam, c in _monomial_schur(indices, rows, cols).items():
+            total[lam] = total.get(lam, 0) + coeff * c
+    return total
 
 
 def to_schur(p: CPolynomial, length_bound: int | None = None) -> Expansion:
     """Expand a homogeneous single-family polynomial over the Schur basis.
 
-    The expansion over all partitions of the degree is unique; when a
-    length bound is given, any support on longer partitions makes the input
-    inexpressible and raises.
+    Each monomial is expanded by the dual Pieri fold, so the work follows
+    the size of the output.  The expansion over all partitions of the
+    degree is unique; when a length bound is given, any support on longer
+    partitions makes the input inexpressible and raises.
     """
     families = p.families()
     if len(families) > 1:
@@ -246,26 +283,15 @@ def to_schur(p: CPolynomial, length_bound: int | None = None) -> Expansion:
     d = p.homogeneous_degree()
     if d is None:
         return Expansion({}, degree=None)
-    partitions, inverse = _schur_transition_inverse(d)
-    vector = [p.coefficient(_refamily(mono, fam))
-              for mono in monomials_of_degree(d, FAMILY_C)]
-    coeffs = {}
-    for lam, row in zip(partitions, inverse):
-        value = sum(a * b for a, b in zip(row, vector))
-        if value:
-            coeffs[lam] = value
+    coeffs = schur_coefficients(p)
     if length_bound is not None:
-        long = [lam for lam in coeffs if len(lam) > length_bound]
+        long = [lam for lam, c in coeffs.items() if c and len(lam) > length_bound]
         if long:
             raise ValueError(
                 f"not expressible with length bound {length_bound}: "
-                f"support on {sorted(tuple(l.parts) for l in long)}"
+                f"support on {sorted(long)}"
             )
     return Expansion(coeffs, degree=d)
-
-
-def _refamily(mono, family):
-    return tuple(((family, g[1]), e) for g, e in mono)
 
 
 def from_schur(x: Expansion, family: str = FAMILY_C) -> CPolynomial:

@@ -225,3 +225,26 @@ def test_negative_rank_is_rejected():
     assert code == 2
     assert out == b""
     assert b"rank must be nonnegative" in err
+
+
+def test_omitted_partition_argument_is_usage_error(capsys):
+    for argv in (["gr", "--r", "2", "--n", "4", "dual"], ["lg", "--n", "3", "dual"],
+                 ["lg", "--n", "3", "restrict"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs a partition argument" in captured.err
+    code, out, err = run_cli("gr", "--r", "2", "--n", "4", "dual")
+    assert (code, out) == (2, b"")
+    assert b"Traceback" not in err
+
+
+def test_empty_partition_spellings(capsys):
+    for spelling in ("", "0", "[]"):
+        code, payload = run_json(capsys, "gr", "--r", "2", "--n", "4", "dual", spelling)
+        assert (code, payload) == (0, {"partition": [2, 2]})
+        code, payload = run_json(capsys, "lg", "--n", "3", "dual", spelling)
+        assert (code, payload) == (0, {"strict_partition": [3, 2, 1]})
+        code, payload = run_json(capsys, "lg", "--n", "3", "restrict", spelling)
+        assert (code, payload["expansion"]) == \
+            (0, [{"strict_partition": [], "coeff": "1"}])

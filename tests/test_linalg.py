@@ -6,7 +6,6 @@ import pytest
 from schurcalc.linalg import (
     InconsistentSystemError,
     NonUniqueSolutionError,
-    invert_integer_matrix,
     matrix_rank,
     rref,
     solve_exact,
@@ -73,15 +72,6 @@ def test_rank_and_rref():
     assert reduced[0] == [1, 2]
     assert matrix_rank([[1, 2], [2, 4], [3, 6]]) == 1
     assert matrix_rank([[1, 0], [0, 1]]) == 2
-
-
-def test_invert_integer_matrix():
-    m = [[1, 1], [0, 1]]
-    assert invert_integer_matrix(m) == [[1, -1], [0, 1]]
-    with pytest.raises(ValueError):
-        invert_integer_matrix([[1, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        invert_integer_matrix([[2, 0], [0, 1]])  # inverse not integral
 
 
 def test_solution_as_integers():

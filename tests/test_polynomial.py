@@ -8,7 +8,6 @@ from schurcalc.polynomial import (
     FAMILY_V1,
     FAMILY_V2,
     CPolynomial,
-    monomial_to_partition,
     monomials_of_degree,
     poly_det,
     specialize,
@@ -16,6 +15,11 @@ from schurcalc.polynomial import (
 )
 from schurcalc.partitions import Partition, enumerate_partitions
 from schurcalc.qtilde import qtilde
+
+
+def monomial_to_partition(mono):
+    """Index partition of a single-family monomial (c_mu -> mu)."""
+    return Partition(sorted((g[1] for g, e in mono for _ in range(e)), reverse=True))
 
 
 def c(i):

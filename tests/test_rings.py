@@ -1,3 +1,5 @@
+from math import factorial, prod
+
 import pytest
 
 from schurcalc.partitions import Partition, StrictPartition, enumerate_partitions
@@ -8,6 +10,7 @@ from schurcalc.schur import (
     Expansion,
     complete_from_elementary,
     schur_dual_jt,
+    to_schur_oracle,
 )
 
 
@@ -94,6 +97,40 @@ def test_gr_basis_sizes_symmetric():
     sizes = [len(ring.basis(d)) for d in range(ring.top_degree + 1)]
     assert sizes == sizes[::-1]
     assert sum(sizes) == 20  # C(6, 3)
+
+
+def hook_length_count(parts):
+    """Standard tableaux of a shape: |lam|! over the product of its hook lengths."""
+    hooks = [parts[i] - j + sum(1 for below in parts[i + 1:] if below > j)
+             for i in range(len(parts)) for j in range(parts[i])]
+    return factorial(sum(parts)) // prod(hooks)
+
+
+def test_top_power_of_hyperplane_counts_rectangle_tableaux():
+    for r, n in [(3, 8), (4, 10), (5, 12)]:
+        ring = GrassmannianRing(r, n)
+        value = ring.integrate(ring.reduce(c(1) ** ring.top_degree))
+        assert value == hook_length_count((n - r,) * r)
+    assert hook_length_count((5,) * 3) == 6006
+    assert hook_length_count((6,) * 4) == 140229804
+
+
+def test_pruned_fold_matches_the_oracle():
+    # The oracle in r variables gives the full expansion cut to length <= r:
+    # s_lam vanishes in r variables exactly when lam has more than r rows,
+    # and the remaining s_lam stay independent.
+    for n in range(2, 7):
+        for r in range(1, n):
+            ring = GrassmannianRing(r, n)
+            for d in range(ring.top_degree + 1):
+                for lam in enumerate_partitions(d, max_part=r):
+                    mono = CPolynomial.one()
+                    for i in lam.parts:
+                        mono = mono * c(i)
+                    oracle = to_schur_oracle(mono, nvars=r)
+                    kept = {nu: coeff for nu, coeff in oracle.coefficients.items()
+                            if nu.fits_rectangle(r, n - r)}
+                    assert ring.reduce(mono) == Expansion(kept, degree=d)
 
 
 # -- Lagrangian --------------------------------------------------------------

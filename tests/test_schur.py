@@ -1,4 +1,5 @@
 import random
+from math import factorial, prod
 
 import pytest
 
@@ -118,6 +119,18 @@ def test_to_schur_bijection_per_degree():
         expansion = Expansion(
             {lam: rng.randint(-4, 4) for lam in enumerate_partitions(d)}, degree=d)
         assert to_schur(from_schur(expansion)).coefficients == expansion.coefficients
+
+
+def test_c1_power_coefficients_count_standard_tableaux():
+    # c1^16 = s_1^16 = sum f^lam s_lam, f^lam by the hook-length formula
+    expansion = to_schur(c(1) ** 16)
+    for lam, coeff in expansion.items():
+        parts = lam.parts
+        hooks = [parts[i] - j + sum(1 for below in parts[i + 1:] if below > j)
+                 for i in range(len(parts)) for j in range(parts[i])]
+        assert coeff == factorial(16) // prod(hooks)
+    # sum (f^lam)^2 = 16! leaves no room for a missing partition
+    assert sum(coeff ** 2 for _, coeff in expansion.items()) == factorial(16)
 
 
 def test_to_schur_errors():
