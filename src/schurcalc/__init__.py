@@ -28,24 +28,17 @@ from .polynomial import (
     specialize,
     truncate_family,
 )
-from .linalg import (
-    InconsistentSystemError,
-    NonUniqueSolutionError,
-    solve_exact,
-)
 from .schur import (
     BundleSymbol,
     Expansion,
     complete_from_elementary,
     from_schur,
     lr_multiply,
-    lr_oracle,
     schur_dual_jt,
     schur_jt,
     super_split,
     supersymmetric_s,
     to_schur,
-    to_schur_oracle,
 )
 from .qtilde import qtilde
 from .rings import GrassmannianRing, LagrangianRing
@@ -74,11 +67,9 @@ __all__ = [
     "hook_contains",
     "CPolynomial", "specialize", "truncate_family",
     "FAMILY_C", "FAMILY_CPRIME", "FAMILY_V1", "FAMILY_V2",
-    "solve_exact", "InconsistentSystemError", "NonUniqueSolutionError",
     "BundleSymbol", "Expansion", "complete_from_elementary",
     "supersymmetric_s", "schur_jt", "schur_dual_jt", "to_schur",
-    "to_schur_oracle", "from_schur", "lr_multiply", "lr_oracle",
-    "super_split",
+    "from_schur", "lr_multiply", "super_split",
     "qtilde",
     "GrassmannianRing", "LagrangianRing",
     "PositivityReport", "certify", "verify_thom_table", "schur_bundle_class",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .partitions import StrictPartition
-from .polynomial import FAMILY_V1, FAMILY_V2, CPolynomial
+from .polynomial import FAMILY_V1, FAMILY_V2, CPolynomial, degree_list
 from .schur import Expansion
 from . import parsing
 
@@ -136,7 +136,7 @@ def legendrian_parse(text: str, n: int) -> LegendrianClass:
             coefficients[slot] = coefficients.get(slot, 0) + coeff
     coefficients = {k: v for k, v in coefficients.items() if v}
     if len(degrees) > 1:
-        raise ValueError(f"expression is inhomogeneous: degrees {sorted(degrees)}")
+        raise ValueError(f"expression is inhomogeneous: degrees {degree_list(degrees)}")
     degree = degrees.pop() if degrees else None
     return LegendrianClass(coefficients, n=n, degree=degree)
 

@@ -8,8 +8,6 @@ is reproducible.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 FAMILY_C = "c"
 FAMILY_CPRIME = "c'"
 FAMILY_V1 = "v1"
@@ -53,6 +51,14 @@ def _generator_key(g: Generator) -> tuple[int, int]:
 
 def monomial_degree(m: Monomial) -> int:
     return sum(generator_degree(g) * e for g, e in m)
+
+
+def degree_list(degrees) -> str:
+    """Sorted degrees for an error message; more than four are elided."""
+    ds = sorted(degrees)
+    if len(ds) <= 4:
+        return str(ds)
+    return f"[{ds[0]}, {ds[1]}, {ds[2]}, ..., {ds[-1]}], {len(ds)} in all"
 
 
 def monomial_key(m: Monomial):
@@ -210,7 +216,7 @@ class CPolynomial:
         if not degrees:
             return None
         if len(degrees) > 1:
-            raise ValueError(f"polynomial is not homogeneous (degrees {sorted(degrees)})")
+            raise ValueError(f"polynomial is not homogeneous (degrees {degree_list(degrees)})")
         return degrees.pop()
 
     def generators(self) -> set[Generator]:
@@ -336,24 +342,3 @@ def poly_det(rows: list[list[CPolynomial]]) -> CPolynomial:
         return total
 
     return minor(0, tuple(range(size)))
-
-
-@lru_cache(maxsize=None)
-def monomials_of_degree(d: int, family: str, max_index: int | None = None) -> tuple[Monomial, ...]:
-    """All monomials of weighted degree d in one c-family, in the global order.
-
-    A monomial corresponds to the partition of d formed by its indices;
-    max_index bounds the parts.
-    """
-    from .partitions import enumerate_partitions
-
-    out = []
-    for lam in enumerate_partitions(d, max_part=max_index):
-        exps: dict[int, int] = {}
-        for part in lam.parts:
-            exps[part] = exps.get(part, 0) + 1
-        mono = tuple(((family, idx), e) for idx, e in sorted(exps.items()))
-        out.append(mono)
-    out.sort(key=monomial_key)
-    return tuple(out)
-

@@ -66,3 +66,25 @@ def qtilde(mu: Partition) -> CPolynomial:
             # printed sign (-1)^p with p counted from 1
             total = total + (term if (p + 1) % 2 == 0 else -term)
     return total
+
+
+@lru_cache(maxsize=None)
+def qtilde_pieri_step(lam: tuple[int, ...], k: int, bound: tuple[int]) -> tuple:
+    """(mu, 2^e) for c_k . Q_lam = sum 2^e Q_mu in H*(LG(n)), with bound (n,).
+
+    The Pieri rule of Pragacz-Ratajski: mu runs over the strict partitions
+    with mu_1 <= n and |mu| = |lam| + k such that mu/lam is a horizontal
+    strip of the ordinary (unshifted) diagram, and e counts the j with
+    mu_{j+1} < lam_j < mu_j.  The recursion drops the first row and passes
+    the cap of the next row as its bound.
+    """
+    (cap,) = bound
+    if not lam:
+        return (((k,) if k else (), 1),) if k <= cap else ()
+    head, tail = lam[0], lam[1:]
+    out = []
+    for a in range(min(k, cap - head) + 1):
+        for mu, mult in qtilde_pieri_step(tail, k - a, (head if a else head - 1,)):
+            split = a and (mu[0] if mu else 0) < head
+            out.append(((head + a,) + mu, 2 * mult if split else mult))
+    return tuple(out)

@@ -13,14 +13,13 @@ reduces exactly onto its own basis:
   ideal that is zero in the quotient.
 * LG(n): generators c_1..c_n, relations the truncated pair classes Q_{i,i},
   basis the Q-tilde classes of strict partitions inside the staircase.
-  Reduction solves the degree slice exactly; uniqueness of the basis
-  coordinates is demanded per call, and the degreewise dimension identity
-  provides the global certificate for the presentation.
+  Since c_k = Q_k, reduction is the same fold with the Q-tilde Pieri rule
+  of Pragacz-Ratajski as its step, bounded by mu_1 <= n.  Every step is a
+  product of basis classes in the ring, so the bound is exact.
 """
 
 from __future__ import annotations
 
-from .linalg import matrix_rank, solve_exact
 from .partitions import (
     Partition,
     StrictPartition,
@@ -30,9 +29,9 @@ from .partitions import (
     staircase,
     strict_complement,
 )
-from .polynomial import FAMILY_C, CPolynomial, monomials_of_degree, truncate_family
-from .qtilde import qtilde, qtilde_pair
-from .schur import Expansion, schur_coefficients, schur_dual_jt
+from .polynomial import FAMILY_C, CPolynomial, truncate_family
+from .qtilde import qtilde, qtilde_pieri_step
+from .schur import Expansion, fold_coefficients, schur_dual_jt, vertical_strip_step
 
 
 class SchubertRing:
@@ -151,7 +150,8 @@ class GrassmannianRing(SchubertRing):
         fold drops it at every step.  degree is the degree of a zero p.
         """
         d = self._degree(p, degree)
-        return Expansion(schur_coefficients(p, self.r, self.cols), degree=d)
+        return Expansion(fold_coefficients(p, vertical_strip_step, (self.r, self.cols)),
+                         degree=d)
 
     def dual(self, lam: Partition) -> Partition:
         return rectangle_dual(lam, self.r, self.n)
@@ -181,52 +181,16 @@ class LagrangianRing(SchubertRing):
             raise ValueError(f"{mu!r} is not inside the staircase of {self.n}")
         return truncate_family(qtilde(mu), FAMILY_C, self.n)
 
-    def ideal_generator(self, i: int) -> CPolynomial:
-        """The relation Q_{i,i} truncated to c_1..c_n."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"ideal generators are indexed 1..{self.n}")
-        return truncate_family(qtilde_pair(i, i), FAMILY_C, self.n)
-
-    def _monomials(self, d: int):
-        return monomials_of_degree(d, FAMILY_C, max_index=self.n)
-
-    def _ideal_columns(self, d: int) -> list[CPolynomial]:
-        cols = []
-        for i in range(1, self.n + 1):
-            rest = d - 2 * i
-            if rest < 0:
-                continue
-            gen = self.ideal_generator(i)
-            for mono in self._monomials(rest):
-                cols.append(CPolynomial.from_monomial(mono) * gen)
-        return cols
-
     def reduce(self, p: CPolynomial, degree: int | None = None) -> Expansion:
-        """Q-tilde basis expansion of p modulo the relations.
+        """Q-tilde basis expansion of the class of p.
 
-        Solves p = sum a_mu Q_mu + (ideal slice) exactly; the a_mu block
-        must be unique and integral, anything else signals a broken
-        presentation rather than a user error.  degree is the degree of a
-        zero p.
+        c_k is Q_k, so the fold multiplies the factors of each monomial in
+        one at a time by the Q-tilde Pieri rule, inside the staircase of n.
+        degree is the degree of a zero p.
         """
         d = self._degree(p, degree)
-        if p.is_zero():
-            return Expansion({}, degree=d, key=self.key)
-        basis = self.basis(d)
-        basis_cols = [self.basis_polynomial(mu) for mu in basis]
-        all_cols = basis_cols + self._ideal_columns(d)
-        monos = self._monomials(d)
-        matrix = [[col.coefficient(mono) for col in all_cols] for mono in monos]
-        rhs = [p.coefficient(mono) for mono in monos]
-        solution = solve_exact(matrix, rhs, unique_block=(0, len(basis)))
-        coeffs = {}
-        for mu, value in zip(basis, solution.values):
-            if value.denominator != 1:
-                raise ValueError(f"non-integral coefficient {value} for {mu!r} "
-                                 "(internal bug)")
-            if value:
-                coeffs[mu] = value.numerator
-        return Expansion(coeffs, degree=d, key=self.key)
+        return Expansion(fold_coefficients(p, qtilde_pieri_step, (self.n,)),
+                         degree=d, key=self.key)
 
     def dual(self, mu: StrictPartition) -> StrictPartition:
         return strict_complement(mu, self.n)
@@ -245,18 +209,3 @@ class LagrangianRing(SchubertRing):
         if lam.weight > self.top_degree:
             return Expansion({}, degree=lam.weight, key=self.key)
         return self.reduce_tautological(schur_dual_jt(lam))
-
-    def dimension_identity(self, d: int) -> dict[str, int]:
-        """Degreewise certificate: #monomials = #basis + rank(ideal slice)."""
-        monos = self._monomials(d)
-        ideal_cols = self._ideal_columns(d)
-        if ideal_cols:
-            rank = matrix_rank([[col.coefficient(m) for col in ideal_cols]
-                                for m in monos])
-        else:
-            rank = 0
-        return {
-            "monomials": len(monos),
-            "basis": len(self.basis(d)),
-            "ideal_rank": rank,
-        }

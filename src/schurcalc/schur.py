@@ -5,9 +5,8 @@ the complete classes s_k(E - F), and the dual form in raw c-generators
 indexed by the conjugate partition.  Since c_k = s_(1^k), a monomial in the
 c-generators is expanded in the Schur basis by the dual Pieri rule, one
 vertical strip per factor, in a memoized integer fold; bounding the fold to
-an r x (n-r) box gives reduction in H*(Gr(r, n)).  An independent
-monomial-expansion oracle in formal variables cross-checks the fold and the
-Littlewood-Richardson products.
+an r x (n-r) box gives reduction in H*(Gr(r, n)).  The fold takes its Pieri
+step as an argument, so H*(LG(n)) reduces on it too (see rings.py).
 """
 
 from __future__ import annotations
@@ -119,20 +118,6 @@ def elementary_super(k: int, E: BundleSymbol = BundleSymbol(),
     return schur_jt(Partition((1,) * k), E, F)
 
 
-def schur_jt_dual_form(lam: Partition, E: BundleSymbol = BundleSymbol(),
-                       F: BundleSymbol | None = None) -> CPolynomial:
-    """s_lambda(E - F) as the conjugate determinant in elementary-type classes.
-
-    Agrees with schur_jt; kept as an independent cross-check of the two
-    determinantal presentations.
-    """
-    mu = Partition(lam).conjugate()
-    size = len(mu)
-    rows = [[elementary_super(mu.parts[i] - (i + 1) + (j + 1), E, F)
-             for j in range(size)] for i in range(size)]
-    return poly_det(rows)
-
-
 @lru_cache(maxsize=None)
 def schur_dual_jt(lam: Partition, family: str = FAMILY_C) -> CPolynomial:
     """s_lambda in raw c-generators: |c_{mu_i - i + j}| with mu the conjugate.
@@ -216,52 +201,59 @@ class Expansion:
 
 
 @lru_cache(maxsize=None)
-def _vertical_strips(lam: tuple[int, ...], k: int, cap: int | None) -> list[tuple[int, ...]]:
-    """The mu with mu/lam a vertical strip of k boxes and mu_1 <= cap (None: no cap)."""
+def vertical_strip_step(lam: tuple[int, ...], k: int,
+                        bound: tuple[int | None, int | None]) -> tuple:
+    """(mu, 1) for mu/lam a vertical strip of k boxes in the rows x cols box.
+
+    bound is (rows, cols); None leaves a side open.  This is s_(1^k) . s_lam
+    by the dual Pieri rule.  Dropping the classes outside the box is exact
+    in H*(Gr(rows, rows + cols)), because they span an ideal there.
+    """
+    rows, cols = bound
     if k == 0:
-        return [lam]
+        return ((lam, 1),)
     if not lam:
-        return [(1,) * k]
+        return (((1,) * k, 1),) if rows is None or k <= rows else ()
     head, tail = lam[0], lam[1:]
-    out = [(head,) + mu for mu in _vertical_strips(tail, k, head)]
-    if cap is None or head < cap:
-        out += [(head + 1,) + mu for mu in _vertical_strips(tail, k - 1, None)]
-    return out
+    below = None if rows is None else rows - 1
+    out = [((head,) + mu, 1) for mu, _ in vertical_strip_step(tail, k, (below, head))]
+    if cols is None or head < cols:
+        out += [((head + 1,) + mu, 1)
+                for mu, _ in vertical_strip_step(tail, k - 1, (below, None))]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _monomial_schur(indices: tuple[int, ...], rows: int | None,
-                    cols: int | None) -> dict[tuple[int, ...], int]:
-    """Schur expansion of c_{i1}...c_{im} (indices ascending) in the rows x cols box.
+def _monomial_fold(indices: tuple[int, ...], step, bound: tuple) -> dict[tuple[int, ...], int]:
+    """Expansion of c_{i1}...c_{im} (indices ascending) by one Pieri step per factor.
 
-    c_k is s_(1^k), so by the dual Pieri rule the expansion of the monomial
-    is that of its prefix with a vertical strip of the last index added to
-    every term.  Dropping the terms outside the box at each step is exact,
-    because the Schur classes outside a box span an ideal.
+    The expansion of the monomial is that of its prefix with step(lam, k,
+    bound) applied to every term lam for the last index k.  Each ring keys
+    the memo on its module-level step and its bound tuple, so rings of the
+    same shape share it.
     """
     if not indices:
         return {(): 1}
     out: dict[tuple[int, ...], int] = {}
-    for lam, coeff in _monomial_schur(indices[:-1], rows, cols).items():
-        for mu in _vertical_strips(lam, indices[-1], cols):
-            if rows is None or len(mu) <= rows:
-                out[mu] = out.get(mu, 0) + coeff
+    for lam, coeff in _monomial_fold(indices[:-1], step, bound).items():
+        for mu, mult in step(lam, indices[-1], bound):
+            out[mu] = out.get(mu, 0) + coeff * mult
     return out
 
 
-def schur_coefficients(p: CPolynomial, rows: int | None = None,
-                       cols: int | None = None) -> dict[tuple[int, ...], int]:
-    """Coefficients of p on the Schur classes in the box; None leaves a side open.
+def fold_coefficients(p: CPolynomial, step, bound: tuple) -> dict[tuple[int, ...], int]:
+    """Coefficients of p on the basis that step multiplies into, within bound.
 
-    Generator families are ignored: c_k and c'_k both stand for s_(1^k).
+    Generator families are ignored: c_k and c'_k both stand for the k-th
+    generator.
     """
     total: dict[tuple[int, ...], int] = {}
     for mono, coeff in p.terms.items():
         indices = tuple(g[1] for g, e in mono for _ in range(e))
         # warm every 200th prefix so the fold's recursion stays shallow
         for stop in range(200, len(indices), 200):
-            _monomial_schur(indices[:stop], rows, cols)
-        for lam, c in _monomial_schur(indices, rows, cols).items():
+            _monomial_fold(indices[:stop], step, bound)
+        for lam, c in _monomial_fold(indices, step, bound).items():
             total[lam] = total.get(lam, 0) + coeff * c
     return total
 
@@ -283,7 +275,7 @@ def to_schur(p: CPolynomial, length_bound: int | None = None) -> Expansion:
     d = p.homogeneous_degree()
     if d is None:
         return Expansion({}, degree=None)
-    coeffs = schur_coefficients(p)
+    coeffs = fold_coefficients(p, vertical_strip_step, (None, None))
     if length_bound is not None:
         long = [lam for lam, c in coeffs.items() if c and len(lam) > length_bound]
         if long:
@@ -309,9 +301,8 @@ def lr_multiply(lam: Partition, mu: Partition) -> Expansion:
 
 
 # ---------------------------------------------------------------------------
-# Monomial-expansion oracle: Schur polynomials as SSYT sums in formal
-# variables x_1..x_N, with greedy peeling by lexicographically-leading
-# monomials.  Independent of the determinant/solver path above.
+# Schur polynomials as SSYT sums in formal variables x_1..x_N, with greedy
+# peeling by lexicographically-leading monomials (for Schur bundle classes).
 # ---------------------------------------------------------------------------
 
 XPoly = dict[tuple[int, ...], int]
@@ -368,55 +359,6 @@ def peel_schur(poly: XPoly, n: int) -> dict[Partition, int]:
         out[nu] = coeff
         xp_accumulate(work, schur_monomials(nu, n), -coeff)
     return out
-
-
-def lr_oracle(lam: Partition, mu: Partition, bound: int = 8) -> Expansion:
-    """Littlewood-Richardson product by brute-force monomial expansion.
-
-    Expands both factors as SSYT sums in N = |lam| + |mu| variables,
-    multiplies, and peels.  Must agree with lr_multiply.
-    """
-    lam, mu = Partition(lam), Partition(mu)
-    total = lam.weight + mu.weight
-    if total > bound:
-        raise ValueError(f"total weight {total} exceeds the oracle bound {bound}")
-    if total == 0:
-        return Expansion({Partition(): 1}, degree=0)
-    n = total
-    a: XPoly = dict(schur_monomials(lam, n))
-    b: XPoly = dict(schur_monomials(mu, n))
-    return Expansion(peel_schur(xp_mul(a, b), n), degree=total)
-
-
-def elementary_xpoly(i: int, n: int) -> XPoly:
-    """e_i(x_1..x_n); zero when i > n."""
-    if i == 0:
-        return {(0,) * n: 1}
-    if i > n:
-        return {}
-    return dict(schur_monomials(Partition((1,) * i), n))
-
-
-def to_schur_oracle(p: CPolynomial, nvars: int | None = None) -> Expansion:
-    """Independent Schur expansion: substitute c_i -> e_i(x) and peel.
-
-    Uses as many formal variables as the degree, which is faithful for
-    every partition of that weight.
-    """
-    d = p.homogeneous_degree()
-    if d is None:
-        return Expansion({}, degree=None)
-    n = nvars if nvars is not None else max(d, 1)
-    acc: XPoly = {}
-    for mono, coeff in p.terms.items():
-        term: XPoly = {(0,) * n: 1}
-        for (family, idx), e in mono:
-            if family not in (FAMILY_C, FAMILY_CPRIME):
-                raise ValueError("oracle expects a c-type polynomial")
-            for _ in range(e):
-                term = xp_mul(term, elementary_xpoly(idx, n))
-        xp_accumulate(acc, term, coeff)
-    return Expansion(peel_schur(acc, n), degree=d)
 
 
 # ---------------------------------------------------------------------------

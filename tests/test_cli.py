@@ -1,9 +1,13 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import schurcalc
 from schurcalc.cli import SUBCOMMAND_OPERATIONS, main
+
+import oracles
 
 
 def run_cli(*argv):
@@ -195,6 +199,40 @@ def test_audit_each_operation_has_one_subcommand():
 def test_public_names_resolve():
     for name in schurcalc.__all__:
         assert hasattr(schurcalc, name), name
+
+
+def test_production_is_integer_only():
+    # no rational arithmetic and no test oracle in the package
+    package = Path(schurcalc.__file__).parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert name.rpartition(".")[2] not in ("fractions", "linalg"), path.name
+    oracle_names = {name for name, value in vars(oracles).items()
+                    if getattr(value, "__module__", None) == oracles.__name__}
+    assert {"lr_oracle", "to_schur_oracle", "solve_exact"} <= oracle_names
+    assert not oracle_names & set(schurcalc.__all__)
+
+
+def test_inhomogeneous_message_is_capped():
+    for argv in (["to-schur", "(c1+c2)^300"], ["certify", "(c1+c2)^300"],
+                 ["gr", "--r", "2", "--n", "400", "reduce", "(c1+c2)^300"],
+                 ["lg", "--n", "2", "integrate", "(c1+c2)^300"]):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, b""), argv
+        assert b"Traceback" not in err
+        assert len(err) < 200, argv
+        assert b"(degrees [300, 301, 302, ..., 600], 301 in all)" in err, argv
+    # up to four degrees the message lists them all
+    code, out, err = run_cli("to-schur", "c1 + c2 + c3 + c4")
+    assert (code, out, err) == \
+        (2, b"", b"error: polynomial is not homogeneous (degrees [1, 2, 3, 4])\n")
 
 
 def test_zero_class_keeps_its_degree(capsys):

@@ -27,6 +27,13 @@ def test_parse_examples():
     assert legendrian_parse("q[3,2,1]", 4).coefficients == {key([3, 2, 1]): 1}
 
 
+def test_inhomogeneous_message_is_capped():
+    with pytest.raises(ValueError, match=r"degrees \[1, 2\]$"):
+        legendrian_parse("v1 + v1^2", 2)
+    with pytest.raises(ValueError, match=r"degrees \[1, 2, 3, \.\.\., 9\], 9 in all$"):
+        legendrian_parse(" + ".join(f"v1^{a}" for a in range(1, 10)), 2)
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         legendrian_parse("q[1] + q[2]", 2)  # inhomogeneous

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from schurcalc.linalg import (
+from oracles import (
     InconsistentSystemError,
     NonUniqueSolutionError,
     matrix_rank,

@@ -12,7 +12,9 @@ from schurcalc.positivity import (
     schur_bundle_class,
     verify_thom_table,
 )
-from schurcalc.schur import schur_dual_jt, to_schur_oracle
+from schurcalc.schur import schur_dual_jt
+
+from oracles import to_schur_oracle
 
 
 def c(i):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+from itertools import combinations
 from math import factorial, prod
 
 import pytest
@@ -10,6 +12,13 @@ from schurcalc.schur import (
     Expansion,
     complete_from_elementary,
     schur_dual_jt,
+)
+
+from oracles import (
+    dimension_identity,
+    ideal_generator,
+    lg_reduce_by_solve,
+    monomials_of_degree,
     to_schur_oracle,
 )
 
@@ -145,10 +154,44 @@ def test_lg_reduce_examples():
         for i in range(1, n + 1):
             if 2 * i > ring.top_degree:
                 continue
-            assert ring.reduce(ring.ideal_generator(i)).is_zero()
+            assert ring.reduce(ideal_generator(ring, i)).is_zero()
         for mu in ring.all_basis():
             assert ring.reduce(ring.basis_polynomial(mu)).coefficients == \
                 ({mu: 1} if mu.parts else {StrictPartition(): 1})
+
+
+def shifted_tableaux_count(lam):
+    """g(lam) by Schur's formula: |lam|!/prod lam_i! * prod_{i<j} (lam_i-lam_j)/(lam_i+lam_j)."""
+    value = Fraction(factorial(sum(lam)), prod(factorial(part) for part in lam))
+    for a, b in combinations(lam, 2):
+        value *= Fraction(a - b, a + b)
+    assert value.denominator == 1
+    return value.numerator
+
+
+def test_lg_c1_top_power_counts_shifted_tableaux():
+    # c_1 = Q_1, and Q_1^N = sum 2^(N - l(mu)) g(mu) Q_mu over strict mu of N
+    expected = [1, 2, 16, 768, 292864, 1100742656, 48608795688960]
+    for n in range(1, 8):
+        ring = LagrangianRing(n)
+        value = ring.integrate(ring.reduce(c(1) ** ring.top_degree))
+        staircase = tuple(range(n, 0, -1))
+        assert value == 2 ** (ring.top_degree - n) * shifted_tableaux_count(staircase)
+        assert value == expected[n - 1]
+
+
+def test_lg_fold_matches_the_solver():
+    for n in range(1, 5):
+        ring = LagrangianRing(n)
+        for d in range(ring.top_degree + 1):
+            for mono in monomials_of_degree(d, FAMILY_C, max_index=n):
+                p = CPolynomial.from_monomial(mono)
+                assert ring.reduce(p) == lg_reduce_by_solve(ring, p), (n, mono)
+        for lam in ring.all_basis():
+            for mu in ring.all_basis():
+                if lam.weight + mu.weight <= ring.top_degree:
+                    p = ring.basis_polynomial(lam) * ring.basis_polynomial(mu)
+                    assert ring.reduce(p) == lg_reduce_by_solve(ring, p), (n, lam, mu)
 
 
 def test_lg_reduce_errors():
@@ -174,10 +217,8 @@ def test_lg_ideal_annihilation_small():
     # every monomial multiple of every relation reduces to zero
     for n in range(1, 4):
         ring = LagrangianRing(n)
-        from schurcalc.polynomial import monomials_of_degree
-
         for i in range(1, n + 1):
-            gen = ring.ideal_generator(i)
+            gen = ideal_generator(ring, i)
             for d in range(ring.top_degree - 2 * i + 1):
                 for mono in monomials_of_degree(d, FAMILY_C, max_index=n):
                     product = CPolynomial.from_monomial(mono) * gen
@@ -188,7 +229,7 @@ def test_lg_dimension_identity():
     for n in range(1, 5):
         ring = LagrangianRing(n)
         for d in range(ring.top_degree + 1):
-            info = ring.dimension_identity(d)
+            info = dimension_identity(ring, d)
             assert info["monomials"] == info["basis"] + info["ideal_rank"], (n, d)
 
 

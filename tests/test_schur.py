@@ -14,7 +14,6 @@ from schurcalc.polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
     CPolynomial,
-    monomials_of_degree,
 )
 from schurcalc.schur import (
     BundleSymbol,
@@ -23,17 +22,16 @@ from schurcalc.schur import (
     elementary_super,
     from_schur,
     lr_multiply,
-    lr_oracle,
     schur_dual_jt,
     schur_jt,
-    schur_jt_dual_form,
     super_split,
     super_split_poly,
     supersymmetric_s,
     supersymmetrize,
     to_schur,
-    to_schur_oracle,
 )
+
+from oracles import lr_oracle, monomials_of_degree, schur_jt_dual_form, to_schur_oracle
 
 E = BundleSymbol(FAMILY_C)
 F = BundleSymbol(FAMILY_CPRIME)
