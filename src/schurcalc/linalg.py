@@ -1,9 +1,11 @@
 """Exact rational linear algebra: elimination, solving and ranks.
 
 No floating point anywhere; all entries are fractions.Fraction (or ints,
-which are promoted).  Used for degreewise basis conversions where the
-answers are known to be integral and that integrality is asserted by the
-callers.
+which are promoted).  No schurcalc module imports this one: every
+production path is an integer Pieri fold.  It is the reference solver of
+the tests (tests/oracles.py solves the LG(n) presentation with it), and
+the benchmark's tracer still reads rref and solve_exact by name, so it
+stays in the package until the benchmark drops its linalg.* metrics.
 """
 
 from __future__ import annotations

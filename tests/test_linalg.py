@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (
+from schurcalc.linalg import (
     InconsistentSystemError,
     NonUniqueSolutionError,
     matrix_rank,

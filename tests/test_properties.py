@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from schurcalc.partitions import enumerate_partitions
 from schurcalc.polynomial import FAMILY_C, CPolynomial
-from schurcalc.rings import GrassmannianRing, LagrangianRing
+from schurcalc.rings import GrassmannianRing
 from schurcalc.schur import from_schur, to_schur
-
-from oracles import lg_reduce_by_solve
 
 MAX_DEGREE = 12
 RINGS = [(r, n) for n in range(2, 9) for r in range(1, n)]
@@ -56,10 +54,3 @@ def test_gr_reduce_is_to_schur_cut_to_the_rectangle(case):
     kept = {lam: c for lam, c in full.coefficients.items()
             if lam.fits_rectangle(r, n - r)}
     assert ring.reduce(p).coefficients == kept
-
-
-@settings(derandomize=True, deadline=None)
-@given(st.integers(0, 6).flatmap(lambda d: homogeneous(d, max_index=3)))
-def test_lg_fold_matches_the_solver(p):
-    ring = LagrangianRing(3)
-    assert ring.reduce(p) == lg_reduce_by_solve(ring, p)

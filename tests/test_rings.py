@@ -181,17 +181,14 @@ def test_lg_c1_top_power_counts_shifted_tableaux():
 
 
 def test_lg_fold_matches_the_solver():
+    # both reductions are linear, so agreement on every monomial up to the
+    # top degree covers every class of LG(1..4), basis products included
     for n in range(1, 5):
         ring = LagrangianRing(n)
         for d in range(ring.top_degree + 1):
             for mono in monomials_of_degree(d, FAMILY_C, max_index=n):
                 p = CPolynomial.from_monomial(mono)
                 assert ring.reduce(p) == lg_reduce_by_solve(ring, p), (n, mono)
-        for lam in ring.all_basis():
-            for mu in ring.all_basis():
-                if lam.weight + mu.weight <= ring.top_degree:
-                    p = ring.basis_polynomial(lam) * ring.basis_polynomial(mu)
-                    assert ring.reduce(p) == lg_reduce_by_solve(ring, p), (n, lam, mu)
 
 
 def test_lg_reduce_errors():
