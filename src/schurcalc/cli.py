@@ -17,7 +17,13 @@ from .legendrian import (
     verify_lagrangian_table,
     verify_legendrian_table,
 )
-from .parsing import ParseError, evaluate_text, parse_partition_arg
+from .parsing import (
+    ParseError,
+    evaluate_text,
+    expression_degree,
+    parse,
+    parse_partition_arg,
+)
 from .partitions import StrictPartition
 from .positivity import (
     CLASSICAL_THOM_TABLE,
@@ -230,8 +236,13 @@ def _ring_command(args, pretty: bool) -> int:
     if args.action == "restrict":
         expansion = ring.restrict(parse_partition_arg(args.arg))
     else:
-        expansion = ring.reduce_tautological(
-            evaluate_text(_expression_text(args, args.arg)))
+        # the degree read from the syntax tree rejects a class above the top
+        # degree before any evaluation, and is the degree of a zero value;
+        # evaluate_text parses again (linear in the text) so that evaluation
+        # stays one function for schurbench's tracer
+        text = _expression_text(args, args.arg)
+        degree = ring.check_degree(expression_degree(parse(text)))
+        expansion = ring.reduce_tautological(evaluate_text(text), degree)
     if args.action == "integrate":
         _emit({"ring": ring.label, "value": str(ring.integrate(expansion))}, pretty)
     else:

@@ -8,21 +8,19 @@ the published table entries verbatim as expression strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .partitions import StrictPartition
 from .polynomial import FAMILY_V1, FAMILY_V2, CPolynomial, degree_list
+from .records import FrozenRecord, Record
 from .schur import Expansion
 from . import parsing
 
 
-@dataclass
-class LegendrianClass:
-    """Integer expansion over (strict partition, v1-exponent, v2-exponent)."""
+class LegendrianClass(Record):
+    """Integer expansion over (strict partition, v1-exponent, v2-exponent):
+    coefficients maps those keys to ints; n is the staircase and degree the
+    common degree (None when empty)."""
 
-    coefficients: dict[tuple[StrictPartition, int, int], int]
-    n: int
-    degree: int | None
+    __slots__ = ("coefficients", "n", "degree")
 
     def items(self):
         # printed-table order: largest Q-index first, then v1 before v2 powers
@@ -147,14 +145,11 @@ def lagrangian_part(x: LegendrianClass) -> Expansion:
     return Expansion(coeffs, degree=x.degree, key=StrictPartition)
 
 
-@dataclass
-class LegendrianReport:
+class LegendrianReport(Record):
     """Nonnegativity verdict for a class in the {Y^mu v1^a v2^b} basis."""
 
-    value: LegendrianClass
-    nonnegative: bool
-    witnesses: list = field(default_factory=list)
-    name: str | None = None
+    __slots__ = ("value", "nonnegative", "witnesses", "name")
+    defaults = {"witnesses": list, "name": None}
 
     def to_json(self) -> dict:
         out = {}
@@ -175,14 +170,10 @@ def legendrian_positivity(x: LegendrianClass, name: str | None = None) -> Legend
                             name=name)
 
 
-@dataclass(frozen=True)
-class LegendrianTableEntry:
+class LegendrianTableEntry(FrozenRecord):
     """A published Legendrian class with its bold Lagrangian sub-expression."""
 
-    name: str
-    expression: str
-    lagrangian_expression: str
-    codimension: int
+    __slots__ = ("name", "expression", "lagrangian_expression", "codimension")
 
 
 # The worked table of Legendrian classes; bold parts are the Lagrangian

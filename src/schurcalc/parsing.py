@@ -15,11 +15,10 @@ position in the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .partitions import Partition, StrictPartition
 from .polynomial import FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, CPolynomial
 from .qtilde import qtilde
+from .records import FrozenRecord
 from .schur import schur_dual_jt
 
 
@@ -37,38 +36,29 @@ class ParseError(ValueError):
 # -- AST --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Num(FrozenRecord):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Gen:
-    family: str
-    index: int = 0
+class Gen(FrozenRecord):
+    __slots__ = ("family", "index")
+    defaults = {"index": 0}
 
 
-@dataclass(frozen=True)
-class Basis:
-    kind: str  # 's' or 'q'
-    parts: tuple[int, ...]
+class Basis(FrozenRecord):
+    __slots__ = ("kind", "parts")  # 's' or 'q'; a tuple of ints
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expression"
-    exponent: int
+class Pow(FrozenRecord):
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple["Expression", ...]
+class Prod(FrozenRecord):
+    __slots__ = ("factors",)  # a tuple of expressions
 
 
-@dataclass(frozen=True)
-class Sum:
-    first: "Expression"
-    rest: tuple[tuple[str, "Expression"], ...]  # ('+' | '-', term)
+class Sum(FrozenRecord):
+    __slots__ = ("first", "rest")  # rest: a tuple of ('+' | '-', term) pairs
 
 
 Expression = Num | Gen | Basis | Pow | Prod | Sum
@@ -291,6 +281,43 @@ def evaluate(expr: Expression, atom=_polynomial_atom):
 
 def evaluate_text(text: str) -> CPolynomial:
     return evaluate(parse(text))
+
+
+class _Degree:
+    """Evaluator value for the degree of an expression read from its syntax
+    tree; d is None when unknown (terms of a sum differ in degree, or a c',
+    v1 or v2 leaf)."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: int | None):
+        self.d = d
+
+    def __add__(self, other: "_Degree") -> "_Degree":
+        return _Degree(self.d if self.d == other.d else None)
+
+    __sub__ = __add__
+
+    def __mul__(self, other: "_Degree") -> "_Degree":
+        return _Degree(None if None in (self.d, other.d) else self.d + other.d)
+
+    def __pow__(self, e: int) -> "_Degree":
+        return _Degree(None if self.d is None else self.d * e)
+
+
+def _degree_atom(expr: Num | Gen | Basis) -> _Degree:
+    if isinstance(expr, Num):
+        return _Degree(0)
+    if isinstance(expr, Gen):
+        return _Degree(expr.index if expr.family == FAMILY_C else None)
+    return _Degree(sum(expr.parts))
+
+
+def expression_degree(expr: Expression) -> int | None:
+    """Degree of the value of expr, from its syntax tree alone: numbers have
+    degree 0, c_k degree k, s[lam] and q[mu] their weight.  None when
+    unknown; a known degree is that of every term of the value."""
+    return evaluate(expr, _degree_atom).d
 
 
 # -- command-line partition arguments ----------------------------------------

@@ -9,11 +9,11 @@ as expression strings (data, not code) so they can be audited line by line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .partitions import Partition, hook_contains, ssyt_weights
 from .polynomial import CPolynomial
+from .records import FrozenRecord, Record
 from .schur import (
     Expansion,
     XPoly,
@@ -29,15 +29,13 @@ VERDICT_ZERO = "ZERO"
 VERDICT_NOT_NONNEGATIVE = "NOT_NONNEGATIVE"
 
 
-@dataclass
-class PositivityReport:
-    """Outcome of the positivity criterion for one polynomial."""
+class PositivityReport(Record):
+    """Outcome of the positivity criterion for one polynomial: the
+    polynomial, its Schur expansion, the verdict, the negative terms as
+    (partition, coefficient) witnesses, and an optional name."""
 
-    polynomial: CPolynomial
-    expansion: Expansion
-    verdict: str
-    witnesses: list[tuple[Partition, int]] = field(default_factory=list)
-    name: str | None = None
+    __slots__ = ("polynomial", "expansion", "verdict", "witnesses", "name")
+    defaults = {"witnesses": list, "name": None}
 
     @property
     def positive(self) -> bool:
@@ -67,14 +65,11 @@ def certify(p: CPolynomial, length_bound: int | None = None,
     return PositivityReport(p, expansion, verdict, witnesses, name=name)
 
 
-@dataclass(frozen=True)
-class ThomTableEntry:
+class ThomTableEntry(FrozenRecord):
     """One classical singularity class: name, printed polynomial, codimension."""
 
-    name: str
-    expression: str
-    codimension: int
-    source: str = "classical"
+    __slots__ = ("name", "expression", "codimension", "source")
+    defaults = {"source": "classical"}
 
     @property
     def polynomial(self) -> CPolynomial:

@@ -60,20 +60,23 @@ class SchubertRing:
         if bad:
             raise ValueError(f"{self.label} expects generators c_1..c_{self.rank}; got {bad}")
         d = p.homogeneous_degree()
-        if d is None:
-            d = degree
+        return self.check_degree(degree if d is None else d)
+
+    def check_degree(self, d: int | None) -> int | None:
+        """Reject a degree above the top degree; None (unknown) passes."""
         if d is not None and d > self.top_degree:
             raise ValueError(f"degree {d} exceeds the top degree {self.top_degree} "
                              f"of {self.label}")
         return d
 
-    def reduce_tautological(self, p: CPolynomial) -> Expansion:
+    def reduce_tautological(self, p: CPolynomial, degree: int | None = None) -> Expansion:
         """Reduce p read in the Chern classes of the tautological subbundle.
 
         c_k with k above the rank is zero there; when that kills p, the zero
-        class keeps the degree p had.
+        class keeps the degree p had.  degree is the degree of a zero p.
         """
-        degree = p.homogeneous_degree() if p.is_homogeneous() else None
+        if not p.is_zero():
+            degree = p.homogeneous_degree() if p.is_homogeneous() else None
         return self.reduce(truncate_family(p, FAMILY_C, self.rank), degree=degree)
 
     def integrate(self, x: Expansion) -> int:

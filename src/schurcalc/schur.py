@@ -11,7 +11,6 @@ step as an argument, so H*(LG(n)) reduces on it too (see rings.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import Partition, ssyt_weights
@@ -22,20 +21,21 @@ from .polynomial import (
     poly_det,
     specialize,
 )
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class BundleSymbol:
+class BundleSymbol(FrozenRecord):
     """An abstract vector bundle: a generator family plus an optional rank.
 
     rank None means unbounded (the universal, stable case); a finite rank
     forces c_k = 0 for k above it.
     """
 
-    family: str = FAMILY_C
-    rank: int | None = None
+    __slots__ = ("family", "rank")
+    defaults = {"family": FAMILY_C, "rank": None}
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.family not in (FAMILY_C, FAMILY_CPRIME):
             raise ValueError(f"bundle family must be c or c', got {self.family!r}")
         if self.rank is not None and self.rank < 0:

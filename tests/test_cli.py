@@ -228,6 +228,18 @@ def test_production_is_integer_only():
     assert not oracle_names & set(schurcalc.__all__)
 
 
+def test_cli_import_path_is_free_of_heavy_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and typing is
+    # as heavy; -S keeps site's own imports out of the check
+    denied = ["dataclasses", "inspect", "ast", "typing", "fractions", "schurcalc.linalg"]
+    code = ("import sys, schurcalc.cli; "
+            f"print(sorted(m for m in {denied!r} if m in sys.modules))")
+    src = str(Path(schurcalc.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          env={"PYTHONPATH": src}, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_inhomogeneous_message_is_capped():
     for argv in (["to-schur", "(c1+c2)^300"], ["certify", "(c1+c2)^300"],
                  ["gr", "--r", "2", "--n", "400", "reduce", "(c1+c2)^300"],
@@ -255,6 +267,27 @@ def test_zero_class_keeps_its_degree(capsys):
     # degree 4 lies above the top degree 3 of LG(2)
     assert main(["lg", "--n", "2", "integrate", "c3*c1"]) == 2
     assert "exceeds the top degree 3" in capsys.readouterr().err
+
+
+def test_degree_above_top_fails_before_evaluation(capsys):
+    # s[25] would expand a 25 x 25 determinant before any check
+    for argv, err in ((["gr", "--r", "2", "--n", "4", "reduce", "s[25]"],
+                       b"error: degree 25 exceeds the top degree 4 of Gr(2,4)\n"),
+                      (["gr", "--r", "2", "--n", "4", "reduce", "0*s[25]"],
+                       b"error: degree 25 exceeds the top degree 4 of Gr(2,4)\n"),
+                      (["lg", "--n", "2", "integrate", "c1^100000000"],
+                       b"error: degree 100000000 exceeds the top degree 3 of LG(2)\n")):
+        proc = subprocess.run([sys.executable, "-m", "schurcalc", *argv],
+                              capture_output=True, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err), argv
+    # a value that cancels to zero keeps the degree read from the syntax tree
+    code, payload = run_json(capsys, "gr", "--r", "2", "--n", "4", "reduce", "c1^2-c1^2")
+    assert (code, payload) == (0, {"ring": "Gr(2,4)", "degree": 2, "expansion": []})
+    code, payload = run_json(capsys, "gr", "--r", "2", "--n", "4", "integrate", "c1^4-c1^4")
+    assert (code, payload) == (0, {"ring": "Gr(2,4)", "value": "0"})
+    # an unknown degree still takes the evaluated polynomial's checks
+    code, out, err = run_cli("gr", "--r", "2", "--n", "4", "reduce", "c1 + c2")
+    assert (code, err) == (2, b"error: polynomial is not homogeneous (degrees [1, 2])\n")
 
 
 def test_deep_nesting_is_a_parse_error():
