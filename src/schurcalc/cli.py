@@ -24,7 +24,8 @@ from .parsing import (
     parse,
     parse_partition_arg,
 )
-from .partitions import StrictPartition
+from .partitions import StrictPartition, check_term_budget
+from .polynomial import CPolynomial
 from .positivity import (
     CLASSICAL_THOM_TABLE,
     VERDICT_NOT_NONNEGATIVE,
@@ -178,13 +179,12 @@ def _run_command(args) -> int:
     pretty = args.pretty
 
     if args.command == "to-schur":
-        poly = evaluate_text(_expression_text(args, args.expr))
-        expansion = to_schur(poly, length_bound=args.length_bound)
+        expansion = to_schur(_schur_input(args), length_bound=args.length_bound)
         _emit(_expansion_payload(expansion), pretty)
         return 0
 
     if args.command == "certify":
-        poly = evaluate_text(_expression_text(args, args.expr))
+        poly = _schur_input(args)
         report = certify(poly, length_bound=args.length_bound)
         _emit(report.to_json(), pretty)
         return 1 if report.verdict == VERDICT_NOT_NONNEGATIVE else 0
@@ -216,6 +216,16 @@ def _run_command(args) -> int:
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def _schur_input(args) -> CPolynomial:
+    """The expression of to-schur or certify, evaluated once its length
+    bound and the output size of its degree (read as in _ring_command) pass."""
+    if args.length_bound is not None and args.length_bound < 0:
+        raise ValueError(f"length bound must be nonnegative, got {args.length_bound}")
+    text = _expression_text(args, args.expr)
+    check_term_budget(expression_degree(parse(text)))
+    return evaluate_text(text)
 
 
 def _ring_command(args, pretty: bool) -> int:

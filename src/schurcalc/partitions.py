@@ -172,6 +172,29 @@ def enumerate_strict_partitions(d: int, max_part: int) -> list[StrictPartition]:
     return list(build(d, max_part, []))
 
 
+# The largest output a command builds: p(40) terms, the Schur expansion of
+# certify "c1^40" (5-6 s); a larger degree is rejected before evaluation.
+TERM_BUDGET = 37338
+
+
+@lru_cache(maxsize=None)
+def partition_count(d: int) -> int:
+    """p(d), the number of partitions of d; 0 for negative d."""
+    counts = [1] + [0] * d
+    for part in range(1, d + 1):
+        for n in range(part, d + 1):
+            counts[n] += counts[n - part]
+    return counts[d] if d >= 0 else 0
+
+
+def check_term_budget(d: int | None) -> None:
+    """Reject a degree whose p(d) terms exceed TERM_BUDGET; None passes.
+    p increases, so a huge d costs no more than the first degree past it."""
+    if d is not None and any(partition_count(k) > TERM_BUDGET for k in range(d + 1)):
+        raise ValueError(f"degree {d} exceeds the output budget: "
+                         f"p({d}) > {TERM_BUDGET} terms")
+
+
 def partitions_up_to(d: int) -> list[Partition]:
     """All partitions of weight at most d in the global order."""
     out: list[Partition] = []

@@ -311,34 +311,3 @@ def truncate_family(p: CPolynomial, family: str, rank: int) -> CPolynomial:
         if all(g[0] != family or g[1] <= rank for g, _ in mono)
     }
     return CPolynomial(terms)
-
-
-def poly_det(rows: list[list[CPolynomial]]) -> CPolynomial:
-    """Determinant of a square polynomial matrix by memoized minor expansion."""
-    size = len(rows)
-    if size == 0:
-        return CPolynomial.one()
-    for row in rows:
-        if len(row) != size:
-            raise ValueError("matrix must be square")
-
-    cache: dict[tuple[int, tuple[int, ...]], CPolynomial] = {}
-
-    def minor(i: int, cols: tuple[int, ...]) -> CPolynomial:
-        if not cols:
-            return CPolynomial.one()
-        key = (i, cols)
-        if key in cache:
-            return cache[key]
-        total = CPolynomial.zero()
-        for pos, j in enumerate(cols):
-            entry = rows[i][j]
-            if entry.is_zero():
-                continue
-            sub = minor(i + 1, cols[:pos] + cols[pos + 1:])
-            piece = entry * sub
-            total = total + (piece if pos % 2 == 0 else -piece)
-        cache[key] = total
-        return total
-
-    return minor(0, tuple(range(size)))

@@ -2,20 +2,21 @@
 
 Both rings are finite graded quotients of a polynomial ring in Chern
 generators with a self-dual Schubert basis, a point class in the top degree
-and a Poincare pairing; SchubertRing holds what they share.  Each ring
-reduces exactly onto its own basis:
+and a Poincare pairing; SchubertRing holds what they share.  Each ring names
+a Pieri step c_k . b_lam and a bound, and reduction and basis products are
+the Pieri fold of schur.py on them, from 1 or from a basis class:
 
 * Gr(r, n): generators c_1..c_r, relations h_k = 0 for n-r < k <= n, basis
-  the Schur classes of partitions in the r x (n-r) rectangle.  Reduction is
-  the dual Pieri fold of schur.py bounded to the rectangle: each factor c_k
-  adds a vertical strip of k boxes and the classes that leave the rectangle
-  (length > r, or first part > n-r) are dropped at once, since they span an
-  ideal that is zero in the quotient.
+  the Schur classes of partitions in the r x (n-r) rectangle.  The step is
+  the dual Pieri rule: c_k adds a vertical strip of k boxes and the classes
+  that leave the rectangle (length > r, or first part > n-r) are dropped at
+  once, since they span an ideal that is zero in the quotient.
 * LG(n): generators c_1..c_n, relations the truncated pair classes Q_{i,i},
   basis the Q-tilde classes of strict partitions inside the staircase.
-  Since c_k = Q_k, reduction is the same fold with the Q-tilde Pieri rule
-  of Pragacz-Ratajski as its step, bounded by mu_1 <= n.  Every step is a
-  product of basis classes in the ring, so the bound is exact.
+  Since c_k = Q_k, the step is the Q-tilde Pieri rule of Pragacz-Ratajski,
+  bounded by mu_1 <= n.
+
+Every step is a product of basis classes in the ring, so the bound is exact.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class SchubertRing:
     """A graded quotient ring with a self-dual Schubert basis.
 
     Subclasses set key (the type of the basis indices), label, rank (the
-    generators are c_1..c_rank), top_degree and point_class, and define
-    basis, basis_polynomial, reduce and dual.
+    generators are c_1..c_rank), top_degree, point_class, step and bound,
+    and define basis, basis_index, basis_polynomial and dual.
     """
 
     def __repr__(self) -> str:
@@ -79,6 +80,12 @@ class SchubertRing:
             degree = p.homogeneous_degree() if p.is_homogeneous() else None
         return self.reduce(truncate_family(p, FAMILY_C, self.rank), degree=degree)
 
+    def reduce(self, p: CPolynomial, degree: int | None = None) -> Expansion:
+        """Basis expansion of the class of p, by the Pieri fold of its
+        monomials from 1.  degree is the degree of a zero p."""
+        d = self._degree(p, degree)
+        return Expansion(fold_coefficients(p, self.step, self.bound), degree=d, key=self.key)
+
     def integrate(self, x: Expansion) -> int:
         """Coefficient of the point class; defined only in the top degree."""
         if x.degree != self.top_degree:
@@ -88,11 +95,15 @@ class SchubertRing:
         return x.get(self.point_class)
 
     def basis_product(self, lam: Partition, mu: Partition) -> Expansion:
-        """Product of two Schubert classes; zero above the top degree."""
+        """Product of two Schubert classes, by the Pieri fold of mu's
+        Giambelli polynomial from lam; zero above the top degree."""
         lam, mu = self.key(lam), self.key(mu)
-        if lam.weight + mu.weight > self.top_degree:
-            return Expansion({}, degree=lam.weight + mu.weight, key=self.key)
-        return self.reduce(self.basis_polynomial(lam) * self.basis_polynomial(mu))
+        d = lam.weight + mu.weight
+        if d > self.top_degree:
+            return Expansion({}, degree=d, key=self.key)
+        start = self.basis_index(lam).parts
+        coeffs = fold_coefficients(self.basis_polynomial(mu), self.step, self.bound, start)
+        return Expansion(coeffs, degree=d, key=self.key)
 
     def pairing(self, lam: Partition, mu: Partition) -> int:
         return self.integrate(self.basis_product(lam, mu))
@@ -132,29 +143,22 @@ class GrassmannianRing(SchubertRing):
         self.label = f"Gr({r},{n})"
         self.top_degree = r * self.cols
         self.point_class = Partition((self.cols,) * r)
+        self.step = vertical_strip_step
+        self.bound = (r, self.cols)
 
     def basis(self, d: int) -> list[Partition]:
         return enumerate_partitions(d, max_part=self.cols, max_length=self.r)
 
-    def basis_polynomial(self, lam: Partition) -> CPolynomial:
-        """The Giambelli representative: the Schur determinant in c_1..c_r."""
+    def basis_index(self, lam: Partition) -> Partition:
+        """lam as an index of the basis; raises outside the rectangle."""
         lam = Partition(lam)
         if not lam.fits_rectangle(self.r, self.cols):
             raise ValueError(f"{lam!r} is not in the {self.r}x{self.cols} rectangle")
-        return truncate_family(schur_dual_jt(lam), FAMILY_C, self.r)
+        return lam
 
-    def reduce(self, p: CPolynomial, degree: int | None = None) -> Expansion:
-        """Schubert-basis expansion of the class of p.
-
-        Runs the dual Pieri fold inside the r x (n-r) rectangle.  A class
-        that leaves it vanishes in the quotient (length above r: a Schur
-        class of a rank-r bundle; first part above n-r: the ideal kills the
-        first determinant row), and so does every multiple of it, so the
-        fold drops it at every step.  degree is the degree of a zero p.
-        """
-        d = self._degree(p, degree)
-        return Expansion(fold_coefficients(p, vertical_strip_step, (self.r, self.cols)),
-                         degree=d)
+    def basis_polynomial(self, lam: Partition) -> CPolynomial:
+        """The Giambelli representative: the Schur polynomial in c_1..c_r."""
+        return truncate_family(schur_dual_jt(self.basis_index(lam)), FAMILY_C, self.r)
 
     def dual(self, lam: Partition) -> Partition:
         return rectangle_dual(lam, self.r, self.n)
@@ -173,27 +177,22 @@ class LagrangianRing(SchubertRing):
         self.label = f"LG({n})"
         self.top_degree = n * (n + 1) // 2
         self.point_class = staircase(n)
+        self.step = qtilde_pieri_step
+        self.bound = (n,)
 
     def basis(self, d: int) -> list[StrictPartition]:
         return enumerate_strict_partitions(d, self.n)
 
-    def basis_polynomial(self, mu: StrictPartition) -> CPolynomial:
-        """Q_mu truncated to c_1..c_n, the Giambelli representative of Y^mu."""
+    def basis_index(self, mu: StrictPartition) -> StrictPartition:
+        """mu as an index of the basis; raises outside the staircase."""
         mu = StrictPartition(mu)
         if mu.parts and mu.parts[0] > self.n:
             raise ValueError(f"{mu!r} is not inside the staircase of {self.n}")
-        return truncate_family(qtilde(mu), FAMILY_C, self.n)
+        return mu
 
-    def reduce(self, p: CPolynomial, degree: int | None = None) -> Expansion:
-        """Q-tilde basis expansion of the class of p.
-
-        c_k is Q_k, so the fold multiplies the factors of each monomial in
-        one at a time by the Q-tilde Pieri rule, inside the staircase of n.
-        degree is the degree of a zero p.
-        """
-        d = self._degree(p, degree)
-        return Expansion(fold_coefficients(p, qtilde_pieri_step, (self.n,)),
-                         degree=d, key=self.key)
+    def basis_polynomial(self, mu: StrictPartition) -> CPolynomial:
+        """Q_mu truncated to c_1..c_n, the Giambelli representative of Y^mu."""
+        return truncate_family(qtilde(self.basis_index(mu)), FAMILY_C, self.n)
 
     def dual(self, mu: StrictPartition) -> StrictPartition:
         return strict_complement(mu, self.n)

@@ -1,12 +1,12 @@
 """Schur and supersymmetric Schur functions as exact c-polynomials.
 
-Two determinantal presentations are implemented: the Jacobi-Trudi form in
-the complete classes s_k(E - F), and the dual form in raw c-generators
-indexed by the conjugate partition.  Since c_k = s_(1^k), a monomial in the
-c-generators is expanded in the Schur basis by the dual Pieri rule, one
-vertical strip per factor, in a memoized integer fold; bounding the fold to
-an r x (n-r) box gives reduction in H*(Gr(r, n)).  The fold takes its Pieri
-step as an argument, so H*(LG(n)) reduces on it too (see rings.py).
+Since c_k = s_(1^k), the dual Pieri rule (c_k . s_lam adds vertical k-strips)
+is the one engine.  A memoized integer fold applies it one factor at a time:
+from 1 it expands c-monomials in the Schur basis, from s_lam it multiplies
+(Littlewood-Richardson), and bounded to an r x (n-r) box it reduces in
+H*(Gr(r, n)); with the Q-tilde Pieri step it reduces in H*(LG(n)) (rings.py).
+Read backwards, the rule builds s_lam itself as a c-polynomial, and
+s_lam(E - F) follows by substitution.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
     CPolynomial,
-    poly_det,
     specialize,
+    truncate_family,
 )
 from .records import FrozenRecord
 
@@ -55,23 +55,11 @@ def chern_class(E: BundleSymbol, k: int) -> CPolynomial:
 
 @lru_cache(maxsize=None)
 def complete_from_elementary(k: int, E: BundleSymbol = BundleSymbol()) -> CPolynomial:
-    """s_k(E) = h_k in the Chern generators of E.
-
-    Defined by the recurrence sum_{i=0..k} (-1)^i c_i h_{k-i} = [k = 0],
-    i.e. the coefficient extraction from 1 / sum c_i (-z)^i.
-    """
+    """s_k(E) = h_k in the Chern generators of E: s_(k) with c_i = 0 above the rank."""
     if k < 0:
         return CPolynomial.zero()
-    if k == 0:
-        return CPolynomial.one()
-    total = CPolynomial.zero()
-    for i in range(1, k + 1):
-        ci = chern_class(E, i)
-        if ci.is_zero():
-            continue
-        term = ci * complete_from_elementary(k - i, E)
-        total = total + (term if i % 2 == 1 else -term)
-    return total
+    h = schur_dual_jt(Partition([k]), E.family)
+    return h if E.rank is None else truncate_family(h, E.family, E.rank)
 
 
 @lru_cache(maxsize=None)
@@ -99,45 +87,43 @@ def supersymmetric_s(k: int, E: BundleSymbol = BundleSymbol(),
 
 
 @lru_cache(maxsize=None)
-def schur_jt(lam: Partition, E: BundleSymbol = BundleSymbol(),
-             F: BundleSymbol | None = None) -> CPolynomial:
-    """s_lambda(E - F) as the determinant |s_{lambda_i - i + j}(E - F)|."""
-    lam = Partition(lam)
-    size = len(lam)
-    rows = [[supersymmetric_s(lam.parts[i] - (i + 1) + (j + 1), E, F)
-             for j in range(size)] for i in range(size)]
-    return poly_det(rows)
+def elementary_super(k: int, E: BundleSymbol = BundleSymbol(),
+                     F: BundleSymbol | None = None) -> CPolynomial:
+    """s_(1^k)(E - F) = (-1)^k s_k(F - E), the degree-k class of c(E) / c(F)."""
+    if F is None or k <= 0:
+        return chern_class(E, k)
+    value = supersymmetric_s(k, F, E)
+    return value if k % 2 == 0 else -value
 
 
 @lru_cache(maxsize=None)
-def elementary_super(k: int, E: BundleSymbol = BundleSymbol(),
-                     F: BundleSymbol | None = None) -> CPolynomial:
-    """The elementary-type class s_{(1^k)}(E - F); the dual-form entry."""
-    if k < 0:
-        return CPolynomial.zero()
-    return schur_jt(Partition((1,) * k), E, F)
+def schur_jt(lam: Partition, E: BundleSymbol = BundleSymbol(),
+             F: BundleSymbol | None = None) -> CPolynomial:
+    """s_lambda(E - F): s_lambda with c_i read as s_(1^i)(E - F), which is
+    the Jacobi-Trudi determinant |s_{lambda_i - i + j}(E - F)| unexpanded."""
+    return supersymmetrize(schur_dual_jt(Partition(lam)), E, F)
 
 
 @lru_cache(maxsize=None)
 def schur_dual_jt(lam: Partition, family: str = FAMILY_C) -> CPolynomial:
-    """s_lambda in raw c-generators: |c_{mu_i - i + j}| with mu the conjugate.
-
-    This is the defining polynomial of the Schur basis used everywhere for
-    expansions; no rank bound is applied.
-    """
-    mu = Partition(lam).conjugate()
-    size = len(mu)
-
-    def entry(i: int, j: int) -> CPolynomial:
-        k = mu.parts[i] - (i + 1) + (j + 1)
-        if k < 0:
-            return CPolynomial.zero()
-        if k == 0:
-            return CPolynomial.one()
-        return CPolynomial.gen(family, k)
-
-    rows = [[entry(i, j) for j in range(size)] for i in range(size)]
-    return poly_det(rows)
+    """s_lambda in raw c-generators, the dual Pieri rule read backwards: with
+    k = l(lambda) and nu lambda less its first column, c_k . s_nu is s_lambda
+    plus s_kappa over the other vertical k-strips kappa / nu, all strictly
+    below lambda in dominance order.  No rank bound is applied."""
+    parts = Partition(lam).parts
+    if not parts:
+        return CPolynomial.one()
+    k = len(parts)
+    nu = tuple(p - 1 for p in parts if p > 1)
+    product = schur_dual_jt(Partition(nu), family) * CPolynomial.gen(family, k)
+    # the product is fresh, so the other strips come off its terms in place
+    terms = product.terms
+    for kappa, _ in vertical_strip_step(nu, k, (None, None)):
+        if kappa != parts:
+            for mono, coeff in schur_dual_jt(Partition(kappa), family).terms.items():
+                terms[mono] = terms.get(mono, 0) - coeff
+    product.terms = {mono: coeff for mono, coeff in terms.items() if coeff}
+    return product
 
 
 class Expansion:
@@ -224,25 +210,27 @@ def vertical_strip_step(lam: tuple[int, ...], k: int,
 
 
 @lru_cache(maxsize=None)
-def _monomial_fold(indices: tuple[int, ...], step, bound: tuple) -> dict[tuple[int, ...], int]:
-    """Expansion of c_{i1}...c_{im} (indices ascending) by one Pieri step per factor.
+def _monomial_fold(start: tuple[int, ...], indices: tuple[int, ...], step,
+                   bound: tuple) -> dict[tuple[int, ...], int]:
+    """Expansion of b_start . c_{i1}...c_{im} (indices ascending), b_start a
+    class of the basis that step multiplies: that of the prefix with
+    step(lam, k, bound) applied to every term lam for the last index k.
 
-    The expansion of the monomial is that of its prefix with step(lam, k,
-    bound) applied to every term lam for the last index k.  Each ring keys
-    the memo on its module-level step and its bound tuple, so rings of the
-    same shape share it.
+    The memo is keyed on the module-level step and the bound tuple, so
+    rings of the same shape share it.
     """
     if not indices:
-        return {(): 1}
+        return {start: 1}
     out: dict[tuple[int, ...], int] = {}
-    for lam, coeff in _monomial_fold(indices[:-1], step, bound).items():
+    for lam, coeff in _monomial_fold(start, indices[:-1], step, bound).items():
         for mu, mult in step(lam, indices[-1], bound):
             out[mu] = out.get(mu, 0) + coeff * mult
     return out
 
 
-def fold_coefficients(p: CPolynomial, step, bound: tuple) -> dict[tuple[int, ...], int]:
-    """Coefficients of p on the basis that step multiplies into, within bound.
+def fold_coefficients(p: CPolynomial, step, bound: tuple,
+                      start: tuple[int, ...] = ()) -> dict[tuple[int, ...], int]:
+    """Coefficients of b_start . p (b_() = 1) on the basis of step, in bound.
 
     Generator families are ignored: c_k and c'_k both stand for the k-th
     generator.
@@ -252,8 +240,8 @@ def fold_coefficients(p: CPolynomial, step, bound: tuple) -> dict[tuple[int, ...
         indices = tuple(g[1] for g, e in mono for _ in range(e))
         # warm every 200th prefix so the fold's recursion stays shallow
         for stop in range(200, len(indices), 200):
-            _monomial_fold(indices[:stop], step, bound)
-        for lam, c in _monomial_fold(indices, step, bound).items():
+            _monomial_fold(start, indices[:stop], step, bound)
+        for lam, c in _monomial_fold(start, indices, step, bound).items():
             total[lam] = total.get(lam, 0) + coeff * c
     return total
 
@@ -287,7 +275,7 @@ def to_schur(p: CPolynomial, length_bound: int | None = None) -> Expansion:
 
 
 def from_schur(x: Expansion, family: str = FAMILY_C) -> CPolynomial:
-    """Inverse of to_schur: substitute the defining determinants and expand."""
+    """Inverse of to_schur: substitute the defining polynomials and expand."""
     total = CPolynomial.zero()
     for lam, coeff in x.items():
         total = total + coeff * schur_dual_jt(lam, family)
@@ -295,9 +283,12 @@ def from_schur(x: Expansion, family: str = FAMILY_C) -> CPolynomial:
 
 
 def lr_multiply(lam: Partition, mu: Partition) -> Expansion:
-    """Littlewood-Richardson expansion of s_lam . s_mu via the Schur kernel."""
-    product = schur_dual_jt(Partition(lam)) * schur_dual_jt(Partition(mu))
-    return to_schur(product)
+    """Littlewood-Richardson expansion of s_lam . s_mu: the dual Pieri fold
+    of the c-monomials of s_mu, started from s_lam."""
+    lam, mu = Partition(lam), Partition(mu)
+    coeffs = fold_coefficients(schur_dual_jt(mu), vertical_strip_step, (None, None),
+                               lam.parts)
+    return Expansion(coeffs, degree=lam.weight + mu.weight)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ route something that schurcalc computes by its Pieri folds.
 
 * The Schur expansion and Littlewood-Richardson products by brute-force
   monomial expansion in formal variables, with greedy peeling.
-* The dual-form (conjugate) Jacobi-Trudi determinant of s_lambda(E - F).
+* Both Jacobi-Trudi determinants of s_lambda(E - F), expanded by
+  memoized minors: the h-form |s_{lambda_i - i + j}(E - F)| and the dual
+  form in the elementary-type classes of the conjugate.
 * H*(LG(n)) reduction by solving the degree slice of the presentation
   exactly with schurcalc.linalg, and the degreewise dimension identity
   that certifies the presentation.
@@ -23,7 +25,6 @@ from schurcalc.polynomial import (
     CPolynomial,
     Monomial,
     monomial_key,
-    poly_det,
     truncate_family,
 )
 from schurcalc.qtilde import qtilde_pair
@@ -35,6 +36,7 @@ from schurcalc.schur import (
     elementary_super,
     peel_schur,
     schur_monomials,
+    supersymmetric_s,
     xp_accumulate,
     xp_mul,
 )
@@ -59,21 +61,65 @@ def monomials_of_degree(d: int, family: str, max_index: int | None = None) -> tu
     return tuple(out)
 
 
-# -- Schur functions ------------------------------------------------------------
+# -- Schur functions by determinants --------------------------------------------
+
+
+def poly_det(rows: list[list[CPolynomial]]) -> CPolynomial:
+    """Determinant of a square polynomial matrix by memoized minor expansion."""
+    size = len(rows)
+    if size == 0:
+        return CPolynomial.one()
+    for row in rows:
+        if len(row) != size:
+            raise ValueError("matrix must be square")
+
+    cache: dict[tuple[int, tuple[int, ...]], CPolynomial] = {}
+
+    def minor(i: int, cols: tuple[int, ...]) -> CPolynomial:
+        if not cols:
+            return CPolynomial.one()
+        key = (i, cols)
+        if key in cache:
+            return cache[key]
+        total = CPolynomial.zero()
+        for pos, j in enumerate(cols):
+            entry = rows[i][j]
+            if entry.is_zero():
+                continue
+            sub = minor(i + 1, cols[:pos] + cols[pos + 1:])
+            piece = entry * sub
+            total = total + (piece if pos % 2 == 0 else -piece)
+        cache[key] = total
+        return total
+
+    return minor(0, tuple(range(size)))
+
+
+def schur_jt_h_form(lam: Partition, E: BundleSymbol = BundleSymbol(),
+                    F: BundleSymbol | None = None) -> CPolynomial:
+    """s_lambda(E - F) as the determinant |s_{lambda_i - i + j}(E - F)|."""
+    lam = Partition(lam)
+    size = len(lam)
+    rows = [[supersymmetric_s(lam.parts[i] - (i + 1) + (j + 1), E, F)
+             for j in range(size)] for i in range(size)]
+    return poly_det(rows)
 
 
 def schur_jt_dual_form(lam: Partition, E: BundleSymbol = BundleSymbol(),
                        F: BundleSymbol | None = None) -> CPolynomial:
     """s_lambda(E - F) as the conjugate determinant in elementary-type classes.
 
-    Agrees with schur_jt; an independent cross-check of the two
-    determinantal presentations.
+    With E the plain c family and no F this is |c_{mu_i - i + j}|, mu the
+    conjugate of lambda: the raw-generator polynomial of schur_dual_jt.
     """
     mu = Partition(lam).conjugate()
     size = len(mu)
     rows = [[elementary_super(mu.parts[i] - (i + 1) + (j + 1), E, F)
              for j in range(size)] for i in range(size)]
     return poly_det(rows)
+
+
+# -- Schur and LR expansions in formal variables --------------------------------
 
 
 def lr_oracle(lam: Partition, mu: Partition, bound: int = 8) -> Expansion:

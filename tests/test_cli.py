@@ -2,6 +2,7 @@ import ast
 import json
 import subprocess
 import sys
+from math import factorial, prod
 from pathlib import Path
 
 import schurcalc
@@ -223,9 +224,12 @@ def test_production_is_integer_only():
         return {name for name, value in vars(module).items()
                 if getattr(value, "__module__", None) == module.__name__}
     oracle_names = defined_in(oracles) | defined_in(linalg)
-    assert {"lr_oracle", "to_schur_oracle", "lg_reduce_by_solve",
-            "solve_exact", "NonUniqueSolutionError"} <= oracle_names
+    assert {"lr_oracle", "to_schur_oracle", "lg_reduce_by_solve", "poly_det",
+            "schur_jt_h_form", "solve_exact", "NonUniqueSolutionError"} <= oracle_names
     assert not oracle_names & set(schurcalc.__all__)
+    # Schur classes come from the Pieri fold: no determinant is expanded
+    for path in package.glob("*.py"):
+        assert "poly_det" not in path.read_text(), path.name
 
 
 def test_cli_import_path_is_free_of_heavy_modules():
@@ -270,7 +274,7 @@ def test_zero_class_keeps_its_degree(capsys):
 
 
 def test_degree_above_top_fails_before_evaluation(capsys):
-    # s[25] would expand a 25 x 25 determinant before any check
+    # evaluation would build s[25] and c1^100000000 before any check
     for argv, err in ((["gr", "--r", "2", "--n", "4", "reduce", "s[25]"],
                        b"error: degree 25 exceeds the top degree 4 of Gr(2,4)\n"),
                       (["gr", "--r", "2", "--n", "4", "reduce", "0*s[25]"],
@@ -327,3 +331,31 @@ def test_empty_partition_spellings(capsys):
         code, payload = run_json(capsys, "lg", "--n", "3", "restrict", spelling)
         assert (code, payload["expansion"]) == \
             (0, [{"strict_partition": [], "coeff": "1"}])
+
+
+def test_negative_length_bound_is_rejected():
+    for argv in (["to-schur", "--length-bound", "-1", "c1"],
+                 ["to-schur", "--length-bound", "-1", "0"],
+                 ["certify", "--length-bound", "-2", "c1"]):
+        code, out, err = run_cli(*argv)
+        bound = argv[2]
+        assert (code, out, err) == \
+            (2, b"", f"error: length bound must be nonnegative, got {bound}\n".encode()), argv
+
+
+def test_output_budget_rejects_before_evaluation(capsys):
+    # p(60) = 966467 terms: c1^60 grew to gigabytes before the budget
+    for argv, degree in ((["to-schur", "c1^60"], 60), (["certify", "c1^100000000"], 100000000),
+                         (["to-schur", "s[400]"], 400), (["to-schur", "q[400]"], 400),
+                         (["gr", "--r", "20", "--n", "40", "reduce", "s[400]"], 400)):
+        proc = subprocess.run([sys.executable, "-m", "schurcalc", *argv],
+                              capture_output=True, timeout=30)
+        err = f"error: degree {degree} exceeds the output budget: p({degree}) > 37338 terms\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err.encode()), argv
+    # degree 40 is within the budget, and ring commands on c-monomials are
+    # bounded by their ring, not by p(d)
+    code, payload = run_json(capsys, "to-schur", "0*c1^40")
+    assert (code, payload) == (0, {"degree": None, "expansion": []})
+    code, payload = run_json(capsys, "gr", "--r", "6", "--n", "14", "integrate", "c1^48")
+    hooks = prod(13 - i - j for i in range(6) for j in range(8))
+    assert (code, payload) == (0, {"ring": "Gr(6,14)", "value": str(factorial(48) // hooks)})

@@ -130,3 +130,12 @@ def test_expression_degree():
     for text in ["c1^4 - c2*c1^2", "(c1^2 + c2)*s[1]*q[2]", "3*s[3,1] - q[2,1]*c1"]:
         value = evaluate_text(text)
         assert value.homogeneous_degree() == expression_degree(parse(text)), text
+
+
+def test_basis_atoms_are_held_to_the_output_budget():
+    # weight 40 is within p(40) terms; a larger atom is rejected before its
+    # polynomial is built, whatever the degree of the whole
+    assert evaluate_text("q[40]") == c(40)
+    for text in ("s[41]", "q[400]", "0*s[400]", "c1 + s[20,20,1]"):
+        with pytest.raises(ValueError, match="exceeds the output budget"):
+            evaluate_text(text)

@@ -6,11 +6,14 @@ from schurcalc.partitions import (
     Partition,
     SemistandardTableau,
     StrictPartition,
+    TERM_BUDGET,
+    check_term_budget,
     conjugate,
     enumerate_partitions,
     enumerate_ssyt,
     enumerate_strict_partitions,
     hook_contains,
+    partition_count,
     partitions_up_to,
     rectangle_dual,
     staircase,
@@ -87,6 +90,20 @@ def test_enumerate_partitions_counts_and_order():
     assert enumerate_partitions(0) == [Partition()]
     assert enumerate_partitions(5, max_length=2) == [
         Partition([5]), Partition([4, 1]), Partition([3, 2])]
+
+
+def test_partition_count_and_the_term_budget():
+    assert [partition_count(d) for d in range(-1, 23)] == \
+        [0] + [len(enumerate_partitions(d)) for d in range(23)]
+    assert partition_count(60) == 966467
+    # the budget is p(40), the size of certify "c1^40"
+    assert TERM_BUDGET == partition_count(40) == 37338
+    for d in (None, 0, 1, 40):
+        check_term_budget(d)
+    for d in (41, 400, 10 ** 9):
+        with pytest.raises(ValueError, match=f"degree {d} exceeds the output budget: "
+                                             f"p\\({d}\\) > 37338 terms"):
+            check_term_budget(d)
 
 
 def test_partition_global_order_is_reverse_lexicographic():

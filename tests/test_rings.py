@@ -95,6 +95,29 @@ def test_gr_reduce_is_ring_map():
                 assert ring.reduce(product) == ring.basis_product(lam, mu)
 
 
+def test_basis_product_matches_the_reduced_product():
+    # the fold started from lam against the old route: multiply both
+    # Giambelli polynomials, then reduce
+    rings = [GrassmannianRing(r, n) for n in range(2, 7) for r in range(1, n)]
+    rings += [LagrangianRing(n) for n in range(1, 5)]
+    for ring in rings:
+        basis = ring.all_basis()
+        for lam in basis:
+            for mu in basis:
+                product = ring.basis_product(lam, mu)
+                if lam.weight + mu.weight > ring.top_degree:
+                    assert product.is_zero() and product.degree == lam.weight + mu.weight
+                    continue
+                expected = ring.reduce(ring.basis_polynomial(lam) * ring.basis_polynomial(mu))
+                assert product == expected, (ring, lam, mu)
+    with pytest.raises(ValueError, match="is not in the 2x2 rectangle"):
+        GrassmannianRing(2, 4).basis_product(Partition([3]), Partition([1]))
+    with pytest.raises(ValueError, match="is not in the 2x2 rectangle"):
+        GrassmannianRing(2, 4).basis_product(Partition([1]), Partition([1, 1, 1]))
+    with pytest.raises(ValueError, match="not inside the staircase of 2"):
+        LagrangianRing(2).basis_product(StrictPartition([3]), StrictPartition())
+
+
 def test_gr_basis_round_trip():
     ring = GrassmannianRing(3, 6)
     for lam in ring.all_basis():

@@ -1,5 +1,6 @@
 import random
-from math import factorial, prod
+from collections import Counter
+from math import comb, factorial, prod
 
 import pytest
 
@@ -31,7 +32,13 @@ from schurcalc.schur import (
     to_schur,
 )
 
-from oracles import lr_oracle, monomials_of_degree, schur_jt_dual_form, to_schur_oracle
+from oracles import (
+    lr_oracle,
+    monomials_of_degree,
+    schur_jt_dual_form,
+    schur_jt_h_form,
+    to_schur_oracle,
+)
 
 E = BundleSymbol(FAMILY_C)
 F = BundleSymbol(FAMILY_CPRIME)
@@ -83,6 +90,55 @@ def test_schur_dual_jt_examples():
 def test_two_determinantal_forms_agree_through_weight_8():
     for lam in partitions_up_to(8):
         assert schur_jt(lam, E) == schur_dual_jt(lam), lam
+
+
+def test_schur_dual_jt_matches_the_determinant_through_weight_10():
+    # the dual Pieri rule read backwards against |c_{mu_i - i + j}|
+    for lam in partitions_up_to(10):
+        assert schur_dual_jt(lam) == schur_jt_dual_form(lam), lam
+    for lam in partitions_up_to(6):
+        assert schur_dual_jt(lam, FAMILY_CPRIME) == \
+            schur_jt_dual_form(lam, BundleSymbol(FAMILY_CPRIME)), lam
+
+
+def test_supersymmetric_classes_match_both_determinants():
+    # substitution into s_lambda against the h-form and the dual-form
+    # determinants, for every rank of E and F up to 3 and the unbounded one
+    ranks = (None, 1, 2, 3)
+    for rank_e in ranks:
+        for rank_f in ranks:
+            En = BundleSymbol(FAMILY_C, rank_e)
+            Fm = BundleSymbol(FAMILY_CPRIME, rank_f)
+            for k in range(7):
+                column = Partition([1] * k)
+                assert elementary_super(k, En, Fm) == schur_jt_h_form(column, En, Fm)
+                assert elementary_super(k, En, Fm) == schur_jt_dual_form(column, En, Fm)
+            for lam in partitions_up_to(6):
+                value = schur_jt(lam, En, Fm)
+                assert value == schur_jt_h_form(lam, En, Fm), (lam, rank_e, rank_f)
+                assert value == schur_jt_dual_form(lam, En, Fm), (lam, rank_e, rank_f)
+        for family in (FAMILY_C, FAMILY_CPRIME):
+            En = BundleSymbol(family, rank_e)
+            for lam in partitions_up_to(6):
+                assert schur_jt(lam, En) == schur_jt_h_form(lam, En), (lam, En)
+    with pytest.raises(ValueError):
+        schur_jt(Partition([1]), E, BundleSymbol(FAMILY_C))
+    with pytest.raises(ValueError):
+        elementary_super(1, E, BundleSymbol(FAMILY_C))
+
+
+def test_complete_class_closed_form_beyond_the_determinant():
+    # h_n = sum over lam of n of (-1)^(n - l) l! / prod m_i! c_lam, with l the
+    # length of lam and m_i its multiplicities; every partition appears
+    for n in (20, 25):
+        poly = schur_dual_jt(Partition([n]))
+        lams = enumerate_partitions(n)
+        assert len(poly.terms) == len(lams)
+        for lam in lams:
+            counts = Counter(lam.parts)
+            expected = factorial(len(lam)) // prod(factorial(m) for m in counts.values())
+            mono = tuple(((FAMILY_C, i), m) for i, m in counts.items())
+            assert poly.coefficient(mono) == (-1) ** (n - len(lam)) * expected, lam
 
 
 def test_supersymmetric_dual_form_cross_check():
@@ -168,6 +224,22 @@ def test_lr_dimension_consistency():
     product = lr_multiply(lam, mu)
     total = sum(c * len(enumerate_ssyt(nu, n)) for nu, c in product.items())
     assert total == len(enumerate_ssyt(lam, n)) * len(enumerate_ssyt(mu, n))
+
+
+def test_lr_dimension_identity_beyond_the_oracle():
+    # f^nu counts standard tableaux; restricting s_lam . s_mu to the
+    # symmetric group gives sum c^nu f^nu = C(|lam| + |mu|, |lam|) f^lam f^mu
+    def hook_length_count(parts):
+        hooks = [parts[i] - j + sum(1 for below in parts[i + 1:] if below > j)
+                 for i in range(len(parts)) for j in range(parts[i])]
+        return factorial(sum(parts)) // prod(hooks)
+
+    for lam, mu in (((6, 4, 3, 2), (5, 3, 2)), ((5, 5), (5, 5))):
+        product = lr_multiply(Partition(lam), Partition(mu))
+        assert product.is_nonnegative()
+        total = sum(coeff * hook_length_count(nu.parts) for nu, coeff in product.items())
+        assert total == comb(sum(lam) + sum(mu), sum(lam)) * \
+            hook_length_count(lam) * hook_length_count(mu)
 
 
 def test_lr_oracle_basics():
