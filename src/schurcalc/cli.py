@@ -28,7 +28,6 @@ from .partitions import StrictPartition, check_term_budget
 from .polynomial import CPolynomial
 from .positivity import (
     CLASSICAL_THOM_TABLE,
-    VERDICT_NOT_NONNEGATIVE,
     certify,
     minimal_hook_rank,
     schur_bundle_class,
@@ -37,21 +36,6 @@ from .positivity import (
 from .qtilde import qtilde
 from .rings import GrassmannianRing, LagrangianRing
 from .schur import lr_multiply, to_schur
-
-# Audit registry: which engine operation each subcommand is the unique
-# front end for; checked by the test suite.
-SUBCOMMAND_OPERATIONS = {
-    "to-schur": ("to_schur",),
-    "certify": ("certify",),
-    "lr": ("lr_multiply",),
-    "qtilde": ("qtilde",),
-    "gr": ("gr_reduce", "gr_integrate", "rectangle_dual", "gr_pairing"),
-    "lg": ("lg_reduce", "lg_integrate", "strict_complement", "lg_restrict",
-           "lg_pairing"),
-    "thom-verify": ("verify_thom_table", "verify_lagrangian_table",
-                    "verify_legendrian_table"),
-    "schur-bundle": ("schur_bundle_class",),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,7 +171,7 @@ def _run_command(args) -> int:
         poly = _schur_input(args)
         report = certify(poly, length_bound=args.length_bound)
         _emit(report.to_json(), pretty)
-        return 1 if report.verdict == VERDICT_NOT_NONNEGATIVE else 0
+        return 0 if report.nonnegative else 1
 
     if args.command == "lr":
         lam = parse_partition_arg(args.lam)
@@ -260,36 +244,26 @@ def _ring_command(args, pretty: bool) -> int:
     return 0
 
 
+# Per table: the verifier, its corpus, and the fields an entry adds to its
+# report, in output order.
+_THOM_TABLES = {
+    "classical": (verify_thom_table, CLASSICAL_THOM_TABLE, lambda entry, report: {
+        "expression": entry.expression, "codimension": entry.codimension,
+        "coefficient_sum": str(report.expansion.coefficient_sum()),
+        "hook_rank": minimal_hook_rank(report.expansion)}),
+    "lagrangian": (verify_lagrangian_table, LEGENDRIAN_TABLE, lambda entry, report: {
+        "bold_expression": entry.lagrangian_expression}),
+    "legendrian": (verify_legendrian_table, LEGENDRIAN_TABLE, lambda entry, report: {
+        "codimension": entry.codimension, "degree": report.expansion.degree}),
+}
+
+
 def _thom_verify(table: str, pretty: bool) -> int:
-    entries = []
-    if table == "classical":
-        reports = verify_thom_table()
-        for entry, report in zip(CLASSICAL_THOM_TABLE, reports):
-            data = report.to_json()
-            data["expression"] = entry.expression
-            data["codimension"] = entry.codimension
-            data["coefficient_sum"] = str(report.expansion.coefficient_sum())
-            data["hook_rank"] = minimal_hook_rank(report.expansion)
-            entries.append(data)
-        ok = all(r.positive for r in reports)
-    elif table == "lagrangian":
-        results = verify_lagrangian_table()
-        for entry, (name, part, nonneg) in zip(LEGENDRIAN_TABLE, results):
-            entries.append({
-                "name": name,
-                "verdict": "NONNEGATIVE" if nonneg else "NOT_NONNEGATIVE",
-                "expansion": part.to_json(),
-                "bold_expression": entry.lagrangian_expression,
-            })
-        ok = all(nonneg for _, _, nonneg in results)
-    else:
-        reports = verify_legendrian_table()
-        for entry, report in zip(LEGENDRIAN_TABLE, reports):
-            data = report.to_json()
-            data["codimension"] = entry.codimension
-            data["degree"] = report.value.degree
-            entries.append(data)
-        ok = all(r.nonnegative for r in reports)
+    verify, corpus, extra = _THOM_TABLES[table]
+    reports = verify()
+    entries = [{**report.to_json(), **extra(entry, report)}
+               for entry, report in zip(corpus, reports)]
+    ok = all(report.nonnegative for report in reports)
     _emit({"table": table, "entries": entries, "all_nonnegative": ok}, pretty)
     return 0 if ok else 1
 

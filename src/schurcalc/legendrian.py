@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .partitions import StrictPartition
 from .polynomial import FAMILY_V1, FAMILY_V2, CPolynomial, degree_list
+from .positivity import VERDICT_NONNEGATIVE, PositivityReport, positivity_report
 from .records import FrozenRecord, Record
 from .schur import Expansion
 from . import parsing
@@ -33,9 +34,9 @@ class LegendrianClass(Record):
     def get(self, mu, a: int, b: int) -> int:
         return self.coefficients.get((StrictPartition(mu), a, b), 0)
 
-    def to_json(self) -> list:
-        return [{"strict_partition": list(mu.parts), "a": a, "b": b,
-                 "coeff": str(c)} for (mu, a, b), c in self.items()]
+    def to_json(self, items=None) -> list:
+        return [{"strict_partition": list(mu.parts), "a": a, "b": b, "coeff": str(c)}
+                for (mu, a, b), c in (self.items() if items is None else items)]
 
 
 def _vpoly_degree_terms(p: CPolynomial):
@@ -145,29 +146,9 @@ def lagrangian_part(x: LegendrianClass) -> Expansion:
     return Expansion(coeffs, degree=x.degree, key=StrictPartition)
 
 
-class LegendrianReport(Record):
-    """Nonnegativity verdict for a class in the {Y^mu v1^a v2^b} basis."""
-
-    __slots__ = ("value", "nonnegative", "witnesses", "name")
-    defaults = {"witnesses": list, "name": None}
-
-    def to_json(self) -> dict:
-        out = {}
-        if self.name is not None:
-            out["name"] = self.name
-        out["verdict"] = "NONNEGATIVE" if self.nonnegative else "NOT_NONNEGATIVE"
-        out["expansion"] = self.value.to_json()
-        if self.witnesses:
-            out["witnesses"] = [{"strict_partition": list(mu.parts), "a": a,
-                                 "b": b, "coeff": str(c)}
-                                for (mu, a, b), c in self.witnesses]
-        return out
-
-
-def legendrian_positivity(x: LegendrianClass, name: str | None = None) -> LegendrianReport:
-    witnesses = [(key, c) for key, c in x.items() if c < 0]
-    return LegendrianReport(x, nonnegative=not witnesses, witnesses=witnesses,
-                            name=name)
+def legendrian_positivity(x: LegendrianClass, name: str | None = None) -> PositivityReport:
+    """Nonnegativity of a class in the {Y^mu v1^a v2^b} basis."""
+    return positivity_report(x, VERDICT_NONNEGATIVE, name=name)
 
 
 class LegendrianTableEntry(FrozenRecord):
@@ -203,7 +184,7 @@ LEGENDRIAN_TABLE: tuple[LegendrianTableEntry, ...] = (
 )
 
 
-def verify_legendrian_table() -> list[LegendrianReport]:
+def verify_legendrian_table() -> list[PositivityReport]:
     """Positivity of every corpus entry in the {Y^mu v1^a v2^b} basis."""
     out = []
     for entry in LEGENDRIAN_TABLE:
@@ -212,15 +193,12 @@ def verify_legendrian_table() -> list[LegendrianReport]:
     return out
 
 
-def verify_lagrangian_table() -> list[tuple[str, Expansion, bool]]:
-    """Nonnegativity of the bold Lagrangian parts of the corpus.
-
-    Returns (name, expansion, nonnegative) per entry; the expansion is the
-    v -> 0 slice of the full class and must match the printed bold part.
-    """
+def verify_lagrangian_table() -> list[PositivityReport]:
+    """Nonnegativity of the bold Lagrangian parts of the corpus: each report's
+    expansion is the v -> 0 slice of the full class, which must match the
+    printed bold part."""
     out = []
     for entry in LEGENDRIAN_TABLE:
-        parsed = legendrian_parse(entry.expression, LEGENDRIAN_RANK)
-        part = lagrangian_part(parsed)
-        out.append((entry.name, part, part.is_nonnegative()))
+        part = lagrangian_part(legendrian_parse(entry.expression, LEGENDRIAN_RANK))
+        out.append(positivity_report(part, VERDICT_NONNEGATIVE, name=entry.name))
     return out

@@ -15,7 +15,7 @@ position in the input.
 
 from __future__ import annotations
 
-from .partitions import Partition, StrictPartition, check_term_budget
+from .partitions import Partition, StrictPartition
 from .polynomial import FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, CPolynomial
 from .qtilde import qtilde
 from .records import FrozenRecord
@@ -248,13 +248,12 @@ def to_text(expr: Expression) -> str:
 
 def _polynomial_atom(expr: Num | Gen | Basis) -> CPolynomial:
     """A leaf as a polynomial; s and q atoms expand to their defining
-    c-polynomials (s by the dual Pieri rule, q via Q-tilde) once the output
-    budget has checked their weight."""
+    c-polynomials (s by the dual Pieri rule, q via Q-tilde), whose builders
+    check their weight against the output budget."""
     if isinstance(expr, Num):
         return CPolynomial.constant(expr.value)
     if isinstance(expr, Gen):
         return CPolynomial.gen(expr.family, expr.index)
-    check_term_budget(sum(expr.parts))
     if expr.kind == "s":
         return schur_dual_jt(Partition(expr.parts))
     return qtilde(Partition(expr.parts))

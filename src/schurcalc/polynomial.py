@@ -13,9 +13,8 @@ FAMILY_CPRIME = "c'"
 FAMILY_V1 = "v1"
 FAMILY_V2 = "v2"
 
-_FAMILY_RANK = {FAMILY_C: 0, FAMILY_CPRIME: 1, FAMILY_V1: 2, FAMILY_V2: 3}
-
-# A generator is a (family, index) pair; v1/v2 carry index 0.
+# A generator is a (family, index) pair; v1/v2 carry index 0.  The family
+# names sort c < c' < v1 < v2, so generators sort as plain tuples.
 Generator = tuple[str, int]
 # A monomial maps generators to positive exponents, stored as a sorted tuple.
 Monomial = tuple[tuple[Generator, int], ...]
@@ -45,10 +44,6 @@ def generator_name(g: Generator) -> str:
     return f"{family}{index}"
 
 
-def _generator_key(g: Generator) -> tuple[int, int]:
-    return (_FAMILY_RANK[g[0]], g[1])
-
-
 def monomial_degree(m: Monomial) -> int:
     return sum(generator_degree(g) * e for g, e in m)
 
@@ -69,9 +64,8 @@ def monomial_key(m: Monomial):
     partition order.
     """
     expanded = []
-    for g, e in sorted(m, key=lambda ge: (_FAMILY_RANK[ge[0][0]], -ge[0][1])):
-        fam, idx = g
-        expanded.extend([(_FAMILY_RANK[fam], -idx)] * e)
+    for (fam, idx), e in sorted(m, key=lambda ge: (ge[0][0], -ge[0][1])):
+        expanded.extend([(fam, -idx)] * e)
     return (monomial_degree(m), tuple(expanded))
 
 
@@ -105,7 +99,7 @@ class CPolynomial:
                         raise ValueError(f"negative exponent in monomial: {mono}")
                     if e:
                         exps[g] = exps.get(g, 0) + e
-                key = tuple(sorted(exps.items(), key=lambda ge: _generator_key(ge[0])))
+                key = tuple(sorted(exps.items()))
                 new = cleaned.get(key, 0) + coeff
                 if new:
                     cleaned[key] = new
@@ -226,7 +220,7 @@ class CPolynomial:
         return {g[0] for g in self.generators()}
 
     def coefficient(self, mono: Monomial) -> int:
-        mono = tuple(sorted(mono, key=lambda ge: _generator_key(ge[0])))
+        mono = tuple(sorted(mono))
         return self.terms.get(mono, 0)
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
@@ -268,7 +262,7 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     exps: dict[Generator, int] = dict(m1)
     for g, e in m2:
         exps[g] = exps.get(g, 0) + e
-    return tuple(sorted(exps.items(), key=lambda ge: _generator_key(ge[0])))
+    return tuple(sorted(exps.items()))
 
 
 def specialize(p: CPolynomial, assignment: dict[Generator, CPolynomial]) -> CPolynomial:

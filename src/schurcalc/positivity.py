@@ -25,21 +25,22 @@ from .schur import (
 )
 
 VERDICT_POSITIVE = "POSITIVE"
+VERDICT_NONNEGATIVE = "NONNEGATIVE"
 VERDICT_ZERO = "ZERO"
 VERDICT_NOT_NONNEGATIVE = "NOT_NONNEGATIVE"
 
 
 class PositivityReport(Record):
-    """Outcome of the positivity criterion for one polynomial: the
-    polynomial, its Schur expansion, the verdict, the negative terms as
-    (partition, coefficient) witnesses, and an optional name."""
+    """Outcome of a positivity check: the polynomial (None for a class given
+    in its basis), its Expansion or LegendrianClass, the verdict, the negative
+    terms as (key, coefficient) witnesses, and an optional name."""
 
     __slots__ = ("polynomial", "expansion", "verdict", "witnesses", "name")
     defaults = {"witnesses": list, "name": None}
 
     @property
-    def positive(self) -> bool:
-        return self.verdict == VERDICT_POSITIVE
+    def nonnegative(self) -> bool:
+        return self.verdict != VERDICT_NOT_NONNEGATIVE
 
     def to_json(self) -> dict:
         out = {}
@@ -48,28 +49,32 @@ class PositivityReport(Record):
         out["verdict"] = self.verdict
         out["expansion"] = self.expansion.to_json()
         if self.witnesses:
-            out["witnesses"] = [{"partition": list(lam.parts), "coeff": str(c)}
-                                for lam, c in self.witnesses]
+            out["witnesses"] = self.expansion.to_json(self.witnesses)
         return out
+
+
+def positivity_report(expansion, verdict: str, polynomial: CPolynomial | None = None,
+                      name: str | None = None) -> PositivityReport:
+    """The report on an expansion: NOT_NONNEGATIVE with its negative terms
+    as witnesses, else the given verdict."""
+    witnesses = [(key, c) for key, c in expansion.items() if c < 0]
+    return PositivityReport(polynomial, expansion,
+                            VERDICT_NOT_NONNEGATIVE if witnesses else verdict,
+                            witnesses, name=name)
 
 
 def certify(p: CPolynomial, length_bound: int | None = None,
             name: str | None = None) -> PositivityReport:
     """Decide positivity: nonzero with a nonnegative Schur expansion."""
-    if p.is_zero():
-        return PositivityReport(p, Expansion({}, degree=None),
-                                VERDICT_ZERO, name=name)
     expansion = to_schur(p, length_bound=length_bound)
-    witnesses = expansion.negatives()
-    verdict = VERDICT_NOT_NONNEGATIVE if witnesses else VERDICT_POSITIVE
-    return PositivityReport(p, expansion, verdict, witnesses, name=name)
+    verdict = VERDICT_POSITIVE if expansion else VERDICT_ZERO
+    return positivity_report(expansion, verdict, p, name)
 
 
 class ThomTableEntry(FrozenRecord):
     """One classical singularity class: name, printed polynomial, codimension."""
 
-    __slots__ = ("name", "expression", "codimension", "source")
-    defaults = {"source": "classical"}
+    __slots__ = ("name", "expression", "codimension")
 
     @property
     def polynomial(self) -> CPolynomial:
@@ -122,8 +127,12 @@ def verify_thom_table() -> list[PositivityReport]:
             for entry in CLASSICAL_THOM_TABLE]
 
 
-def schur_bundle_class(lam: Partition, mu: Partition, n: int,
-                       max_roots: int = 20, max_weight: int = 4) -> Expansion:
+# Work bounds of schur_bundle_class: Chern roots of S^lam(E), and |mu|.
+MAX_BUNDLE_ROOTS = 20
+MAX_BUNDLE_WEIGHT = 4
+
+
+def schur_bundle_class(lam: Partition, mu: Partition, n: int) -> Expansion:
     """Expansion of s_mu of the Schur bundle S^lam(E) over the Schur basis of E.
 
     The Chern roots of S^lam(E) for E of rank n are the tableau weights
@@ -135,10 +144,10 @@ def schur_bundle_class(lam: Partition, mu: Partition, n: int,
     if n < 0:
         raise ValueError(f"rank must be nonnegative, got {n}")
     roots = ssyt_weights(lam, n)
-    if len(roots) > max_roots:
-        raise ValueError(f"{len(roots)} roots exceed the work bound {max_roots}")
-    if mu.weight > max_weight:
-        raise ValueError(f"|mu| = {mu.weight} exceeds the work bound {max_weight}")
+    if len(roots) > MAX_BUNDLE_ROOTS:
+        raise ValueError(f"{len(roots)} roots exceed the work bound {MAX_BUNDLE_ROOTS}")
+    if mu.weight > MAX_BUNDLE_WEIGHT:
+        raise ValueError(f"|mu| = {mu.weight} exceeds the work bound {MAX_BUNDLE_WEIGHT}")
     if mu.weight == 0:
         return Expansion({Partition(): 1}, degree=0)
     if len(mu) > len(roots):

@@ -1,17 +1,17 @@
 """The Q-tilde polynomial family in Chern generators.
 
 Q_i = c_i on single parts; pairs are given by the quadratic formula with
-alternating correction terms, and longer indices reduce by the odd/even
-length recurrences.  The recurrences are implemented for arbitrary weakly
-decreasing indices (the even-length rule invokes pairs with repeated
-parts); removal is positional, which keeps the index sorted.
+alternating correction terms, and Q_mu is the Pfaffian of the pair classes
+Q_{mu_i, mu_j} (Pragacz).  The Pfaffian is taken for arbitrary weakly
+decreasing indices (its minors hold pairs with repeated parts); removal is
+positional, which keeps the index sorted.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import Partition
+from .partitions import Partition, check_term_budget
 from .polynomial import CPolynomial
 
 
@@ -40,31 +40,20 @@ def qtilde_pair(i: int, j: int) -> CPolynomial:
 def qtilde(mu: Partition) -> CPolynomial:
     """Q_mu as an explicit polynomial in c_1, c_2, ...
 
-    Empty index gives 1, single parts give c_i, pairs use the displayed
-    formula, and longer indices reduce through the odd/even recurrences
-    with positional removal.
+    The Pfaffian of the pairs expanded along its first row, with a zero part
+    appended to an index of odd length since Q_{i,0} = Q_i:
+    Q_mu = sum_{p>=2} (-1)^p Q_{mu_1, mu_p} Q_{mu without parts 1 and p}.
+    A weight whose p(|mu|) monomials exceed the output budget is rejected.
     """
     mu = Partition(mu)
-    parts = mu.parts
-    length = len(parts)
-    if length == 0:
+    check_term_budget(mu.weight)
+    parts = mu.parts + (0,) * (len(mu.parts) % 2)
+    if not parts:
         return CPolynomial.one()
-    if length == 1:
-        return _q_single(parts[0])
-    if length == 2:
-        return qtilde_pair(parts[0], parts[1])
     total = CPolynomial.zero()
-    if length % 2 == 1:
-        for p in range(length):
-            rest = Partition(parts[:p] + parts[p + 1:])
-            term = _q_single(parts[p]) * qtilde(rest)
-            total = total + (term if p % 2 == 0 else -term)
-    else:
-        for p in range(1, length):
-            rest = Partition(parts[1:p] + parts[p + 1:])
-            term = qtilde_pair(parts[0], parts[p]) * qtilde(rest)
-            # printed sign (-1)^p with p counted from 1
-            total = total + (term if (p + 1) % 2 == 0 else -term)
+    for p in range(1, len(parts)):
+        term = qtilde_pair(parts[0], parts[p]) * qtilde(Partition(parts[1:p] + parts[p + 1:]))
+        total = total + (term if p % 2 else -term)
     return total
 
 

@@ -32,7 +32,13 @@ from .partitions import (
 )
 from .polynomial import FAMILY_C, CPolynomial, truncate_family
 from .qtilde import qtilde, qtilde_pieri_step
-from .schur import Expansion, fold_coefficients, schur_dual_jt, vertical_strip_step
+from .schur import (
+    Expansion,
+    fold_coefficients,
+    fold_product,
+    schur_dual_jt,
+    vertical_strip_step,
+)
 
 
 class SchubertRing:
@@ -95,14 +101,14 @@ class SchubertRing:
         return x.get(self.point_class)
 
     def basis_product(self, lam: Partition, mu: Partition) -> Expansion:
-        """Product of two Schubert classes, by the Pieri fold of mu's
-        Giambelli polynomial from lam; zero above the top degree."""
+        """Product of two Schubert classes, by the Pieri fold of the lighter
+        class's Giambelli polynomial from the other; zero above the top degree."""
         lam, mu = self.key(lam), self.key(mu)
         d = lam.weight + mu.weight
         if d > self.top_degree:
             return Expansion({}, degree=d, key=self.key)
-        start = self.basis_index(lam).parts
-        coeffs = fold_coefficients(self.basis_polynomial(mu), self.step, self.bound, start)
+        lam, mu = self.basis_index(lam), self.basis_index(mu)
+        coeffs = fold_product(lam, mu, self.basis_polynomial, self.step, self.bound)
         return Expansion(coeffs, degree=d, key=self.key)
 
     def pairing(self, lam: Partition, mu: Partition) -> int:

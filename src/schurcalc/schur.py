@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import Partition, ssyt_weights
+from .partitions import Partition, check_term_budget, ssyt_weights
 from .polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
@@ -109,8 +109,10 @@ def schur_dual_jt(lam: Partition, family: str = FAMILY_C) -> CPolynomial:
     """s_lambda in raw c-generators, the dual Pieri rule read backwards: with
     k = l(lambda) and nu lambda less its first column, c_k . s_nu is s_lambda
     plus s_kappa over the other vertical k-strips kappa / nu, all strictly
-    below lambda in dominance order.  No rank bound is applied."""
+    below lambda in dominance order.  No rank bound is applied; a weight
+    whose p(|lambda|) monomials exceed the output budget is rejected."""
     parts = Partition(lam).parts
+    check_term_budget(sum(parts))
     if not parts:
         return CPolynomial.one()
     k = len(parts)
@@ -177,9 +179,9 @@ class Expansion:
     def __bool__(self) -> bool:
         return bool(self.coefficients)
 
-    def to_json(self) -> list:
+    def to_json(self, items=None) -> list:
         return [{self.key.json_key: list(lam.parts), "coeff": str(c)}
-                for lam, c in self.items()]
+                for lam, c in (self.items() if items is None else items)]
 
     def __repr__(self) -> str:
         body = ", ".join(f"{tuple(lam.parts)}: {c}" for lam, c in self.items())
@@ -282,12 +284,20 @@ def from_schur(x: Expansion, family: str = FAMILY_C) -> CPolynomial:
     return total
 
 
+def fold_product(lam: Partition, mu: Partition, polynomial, step,
+                 bound: tuple) -> dict[tuple[int, ...], int]:
+    """Coefficients of b_lam . b_mu: the product commutes and the fold costs
+    about the monomials it folds, so polynomial(lighter class) is folded from
+    the heavier one; on equal weights mu is folded from lam."""
+    if mu.weight > lam.weight:
+        lam, mu = mu, lam
+    return fold_coefficients(polynomial(mu), step, bound, lam.parts)
+
+
 def lr_multiply(lam: Partition, mu: Partition) -> Expansion:
-    """Littlewood-Richardson expansion of s_lam . s_mu: the dual Pieri fold
-    of the c-monomials of s_mu, started from s_lam."""
+    """Littlewood-Richardson expansion of s_lam . s_mu by the dual Pieri fold."""
     lam, mu = Partition(lam), Partition(mu)
-    coeffs = fold_coefficients(schur_dual_jt(mu), vertical_strip_step, (None, None),
-                               lam.parts)
+    coeffs = fold_product(lam, mu, schur_dual_jt, vertical_strip_step, (None, None))
     return Expansion(coeffs, degree=lam.weight + mu.weight)
 
 

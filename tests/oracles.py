@@ -8,6 +8,8 @@ route something that schurcalc computes by its Pieri folds.
 * Both Jacobi-Trudi determinants of s_lambda(E - F), expanded by
   memoized minors: the h-form |s_{lambda_i - i + j}(E - F)| and the dual
   form in the elementary-type classes of the conjugate.
+* Q-tilde polynomials by the odd/even length recurrences, the two rules
+  that the one Pfaffian expansion of schurcalc.qtilde replaced.
 * H*(LG(n)) reduction by solving the degree slice of the presentation
   exactly with schurcalc.linalg, and the degreewise dimension identity
   that certifies the presentation.
@@ -27,7 +29,7 @@ from schurcalc.polynomial import (
     monomial_key,
     truncate_family,
 )
-from schurcalc.qtilde import qtilde_pair
+from schurcalc.qtilde import _q_single, qtilde_pair
 from schurcalc.rings import LagrangianRing
 from schurcalc.schur import (
     BundleSymbol,
@@ -169,6 +171,38 @@ def to_schur_oracle(p: CPolynomial, nvars: int | None = None) -> Expansion:
                 term = xp_mul(term, elementary_xpoly(idx, n))
         xp_accumulate(acc, term, coeff)
     return Expansion(peel_schur(acc, n), degree=d)
+
+
+# -- Q-tilde by the odd/even length recurrences -------------------------------
+
+
+@lru_cache(maxsize=None)
+def qtilde_two_rules(mu: Partition) -> CPolynomial:
+    """Q_mu by the odd- and even-length recurrences with positional removal.
+
+    Odd length: Q_mu = sum_p (-1)^p Q_{mu_p} Q_{mu without mu_p} (p from 0).
+    Even length: Q_mu = sum_{p>=1} (-1)^{p-1} Q_{mu_0, mu_p} Q_{mu without
+    mu_0 and mu_p}.  Empty, single and pair indices are the base cases.
+    """
+    parts = Partition(mu).parts
+    length = len(parts)
+    if length == 0:
+        return CPolynomial.one()
+    if length == 1:
+        return _q_single(parts[0])
+    if length == 2:
+        return qtilde_pair(parts[0], parts[1])
+    total = CPolynomial.zero()
+    if length % 2 == 1:
+        for p in range(length):
+            term = _q_single(parts[p]) * qtilde_two_rules(Partition(parts[:p] + parts[p + 1:]))
+            total = total + (term if p % 2 == 0 else -term)
+    else:
+        for p in range(1, length):
+            rest = Partition(parts[1:p] + parts[p + 1:])
+            term = qtilde_pair(parts[0], parts[p]) * qtilde_two_rules(rest)
+            total = total + (term if p % 2 == 1 else -term)
+    return total
 
 
 # -- H*(LG(n)) by linear solves -------------------------------------------------

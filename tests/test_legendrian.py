@@ -13,6 +13,7 @@ from schurcalc.legendrian import (
     verify_legendrian_table,
 )
 from schurcalc.partitions import StrictPartition
+from schurcalc.positivity import PositivityReport, positivity_report
 
 
 def key(parts, a=0, b=0):
@@ -62,10 +63,13 @@ def test_lagrangian_part_examples():
 
 def test_positivity_corpus_and_synthetic_negative():
     for report in verify_legendrian_table():
-        assert report.nonnegative, report.name
+        assert isinstance(report, PositivityReport)
+        assert (report.verdict, report.nonnegative) == ("NONNEGATIVE", True), report.name
     bad = legendrian_positivity(legendrian_parse("q[2] - v1*q[1]", 2))
-    assert not bad.nonnegative
+    assert (bad.verdict, bad.nonnegative) == ("NOT_NONNEGATIVE", False)
     assert bad.witnesses == [(key([1], 1, 0), -1)]
+    assert bad.to_json()["witnesses"] == [
+        {"strict_partition": [1], "a": 1, "b": 0, "coeff": "-1"}]
 
 
 def test_degree_bookkeeping_matches_codimension():
@@ -86,9 +90,21 @@ def test_lagrangian_slice_matches_bold_text_byte_for_byte():
 
 
 def test_lagrangian_table_nonnegative():
-    for name, part, nonneg in verify_lagrangian_table():
-        assert nonneg, name
-        assert not part.is_zero()
+    for report in verify_lagrangian_table():
+        assert isinstance(report, PositivityReport)
+        assert (report.verdict, report.nonnegative) == ("NONNEGATIVE", True), report.name
+        assert not report.expansion.is_zero()
+
+
+def test_negative_lagrangian_slice_witnesses():
+    part = lagrangian_part(legendrian_parse("3*q[2,1] - q[3] + v1*q[2]", 3))
+    report = positivity_report(part, "NONNEGATIVE", name="synthetic")
+    assert (report.verdict, report.nonnegative) == ("NOT_NONNEGATIVE", False)
+    assert report.to_json() == {
+        "name": "synthetic", "verdict": "NOT_NONNEGATIVE",
+        "expansion": [{"strict_partition": [3], "coeff": "-1"},
+                      {"strict_partition": [2, 1], "coeff": "3"}],
+        "witnesses": [{"strict_partition": [3], "coeff": "-1"}]}
 
 
 def test_class_json_shape():

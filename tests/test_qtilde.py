@@ -11,7 +11,7 @@ from schurcalc.qtilde import qtilde, qtilde_pair
 from schurcalc.rings import LagrangianRing
 from schurcalc.schur import Expansion
 
-from oracles import ideal_generator
+from oracles import ideal_generator, qtilde_two_rules
 
 
 def c(i):
@@ -82,8 +82,16 @@ def test_qexpansion_rejects_nonstrict_keys():
         Expansion({Partition([2, 2]): 1}, key=StrictPartition)
 
 
+def test_pfaffian_matches_two_recurrences_through_weight_12():
+    # 272 weakly decreasing indices, odd and even lengths alike
+    indices = partitions_up_to(12)
+    assert len(indices) == 272
+    for mu in indices:
+        assert qtilde(mu) == qtilde_two_rules(mu), mu
+
+
 def test_recurrences_accept_weakly_decreasing_indices():
-    # the even-length recurrence invokes pairs with repeated parts
+    # the Pfaffian's minors hold pairs with repeated parts
     value = qtilde(Partition([2, 2, 1, 1]))
     assert value.homogeneous_degree() == 6
     odd = qtilde(Partition([3, 1, 1]))

@@ -3,14 +3,13 @@ import pickle
 
 import pytest
 
-from schurcalc.legendrian import LegendrianClass, LegendrianReport, LegendrianTableEntry
+from schurcalc.legendrian import LegendrianClass, LegendrianTableEntry
 from schurcalc.parsing import Basis, Gen, Num, Pow, Prod, Sum, parse, to_text
 from schurcalc.polynomial import CPolynomial
 from schurcalc.positivity import PositivityReport, ThomTableEntry
 from schurcalc.schur import BundleSymbol, Expansion
 
 C1 = Gen("c", 1)
-EMPTY = LegendrianClass({}, 2, None)
 
 # (class, fields, fields that differ in one place, frozen)
 RECORDS = [
@@ -21,12 +20,11 @@ RECORDS = [
     (Prod, ((Num(2), C1),), ((Num(3), C1),), True),
     (Sum, (Num(1), (("+", C1),)), (Num(1), (("-", C1),)), True),
     (BundleSymbol, ("c", 2), ("c'", 2), True),
-    (ThomTableEntry, ("A_3", "c1^3", 3), ("A_3", "c1^3", 3, "other"), True),
+    (ThomTableEntry, ("A_3", "c1^3", 3), ("A_3", "c1^3", 4), True),
     (LegendrianTableEntry, ("A_2", "q[1]", "q[1]", 1), ("A_2", "q[1]", "q[1]", 2), True),
     (PositivityReport, (CPolynomial.zero(), Expansion({}, degree=None), "ZERO"),
      (CPolynomial.one(), Expansion({}, degree=None), "ZERO"), False),
     (LegendrianClass, ({}, 2, None), ({}, 3, None), False),
-    (LegendrianReport, (EMPTY, True), (EMPTY, False), False),
 ]
 
 
@@ -67,7 +65,6 @@ def test_same_fields_different_type_are_unequal():
 def test_defaults_and_repr():
     assert Gen("v1") == Gen("v1", 0)
     assert BundleSymbol() == BundleSymbol("c", None)
-    assert ThomTableEntry("A_3", "c1^3", 3).source == "classical"
     first = PositivityReport(CPolynomial.zero(), None, "ZERO")
     second = PositivityReport(CPolynomial.zero(), None, "ZERO")
     assert first.witnesses == [] and first.witnesses is not second.witnesses

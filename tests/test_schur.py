@@ -214,6 +214,19 @@ def test_lr_examples():
     assert square.coefficient_sum() == 8
 
 
+def test_lr_pieri_closed_forms_with_a_light_factor():
+    # h_1 . h_40 and h_2 . h_30 by the Pieri rule, in both argument orders;
+    # the first folded the p(40) = 37338 monomials of h_40 before the
+    # lighter factor was the one expanded
+    cases = (((1,), (40,), {(41,): 1, (40, 1): 1}),
+             ((2,), (30,), {(32,): 1, (31, 1): 1, (30, 2): 1}))
+    for lam, mu, expected in cases:
+        expected = {Partition(nu): coeff for nu, coeff in expected.items()}
+        for left, right in ((lam, mu), (mu, lam)):
+            product = lr_multiply(Partition(left), Partition(right))
+            assert (product.degree, product.coefficients) == (sum(lam) + sum(mu), expected)
+
+
 def test_lr_dimension_consistency():
     # characters multiply: sum of c^nu_{lam,mu} dim(nu) over GL(N) equals
     # dim(lam) * dim(mu); counts come from tableau enumeration only
