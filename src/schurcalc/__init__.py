@@ -4,77 +4,71 @@ Schur and supersymmetric Schur functions, Q-tilde functions, the
 cohomology rings of Grassmannians and Lagrangian Grassmannians with
 Poincare duality, and Schur-positivity certification of Chern-class
 polynomials, all over arbitrary-precision integers.
+
+Every public name loads its submodule on first use (PEP 562), so
+`import schurcalc`, and with it every `python -m schurcalc` command,
+loads no submodule until one is needed.
 """
 
-from .partitions import (
-    Partition,
-    SemistandardTableau,
-    StrictPartition,
-    conjugate,
-    enumerate_partitions,
-    enumerate_ssyt,
-    enumerate_strict_partitions,
-    hook_contains,
-    rectangle_dual,
-    staircase,
-    strict_complement,
-)
-from .polynomial import (
-    FAMILY_C,
-    FAMILY_CPRIME,
-    FAMILY_V1,
-    FAMILY_V2,
-    CPolynomial,
-    specialize,
-    truncate_family,
-)
-from .schur import (
-    BundleSymbol,
-    Expansion,
-    complete_from_elementary,
-    from_schur,
-    lr_multiply,
-    schur_dual_jt,
-    schur_jt,
-    super_split,
-    supersymmetric_s,
-    to_schur,
-)
-from .qtilde import qtilde
-from .rings import GrassmannianRing, LagrangianRing
-from .positivity import (
-    CLASSICAL_THOM_TABLE,
-    PositivityReport,
-    certify,
-    schur_bundle_class,
-    verify_thom_table,
-)
-from .legendrian import (
-    LEGENDRIAN_TABLE,
-    LegendrianClass,
-    lagrangian_part,
-    legendrian_parse,
-    legendrian_positivity,
-)
-from .parsing import ParseError, evaluate_text, parse
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Partition", "StrictPartition", "SemistandardTableau",
-    "conjugate", "rectangle_dual", "strict_complement", "staircase",
-    "enumerate_partitions", "enumerate_strict_partitions", "enumerate_ssyt",
-    "hook_contains",
-    "CPolynomial", "specialize", "truncate_family",
-    "FAMILY_C", "FAMILY_CPRIME", "FAMILY_V1", "FAMILY_V2",
-    "BundleSymbol", "Expansion", "complete_from_elementary",
-    "supersymmetric_s", "schur_jt", "schur_dual_jt", "to_schur",
-    "from_schur", "lr_multiply", "super_split",
-    "qtilde",
-    "GrassmannianRing", "LagrangianRing",
-    "PositivityReport", "certify", "verify_thom_table", "schur_bundle_class",
-    "CLASSICAL_THOM_TABLE",
-    "LegendrianClass", "legendrian_parse", "lagrangian_part",
-    "legendrian_positivity", "LEGENDRIAN_TABLE",
-    "parse", "evaluate_text", "ParseError",
-]
+# submodule -> the public names it defines, in the order of __all__
+_EXPORTS = {
+    "partitions": (
+        "Partition", "StrictPartition", "SemistandardTableau",
+        "conjugate", "rectangle_dual", "strict_complement", "staircase",
+        "enumerate_partitions", "enumerate_strict_partitions", "enumerate_ssyt",
+        "hook_contains",
+    ),
+    "polynomial": (
+        "CPolynomial", "specialize", "truncate_family",
+        "FAMILY_C", "FAMILY_CPRIME", "FAMILY_V1", "FAMILY_V2",
+    ),
+    "schur": (
+        "BundleSymbol", "Expansion", "complete_from_elementary",
+        "supersymmetric_s", "schur_jt", "schur_dual_jt", "to_schur",
+        "from_schur", "lr_multiply", "super_split",
+    ),
+    "qtilde": ("qtilde",),
+    "rings": ("GrassmannianRing", "LagrangianRing"),
+    "positivity": (
+        "PositivityReport", "certify", "verify_thom_table", "schur_bundle_class",
+        "CLASSICAL_THOM_TABLE",
+    ),
+    "legendrian": (
+        "LegendrianClass", "legendrian_parse", "lagrangian_part",
+        "legendrian_positivity", "LEGENDRIAN_TABLE",
+    ),
+    "parsing": ("parse", "evaluate_text", "ParseError"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(type(sys)):
+    """The import system binds a submodule on its package once it loads;
+    `qtilde` names both a submodule and its function, and keeps the function."""
+
+    def __setattr__(self, name, value):
+        if not (name in _MODULE_OF and isinstance(value, type(sys))):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -4,38 +4,13 @@ JSON on stdout by default (--pretty for plain text).  Exit codes: 0 on
 success, 1 when a certification comes out NOT_NONNEGATIVE (so pipelines
 can gate on positivity), 2 on usage or parse errors.  Output is
 byte-deterministic: every ordering is fixed.
+
+Each command imports the modules it runs when it starts, so a fresh
+process loads and compiles no module that its command does not call.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import sys
-
-from .legendrian import (
-    LEGENDRIAN_TABLE,
-    verify_lagrangian_table,
-    verify_legendrian_table,
-)
-from .parsing import (
-    ParseError,
-    evaluate_text,
-    expression_degree,
-    parse,
-    parse_partition_arg,
-)
-from .partitions import StrictPartition, check_term_budget
-from .polynomial import CPolynomial
-from .positivity import (
-    CLASSICAL_THOM_TABLE,
-    certify,
-    minimal_hook_rank,
-    schur_bundle_class,
-    verify_thom_table,
-)
-from .qtilde import qtilde
-from .rings import GrassmannianRing, LagrangianRing
-from .schur import lr_multiply, to_schur
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,6 +77,8 @@ def _emit(payload, pretty: bool) -> None:
     if pretty:
         sys.stdout.write(_render(payload, 0) + "\n")
     else:
+        import json
+
         sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
@@ -163,23 +140,33 @@ def _run_command(args) -> int:
     pretty = args.pretty
 
     if args.command == "to-schur":
+        from .schur import to_schur
+
         expansion = to_schur(_schur_input(args), length_bound=args.length_bound)
         _emit(_expansion_payload(expansion), pretty)
         return 0
 
     if args.command == "certify":
+        from .positivity import certify
+
         poly = _schur_input(args)
         report = certify(poly, length_bound=args.length_bound)
         _emit(report.to_json(), pretty)
         return 0 if report.nonnegative else 1
 
     if args.command == "lr":
+        from .partitions import parse_partition_arg
+        from .schur import lr_multiply
+
         lam = parse_partition_arg(args.lam)
         mu = parse_partition_arg(args.mu)
         _emit(_expansion_payload(lr_multiply(lam, mu)), pretty)
         return 0
 
     if args.command == "qtilde":
+        from .partitions import parse_partition_arg
+        from .qtilde import qtilde
+
         mu = parse_partition_arg(args.mu)
         poly = qtilde(mu)
         _emit({"partition": list(mu.parts), "degree": mu.weight,
@@ -193,6 +180,9 @@ def _run_command(args) -> int:
         return _thom_verify(args.table, pretty)
 
     if args.command == "schur-bundle":
+        from .partitions import parse_partition_arg
+        from .positivity import schur_bundle_class
+
         lam = parse_partition_arg(args.functor)
         mu = parse_partition_arg(args.class_)
         expansion = schur_bundle_class(lam, mu, args.rank)
@@ -202,9 +192,12 @@ def _run_command(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def _schur_input(args) -> CPolynomial:
+def _schur_input(args):
     """The expression of to-schur or certify, evaluated once its length
     bound and the output size of its degree (read as in _ring_command) pass."""
+    from .parsing import evaluate_text, expression_degree, parse
+    from .partitions import check_term_budget
+
     if args.length_bound is not None and args.length_bound < 0:
         raise ValueError(f"length bound must be nonnegative, got {args.length_bound}")
     text = _expression_text(args, args.expr)
@@ -213,6 +206,9 @@ def _schur_input(args) -> CPolynomial:
 
 
 def _ring_command(args, pretty: bool) -> int:
+    from .partitions import StrictPartition, parse_partition_arg
+    from .rings import GrassmannianRing, LagrangianRing
+
     if args.command == "gr":
         ring = GrassmannianRing(args.r, args.n)
     else:
@@ -234,6 +230,8 @@ def _ring_command(args, pretty: bool) -> int:
         # degree before any evaluation, and is the degree of a zero value;
         # evaluate_text parses again (linear in the text) so that evaluation
         # stays one function for schurbench's tracer
+        from .parsing import evaluate_text, expression_degree, parse
+
         text = _expression_text(args, args.arg)
         degree = ring.check_degree(expression_degree(parse(text)))
         expansion = ring.reduce_tautological(evaluate_text(text), degree)
@@ -244,25 +242,29 @@ def _ring_command(args, pretty: bool) -> int:
     return 0
 
 
-# Per table: the verifier, its corpus, and the fields an entry adds to its
-# report, in output order.
-_THOM_TABLES = {
-    "classical": (verify_thom_table, CLASSICAL_THOM_TABLE, lambda entry, report: {
-        "expression": entry.expression, "codimension": entry.codimension,
-        "coefficient_sum": str(report.expansion.coefficient_sum()),
-        "hook_rank": minimal_hook_rank(report.expansion)}),
-    "lagrangian": (verify_lagrangian_table, LEGENDRIAN_TABLE, lambda entry, report: {
-        "bold_expression": entry.lagrangian_expression}),
-    "legendrian": (verify_legendrian_table, LEGENDRIAN_TABLE, lambda entry, report: {
-        "codimension": entry.codimension, "degree": report.expansion.degree}),
-}
-
-
 def _thom_verify(table: str, pretty: bool) -> int:
-    verify, corpus, extra = _THOM_TABLES[table]
-    reports = verify()
-    entries = [{**report.to_json(), **extra(entry, report)}
-               for entry, report in zip(corpus, reports)]
+    # per table: its reports, and the fields each entry adds to its report
+    if table == "classical":
+        from .positivity import CLASSICAL_THOM_TABLE, minimal_hook_rank, verify_thom_table
+
+        reports = verify_thom_table()
+        extras = [{"expression": entry.expression, "codimension": entry.codimension,
+                   "coefficient_sum": str(report.expansion.coefficient_sum()),
+                   "hook_rank": minimal_hook_rank(report.expansion)}
+                  for entry, report in zip(CLASSICAL_THOM_TABLE, reports)]
+    elif table == "lagrangian":
+        from .legendrian import LEGENDRIAN_TABLE, verify_lagrangian_table
+
+        reports = verify_lagrangian_table()
+        extras = [{"bold_expression": entry.lagrangian_expression}
+                  for entry in LEGENDRIAN_TABLE]
+    else:
+        from .legendrian import LEGENDRIAN_TABLE, verify_legendrian_table
+
+        reports = verify_legendrian_table()
+        extras = [{"codimension": entry.codimension, "degree": report.expansion.degree}
+                  for entry, report in zip(LEGENDRIAN_TABLE, reports)]
+    entries = [{**report.to_json(), **extra} for report, extra in zip(reports, extras)]
     ok = all(report.nonnegative for report in reports)
     _emit({"table": table, "entries": entries, "all_nonnegative": ok}, pretty)
     return 0 if ok else 1
@@ -273,11 +275,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run_command(args)
-    except ParseError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return 2
     except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # a ParseError can only come from a loaded grammar
+        parsing = sys.modules.get(f"{__package__}.parsing")
+        kind = "parse error" if parsing and isinstance(exc, parsing.ParseError) else "error"
+        sys.stderr.write(f"{kind}: {exc}\n")
         return 2
 
 

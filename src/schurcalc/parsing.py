@@ -15,7 +15,7 @@ position in the input.
 
 from __future__ import annotations
 
-from .partitions import Partition, StrictPartition
+from .partitions import Partition
 from .polynomial import FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, CPolynomial
 from .qtilde import qtilde
 from .records import FrozenRecord
@@ -320,22 +320,3 @@ def expression_degree(expr: Expression) -> int | None:
     unknown; a known degree is that of every term of the value."""
     return evaluate(expr, _degree_atom).d
 
-
-# -- command-line partition arguments ----------------------------------------
-
-
-def parse_partition_arg(text: str, strict: bool = False) -> Partition:
-    """Partitions on the command line: comma-separated parts, e.g. '3,1'.
-
-    '0', '[]' and the empty string all denote the empty partition.
-    """
-    cleaned = text.strip()
-    if cleaned in ("", "0", "[]"):
-        return StrictPartition() if strict else Partition()
-    if cleaned.startswith("[") and cleaned.endswith("]"):
-        cleaned = cleaned[1:-1]
-    try:
-        parts = [int(p) for p in cleaned.split(",")]
-        return StrictPartition(parts) if strict else Partition(parts)
-    except ValueError as exc:
-        raise ValueError(f"bad partition argument {text!r}: {exc}") from exc

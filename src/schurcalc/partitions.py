@@ -100,6 +100,23 @@ class StrictPartition(Partition):
         return f"StrictPartition({list(self.parts)})"
 
 
+def parse_partition_arg(text: str, strict: bool = False) -> Partition:
+    """Partitions on the command line: comma-separated parts, e.g. '3,1'.
+
+    '0', '[]' and the empty string all denote the empty partition.
+    """
+    cleaned = text.strip()
+    if cleaned in ("", "0", "[]"):
+        return StrictPartition() if strict else Partition()
+    if cleaned.startswith("[") and cleaned.endswith("]"):
+        cleaned = cleaned[1:-1]
+    try:
+        parts = [int(p) for p in cleaned.split(",")]
+        return StrictPartition(parts) if strict else Partition(parts)
+    except ValueError as exc:
+        raise ValueError(f"bad partition argument {text!r}: {exc}") from exc
+
+
 def conjugate(lam: Partition) -> Partition:
     return Partition(lam).conjugate()
 

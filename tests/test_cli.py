@@ -2,6 +2,7 @@ import ast
 import json
 import subprocess
 import sys
+from functools import lru_cache
 from math import factorial, prod
 from pathlib import Path
 
@@ -182,8 +183,18 @@ def test_output_bytes_stable_across_runs():
 
 
 def test_public_names_resolve():
+    assert set(schurcalc.__all__) <= set(dir(schurcalc))
     for name in schurcalc.__all__:
         assert hasattr(schurcalc, name), name
+    # qtilde names a submodule and its function; the package keeps the function
+    from schurcalc.qtilde import qtilde
+    assert schurcalc.qtilde is qtilde
+    try:
+        schurcalc.no_such_name
+    except AttributeError as exc:
+        assert str(exc) == "module 'schurcalc' has no attribute 'no_such_name'"
+    else:
+        raise AssertionError("an unknown attribute resolved")
 
 
 def test_production_is_integer_only():
@@ -215,16 +226,82 @@ def test_production_is_integer_only():
         assert "poly_det" not in path.read_text(), path.name
 
 
+@lru_cache(maxsize=None)
+def _cold_imports(*argv):
+    """Every module a fresh `python -S -m schurcalc ARGV` (or, with no ARGV,
+    `import schurcalc`) imports; -S keeps site's own imports out.  python -m
+    runs __main__ as a script, so schurcalc.__main__ is not listed."""
+    src = str(Path(schurcalc.__file__).parent.parent)
+    command = ["-m", "schurcalc", *argv] if argv else ["-c", "import schurcalc"]
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", *command],
+                          capture_output=True, env={"PYTHONPATH": src}, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, (argv, proc.stderr)
+    names = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert "schurcalc" in names
+    return names
+
+
+_BUILD = {"partitions", "polynomial", "records", "schur"}
+_RING = {"cli", "qtilde", "rings"} | _BUILD
+_GRAMMAR = {"parsing", "qtilde"} | _BUILD
+
+# per command, exactly the schurcalc submodules it loads: the grammar only
+# where an expression is read, legendrian only for the Legendrian tables
+_COLD_LOADS = [
+    ((), set()),
+    (("--help",), {"cli"}),
+    (("lr", "2,1", "1"), {"cli"} | _BUILD),
+    (("qtilde", "2,1"), {"cli", "partitions", "polynomial", "qtilde"}),
+    (("schur-bundle", "--rank", "2", "--functor", "1", "--class", "1"),
+     {"cli", "positivity"} | _BUILD),
+    (("to-schur", "c1^2"), {"cli"} | _GRAMMAR),
+    (("certify", "c1^2"), {"cli", "positivity"} | _GRAMMAR),
+    (("gr", "--r", "2", "--n", "4", "pairing"), _RING),
+    (("lg", "--n", "3", "pairing"), _RING),
+    (("gr", "--r", "2", "--n", "4", "dual", "1"), _RING),
+    (("lg", "--n", "3", "restrict", "1"), _RING),
+    (("gr", "--r", "2", "--n", "4", "reduce", "c1^2"), _RING | _GRAMMAR),
+    (("thom-verify", "--table", "classical"), {"cli", "positivity"} | _GRAMMAR),
+    (("thom-verify", "--table", "legendrian"),
+     {"cli", "positivity", "legendrian"} | _GRAMMAR),
+]
+
+
 def test_cli_import_path_is_free_of_heavy_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize, and typing is
-    # as heavy; -S keeps site's own imports out of the check
-    denied = ["dataclasses", "inspect", "ast", "typing", "fractions", "schurcalc.linalg"]
-    code = ("import sys, schurcalc.cli; "
-            f"print(sorted(m for m in {denied!r} if m in sys.modules))")
-    src = str(Path(schurcalc.__file__).parent.parent)
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                          env={"PYTHONPATH": src}, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    # as heavy
+    denied = {"dataclasses", "inspect", "ast", "typing", "fractions", "schurcalc.linalg"}
+    for argv, _ in _COLD_LOADS:
+        assert not denied & _cold_imports(*argv), argv
+
+
+def test_cold_commands_load_only_the_modules_they_run():
+    for argv, expected in _COLD_LOADS:
+        loaded = {name.partition(".")[2] for name in _cold_imports(*argv)
+                  if name.startswith("schurcalc.")}
+        assert loaded == expected, argv
+
+
+def test_error_messages_are_exact(tmp_path):
+    missing = tmp_path / "missing.txt"
+    cases = [
+        (["to-schur", "c2 - - c1"], b"parse error: unexpected '-' (at position 5)\n"),
+        (["certify", "c1 +"], b"parse error: unexpected end of input (at position 4)\n"),
+        (["gr", "--r", "2", "--n", "4", "reduce", "c1^^2"],
+         b"parse error: expected a natural number (at position 3)\n"),
+        (["lg", "--n", "3", "integrate", "q[1,1]"],
+         b"parse error: q-indices must be strictly decreasing: [1, 1] (at position 6)\n"),
+        (["lr", "1,2", "1"], b"error: bad partition argument '1,2': "
+                             b"partition parts must be weakly decreasing: (1, 2)\n"),
+        (["lg", "--n", "3", "dual", "2,2"],
+         b"error: bad partition argument '2,2': parts must be strictly decreasing: (2, 2)\n"),
+        (["--input", str(missing), "certify"],
+         f"error: [Errno 2] No such file or directory: {str(missing)!r}\n".encode()),
+    ]
+    for argv, err in cases:
+        assert run_cli(*argv) == (2, b"", err), argv
 
 
 def test_inhomogeneous_message_is_capped():

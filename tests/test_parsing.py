@@ -13,10 +13,9 @@ from schurcalc.parsing import (
     evaluate_text,
     expression_degree,
     parse,
-    parse_partition_arg,
     to_text,
 )
-from schurcalc.partitions import Partition, StrictPartition
+from schurcalc.partitions import Partition
 from schurcalc.polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial
 from schurcalc.positivity import CLASSICAL_THOM_TABLE
 from schurcalc.qtilde import qtilde
@@ -91,21 +90,6 @@ def test_round_trip_preserves_value():
 
 def test_whitespace_insignificant():
     assert parse(" c1 ^ 2 +  c2 ") == parse("c1^2+c2")
-
-
-def test_partition_arguments():
-    assert parse_partition_arg("3,1") == Partition([3, 1])
-    assert parse_partition_arg("0") == Partition()
-    assert parse_partition_arg("") == Partition()
-    assert parse_partition_arg("[]") == Partition()
-    assert parse_partition_arg("[2,1]") == Partition([2, 1])
-    assert parse_partition_arg("2,1", strict=True) == StrictPartition([2, 1])
-    with pytest.raises(ValueError):
-        parse_partition_arg("1,2")
-    with pytest.raises(ValueError):
-        parse_partition_arg("2,2", strict=True)
-    with pytest.raises(ValueError):
-        parse_partition_arg("a,b")
 
 
 def test_nesting_limit():

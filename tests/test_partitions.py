@@ -13,6 +13,7 @@ from schurcalc.partitions import (
     enumerate_ssyt,
     enumerate_strict_partitions,
     hook_contains,
+    parse_partition_arg,
     partition_count,
     partitions_up_to,
     rectangle_dual,
@@ -30,6 +31,21 @@ def test_construction_strips_zeros_and_validates():
         Partition([2, -1])
     with pytest.raises(ValueError):
         StrictPartition([2, 2])
+
+
+def test_partition_arguments():
+    assert parse_partition_arg("3,1") == Partition([3, 1])
+    assert parse_partition_arg("0") == Partition()
+    assert parse_partition_arg("") == Partition()
+    assert parse_partition_arg("[]") == Partition()
+    assert parse_partition_arg("[2,1]") == Partition([2, 1])
+    assert parse_partition_arg("2,1", strict=True) == StrictPartition([2, 1])
+    with pytest.raises(ValueError):
+        parse_partition_arg("1,2")
+    with pytest.raises(ValueError):
+        parse_partition_arg("2,2", strict=True)
+    with pytest.raises(ValueError):
+        parse_partition_arg("a,b")
 
 
 def test_conjugate_examples():
