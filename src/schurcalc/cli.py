@@ -122,6 +122,7 @@ def _expansion_payload(expansion) -> dict:
 
 
 def _pairing_payload(ring) -> dict:
+    ring.check_pairing_budget()
     degrees = []
     for d in range(ring.top_degree + 1):
         rows, cols, matrix = ring.pairing_matrix(d)

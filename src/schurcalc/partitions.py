@@ -23,7 +23,8 @@ class Partition:
 
     def __init__(self, parts=()):
         if isinstance(parts, Partition):
-            parts = parts.parts
+            self.parts = parts.parts  # canonical already
+            return
         cleaned = tuple(int(p) for p in parts)
         while cleaned and cleaned[-1] == 0:
             cleaned = cleaned[:-1]
@@ -204,6 +205,7 @@ def partition_count(d: int) -> int:
     return counts[d] if d >= 0 else 0
 
 
+@lru_cache(maxsize=None)
 def check_term_budget(d: int | None) -> None:
     """Reject a degree whose p(d) terms exceed TERM_BUDGET; None passes.
     p increases, so a huge d costs no more than the first degree past it."""

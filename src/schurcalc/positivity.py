@@ -14,15 +14,7 @@ from functools import lru_cache
 from .partitions import Partition, hook_contains, ssyt_weights
 from .polynomial import CPolynomial
 from .records import FrozenRecord, Record
-from .schur import (
-    Expansion,
-    XPoly,
-    peel_schur,
-    schur_monomials,
-    to_schur,
-    xp_accumulate,
-    xp_mul,
-)
+from .schur import Expansion, to_schur
 
 VERDICT_POSITIVE = "POSITIVE"
 VERDICT_NONNEGATIVE = "NONNEGATIVE"
@@ -125,6 +117,65 @@ def verify_thom_table() -> list[PositivityReport]:
     """Certify every built-in classical entry; all must come out POSITIVE."""
     return [certify(entry.polynomial, name=entry.name)
             for entry in CLASSICAL_THOM_TABLE]
+
+
+# Schur polynomials as SSYT sums in formal variables x_1..x_N, with greedy
+# peeling by lexicographically-leading monomials (for Schur bundle classes).
+
+XPoly = dict[tuple[int, ...], int]
+
+
+@lru_cache(maxsize=None)
+def schur_monomials(lam: Partition, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The Schur polynomial of lam in n variables as (exponent, coeff) pairs."""
+    counts: dict[tuple[int, ...], int] = {}
+    for w in ssyt_weights(Partition(lam), n):
+        counts[w] = counts.get(w, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def xp_mul(a: XPoly, b: XPoly) -> XPoly:
+    out: XPoly = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            new = out.get(key, 0) + ca * cb
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return out
+
+
+def xp_accumulate(target: XPoly, source, factor: int = 1) -> None:
+    items = source.items() if isinstance(source, dict) else source
+    for key, coeff in items:
+        new = target.get(key, 0) + factor * coeff
+        if new:
+            target[key] = new
+        else:
+            target.pop(key, None)
+
+
+def peel_schur(poly: XPoly, n: int) -> dict[Partition, int]:
+    """Write a symmetric x-polynomial as a Schur combination by peeling.
+
+    The lexicographically-leading exponent of s_nu is nu itself with
+    coefficient 1, so repeatedly subtracting the Schur polynomial of the
+    current leading monomial terminates and recovers the coefficients.
+    """
+    work = {k: v for k, v in poly.items() if v}
+    out: dict[Partition, int] = {}
+    while work:
+        lead = max(work)
+        if any(lead[i] < lead[i + 1] for i in range(len(lead) - 1)):
+            raise ValueError(f"leading exponent {lead} is not a partition; "
+                             "input is not a Schur combination")
+        nu = Partition(lead)
+        coeff = work[lead]
+        out[nu] = coeff
+        xp_accumulate(work, schur_monomials(nu, n), -coeff)
+    return out
 
 
 # Work bounds of schur_bundle_class: Chern roots of S^lam(E), and |mu|.

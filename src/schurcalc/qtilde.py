@@ -77,3 +77,8 @@ def qtilde_pieri_step(lam: tuple[int, ...], k: int, bound: tuple[int]) -> tuple:
             split = a and (mu[0] if mu else 0) < head
             out.append(((head + a,) + mu, 2 * mult if split else mult))
     return tuple(out)
+
+
+def row_peel(mu: tuple[int, ...], bound: tuple[int]) -> tuple:
+    """k = mu_1, nu = mu less it: c_k . Q_nu has Q_mu once, other kappa_1 > k."""
+    return mu[0], mu[1:], qtilde_pieri_step(mu[1:], mu[0], bound)

@@ -3,18 +3,18 @@
 Both rings are finite graded quotients of a polynomial ring in Chern
 generators with a self-dual Schubert basis, a point class in the top degree
 and a Poincare pairing; SchubertRing holds what they share.  Each ring names
-a Pieri step c_k . b_lam and a bound, and reduction and basis products are
-the Pieri fold of schur.py on them, from 1 or from a basis class:
+a Pieri step c_k . b_lam, a bound and a peel; schur.pieri_build builds on
+them each c-monomial from 1 and the lighter of two classes on the heavier:
 
 * Gr(r, n): generators c_1..c_r, relations h_k = 0 for n-r < k <= n, basis
   the Schur classes of partitions in the r x (n-r) rectangle.  The step is
   the dual Pieri rule: c_k adds a vertical strip of k boxes and the classes
-  that leave the rectangle (length > r, or first part > n-r) are dropped at
-  once, since they span an ideal that is zero in the quotient.
+  that leave the rectangle are dropped at once, since they span an ideal
+  that is zero in the quotient.  A class is peeled by its first column.
 * LG(n): generators c_1..c_n, relations the truncated pair classes Q_{i,i},
   basis the Q-tilde classes of strict partitions inside the staircase.
   Since c_k = Q_k, the step is the Q-tilde Pieri rule of Pragacz-Ratajski,
-  bounded by mu_1 <= n.
+  bounded by mu_1 <= n, and a class is peeled by its first row.
 
 Every step is a product of basis classes in the ring, so the bound is exact.
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 from .partitions import (
     Partition,
     StrictPartition,
+    check_term_budget,
     enumerate_partitions,
     enumerate_strict_partitions,
     rectangle_dual,
@@ -31,22 +32,28 @@ from .partitions import (
     strict_complement,
 )
 from .polynomial import FAMILY_C, CPolynomial, truncate_family
-from .qtilde import qtilde, qtilde_pieri_step
+from .qtilde import qtilde, qtilde_pieri_step, row_peel
 from .schur import (
     Expansion,
+    column_peel,
     fold_coefficients,
-    fold_product,
+    pieri_build,
     schur_dual_jt,
     vertical_strip_step,
 )
+
+# The most pairing-matrix cells a whole-ring pairing builds, summed over the
+# degrees; a larger ring is rejected before any basis is enumerated.
+PAIRING_BUDGET = 75000
 
 
 class SchubertRing:
     """A graded quotient ring with a self-dual Schubert basis.
 
     Subclasses set key (the type of the basis indices), label, rank (the
-    generators are c_1..c_rank), top_degree, point_class, step and bound,
-    and define basis, basis_index, basis_polynomial and dual.
+    generators are c_1..c_rank), top_degree, point_class, step, bound and
+    peel, and define basis, basis_index, basis_polynomial, dual,
+    classes_exceed and basis_sizes.
     """
 
     def __repr__(self) -> str:
@@ -87,7 +94,7 @@ class SchubertRing:
         return self.reduce(truncate_family(p, FAMILY_C, self.rank), degree=degree)
 
     def reduce(self, p: CPolynomial, degree: int | None = None) -> Expansion:
-        """Basis expansion of the class of p, by the Pieri fold of its
+        """Basis expansion of the class of p, by the Pieri build of its
         monomials from 1.  degree is the degree of a zero p."""
         d = self._degree(p, degree)
         return Expansion(fold_coefficients(p, self.step, self.bound), degree=d, key=self.key)
@@ -101,14 +108,16 @@ class SchubertRing:
         return x.get(self.point_class)
 
     def basis_product(self, lam: Partition, mu: Partition) -> Expansion:
-        """Product of two Schubert classes, by the Pieri fold of the lighter
-        class's Giambelli polynomial from the other; zero above the top degree."""
+        """Product of two Schubert classes, zero above the top degree: the lighter
+        class, its weight held to the output budget, is built on the heavier."""
         lam, mu = self.key(lam), self.key(mu)
         d = lam.weight + mu.weight
         if d > self.top_degree:
             return Expansion({}, degree=d, key=self.key)
         lam, mu = self.basis_index(lam), self.basis_index(mu)
-        coeffs = fold_product(lam, mu, self.basis_polynomial, self.step, self.bound)
+        lam, mu = (mu, lam) if mu.weight > lam.weight else (lam, mu)
+        check_term_budget(mu.weight)
+        coeffs = pieri_build(lam.parts, mu.parts, self.step, self.bound, self.peel, self.bound)
         return Expansion(coeffs, degree=d, key=self.key)
 
     def pairing(self, lam: Partition, mu: Partition) -> int:
@@ -128,8 +137,21 @@ class SchubertRing:
                 return False
         return True
 
+    def check_pairing_budget(self) -> None:
+        """Reject a ring whose pairing matrices hold more than PAIRING_BUDGET
+        cells, sum_d |B_d| |B_top-d|, before any basis is enumerated.  That
+        sum is sum_d |B_d|^2, at least the number of classes, which is
+        checked first so that a huge ring is rejected at once."""
+        if not self.classes_exceed(PAIRING_BUDGET):
+            sizes = self.basis_sizes()
+            if sum(a * b for a, b in zip(sizes, reversed(sizes))) <= PAIRING_BUDGET:
+                return
+        raise ValueError(f"{self.label} exceeds the pairing budget: "
+                         f"more than {PAIRING_BUDGET} matrix cells")
+
     def pairing_is_dual_permutation(self) -> bool:
         """Whole-ring check that every pairing matrix realizes the duality."""
+        self.check_pairing_budget()
         return all(self.is_dual_permutation(*self.pairing_matrix(d))
                    for d in range(self.top_degree + 1))
 
@@ -151,6 +173,7 @@ class GrassmannianRing(SchubertRing):
         self.point_class = Partition((self.cols,) * r)
         self.step = vertical_strip_step
         self.bound = (r, self.cols)
+        self.peel = column_peel
 
     def basis(self, d: int) -> list[Partition]:
         return enumerate_partitions(d, max_part=self.cols, max_length=self.r)
@@ -169,6 +192,27 @@ class GrassmannianRing(SchubertRing):
     def dual(self, lam: Partition) -> Partition:
         return rectangle_dual(lam, self.r, self.n)
 
+    def classes_exceed(self, budget: int) -> bool:
+        """Whether C(n, r) > budget, read off C(n, i) for i up to min(r, n-r),
+        which increase."""
+        count = 1
+        for i in range(min(self.r, self.cols)):
+            count = count * (self.n - i) // (i + 1)
+            if count > budget:
+                return True
+        return False
+
+    def basis_sizes(self) -> list[int]:
+        """|B_d| for d = 0..top, the coefficients of the Gaussian binomial
+        prod_{i=1..r} (1 - q^(n-r+i)) / (1 - q^i)."""
+        sizes = [1] + [0] * self.top_degree
+        for i in range(1, self.r + 1):
+            for d in range(self.top_degree, self.cols + i - 1, -1):
+                sizes[d] -= sizes[d - self.cols - i]
+            for d in range(i, self.top_degree + 1):
+                sizes[d] += sizes[d - i]
+        return sizes
+
 
 class LagrangianRing(SchubertRing):
     """H*(LG(n)) with the Q-tilde basis of strict partitions in the staircase."""
@@ -185,6 +229,7 @@ class LagrangianRing(SchubertRing):
         self.point_class = staircase(n)
         self.step = qtilde_pieri_step
         self.bound = (n,)
+        self.peel = row_peel
 
     def basis(self, d: int) -> list[StrictPartition]:
         return enumerate_strict_partitions(d, self.n)
@@ -203,17 +248,30 @@ class LagrangianRing(SchubertRing):
     def dual(self, mu: StrictPartition) -> StrictPartition:
         return strict_complement(mu, self.n)
 
+    def classes_exceed(self, budget: int) -> bool:
+        """Whether 2^n > budget; n is capped so a huge n builds no huge number."""
+        return 2 ** min(self.n, budget.bit_length()) > budget
+
+    def basis_sizes(self) -> list[int]:
+        """|B_d| for d = 0..top, the coefficients of prod_{i=1..n} (1 + q^i)."""
+        sizes = [1] + [0] * self.top_degree
+        for i in range(1, self.n + 1):
+            for d in range(self.top_degree, i - 1, -1):
+                sizes[d] += sizes[d - i]
+        return sizes
+
     def restrict(self, lam: Partition) -> Expansion:
         """Pullback of the ambient Schubert class X^lam along LG(V) in G_n(V).
 
         The tautological subbundles agree under the inclusion, so the class
-        is the Schur polynomial of lam in c_1..c_n reduced to the Q-tilde
-        basis.  Above the top degree the cohomology vanishes and the zero
-        expansion is returned.
+        is s_lam, built from 1 by column peels within the output budget; above
+        the top degree the cohomology vanishes and it is the zero expansion.
         """
         lam = Partition(lam)
         if not lam.fits_rectangle(self.n, self.n):
             raise ValueError(f"{lam!r} is not a Schubert index of G_{self.n}(V)")
         if lam.weight > self.top_degree:
             return Expansion({}, degree=lam.weight, key=self.key)
-        return self.reduce_tautological(schur_dual_jt(lam))
+        check_term_budget(lam.weight)
+        return Expansion(pieri_build((), lam.parts, self.step, self.bound, column_peel,
+                                     (self.n, self.n)), degree=lam.weight, key=self.key)

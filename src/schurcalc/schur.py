@@ -1,19 +1,18 @@
 """Schur and supersymmetric Schur functions as exact c-polynomials.
 
-Since c_k = s_(1^k), the dual Pieri rule (c_k . s_lam adds vertical k-strips)
-is the one engine.  A memoized integer fold applies it one factor at a time:
-from 1 it expands c-monomials in the Schur basis, from s_lam it multiplies
-(Littlewood-Richardson), and bounded to an r x (n-r) box it reduces in
-H*(Gr(r, n)); with the Q-tilde Pieri step it reduces in H*(LG(n)) (rings.py).
-Read backwards, the rule builds s_lam itself as a c-polynomial, and
-s_lam(E - F) follows by substitution.
+One memoized recursion, pieri_build, builds b_start . X_mu with a Pieri
+step c_k . b_lam, peeling X_mu as c_k . X_nu less its other strips.  With
+the dual Pieri step (c_k = s_(1^k) adds vertical k-strips) it expands
+c-monomials and s_lam . s_mu in the Schur basis and, in an r x (n-r) box,
+reduces in H*(Gr(r, n)); with the Q-tilde step it works in H*(LG(n)).  On
+c-monomials it builds s_lam itself; s_lam(E - F) follows by substitution.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import Partition, check_term_budget, ssyt_weights
+from .partitions import Partition, check_term_budget
 from .polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
@@ -106,26 +105,12 @@ def schur_jt(lam: Partition, E: BundleSymbol = BundleSymbol(),
 
 @lru_cache(maxsize=None)
 def schur_dual_jt(lam: Partition, family: str = FAMILY_C) -> CPolynomial:
-    """s_lambda in raw c-generators, the dual Pieri rule read backwards: with
-    k = l(lambda) and nu lambda less its first column, c_k . s_nu is s_lambda
-    plus s_kappa over the other vertical k-strips kappa / nu, all strictly
-    below lambda in dominance order.  No rank bound is applied; a weight
-    whose p(|lambda|) monomials exceed the output budget is rejected."""
+    """s_lambda in raw c-generators, built on c-monomials by column peels; no
+    rank bound.  A weight past the output budget is rejected."""
     parts = Partition(lam).parts
     check_term_budget(sum(parts))
-    if not parts:
-        return CPolynomial.one()
-    k = len(parts)
-    nu = tuple(p - 1 for p in parts if p > 1)
-    product = schur_dual_jt(Partition(nu), family) * CPolynomial.gen(family, k)
-    # the product is fresh, so the other strips come off its terms in place
-    terms = product.terms
-    for kappa, _ in vertical_strip_step(nu, k, (None, None)):
-        if kappa != parts:
-            for mono, coeff in schur_dual_jt(Partition(kappa), family).terms.items():
-                terms[mono] = terms.get(mono, 0) - coeff
-    product.terms = {mono: coeff for mono, coeff in terms.items() if coeff}
-    return product
+    built = pieri_build((), parts, monomial_step, None, column_peel, (None, None))
+    return CPolynomial({tuple(((family, i), 1) for i in m): c for m, c in built.items()})
 
 
 class Expansion:
@@ -211,39 +196,56 @@ def vertical_strip_step(lam: tuple[int, ...], k: int,
     return tuple(out)
 
 
+def monomial_step(lam: tuple[int, ...], k: int, bound) -> tuple:
+    """(c_lam . c_k, 1) for a c-monomial lam (indices ascending); no bound."""
+    return ((tuple(sorted(lam + (k,))), 1),)
+
+
 @lru_cache(maxsize=None)
-def _monomial_fold(start: tuple[int, ...], indices: tuple[int, ...], step,
-                   bound: tuple) -> dict[tuple[int, ...], int]:
-    """Expansion of b_start . c_{i1}...c_{im} (indices ascending), b_start a
-    class of the basis that step multiplies: that of the prefix with
-    step(lam, k, bound) applied to every term lam for the last index k.
+def column_peel(mu: tuple[int, ...], bound: tuple) -> tuple:
+    """k = l(mu) and nu = mu less its first column: c_k . s_nu sums s_kappa over
+    the vertical k-strips kappa / nu, the others below mu in dominance."""
+    nu = tuple(p - 1 for p in mu if p > 1)
+    return len(mu), nu, vertical_strip_step(nu, len(mu), bound)
 
-    The memo is keyed on the module-level step and the bound tuple, so
-    rings of the same shape share it.
+
+def index_peel(mu: tuple[int, ...], bound) -> tuple:
+    """A c-monomial (indices ascending) is its last index times the rest."""
+    return mu[-1], mu[:-1], ((mu, 1),)
+
+
+@lru_cache(maxsize=None)
+def pieri_build(start: tuple[int, ...], mu: tuple[int, ...], step, bound: tuple | None,
+                peel, peel_bound: tuple | None) -> dict[tuple[int, ...], int]:
+    """Coefficients of b_start . X_mu on the basis that step multiplies, in bound.
+
+    peel(mu, peel_bound) is (k, nu, strips) with c_k . X_nu = sum m . X_kappa
+    over the strips, X_mu among them with m = 1.  The memo is keyed on
+    module-level functions and bound tuples, so rings of one shape share it.
     """
-    if not indices:
+    if not mu:
         return {start: 1}
+    k, nu, strips = peel(mu, peel_bound)
     out: dict[tuple[int, ...], int] = {}
-    for lam, coeff in _monomial_fold(start, indices[:-1], step, bound).items():
-        for mu, mult in step(lam, indices[-1], bound):
-            out[mu] = out.get(mu, 0) + coeff * mult
-    return out
+    for lam, coeff in pieri_build(start, nu, step, bound, peel, peel_bound).items():
+        for kappa, mult in step(lam, k, bound):
+            out[kappa] = out.get(kappa, 0) + coeff * mult
+    for kappa, mult in strips:
+        if kappa != mu:
+            for lam, coeff in pieri_build(start, kappa, step, bound, peel, peel_bound).items():
+                out[lam] = out.get(lam, 0) - mult * coeff
+    return {lam: coeff for lam, coeff in out.items() if coeff}
 
 
-def fold_coefficients(p: CPolynomial, step, bound: tuple,
-                      start: tuple[int, ...] = ()) -> dict[tuple[int, ...], int]:
-    """Coefficients of b_start . p (b_() = 1) on the basis of step, in bound.
-
-    Generator families are ignored: c_k and c'_k both stand for the k-th
-    generator.
-    """
+def fold_coefficients(p: CPolynomial, step, bound: tuple) -> dict[tuple[int, ...], int]:
+    """Coefficients of p on the basis of step, in bound; c_k and c'_k both count."""
     total: dict[tuple[int, ...], int] = {}
     for mono, coeff in p.terms.items():
         indices = tuple(g[1] for g, e in mono for _ in range(e))
-        # warm every 200th prefix so the fold's recursion stays shallow
+        # warm every 200th prefix so the build's recursion stays shallow
         for stop in range(200, len(indices), 200):
-            _monomial_fold(start, indices[:stop], step, bound)
-        for lam, c in _monomial_fold(start, indices, step, bound).items():
+            pieri_build((), indices[:stop], step, bound, index_peel, None)
+        for lam, c in pieri_build((), indices, step, bound, index_peel, None).items():
             total[lam] = total.get(lam, 0) + coeff * c
     return total
 
@@ -251,7 +253,7 @@ def fold_coefficients(p: CPolynomial, step, bound: tuple,
 def to_schur(p: CPolynomial, length_bound: int | None = None) -> Expansion:
     """Expand a homogeneous single-family polynomial over the Schur basis.
 
-    Each monomial is expanded by the dual Pieri fold, so the work follows
+    Each monomial is built by the dual Pieri rule, so the work follows
     the size of the output.  The expansion over all partitions of the
     degree is unique; when a length bound is given, any support on longer
     partitions makes the input inexpressible and raises.
@@ -284,82 +286,14 @@ def from_schur(x: Expansion, family: str = FAMILY_C) -> CPolynomial:
     return total
 
 
-def fold_product(lam: Partition, mu: Partition, polynomial, step,
-                 bound: tuple) -> dict[tuple[int, ...], int]:
-    """Coefficients of b_lam . b_mu: the product commutes and the fold costs
-    about the monomials it folds, so polynomial(lighter class) is folded from
-    the heavier one; on equal weights mu is folded from lam."""
-    if mu.weight > lam.weight:
-        lam, mu = mu, lam
-    return fold_coefficients(polynomial(mu), step, bound, lam.parts)
-
-
 def lr_multiply(lam: Partition, mu: Partition) -> Expansion:
-    """Littlewood-Richardson expansion of s_lam . s_mu by the dual Pieri fold."""
+    """Littlewood-Richardson s_lam . s_mu: the lighter class built on the heavier."""
     lam, mu = Partition(lam), Partition(mu)
-    coeffs = fold_product(lam, mu, schur_dual_jt, vertical_strip_step, (None, None))
+    lam, mu = (mu, lam) if mu.weight > lam.weight else (lam, mu)
+    check_term_budget(mu.weight)
+    coeffs = pieri_build(lam.parts, mu.parts, vertical_strip_step, (None, None),
+                         column_peel, (None, None))
     return Expansion(coeffs, degree=lam.weight + mu.weight)
-
-
-# ---------------------------------------------------------------------------
-# Schur polynomials as SSYT sums in formal variables x_1..x_N, with greedy
-# peeling by lexicographically-leading monomials (for Schur bundle classes).
-# ---------------------------------------------------------------------------
-
-XPoly = dict[tuple[int, ...], int]
-
-
-@lru_cache(maxsize=None)
-def schur_monomials(lam: Partition, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The Schur polynomial of lam in n variables as (exponent, coeff) pairs."""
-    counts: dict[tuple[int, ...], int] = {}
-    for w in ssyt_weights(Partition(lam), n):
-        counts[w] = counts.get(w, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
-def xp_mul(a: XPoly, b: XPoly) -> XPoly:
-    out: XPoly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            new = out.get(key, 0) + ca * cb
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return out
-
-
-def xp_accumulate(target: XPoly, source, factor: int = 1) -> None:
-    items = source.items() if isinstance(source, dict) else source
-    for key, coeff in items:
-        new = target.get(key, 0) + factor * coeff
-        if new:
-            target[key] = new
-        else:
-            target.pop(key, None)
-
-
-def peel_schur(poly: XPoly, n: int) -> dict[Partition, int]:
-    """Write a symmetric x-polynomial as a Schur combination by peeling.
-
-    The lexicographically-leading exponent of s_nu is nu itself with
-    coefficient 1, so repeatedly subtracting the Schur polynomial of the
-    current leading monomial terminates and recovers the coefficients.
-    """
-    work = {k: v for k, v in poly.items() if v}
-    out: dict[Partition, int] = {}
-    while work:
-        lead = max(work)
-        if any(lead[i] < lead[i + 1] for i in range(len(lead) - 1)):
-            raise ValueError(f"leading exponent {lead} is not a partition; "
-                             "input is not a Schur combination")
-        nu = Partition(lead)
-        coeff = work[lead]
-        out[nu] = coeff
-        xp_accumulate(work, schur_monomials(nu, n), -coeff)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,19 +29,10 @@ from schurcalc.polynomial import (
     monomial_key,
     truncate_family,
 )
+from schurcalc.positivity import XPoly, peel_schur, schur_monomials, xp_accumulate, xp_mul
 from schurcalc.qtilde import _q_single, qtilde_pair
 from schurcalc.rings import LagrangianRing
-from schurcalc.schur import (
-    BundleSymbol,
-    Expansion,
-    XPoly,
-    elementary_super,
-    peel_schur,
-    schur_monomials,
-    supersymmetric_s,
-    xp_accumulate,
-    xp_mul,
-)
+from schurcalc.schur import BundleSymbol, Expansion, elementary_super, supersymmetric_s
 
 # -- monomials ----------------------------------------------------------------
 

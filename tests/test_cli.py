@@ -393,6 +393,18 @@ def test_empty_partition_spellings(capsys):
             (0, [{"strict_partition": [], "coeff": "1"}])
 
 
+def test_pairing_budget_rejects_before_enumerating():
+    # LG(12) (4096 classes) fails on its cells; Gr(10,20) (184756 classes) and
+    # LG(100000) fail on their class counts before any cell is counted
+    for argv, label in ((["gr", "--r", "10", "--n", "20", "pairing"], "Gr(10,20)"),
+                        (["lg", "--n", "12", "pairing"], "LG(12)"),
+                        (["lg", "--n", "100000", "pairing"], "LG(100000)")):
+        proc = subprocess.run([sys.executable, "-m", "schurcalc", *argv],
+                              capture_output=True, timeout=30)
+        err = f"error: {label} exceeds the pairing budget: more than 75000 matrix cells\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err.encode()), argv
+
+
 def test_negative_length_bound_is_rejected():
     for argv in (["to-schur", "--length-bound", "-1", "c1"],
                  ["to-schur", "--length-bound", "-1", "0"],

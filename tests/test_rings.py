@@ -6,7 +6,7 @@ import pytest
 
 from schurcalc.partitions import Partition, StrictPartition, enumerate_partitions
 from schurcalc.polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial, truncate_family
-from schurcalc.rings import GrassmannianRing, LagrangianRing
+from schurcalc.rings import PAIRING_BUDGET, GrassmannianRing, LagrangianRing
 from schurcalc.schur import (
     BundleSymbol,
     Expansion,
@@ -96,10 +96,10 @@ def test_gr_reduce_is_ring_map():
 
 
 def test_basis_product_matches_the_reduced_product():
-    # the fold started from lam against the old route: multiply both
-    # Giambelli polynomials, then reduce
-    rings = [GrassmannianRing(r, n) for n in range(2, 7) for r in range(1, n)]
-    rings += [LagrangianRing(n) for n in range(1, 5)]
+    # the lighter class built on the heavier by its peel, against the old
+    # route: multiply both Giambelli polynomials, then reduce
+    rings = [GrassmannianRing(r, n) for n in range(2, 8) for r in range(1, n)]
+    rings += [LagrangianRing(n) for n in range(1, 6)]
     for ring in rings:
         basis = ring.all_basis()
         for lam in basis:
@@ -286,6 +286,41 @@ def test_lg_pairing_nondual_pairs_vanish():
                 assert matrix[i][j] == expected
 
 
+def test_restrict_matches_the_reduced_schur_polynomial():
+    # the column-peel build of s_lam against reducing its polynomial
+    for n in range(1, 7):
+        ring = LagrangianRing(n)
+        for d in range(n * n + 1):
+            for lam in enumerate_partitions(d, max_part=n, max_length=n):
+                result = ring.restrict(lam)
+                if d > ring.top_degree:
+                    assert result.is_zero() and result.degree == d
+                else:
+                    assert result == ring.reduce_tautological(schur_dual_jt(lam)), (n, lam)
+
+
+def test_pairing_budget_counts_cells_before_enumerating():
+    def cells(ring):
+        return sum(len(ring.basis(d)) * len(ring.basis(ring.top_degree - d))
+                   for d in range(ring.top_degree + 1))
+
+    for ring in [GrassmannianRing(r, n) for n in range(2, 10) for r in range(1, n)] + \
+            [LagrangianRing(n) for n in range(1, 9)]:
+        assert ring.basis_sizes() == [len(ring.basis(d)) for d in range(ring.top_degree + 1)]
+        assert cells(ring) <= PAIRING_BUDGET
+        ring.check_pairing_budget()
+    # the largest admitted rings of each family, and the first rejected ones
+    for ring in (GrassmannianRing(3, 22), GrassmannianRing(19, 22), GrassmannianRing(4, 15),
+                 LagrangianRing(10)):
+        ring.check_pairing_budget()
+    for ring in (GrassmannianRing(3, 23), GrassmannianRing(20, 23), GrassmannianRing(4, 16),
+                 GrassmannianRing(6, 13), LagrangianRing(11), GrassmannianRing(1, 75001)):
+        with pytest.raises(ValueError) as info:
+            ring.pairing_is_dual_permutation()
+        assert str(info.value) == \
+            f"{ring.label} exceeds the pairing budget: more than 75000 matrix cells"
+
+
 def test_lg_basis_total_count():
     for n in range(1, 5):
         assert len(LagrangianRing(n).all_basis()) == 2 ** n
@@ -308,8 +343,10 @@ def test_zero_class_keeps_its_degree():
 
 
 def test_pairing_check_is_per_degree():
-    for ring in (GrassmannianRing(2, 4), LagrangianRing(2)):
-        assert ring.pairing_is_dual_permutation()
+    rings = [GrassmannianRing(2, 4), GrassmannianRing(4, 9)]
+    rings += [LagrangianRing(n) for n in (2, 5, 6, 7, 8)]
+    for ring in rings:
+        assert ring.pairing_is_dual_permutation(), ring
         rows, cols, matrix = ring.pairing_matrix(1)
         assert ring.is_dual_permutation(rows, cols, matrix)
         broken = [[1 - v for v in row] for row in matrix]
