@@ -1,7 +1,7 @@
 """Exact Schur-function and Schubert-calculus toolkit.
 
-Schur and supersymmetric Schur functions, Q-tilde functions, the
-cohomology rings of Grassmannians and Lagrangian Grassmannians with
+Schur functions and Littlewood-Richardson products, Q-tilde functions,
+the cohomology rings of Grassmannians and Lagrangian Grassmannians with
 Poincare duality, and Schur-positivity certification of Chern-class
 polynomials, all over arbitrary-precision integers.
 
@@ -24,13 +24,11 @@ _EXPORTS = {
         "hook_contains",
     ),
     "polynomial": (
-        "CPolynomial", "specialize", "truncate_family",
+        "CPolynomial", "truncate_family",
         "FAMILY_C", "FAMILY_CPRIME", "FAMILY_V1", "FAMILY_V2",
     ),
     "schur": (
-        "BundleSymbol", "Expansion", "complete_from_elementary",
-        "supersymmetric_s", "schur_jt", "schur_dual_jt", "to_schur",
-        "from_schur", "lr_multiply", "super_split",
+        "Expansion", "schur_dual_jt", "to_schur", "from_schur", "lr_multiply",
     ),
     "qtilde": ("qtilde",),
     "rings": ("GrassmannianRing", "LagrangianRing"),

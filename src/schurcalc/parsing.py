@@ -209,40 +209,6 @@ def parse(text: str) -> Expression:
     return _Parser(text).parse()
 
 
-# -- printer ----------------------------------------------------------------
-
-
-def to_text(expr: Expression) -> str:
-    """Canonical text form; parsing it back yields an equal AST."""
-    if isinstance(expr, Num):
-        return str(expr.value)
-    if isinstance(expr, Gen):
-        if expr.family in (FAMILY_V1, FAMILY_V2):
-            return expr.family
-        return f"{expr.family}{expr.index}"
-    if isinstance(expr, Basis):
-        return f"{expr.kind}[{','.join(str(p) for p in expr.parts)}]"
-    if isinstance(expr, Pow):
-        base = to_text(expr.base)
-        if isinstance(expr.base, (Sum, Prod, Pow)):
-            base = f"({base})"
-        return f"{base}^{expr.exponent}"
-    if isinstance(expr, Prod):
-        pieces = []
-        for f in expr.factors:
-            text = to_text(f)
-            if isinstance(f, Sum):
-                text = f"({text})"
-            pieces.append(text)
-        return "*".join(pieces)
-    if isinstance(expr, Sum):
-        out = to_text(expr.first)
-        for op, term in expr.rest:
-            out += f" {op} {to_text(term)}"
-        return out
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 # -- evaluation -------------------------------------------------------------
 
 

@@ -137,6 +137,7 @@ def rectangle_dual(lam: Partition, r: int, n: int) -> Partition:
     cols = n - r
     if not lam.fits_rectangle(r, cols):
         raise ValueError(f"{lam!r} does not fit in the {r}x{cols} rectangle")
+    check_part_budget(r - lam.parts.count(cols))
     return Partition(cols - lam.part(r - i) for i in range(r))
 
 
@@ -145,6 +146,7 @@ def strict_complement(mu: StrictPartition, n: int) -> StrictPartition:
     mu = StrictPartition(mu)
     if mu.parts and mu.parts[0] > n:
         raise ValueError(f"{mu!r} is not contained in the staircase of {n}")
+    check_part_budget(n - len(mu))
     present = set(mu.parts)
     return StrictPartition([k for k in range(n, 0, -1) if k not in present])
 
@@ -214,12 +216,11 @@ def check_term_budget(d: int | None) -> None:
                          f"p({d}) > {TERM_BUDGET} terms")
 
 
-def partitions_up_to(d: int) -> list[Partition]:
-    """All partitions of weight at most d in the global order."""
-    out: list[Partition] = []
-    for k in range(d + 1):
-        out.extend(enumerate_partitions(k))
-    return out
+def check_part_budget(parts: int) -> None:
+    """Reject a dual index of more than TERM_BUDGET parts before it is built."""
+    if parts > TERM_BUDGET:
+        raise ValueError(f"the dual index exceeds the output budget: "
+                         f"{parts} > {TERM_BUDGET} parts")
 
 
 def hook_contains(lam: Partition, n: int, m: int) -> bool:

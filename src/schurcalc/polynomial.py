@@ -265,34 +265,6 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def specialize(p: CPolynomial, assignment: dict[Generator, CPolynomial]) -> CPolynomial:
-    """Simultaneous substitution of generators by polynomials.
-
-    Each assigned generator must map to zero or to a homogeneous polynomial
-    of the same degree, so specialization preserves the grading.
-    """
-    for g, value in assignment.items():
-        if value.is_zero():
-            continue
-        if value.homogeneous_degree() != generator_degree(g):
-            raise ValueError(
-                f"assignment for {generator_name(g)} must be homogeneous of degree "
-                f"{generator_degree(g)}"
-            )
-    result = CPolynomial.zero()
-    for mono, coeff in p.terms.items():
-        term = CPolynomial.constant(coeff)
-        for g, e in mono:
-            if g in assignment:
-                term = term * assignment[g] ** e
-                if term.is_zero():
-                    break
-            else:
-                term = term * CPolynomial.from_monomial(((g, e),))
-        result = result + term
-    return result
-
-
 def truncate_family(p: CPolynomial, family: str, rank: int) -> CPolynomial:
     """Set every generator of the family with index above rank to zero.
 

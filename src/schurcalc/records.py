@@ -1,7 +1,7 @@
 """Plain value records over __slots__.
 
-The AST nodes, bundle symbols, reports and table entries are small records:
-a fixed list of fields, equality by type and fields, and a
+The AST nodes, reports and table entries are small records: a fixed
+list of fields, equality by type and fields, and a
 Name(field=value, ...) repr.  Record gives them that from their __slots__,
 without the import cost of dataclasses (which loads inspect and ast and
 generates code for each class).

@@ -21,6 +21,8 @@ Every step is a product of basis classes in the ring, so the bound is exact.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .partitions import (
     Partition,
     StrictPartition,
@@ -51,9 +53,10 @@ class SchubertRing:
     """A graded quotient ring with a self-dual Schubert basis.
 
     Subclasses set key (the type of the basis indices), label, rank (the
-    generators are c_1..c_rank), top_degree, point_class, step, bound and
-    peel, and define basis, basis_index, basis_polynomial, dual,
-    classes_exceed and basis_sizes.
+    generators are c_1..c_rank), top_degree, step, bound and peel, and
+    define point_class, basis, basis_index, basis_polynomial, dual,
+    classes_exceed and basis_sizes.  The point class has as many parts as
+    the rank, so it is built on first use: only integrate reads it.
     """
 
     def __repr__(self) -> str:
@@ -170,10 +173,13 @@ class GrassmannianRing(SchubertRing):
         self.rank = r
         self.label = f"Gr({r},{n})"
         self.top_degree = r * self.cols
-        self.point_class = Partition((self.cols,) * r)
         self.step = vertical_strip_step
         self.bound = (r, self.cols)
         self.peel = column_peel
+
+    @cached_property
+    def point_class(self) -> Partition:
+        return Partition((self.cols,) * self.r)
 
     def basis(self, d: int) -> list[Partition]:
         return enumerate_partitions(d, max_part=self.cols, max_length=self.r)
@@ -226,10 +232,13 @@ class LagrangianRing(SchubertRing):
         self.rank = n
         self.label = f"LG({n})"
         self.top_degree = n * (n + 1) // 2
-        self.point_class = staircase(n)
         self.step = qtilde_pieri_step
         self.bound = (n,)
         self.peel = row_peel
+
+    @cached_property
+    def point_class(self) -> StrictPartition:
+        return staircase(self.n)
 
     def basis(self, d: int) -> list[StrictPartition]:
         return enumerate_strict_partitions(d, self.n)

@@ -1,11 +1,11 @@
-"""Schur and supersymmetric Schur functions as exact c-polynomials.
+"""Schur functions as exact c-polynomials, and expansions over them.
 
 One memoized recursion, pieri_build, builds b_start . X_mu with a Pieri
 step c_k . b_lam, peeling X_mu as c_k . X_nu less its other strips.  With
 the dual Pieri step (c_k = s_(1^k) adds vertical k-strips) it expands
 c-monomials and s_lam . s_mu in the Schur basis and, in an r x (n-r) box,
 reduces in H*(Gr(r, n)); with the Q-tilde step it works in H*(LG(n)).  On
-c-monomials it builds s_lam itself; s_lam(E - F) follows by substitution.
+c-monomials it builds s_lam itself.
 """
 
 from __future__ import annotations
@@ -13,94 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .partitions import Partition, check_term_budget
-from .polynomial import (
-    FAMILY_C,
-    FAMILY_CPRIME,
-    CPolynomial,
-    specialize,
-    truncate_family,
-)
-from .records import FrozenRecord
-
-
-class BundleSymbol(FrozenRecord):
-    """An abstract vector bundle: a generator family plus an optional rank.
-
-    rank None means unbounded (the universal, stable case); a finite rank
-    forces c_k = 0 for k above it.
-    """
-
-    __slots__ = ("family", "rank")
-    defaults = {"family": FAMILY_C, "rank": None}
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if self.family not in (FAMILY_C, FAMILY_CPRIME):
-            raise ValueError(f"bundle family must be c or c', got {self.family!r}")
-        if self.rank is not None and self.rank < 0:
-            raise ValueError("rank must be nonnegative")
-
-
-def chern_class(E: BundleSymbol, k: int) -> CPolynomial:
-    """c_k(E): 1 for k = 0, zero for k < 0 or beyond the rank."""
-    if k < 0:
-        return CPolynomial.zero()
-    if k == 0:
-        return CPolynomial.one()
-    if E.rank is not None and k > E.rank:
-        return CPolynomial.zero()
-    return CPolynomial.gen(E.family, k)
-
-
-@lru_cache(maxsize=None)
-def complete_from_elementary(k: int, E: BundleSymbol = BundleSymbol()) -> CPolynomial:
-    """s_k(E) = h_k in the Chern generators of E: s_(k) with c_i = 0 above the rank."""
-    if k < 0:
-        return CPolynomial.zero()
-    h = schur_dual_jt(Partition([k]), E.family)
-    return h if E.rank is None else truncate_family(h, E.family, E.rank)
-
-
-@lru_cache(maxsize=None)
-def supersymmetric_s(k: int, E: BundleSymbol = BundleSymbol(),
-                     F: BundleSymbol | None = None) -> CPolynomial:
-    """s_k(E - F), the degree-k class of the series prod(1-fz)/prod(1-ez).
-
-    Convolution of the Chern classes of F against the complete classes of E:
-    s_k(E - F) = sum_{j=0..k} (-1)^j c_j(F) h_{k-j}(E).
-    """
-    if k < 0:
-        return CPolynomial.zero()
-    if F is None:
-        return complete_from_elementary(k, E)
-    if F.family == E.family:
-        raise ValueError("E and F must use distinct generator families")
-    total = CPolynomial.zero()
-    for j in range(k + 1):
-        cj = chern_class(F, j)
-        if cj.is_zero():
-            continue
-        term = cj * complete_from_elementary(k - j, E)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
-@lru_cache(maxsize=None)
-def elementary_super(k: int, E: BundleSymbol = BundleSymbol(),
-                     F: BundleSymbol | None = None) -> CPolynomial:
-    """s_(1^k)(E - F) = (-1)^k s_k(F - E), the degree-k class of c(E) / c(F)."""
-    if F is None or k <= 0:
-        return chern_class(E, k)
-    value = supersymmetric_s(k, F, E)
-    return value if k % 2 == 0 else -value
-
-
-@lru_cache(maxsize=None)
-def schur_jt(lam: Partition, E: BundleSymbol = BundleSymbol(),
-             F: BundleSymbol | None = None) -> CPolynomial:
-    """s_lambda(E - F): s_lambda with c_i read as s_(1^i)(E - F), which is
-    the Jacobi-Trudi determinant |s_{lambda_i - i + j}(E - F)| unexpanded."""
-    return supersymmetrize(schur_dual_jt(Partition(lam)), E, F)
+from .polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial
 
 
 @lru_cache(maxsize=None)
@@ -294,64 +207,3 @@ def lr_multiply(lam: Partition, mu: Partition) -> Expansion:
     coeffs = pieri_build(lam.parts, mu.parts, vertical_strip_step, (None, None),
                          column_peel, (None, None))
     return Expansion(coeffs, degree=lam.weight + mu.weight)
-
-
-# ---------------------------------------------------------------------------
-# Supersymmetric splitting: s_lambda(E - F) over products s_alpha(E).s_beta(F*)
-# ---------------------------------------------------------------------------
-
-
-def supersymmetrize(p: CPolynomial, E: BundleSymbol, F: BundleSymbol) -> CPolynomial:
-    """Transport a c-polynomial along c_i -> s_{(1^i)}(E - F).
-
-    Under this substitution the Schur expansion of p becomes its expansion
-    over the supersymmetric Schur functions s_lambda(E - F) with the same
-    coefficients.
-    """
-    indices = {g[1] for g in p.generators()}
-    assignment = {(FAMILY_C, i): elementary_super(i, E, F) for i in indices}
-    return specialize(p, assignment)
-
-
-def super_split_poly(p: CPolynomial) -> dict[tuple[Partition, Partition], int]:
-    """Expand a (c, c')-polynomial over the basis s_alpha(E) . s_beta(F*).
-
-    E is carried by the c family and F by the c' family; s_beta(F*) is the
-    Schur determinant in the dual classes c_j(F*) = (-1)^j c_j(F).
-    """
-    if p.is_zero():
-        return {}
-    d = p.homogeneous_degree()
-    groups: dict[tuple, dict] = {}
-    for mono, coeff in p.terms.items():
-        cpart = tuple((g, e) for g, e in mono if g[0] == FAMILY_C)
-        fpart = tuple((g, e) for g, e in mono if g[0] == FAMILY_CPRIME)
-        if len(cpart) + len(fpart) != len(mono):
-            raise ValueError("splitting expects c/c' generators only")
-        groups.setdefault(fpart, {})[cpart] = coeff
-    by_alpha: dict[Partition, CPolynomial] = {}
-    for fmono, cterms in groups.items():
-        for alpha, coeff in to_schur(CPolynomial(cterms)).items():
-            piece = CPolynomial.from_monomial(fmono, coeff)
-            by_alpha[alpha] = by_alpha.get(alpha, CPolynomial.zero()) + piece
-    out: dict[tuple[Partition, Partition], int] = {}
-    for alpha, r_alpha in by_alpha.items():
-        # c'_j -> (-1)^j c'_j is a global sign on the homogeneous slice
-        sign = -1 if (d - alpha.weight) % 2 else 1
-        for beta, coeff in to_schur(r_alpha).items():
-            value = sign * coeff
-            if value:
-                out[(alpha, beta)] = value
-    return out
-
-
-def super_split(lam: Partition, rank_E: int | None = None,
-                rank_F: int | None = None) -> dict[tuple[Partition, Partition], int]:
-    """Write s_lambda(E - F) as sum b_{alpha,beta} s_alpha(E) . s_beta(F*).
-
-    The pure-E slice beta = {} recovers the supersymmetric coefficients;
-    in particular b_{lambda, {}} = 1.
-    """
-    E = BundleSymbol(FAMILY_C, rank_E)
-    F = BundleSymbol(FAMILY_CPRIME, rank_F)
-    return super_split_poly(schur_jt(Partition(lam), E, F))

@@ -1,8 +1,16 @@
 """Independent reference computations for the test suite.
 
 None of this is production code: each function recomputes by a different
-route something that schurcalc computes by its Pieri folds.
+route something that schurcalc computes by its Pieri folds, or is a
+reference identity that no schurcalc command needs.
 
+* Partitions up to a weight, the canonical text of a syntax tree, and
+  simultaneous substitution of generators by polynomials.
+* The supersymmetric layer: s_lambda(E - F) for bundle symbols E and F,
+  by reading c_i as s_(1^i)(E - F) in s_lambda, and its split over
+  products s_alpha(E) . s_beta(F*).  Without F it only re-derives plain
+  classes: schur_jt(lam) is schur_dual_jt(lam), complete_from_elementary(k)
+  is schur_dual_jt((k,)) and elementary_super(k) is c_k.
 * The Schur expansion and Littlewood-Richardson products by brute-force
   monomial expansion in formal variables, with greedy peeling.
 * Both Jacobi-Trudi determinants of s_lambda(E - F), expanded by
@@ -20,19 +28,68 @@ from __future__ import annotations
 from functools import lru_cache
 
 from schurcalc.linalg import matrix_rank, solve_exact
+from schurcalc.parsing import Basis, Expression, Gen, Num, Pow, Prod, Sum
 from schurcalc.partitions import Partition, enumerate_partitions
 from schurcalc.polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
+    FAMILY_V1,
+    FAMILY_V2,
     CPolynomial,
+    Generator,
     Monomial,
+    generator_degree,
+    generator_name,
     monomial_key,
     truncate_family,
 )
 from schurcalc.positivity import XPoly, peel_schur, schur_monomials, xp_accumulate, xp_mul
 from schurcalc.qtilde import _q_single, qtilde_pair
+from schurcalc.records import FrozenRecord
 from schurcalc.rings import LagrangianRing
-from schurcalc.schur import BundleSymbol, Expansion, elementary_super, supersymmetric_s
+from schurcalc.schur import Expansion, schur_dual_jt, to_schur
+
+# -- partitions and expressions -----------------------------------------------
+
+
+def partitions_up_to(d: int) -> list[Partition]:
+    """All partitions of weight at most d in the global order."""
+    out: list[Partition] = []
+    for k in range(d + 1):
+        out.extend(enumerate_partitions(k))
+    return out
+
+
+def to_text(expr: Expression) -> str:
+    """Canonical text form; parsing it back yields an equal AST."""
+    if isinstance(expr, Num):
+        return str(expr.value)
+    if isinstance(expr, Gen):
+        if expr.family in (FAMILY_V1, FAMILY_V2):
+            return expr.family
+        return f"{expr.family}{expr.index}"
+    if isinstance(expr, Basis):
+        return f"{expr.kind}[{','.join(str(p) for p in expr.parts)}]"
+    if isinstance(expr, Pow):
+        base = to_text(expr.base)
+        if isinstance(expr.base, (Sum, Prod, Pow)):
+            base = f"({base})"
+        return f"{base}^{expr.exponent}"
+    if isinstance(expr, Prod):
+        pieces = []
+        for f in expr.factors:
+            text = to_text(f)
+            if isinstance(f, Sum):
+                text = f"({text})"
+            pieces.append(text)
+        return "*".join(pieces)
+    if isinstance(expr, Sum):
+        out = to_text(expr.first)
+        for op, term in expr.rest:
+            out += f" {op} {to_text(term)}"
+        return out
+    raise TypeError(f"not an expression node: {expr!r}")
+
 
 # -- monomials ----------------------------------------------------------------
 
@@ -52,6 +109,179 @@ def monomials_of_degree(d: int, family: str, max_index: int | None = None) -> tu
         out.append(tuple(((family, idx), e) for idx, e in sorted(exps.items())))
     out.sort(key=monomial_key)
     return tuple(out)
+
+
+# -- substitution -------------------------------------------------------------
+
+
+def specialize(p: CPolynomial, assignment: dict[Generator, CPolynomial]) -> CPolynomial:
+    """Simultaneous substitution of generators by polynomials.
+
+    Each assigned generator must map to zero or to a homogeneous polynomial
+    of the same degree, so specialization preserves the grading.
+    """
+    for g, value in assignment.items():
+        if value.is_zero():
+            continue
+        if value.homogeneous_degree() != generator_degree(g):
+            raise ValueError(
+                f"assignment for {generator_name(g)} must be homogeneous of degree "
+                f"{generator_degree(g)}"
+            )
+    result = CPolynomial.zero()
+    for mono, coeff in p.terms.items():
+        term = CPolynomial.constant(coeff)
+        for g, e in mono:
+            if g in assignment:
+                term = term * assignment[g] ** e
+                if term.is_zero():
+                    break
+            else:
+                term = term * CPolynomial.from_monomial(((g, e),))
+        result = result + term
+    return result
+
+
+# -- the supersymmetric layer: s_lambda(E - F) --------------------------------
+
+
+class BundleSymbol(FrozenRecord):
+    """An abstract vector bundle: a generator family plus an optional rank.
+
+    rank None means unbounded (the universal, stable case); a finite rank
+    forces c_k = 0 for k above it.
+    """
+
+    __slots__ = ("family", "rank")
+    defaults = {"family": FAMILY_C, "rank": None}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.family not in (FAMILY_C, FAMILY_CPRIME):
+            raise ValueError(f"bundle family must be c or c', got {self.family!r}")
+        if self.rank is not None and self.rank < 0:
+            raise ValueError("rank must be nonnegative")
+
+
+def chern_class(E: BundleSymbol, k: int) -> CPolynomial:
+    """c_k(E): 1 for k = 0, zero for k < 0 or beyond the rank."""
+    if k < 0:
+        return CPolynomial.zero()
+    if k == 0:
+        return CPolynomial.one()
+    if E.rank is not None and k > E.rank:
+        return CPolynomial.zero()
+    return CPolynomial.gen(E.family, k)
+
+
+@lru_cache(maxsize=None)
+def complete_from_elementary(k: int, E: BundleSymbol = BundleSymbol()) -> CPolynomial:
+    """s_k(E) = h_k in the Chern generators of E: s_(k) with c_i = 0 above the rank."""
+    if k < 0:
+        return CPolynomial.zero()
+    h = schur_dual_jt(Partition([k]), E.family)
+    return h if E.rank is None else truncate_family(h, E.family, E.rank)
+
+
+@lru_cache(maxsize=None)
+def supersymmetric_s(k: int, E: BundleSymbol = BundleSymbol(),
+                     F: BundleSymbol | None = None) -> CPolynomial:
+    """s_k(E - F), the degree-k class of the series prod(1-fz)/prod(1-ez).
+
+    Convolution of the Chern classes of F against the complete classes of E:
+    s_k(E - F) = sum_{j=0..k} (-1)^j c_j(F) h_{k-j}(E).
+    """
+    if k < 0:
+        return CPolynomial.zero()
+    if F is None:
+        return complete_from_elementary(k, E)
+    if F.family == E.family:
+        raise ValueError("E and F must use distinct generator families")
+    total = CPolynomial.zero()
+    for j in range(k + 1):
+        cj = chern_class(F, j)
+        if cj.is_zero():
+            continue
+        term = cj * complete_from_elementary(k - j, E)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+@lru_cache(maxsize=None)
+def elementary_super(k: int, E: BundleSymbol = BundleSymbol(),
+                     F: BundleSymbol | None = None) -> CPolynomial:
+    """s_(1^k)(E - F) = (-1)^k s_k(F - E), the degree-k class of c(E) / c(F)."""
+    if F is None or k <= 0:
+        return chern_class(E, k)
+    value = supersymmetric_s(k, F, E)
+    return value if k % 2 == 0 else -value
+
+
+@lru_cache(maxsize=None)
+def schur_jt(lam: Partition, E: BundleSymbol = BundleSymbol(),
+             F: BundleSymbol | None = None) -> CPolynomial:
+    """s_lambda(E - F): s_lambda with c_i read as s_(1^i)(E - F), which is
+    the Jacobi-Trudi determinant |s_{lambda_i - i + j}(E - F)| unexpanded."""
+    return supersymmetrize(schur_dual_jt(Partition(lam)), E, F)
+
+
+# -- s_lambda(E - F) split over s_alpha(E) . s_beta(F*) -----------------------
+
+
+def supersymmetrize(p: CPolynomial, E: BundleSymbol, F: BundleSymbol) -> CPolynomial:
+    """Transport a c-polynomial along c_i -> s_{(1^i)}(E - F).
+
+    Under this substitution the Schur expansion of p becomes its expansion
+    over the supersymmetric Schur functions s_lambda(E - F) with the same
+    coefficients.
+    """
+    indices = {g[1] for g in p.generators()}
+    assignment = {(FAMILY_C, i): elementary_super(i, E, F) for i in indices}
+    return specialize(p, assignment)
+
+
+def super_split_poly(p: CPolynomial) -> dict[tuple[Partition, Partition], int]:
+    """Expand a (c, c')-polynomial over the basis s_alpha(E) . s_beta(F*).
+
+    E is carried by the c family and F by the c' family; s_beta(F*) is the
+    Schur determinant in the dual classes c_j(F*) = (-1)^j c_j(F).
+    """
+    if p.is_zero():
+        return {}
+    d = p.homogeneous_degree()
+    groups: dict[tuple, dict] = {}
+    for mono, coeff in p.terms.items():
+        cpart = tuple((g, e) for g, e in mono if g[0] == FAMILY_C)
+        fpart = tuple((g, e) for g, e in mono if g[0] == FAMILY_CPRIME)
+        if len(cpart) + len(fpart) != len(mono):
+            raise ValueError("splitting expects c/c' generators only")
+        groups.setdefault(fpart, {})[cpart] = coeff
+    by_alpha: dict[Partition, CPolynomial] = {}
+    for fmono, cterms in groups.items():
+        for alpha, coeff in to_schur(CPolynomial(cterms)).items():
+            piece = CPolynomial.from_monomial(fmono, coeff)
+            by_alpha[alpha] = by_alpha.get(alpha, CPolynomial.zero()) + piece
+    out: dict[tuple[Partition, Partition], int] = {}
+    for alpha, r_alpha in by_alpha.items():
+        # c'_j -> (-1)^j c'_j is a global sign on the homogeneous slice
+        sign = -1 if (d - alpha.weight) % 2 else 1
+        for beta, coeff in to_schur(r_alpha).items():
+            value = sign * coeff
+            if value:
+                out[(alpha, beta)] = value
+    return out
+
+
+def super_split(lam: Partition, rank_E: int | None = None,
+                rank_F: int | None = None) -> dict[tuple[Partition, Partition], int]:
+    """Write s_lambda(E - F) as sum b_{alpha,beta} s_alpha(E) . s_beta(F*).
+
+    The pure-E slice beta = {} recovers the supersymmetric coefficients;
+    in particular b_{lambda, {}} = 1.
+    """
+    E = BundleSymbol(FAMILY_C, rank_E)
+    F = BundleSymbol(FAMILY_CPRIME, rank_F)
+    return super_split_poly(schur_jt(Partition(lam), E, F))
 
 
 # -- Schur functions by determinants --------------------------------------------

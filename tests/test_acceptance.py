@@ -21,7 +21,6 @@ from schurcalc.partitions import (
     Partition,
     enumerate_partitions,
     hook_contains,
-    partitions_up_to,
 )
 from schurcalc.polynomial import (
     FAMILY_C,
@@ -30,22 +29,19 @@ from schurcalc.polynomial import (
 )
 from schurcalc.positivity import CLASSICAL_THOM_TABLE, certify, verify_thom_table
 from schurcalc.rings import GrassmannianRing, LagrangianRing
-from schurcalc.schur import (
-    BundleSymbol,
-    lr_multiply,
-    schur_dual_jt,
-    schur_jt,
-    super_split_poly,
-    supersymmetrize,
-    to_schur,
-)
+from schurcalc.schur import lr_multiply, schur_dual_jt, to_schur
 from schurcalc.positivity import schur_bundle_class
 
 from oracles import (
+    BundleSymbol,
     dimension_identity,
     ideal_generator,
     lr_oracle,
     monomials_of_degree,
+    partitions_up_to,
+    schur_jt,
+    super_split_poly,
+    supersymmetrize,
     to_schur_oracle,
 )
 

@@ -1,5 +1,7 @@
 import ast
 import json
+import re
+import resource
 import subprocess
 import sys
 from functools import lru_cache
@@ -218,12 +220,23 @@ def test_production_is_integer_only():
         return {name for name, value in vars(module).items()
                 if getattr(value, "__module__", None) == module.__name__}
     oracle_names = defined_in(oracles) | defined_in(linalg)
+    # the supersymmetric layer, substitution, the syntax-tree printer and
+    # partitions_up_to are reached by no command: they live with the oracles
+    test_only = {"BundleSymbol", "chern_class", "complete_from_elementary",
+                 "supersymmetric_s", "elementary_super", "schur_jt", "supersymmetrize",
+                 "super_split_poly", "super_split", "specialize", "to_text",
+                 "partitions_up_to"}
     assert {"lr_oracle", "to_schur_oracle", "lg_reduce_by_solve", "poly_det",
-            "schur_jt_h_form", "solve_exact", "NonUniqueSolutionError"} <= oracle_names
+            "schur_jt_h_form", "solve_exact", "NonUniqueSolutionError"} | test_only \
+        <= oracle_names
     assert not oracle_names & set(schurcalc.__all__)
-    # Schur classes come from the Pieri fold: no determinant is expanded
     for path in package.glob("*.py"):
-        assert "poly_det" not in path.read_text(), path.name
+        text = path.read_text()
+        # Schur classes come from the Pieri fold: no determinant is expanded
+        assert "poly_det" not in text, path.name
+        defined = {node.name for node in ast.parse(text).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not defined & test_only, path.name
 
 
 @lru_cache(maxsize=None)
@@ -243,9 +256,11 @@ def _cold_imports(*argv):
     return names
 
 
-_BUILD = {"partitions", "polynomial", "records", "schur"}
+_BUILD = {"partitions", "polynomial", "schur"}
 _RING = {"cli", "qtilde", "rings"} | _BUILD
-_GRAMMAR = {"parsing", "qtilde"} | _BUILD
+# records holds the base of the syntax-tree nodes and of the reports
+_GRAMMAR = {"parsing", "qtilde", "records"} | _BUILD
+_POSITIVITY = {"cli", "positivity", "records"}
 
 # per command, exactly the schurcalc submodules it loads: the grammar only
 # where an expression is read, legendrian only for the Legendrian tables
@@ -255,17 +270,16 @@ _COLD_LOADS = [
     (("lr", "2,1", "1"), {"cli"} | _BUILD),
     (("qtilde", "2,1"), {"cli", "partitions", "polynomial", "qtilde"}),
     (("schur-bundle", "--rank", "2", "--functor", "1", "--class", "1"),
-     {"cli", "positivity"} | _BUILD),
+     _POSITIVITY | _BUILD),
     (("to-schur", "c1^2"), {"cli"} | _GRAMMAR),
-    (("certify", "c1^2"), {"cli", "positivity"} | _GRAMMAR),
+    (("certify", "c1^2"), _POSITIVITY | _GRAMMAR),
     (("gr", "--r", "2", "--n", "4", "pairing"), _RING),
     (("lg", "--n", "3", "pairing"), _RING),
     (("gr", "--r", "2", "--n", "4", "dual", "1"), _RING),
     (("lg", "--n", "3", "restrict", "1"), _RING),
     (("gr", "--r", "2", "--n", "4", "reduce", "c1^2"), _RING | _GRAMMAR),
-    (("thom-verify", "--table", "classical"), {"cli", "positivity"} | _GRAMMAR),
-    (("thom-verify", "--table", "legendrian"),
-     {"cli", "positivity", "legendrian"} | _GRAMMAR),
+    (("thom-verify", "--table", "classical"), _POSITIVITY | _GRAMMAR),
+    (("thom-verify", "--table", "legendrian"), {"legendrian"} | _POSITIVITY | _GRAMMAR),
 ]
 
 
@@ -435,3 +449,62 @@ def test_output_budget_rejects_before_evaluation(capsys):
     code, payload = run_json(capsys, "gr", "--r", "6", "--n", "14", "integrate", "c1^48")
     hooks = prod(13 - i - j for i in range(6) for j in range(8))
     assert (code, payload) == (0, {"ring": "Gr(6,14)", "value": str(factorial(48) // hooks)})
+
+
+def _limit_address_space():
+    # an index of 10^8 parts takes gigabytes, so a regression fails fast
+    # with a MemoryError instead of filling the machine
+    limit = 1536 * 2 ** 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_huge_rings_build_only_what_the_command_prints():
+    # the point class is built on first use and only integrate reads it, so
+    # a huge ring reduces and rejects at once; a dual index of more than
+    # 37338 parts is rejected before it is built
+    cases = [
+        (["lg", "--n", "100000000", "reduce", "c1"], 0,
+         b'{"ring":"LG(100000000)","degree":1,'
+         b'"expansion":[{"strict_partition":[1],"coeff":"1"}]}\n', b""),
+        (["gr", "--r", "50000000", "--n", "100000000", "reduce", "c1"], 0,
+         b'{"ring":"Gr(50000000,100000000)","degree":1,'
+         b'"expansion":[{"partition":[1],"coeff":"1"}]}\n', b""),
+        (["lg", "--n", "100000000", "integrate", "c1"], 2, b"",
+         b"error: integration needs degree 5000000050000000, got 1\n"),
+        (["lg", "--n", "100000000", "dual", "1"], 2, b"",
+         b"error: the dual index exceeds the output budget: 99999999 > 37338 parts\n"),
+        (["gr", "--r", "50000000", "--n", "100000000", "dual", "1"], 2, b"",
+         b"error: the dual index exceeds the output budget: 50000000 > 37338 parts\n"),
+        (["lg", "--n", "37340", "dual", "1"], 2, b"",
+         b"error: the dual index exceeds the output budget: 37339 > 37338 parts\n"),
+        # an index outside the ring is reported before the budget
+        (["lg", "--n", "100000000", "dual", "100000001"], 2, b"",
+         b"error: StrictPartition([100000001]) is not contained in the staircase "
+         b"of 100000000\n"),
+    ]
+    for argv, code, out, err in cases:
+        proc = subprocess.run([sys.executable, "-m", "schurcalc", *argv], capture_output=True,
+                              timeout=30, preexec_fn=_limit_address_space)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+    # the largest dual within the budget has 37338 parts
+    code, out, err = run_cli("lg", "--n", "37339", "dual", "1")
+    assert (code, err) == (0, b"")
+    assert json.loads(out) == {"strict_partition": list(range(37339, 1, -1))}
+
+
+def test_readme_library_quick_start():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Library quick start"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    src = str(Path(schurcalc.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "POSITIVE",
+        "[{'partition': [4], 'coeff': '1'}, {'partition': [3, 1], 'coeff': '9'}, "
+        "{'partition': [2, 2], 'coeff': '10'}, {'partition': [2, 1, 1], 'coeff': '26'}, "
+        "{'partition': [1, 1, 1, 1], 'coeff': '24'}]",
+        "2",
+        "[{'strict_partition': [3], 'coeff': '1'}, {'strict_partition': [2, 1], 'coeff': '1'}]",
+    ]

@@ -13,13 +13,14 @@ from schurcalc.parsing import (
     evaluate_text,
     expression_degree,
     parse,
-    to_text,
 )
 from schurcalc.partitions import Partition
 from schurcalc.polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial
 from schurcalc.positivity import CLASSICAL_THOM_TABLE
 from schurcalc.qtilde import qtilde
 from schurcalc.schur import schur_dual_jt
+
+from oracles import to_text
 
 
 def c(i):

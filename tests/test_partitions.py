@@ -15,11 +15,12 @@ from schurcalc.partitions import (
     hook_contains,
     parse_partition_arg,
     partition_count,
-    partitions_up_to,
     rectangle_dual,
     staircase,
     strict_complement,
 )
+
+from oracles import partitions_up_to
 
 
 def test_construction_strips_zeros_and_validates():

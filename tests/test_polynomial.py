@@ -8,13 +8,12 @@ from schurcalc.polynomial import (
     FAMILY_V1,
     FAMILY_V2,
     CPolynomial,
-    specialize,
     truncate_family,
 )
 from schurcalc.partitions import Partition, enumerate_partitions
 from schurcalc.qtilde import qtilde
 
-from oracles import monomials_of_degree, poly_det
+from oracles import monomials_of_degree, poly_det, specialize
 
 
 def monomial_to_partition(mono):

@@ -1,6 +1,6 @@
 import pytest
 
-from schurcalc.partitions import Partition, enumerate_partitions, hook_contains, partitions_up_to
+from schurcalc.partitions import Partition, enumerate_partitions, hook_contains
 from schurcalc.polynomial import FAMILY_C, CPolynomial
 from schurcalc.positivity import (
     CLASSICAL_THOM_TABLE,
@@ -14,7 +14,7 @@ from schurcalc.positivity import (
 )
 from schurcalc.schur import schur_dual_jt
 
-from oracles import to_schur_oracle
+from oracles import partitions_up_to, to_schur_oracle
 
 
 def c(i):

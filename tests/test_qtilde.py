@@ -4,14 +4,13 @@ from schurcalc.partitions import (
     Partition,
     StrictPartition,
     enumerate_strict_partitions,
-    partitions_up_to,
 )
 from schurcalc.polynomial import FAMILY_C, CPolynomial
 from schurcalc.qtilde import qtilde, qtilde_pair
 from schurcalc.rings import LagrangianRing
 from schurcalc.schur import Expansion
 
-from oracles import ideal_generator, qtilde_two_rules
+from oracles import ideal_generator, partitions_up_to, qtilde_two_rules
 
 
 def c(i):

@@ -4,10 +4,12 @@ import pickle
 import pytest
 
 from schurcalc.legendrian import LegendrianClass, LegendrianTableEntry
-from schurcalc.parsing import Basis, Gen, Num, Pow, Prod, Sum, parse, to_text
+from schurcalc.parsing import Basis, Gen, Num, Pow, Prod, Sum, parse
 from schurcalc.polynomial import CPolynomial
 from schurcalc.positivity import PositivityReport, ThomTableEntry
-from schurcalc.schur import BundleSymbol, Expansion
+from schurcalc.schur import Expansion
+
+from oracles import BundleSymbol, to_text
 
 C1 = Gen("c", 1)
 

@@ -7,14 +7,11 @@ import pytest
 from schurcalc.partitions import Partition, StrictPartition, enumerate_partitions
 from schurcalc.polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial, truncate_family
 from schurcalc.rings import PAIRING_BUDGET, GrassmannianRing, LagrangianRing
-from schurcalc.schur import (
-    BundleSymbol,
-    Expansion,
-    complete_from_elementary,
-    schur_dual_jt,
-)
+from schurcalc.schur import Expansion, schur_dual_jt
 
 from oracles import (
+    BundleSymbol,
+    complete_from_elementary,
     dimension_identity,
     ideal_generator,
     lg_reduce_by_solve,

@@ -9,7 +9,6 @@ from schurcalc.partitions import (
     StrictPartition,
     enumerate_partitions,
     hook_contains,
-    partitions_up_to,
 )
 from schurcalc.polynomial import (
     FAMILY_C,
@@ -17,26 +16,27 @@ from schurcalc.polynomial import (
     CPolynomial,
 )
 from schurcalc.schur import (
-    BundleSymbol,
     Expansion,
-    complete_from_elementary,
-    elementary_super,
     from_schur,
     lr_multiply,
     schur_dual_jt,
-    schur_jt,
-    super_split,
-    super_split_poly,
-    supersymmetric_s,
-    supersymmetrize,
     to_schur,
 )
 
 from oracles import (
+    BundleSymbol,
+    complete_from_elementary,
+    elementary_super,
     lr_oracle,
     monomials_of_degree,
+    partitions_up_to,
+    schur_jt,
     schur_jt_dual_form,
     schur_jt_h_form,
+    super_split,
+    super_split_poly,
+    supersymmetric_s,
+    supersymmetrize,
     to_schur_oracle,
 )
 
