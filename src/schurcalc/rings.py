@@ -33,10 +33,11 @@ from .partitions import (
     staircase,
     strict_complement,
 )
-from .polynomial import FAMILY_C, CPolynomial, truncate_family
+from .polynomial import FAMILY_C, CPolynomial, degree_list, truncate_family
 from .qtilde import qtilde, qtilde_pieri_step, row_peel
 from .schur import (
     Expansion,
+    basis_key,
     column_peel,
     fold_coefficients,
     pieri_build,
@@ -68,16 +69,30 @@ class SchubertRing:
     def _degree(self, p: CPolynomial, degree: int | None) -> int | None:
         """Check that p is a class of the ring and return its degree.
 
-        A zero p takes the given degree, which is how a class that vanished
-        before reduction keeps the degree it had.
+        One pass over the terms gathers what the checks read; they fail in
+        the order: a family other than c, then c_k above the rank, then mixed
+        degrees, then a degree above the top degree.  A zero p takes the
+        given degree, which is how a class that vanished before reduction
+        keeps the degree it had.
         """
-        if p.families() - {FAMILY_C}:
+        rank, foreign, above, degrees = self.rank, False, set(), set()
+        for mono in p.terms:
+            d = 0
+            for (family, k), e in mono:
+                if family != FAMILY_C:
+                    foreign = True
+                elif k > rank:
+                    above.add(k)
+                d += k * e
+            degrees.add(d)
+        if foreign:
             raise ValueError(f"{self.label} expects a polynomial in the c family only")
-        bad = sorted(g[1] for g in p.generators() if g[1] > self.rank)
-        if bad:
-            raise ValueError(f"{self.label} expects generators c_1..c_{self.rank}; got {bad}")
-        d = p.homogeneous_degree()
-        return self.check_degree(degree if d is None else d)
+        if above:
+            raise ValueError(f"{self.label} expects generators c_1..c_{rank}; "
+                             f"got {sorted(above)}")
+        if len(degrees) > 1:
+            raise ValueError(f"polynomial is not homogeneous (degrees {degree_list(degrees)})")
+        return self.check_degree(degrees.pop() if degrees else degree)
 
     def check_degree(self, d: int | None) -> int | None:
         """Reject a degree above the top degree; None (unknown) passes."""
@@ -113,7 +128,7 @@ class SchubertRing:
     def basis_product(self, lam: Partition, mu: Partition) -> Expansion:
         """Product of two Schubert classes, zero above the top degree: the lighter
         class, its weight held to the output budget, is built on the heavier."""
-        lam, mu = self.key(lam), self.key(mu)
+        lam, mu = basis_key(self.key, tuple(lam)), basis_key(self.key, tuple(mu))
         d = lam.weight + mu.weight
         if d > self.top_degree:
             return Expansion({}, degree=d, key=self.key)
@@ -186,7 +201,7 @@ class GrassmannianRing(SchubertRing):
 
     def basis_index(self, lam: Partition) -> Partition:
         """lam as an index of the basis; raises outside the rectangle."""
-        lam = Partition(lam)
+        lam = basis_key(Partition, tuple(lam))
         if not lam.fits_rectangle(self.r, self.cols):
             raise ValueError(f"{lam!r} is not in the {self.r}x{self.cols} rectangle")
         return lam
@@ -245,7 +260,7 @@ class LagrangianRing(SchubertRing):
 
     def basis_index(self, mu: StrictPartition) -> StrictPartition:
         """mu as an index of the basis; raises outside the staircase."""
-        mu = StrictPartition(mu)
+        mu = basis_key(StrictPartition, tuple(mu))
         if mu.parts and mu.parts[0] > self.n:
             raise ValueError(f"{mu!r} is not inside the staircase of {self.n}")
         return mu
@@ -276,7 +291,7 @@ class LagrangianRing(SchubertRing):
         is s_lam, built from 1 by column peels within the output budget; above
         the top degree the cohomology vanishes and it is the zero expansion.
         """
-        lam = Partition(lam)
+        lam = basis_key(Partition, tuple(lam))
         if not lam.fits_rectangle(self.n, self.n):
             raise ValueError(f"{lam!r} is not a Schubert index of G_{self.n}(V)")
         if lam.weight > self.top_degree:

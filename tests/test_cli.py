@@ -492,6 +492,24 @@ def test_huge_rings_build_only_what_the_command_prints():
     assert json.loads(out) == {"strict_partition": list(range(37339, 1, -1))}
 
 
+def test_fold_budget_rejects_huge_exponents_at_once():
+    # the exponent equals the top degree, so the degree check passes; the
+    # fold then listed one index per factor and died with a MemoryError
+    cases = [
+        (["gr", "--r", "2", "--n", "100000000", "integrate", "c1^199999996"], 199999996),
+        (["lg", "--n", "100000000", "integrate", "c1^5000000050000000"], 5000000050000000),
+        (["gr", "--r", "1", "--n", "5002", "integrate", "c1^5001"], 5001),
+    ]
+    for argv, factors in cases:
+        proc = subprocess.run([sys.executable, "-m", "schurcalc", *argv], capture_output=True,
+                              timeout=30, preexec_fn=_limit_address_space)
+        err = f"error: a monomial of {factors} factors exceeds the fold budget of 5000 factors\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err.encode()), argv
+    # the budget itself is admitted: c1^5000 in P^5000 folds in about 0.6 s
+    code, out, err = run_cli("gr", "--r", "1", "--n", "5001", "integrate", "c1^5000")
+    assert (code, out, err) == (0, b'{"ring":"Gr(1,5001)","value":"1"}\n', b"")
+
+
 def test_readme_library_quick_start():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     section = readme[readme.index("## Library quick start"):]

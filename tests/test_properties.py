@@ -6,10 +6,14 @@ Examples are derandomized, so every run checks the same inputs.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurcalc.partitions import enumerate_partitions
-from schurcalc.polynomial import FAMILY_C, CPolynomial
-from schurcalc.rings import GrassmannianRing
-from schurcalc.schur import from_schur, to_schur
+from schurcalc import partitions, rings, schur
+from schurcalc import qtilde as qtilde_module
+from schurcalc.partitions import StrictPartition, enumerate_partitions
+from schurcalc.polynomial import FAMILY_C, CPolynomial, truncate_family
+from schurcalc.rings import GrassmannianRing, LagrangianRing
+from schurcalc.schur import Expansion, from_schur, to_schur
+
+from oracles import lg_reduce_by_solve, qtilde_two_rules, schur_jt_dual_form, to_schur_oracle
 
 MAX_DEGREE = 12
 RINGS = [(r, n) for n in range(2, 9) for r in range(1, n)]
@@ -54,3 +58,85 @@ def test_gr_reduce_is_to_schur_cut_to_the_rectangle(case):
     kept = {lam: c for lam, c in full.coefficients.items()
             if lam.fits_rectangle(r, n - r)}
     assert ring.reduce(p).coefficients == kept
+
+
+# -- warm ring calls equal cold calls and the oracles --------------------------
+
+MEMO_MODULES = (partitions, qtilde_module, schur, rings)
+WARM_RINGS = [("gr", r, n) for n in range(2, 8) for r in range(1, n)] + \
+    [("lg", n) for n in range(1, 5)]
+
+
+def clear_memos():
+    for module in MEMO_MODULES:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def make_ring(spec):
+    return GrassmannianRing(*spec[1:]) if spec[0] == "gr" else LagrangianRing(spec[1])
+
+
+@st.composite
+def ring_calls(draw):
+    """A ring, a class to reduce, a top-degree class to integrate, a product
+    of two basis classes (possibly above the top degree) and, in LG, a
+    Schubert index of the ambient Grassmannian to restrict."""
+    spec = draw(st.sampled_from(WARM_RINGS))
+    ring = make_ring(spec)
+    d = draw(st.integers(0, min(MAX_DEGREE, ring.top_degree)))
+    p = draw(homogeneous(d, max_index=ring.rank))
+    top = draw(homogeneous(ring.top_degree, max_index=ring.rank))
+    lam, mu = (draw(st.sampled_from(ring.basis(draw(st.integers(0, ring.top_degree)))))
+               for _ in range(2))
+    nu = None
+    if spec[0] == "lg":
+        n = spec[1]
+        nu = draw(st.sampled_from(enumerate_partitions(
+            draw(st.integers(0, n * n)), max_part=n, max_length=n)))
+    return spec, p, top, lam, mu, nu
+
+
+def ring_results(ring, p, top, lam, mu, nu):
+    return (ring.reduce(p), ring.integrate(ring.reduce(top, degree=ring.top_degree)),
+            ring.basis_product(lam, mu),
+            None if nu is None else ring.restrict(nu))
+
+
+def gr_oracle(ring, p):
+    kept = {lam: c for lam, c in to_schur_oracle(p, nvars=ring.r).coefficients.items()
+            if lam.fits_rectangle(ring.r, ring.cols)}
+    return Expansion(kept, degree=p.homogeneous_degree())
+
+
+def lg_oracle(ring, p, degree):
+    return lg_reduce_by_solve(ring, truncate_family(p, FAMILY_C, ring.n), degree)
+
+
+def oracle_results(spec, p, top, lam, mu, nu):
+    ring = make_ring(spec)
+    d = lam.weight + mu.weight
+    if spec[0] == "gr":
+        product = schur_jt_dual_form(lam) * schur_jt_dual_form(mu)
+        return (gr_oracle(ring, p), gr_oracle(ring, top).get(ring.point_class),
+                Expansion(gr_oracle(ring, product).coefficients, degree=d), None)
+    product = qtilde_two_rules(lam) * qtilde_two_rules(mu)
+    product = Expansion({}, degree=d, key=StrictPartition) if d > ring.top_degree \
+        else lg_oracle(ring, product, d)
+    restricted = Expansion({}, degree=nu.weight, key=StrictPartition) \
+        if nu.weight > ring.top_degree else lg_oracle(ring, schur_jt_dual_form(nu), nu.weight)
+    return (lg_oracle(ring, p, None), lg_oracle(ring, top, ring.top_degree).get(ring.point_class),
+            product, restricted)
+
+
+@settings(derandomize=True, deadline=None)
+@given(ring_calls())
+def test_warm_ring_calls_equal_cold_calls_and_the_oracles(case):
+    spec, *args = case
+    clear_memos()
+    ring = make_ring(spec)
+    cold = ring_results(ring, *args)
+    assert ring_results(ring, *args) == cold
+    assert ring_results(make_ring(spec), *args) == cold
+    assert oracle_results(spec, *args) == cold

@@ -46,6 +46,37 @@ def test_gr_reduce_errors():
         gr.reduce(CPolynomial.gen(FAMILY_CPRIME, 1))
 
 
+def test_input_checks_fail_in_their_order():
+    # each input fails every check from its own on; the first check decides
+    cp1 = CPolynomial.gen(FAMILY_CPRIME, 1)
+    for ring, cases in (
+            (GrassmannianRing(2, 4), [
+                (cp1 * c(3) + c(4) + c(1) ** 5,
+                 "Gr(2,4) expects a polynomial in the c family only"),
+                (c(4) * c(1) + c(3) + c(3) * c(1) ** 3,
+                 "Gr(2,4) expects generators c_1..c_2; got [3, 4]"),
+                (c(1) ** 5 + c(2) + c(1) ** 7 + c(1) ** 6 + c(1) ** 8,
+                 "polynomial is not homogeneous (degrees [2, 5, 6, ..., 8], 5 in all)"),
+                (c(1) ** 5 - c(2) * c(1) ** 3,
+                 "degree 5 exceeds the top degree 4 of Gr(2,4)")]),
+            (LagrangianRing(2), [
+                (CPolynomial.gen("v1") + c(3) + c(1),
+                 "LG(2) expects a polynomial in the c family only"),
+                (c(3) + c(1) ** 9, "LG(2) expects generators c_1..c_2; got [3]"),
+                (c(1) ** 4 + c(2), "polynomial is not homogeneous (degrees [2, 4])"),
+                (c(2) ** 2, "degree 4 exceeds the top degree 3 of LG(2)")])):
+        for p, message in cases:
+            with pytest.raises(ValueError) as info:
+                ring.reduce(p)
+            assert str(info.value) == message
+        # a zero class takes the stated degree, still held to the top degree
+        for d in (None, 0, ring.top_degree):
+            assert ring.reduce(CPolynomial.zero(), degree=d) == \
+                Expansion({}, degree=d, key=ring.key)
+        with pytest.raises(ValueError, match="exceeds the top degree"):
+            ring.reduce(CPolynomial.zero(), degree=ring.top_degree + 1)
+
+
 def test_gr_integrate():
     gr = GrassmannianRing(2, 4)
     top = Expansion({Partition([2, 2]): 1})

@@ -16,11 +16,18 @@ from schurcalc.polynomial import (
     CPolynomial,
 )
 from schurcalc.schur import (
+    FOLD_FACTOR_BUDGET,
     Expansion,
+    basis_key,
+    fold_coefficients,
     from_schur,
+    index_peel,
     lr_multiply,
+    monomial_fold,
+    pieri_build,
     schur_dual_jt,
     to_schur,
+    vertical_strip_step,
 )
 
 from oracles import (
@@ -340,3 +347,46 @@ def test_expansion_equality_compares_key_type_and_degree():
     assert q1.to_json() == [{"strict_partition": [1], "coeff": "1"}]
     assert Expansion({}, degree=3) == Expansion({}, degree=3)
     assert Expansion({}, degree=3) != Expansion({}, degree=None)
+
+
+def test_expansion_keys_are_checked_once_and_shared():
+    x, y = Expansion({(2, 1): 3}), Expansion({(2, 1): 5})
+    (a,), (b,) = x.coefficients, y.coefficients
+    assert a is b is basis_key(Partition, (2, 1))
+    # the interned key has exactly the key type, whatever the index was
+    q = Expansion({Partition([2, 1]): 1}, key=StrictPartition)
+    assert [type(lam) for lam in q.coefficients] == [StrictPartition]
+    s = Expansion({StrictPartition([3, 1]): 1})
+    assert [type(lam) for lam in s.coefficients] == [Partition]
+    # a bad index is rejected every time, with the constructor's message
+    for _ in range(2):
+        with pytest.raises(ValueError, match="parts must be strictly decreasing"):
+            Expansion({(2, 2): 1}, key=StrictPartition)
+
+
+def test_monomial_fold_returns_the_pieri_build_dict_itself():
+    # the per-monomial memo stores no copy of what pieri_build memoizes,
+    # also past the 200-factor warm-up of long monomials
+    for mono, indices, bound in (
+            ((((FAMILY_C, 1), 2), ((FAMILY_C, 2), 1)), (1, 1, 2), (2, 2)),
+            ((((FAMILY_C, 1), 450),), (1,) * 450, (1, 450))):
+        folded = monomial_fold(mono, vertical_strip_step, bound)
+        assert folded is pieri_build((), indices, vertical_strip_step, bound, index_peel, None)
+        assert monomial_fold(mono, vertical_strip_step, bound) is folded
+    # folding a polynomial leaves the shared dict as it was
+    p = 3 * c(1) ** 2 * c(2)
+    before = dict(monomial_fold(next(iter(p.terms)), vertical_strip_step, (2, 2)))
+    assert fold_coefficients(p, vertical_strip_step, (2, 2)) == \
+        {lam: 3 * coeff for lam, coeff in before.items()}
+    assert monomial_fold(next(iter(p.terms)), vertical_strip_step, (2, 2)) == before
+
+
+def test_fold_budget_rejects_a_long_monomial_before_listing_its_factors():
+    for e in (FOLD_FACTOR_BUDGET + 1, 10 ** 16):
+        with pytest.raises(ValueError) as info:
+            fold_coefficients(c(1) ** e, vertical_strip_step, (1, e))
+        assert str(info.value) == \
+            f"a monomial of {e} factors exceeds the fold budget of {FOLD_FACTOR_BUDGET} factors"
+    # the budget counts the factors of one monomial, not its degree
+    with pytest.raises(ValueError, match="a monomial of 5001 factors"):
+        fold_coefficients(c(1) ** 2500 * c(2) ** 2501, vertical_strip_step, (2, 5000))
