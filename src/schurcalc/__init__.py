@@ -18,10 +18,9 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines, in the order of __all__
 _EXPORTS = {
     "partitions": (
-        "Partition", "StrictPartition", "SemistandardTableau",
+        "Partition", "StrictPartition",
         "conjugate", "rectangle_dual", "strict_complement", "staircase",
-        "enumerate_partitions", "enumerate_strict_partitions", "enumerate_ssyt",
-        "hook_contains",
+        "enumerate_partitions", "enumerate_strict_partitions", "hook_contains",
     ),
     "polynomial": (
         "CPolynomial", "truncate_family",

@@ -16,7 +16,8 @@ position in the input.
 from __future__ import annotations
 
 from .partitions import Partition
-from .polynomial import FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, CPolynomial
+from .polynomial import (FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, CPolynomial,
+                         generator_degree)
 from .qtilde import qtilde
 from .records import FrozenRecord
 from .schur import schur_dual_jt
@@ -252,8 +253,7 @@ def evaluate_text(text: str) -> CPolynomial:
 
 class _Degree:
     """Evaluator value for the degree of an expression read from its syntax
-    tree; d is None when unknown (terms of a sum differ in degree, or a c',
-    v1 or v2 leaf)."""
+    tree; d is None when unknown (terms of a sum differ in degree)."""
 
     __slots__ = ("d",)
 
@@ -276,13 +276,14 @@ def _degree_atom(expr: Num | Gen | Basis) -> _Degree:
     if isinstance(expr, Num):
         return _Degree(0)
     if isinstance(expr, Gen):
-        return _Degree(expr.index if expr.family == FAMILY_C else None)
+        return _Degree(generator_degree((expr.family, expr.index)))
     return _Degree(sum(expr.parts))
 
 
 def expression_degree(expr: Expression) -> int | None:
     """Degree of the value of expr, from its syntax tree alone: numbers have
-    degree 0, c_k degree k, s[lam] and q[mu] their weight.  None when
-    unknown; a known degree is that of every term of the value."""
+    degree 0, c_k and c'_k degree k, v1 and v2 degree 1, s[lam] and q[mu]
+    their weight.  None when unknown; a known degree is that of every term
+    of the value."""
     return evaluate(expr, _degree_atom).d
 

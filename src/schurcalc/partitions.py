@@ -1,4 +1,4 @@
-"""Partitions, strict partitions, and semistandard Young tableaux.
+"""Partitions, strict partitions, and the weights of semistandard tableaux.
 
 Everything downstream (Schur functions, Q-tilde functions, Schubert bases)
 is indexed by the types in this module.  All values are immutable after
@@ -233,72 +233,35 @@ def hook_contains(lam: Partition, n: int, m: int) -> bool:
     return lam.part(n + 1) <= m
 
 
-class SemistandardTableau:
-    """A filling of a Young diagram: rows weakly increase, columns strictly increase."""
+@lru_cache(maxsize=None)
+def ssyt_weights(shape: Partition, n: int) -> tuple[tuple[int, ...], ...]:
+    """Weights of the semistandard tableaux of the shape with entries in
+    1..n, cached; the GL(n) character support.
 
-    __slots__ = ("shape", "rows")
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
-        self.shape = Partition(len(row) for row in self.rows)
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if v < 1:
-                    raise ValueError("entries must be positive")
-                if j > 0 and row[j - 1] > v:
-                    raise ValueError(f"row {i} is not weakly increasing: {row}")
-                if i > 0 and self.rows[i - 1][j] >= v:
-                    raise ValueError(f"column {j} is not strictly increasing")
-
-    def weight(self, n: int) -> tuple[int, ...]:
-        """Multiplicity vector of the entries 1..n."""
-        counts = [0] * n
-        for row in self.rows:
-            for v in row:
-                counts[v - 1] += 1
-        return tuple(counts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SemistandardTableau) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"SemistandardTableau({[list(r) for r in self.rows]})"
-
-
-def enumerate_ssyt(shape: Partition, n: int) -> list[SemistandardTableau]:
-    """All semistandard tableaux of the given shape with entries in 1..n.
-
-    The count is the dimension of the irreducible GL(n) representation
-    indexed by the shape.
+    Cells are filled row by row.  The entry in row i of a column of height h
+    is at most n - (h - 1 - i), which leaves room for the entries below it,
+    so every branch ends in a tableau.
     """
     shape = Partition(shape)
-    if not shape.parts:
-        return [SemistandardTableau(())]
-    rows: list[list[int]] = [[] for _ in shape.parts]
-    out: list[SemistandardTableau] = []
+    if len(shape) > n:
+        return ()
+    heights = shape.conjugate().parts
     cells = [(i, j) for i, p in enumerate(shape.parts) for j in range(p)]
+    grid = [[0] * p for p in shape.parts]
+    counts = [0] * n
+    out: list[tuple[int, ...]] = []
 
     def fill(k: int):
         if k == len(cells):
-            out.append(SemistandardTableau([tuple(r) for r in rows]))
+            out.append(tuple(counts))
             return
         i, j = cells[k]
-        lo = rows[i][j - 1] if j > 0 else 1
-        if i > 0:
-            lo = max(lo, rows[i - 1][j] + 1)
-        for v in range(lo, n + 1):
-            rows[i].append(v)
+        lo = max(grid[i][j - 1] if j else 1, grid[i - 1][j] + 1 if i else 1)
+        for v in range(lo, n - heights[j] + i + 2):
+            grid[i][j] = v
+            counts[v - 1] += 1
             fill(k + 1)
-            rows[i].pop()
+            counts[v - 1] -= 1
 
     fill(0)
-    return out
-
-
-@lru_cache(maxsize=None)
-def ssyt_weights(shape: Partition, n: int) -> tuple[tuple[int, ...], ...]:
-    """Weights of all SSYT of the shape, cached; the GL(n) character support."""
-    return tuple(t.weight(n) for t in enumerate_ssyt(shape, n))
+    return tuple(out)

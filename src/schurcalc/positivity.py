@@ -10,11 +10,12 @@ as expression strings (data, not code) so they can be audited line by line.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .partitions import Partition, hook_contains, ssyt_weights
 from .polynomial import CPolynomial
 from .records import FrozenRecord, Record
-from .schur import Expansion, to_schur
+from .schur import Expansion, schur_dual_jt, to_schur
 
 VERDICT_POSITIVE = "POSITIVE"
 VERDICT_NONNEGATIVE = "NONNEGATIVE"
@@ -183,40 +184,67 @@ MAX_BUNDLE_ROOTS = 20
 MAX_BUNDLE_WEIGHT = 4
 
 
+def _weyl_dimension(lam: Partition, n: int) -> int | None:
+    """dim S^lam(E) for E of rank n > len(lam), by Weyl's formula
+    prod_{i<j<=n} (lam_i - lam_j + j - i)/(j - i).  The pairs with j > len(lam)
+    multiply out to a ratio of binomials per row, so the cost follows the
+    rows of lam, not n.  None when n and |lam| both exceed MAX_BUNDLE_ROOTS:
+    a nonempty lam then has dimension at least max(n, |lam| + 1), more than
+    the bound, and is not computed."""
+    if min(n, lam.weight) > MAX_BUNDLE_ROOTS:
+        return None
+    parts, rows = lam.parts, len(lam)
+    num = den = 1
+    for i, a in enumerate(parts):
+        for j in range(i + 1, rows):
+            num *= a - parts[j] + j - i
+            den *= j - i
+        num *= comb(a + n - 1 - i, a)
+        den *= comb(a + rows - 1 - i, a)
+    return num // den
+
+
 def schur_bundle_class(lam: Partition, mu: Partition, n: int) -> Expansion:
     """Expansion of s_mu of the Schur bundle S^lam(E) over the Schur basis of E.
 
     The Chern roots of S^lam(E) for E of rank n are the tableau weights
     sum_{cells} x_entry over the semistandard tableaux of shape lam; s_mu of
     that multiset of linear forms is a symmetric polynomial in x_1..x_n and
-    is expanded by peeling.  All coefficients are nonnegative.
+    is expanded by peeling.  All coefficients are nonnegative.  The root
+    count and |mu| are checked before any tableau is listed.
     """
     lam, mu = Partition(lam), Partition(mu)
     if n < 0:
         raise ValueError(f"rank must be nonnegative, got {n}")
-    roots = ssyt_weights(lam, n)
-    if len(roots) > MAX_BUNDLE_ROOTS:
-        raise ValueError(f"{len(roots)} roots exceed the work bound {MAX_BUNDLE_ROOTS}")
+    # S^lam(E) = det(E)^shift (x) S^rest(E) when lam has n rows; it is zero
+    # when lam has more
+    shift = lam.part(n) if len(lam) == n else 0
+    rest = Partition(p - shift for p in lam.parts)
+    count = _weyl_dimension(rest, n) if len(lam) <= n else 0
+    if count is None or count > MAX_BUNDLE_ROOTS:
+        shown = f"more than {MAX_BUNDLE_ROOTS}" if count is None else count
+        raise ValueError(f"{shown} roots exceed the work bound {MAX_BUNDLE_ROOTS}")
     if mu.weight > MAX_BUNDLE_WEIGHT:
         raise ValueError(f"|mu| = {mu.weight} exceeds the work bound {MAX_BUNDLE_WEIGHT}")
-    if mu.weight == 0:
-        return Expansion({Partition(): 1}, degree=0)
-    if len(mu) > len(roots):
-        return Expansion({}, degree=mu.weight)
-    # each root is the linear form sum_i w_i x_i given by a tableau weight w
-    root_polys: list[XPoly] = []
-    for w in roots:
-        form: XPoly = {}
-        for i, wi in enumerate(w):
-            if wi:
-                unit = tuple(1 if j == i else 0 for j in range(n))
-                form[unit] = wi
-        root_polys.append(form)
+    # every nu of weight |mu| has at most |mu| parts, so setting x_i = 0 for
+    # i > m loses no term; a nonempty rest has n <= MAX_BUNDLE_ROOTS, and
+    # the empty shape has the one zero weight in any number of variables
+    m = min(n, mu.weight)
+    weights = ssyt_weights(rest, n) if rest.parts else ((0,) * m,)
+    # e_k of the roots for k <= |mu|, the coefficients of prod (1 + r t);
+    # s_mu is a polynomial in these through c_k = e_k
+    elementary: list[XPoly] = [{(0,) * m: 1}] + [{} for _ in range(mu.weight)]
+    for w in weights:
+        # the root of a tableau weight w is the linear form sum_i (w_i + shift) x_i
+        root = {tuple(int(j == i) for j in range(m)): w[i] + shift
+                for i in range(m) if w[i] + shift}
+        for k in range(mu.weight, 0, -1):
+            xp_accumulate(elementary[k], xp_mul(elementary[k - 1], root))
     acc: XPoly = {}
-    for exponents, coeff in schur_monomials(mu, len(roots)):
-        term: XPoly = {(0,) * n: 1}
-        for var, e in enumerate(exponents):
+    for mono, coeff in schur_dual_jt(mu).terms.items():
+        term: XPoly = {(0,) * m: 1}
+        for (_, k), e in mono:
             for _ in range(e):
-                term = xp_mul(term, root_polys[var])
+                term = xp_mul(term, elementary[k])
         xp_accumulate(acc, term, coeff)
-    return Expansion(peel_schur(acc, n), degree=mu.weight)
+    return Expansion(peel_schur(acc, m), degree=mu.weight)

@@ -11,8 +11,9 @@ reference identity that no schurcalc command needs.
   products s_alpha(E) . s_beta(F*).  Without F it only re-derives plain
   classes: schur_jt(lam) is schur_dual_jt(lam), complete_from_elementary(k)
   is schur_dual_jt((k,)) and elementary_super(k) is c_k.
-* The Schur expansion and Littlewood-Richardson products by brute-force
-  monomial expansion in formal variables, with greedy peeling.
+* The Schur expansion, Littlewood-Richardson products and Schur-bundle
+  classes by brute-force monomial expansion in formal variables, with
+  greedy peeling.
 * Both Jacobi-Trudi determinants of s_lambda(E - F), expanded by
   memoized minors: the h-form |s_{lambda_i - i + j}(E - F)| and the dual
   form in the elementary-type classes of the conjugate.
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 from schurcalc.linalg import matrix_rank, solve_exact
 from schurcalc.parsing import Basis, Expression, Gen, Num, Pow, Prod, Sum
-from schurcalc.partitions import Partition, enumerate_partitions
+from schurcalc.partitions import Partition, enumerate_partitions, ssyt_weights
 from schurcalc.polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
@@ -392,6 +393,22 @@ def to_schur_oracle(p: CPolynomial, nvars: int | None = None) -> Expansion:
                 term = xp_mul(term, elementary_xpoly(idx, n))
         xp_accumulate(acc, term, coeff)
     return Expansion(peel_schur(acc, n), degree=d)
+
+
+def schur_bundle_oracle(lam: Partition, mu: Partition, n: int) -> Expansion:
+    """s_mu(S^lam E) for E of rank n, in all n variables: s_mu of the linear
+    forms sum_i w_i x_i, one per tableau weight w of lam, peeled."""
+    lam, mu = Partition(lam), Partition(mu)
+    roots = [{tuple(int(j == i) for j in range(n)): wi for i, wi in enumerate(w) if wi}
+             for w in ssyt_weights(lam, n)]
+    acc: XPoly = {}
+    for exponents, coeff in schur_monomials(mu, len(roots)):
+        term: XPoly = {(0,) * n: 1}
+        for var, e in enumerate(exponents):
+            for _ in range(e):
+                term = xp_mul(term, roots[var])
+        xp_accumulate(acc, term, coeff)
+    return Expansion(peel_schur(acc, n), degree=mu.weight)
 
 
 # -- Q-tilde by the odd/even length recurrences -------------------------------

@@ -526,3 +526,50 @@ def test_readme_library_quick_start():
         "2",
         "[{'strict_partition': [3], 'coeff': '1'}, {'strict_partition': [2, 1], 'coeff': '1'}]",
     ]
+
+
+def test_schur_bundle_bounds_are_checked_before_any_tableau():
+    # the root count comes from Weyl's formula, so a huge rank or functor is
+    # rejected at once; det(E)^k and the zero functor have one root, read in
+    # |mu| variables
+    ones = ",".join(["1"] * 30)
+    many_ones = ",".join(["1"] * 1200)
+    bound = b" roots exceed the work bound 20\n"
+    line = b'{"degree":1,"expansion":[{"partition":[1],"coeff":"1"}]}\n'
+    cases = [
+        (["--rank", "20", "--functor", "10,10"], 2, b"", b"error: 23896002230100" + bound),
+        (["--rank", "100000000", "--functor", "1"], 2, b"", b"error: 100000000" + bound),
+        (["--rank", "2", "--functor", "1000000"], 2, b"", b"error: 1000001" + bound),
+        (["--rank", "30", "--functor", ones], 0, line, b""),
+        (["--rank", "1200", "--functor", many_ones], 0, line, b""),
+        (["--rank", "1000000000", "--functor", "0"], 0,
+         b'{"degree":1,"expansion":[]}\n', b""),
+    ]
+    for args, code, out, err in cases:
+        argv = ["schur-bundle", *args, "--class", "1"]
+        proc = subprocess.run([sys.executable, "-m", "schurcalc", *argv], capture_output=True,
+                              timeout=30, preexec_fn=_limit_address_space)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), args[:2]
+
+
+def test_graded_leaves_are_held_to_the_budgets(capsys):
+    # c'_k has degree k and v1, v2 degree 1, so the output budget and the
+    # top degree see them before evaluation
+    budget = "error: degree {0} exceeds the output budget: p({0}) > 37338 terms\n"
+    cases = [
+        (["to-schur", "c'1^41"], budget.format(41)),
+        (["to-schur", "c'1^50"], budget.format(50)),
+        (["to-schur", "(v1+v2)^3000"], budget.format(3000)),
+        (["lg", "--n", "5", "reduce", "(v1+v2)^3000"],
+         "error: degree 3000 exceeds the top degree 15 of LG(5)\n"),
+    ]
+    for argv, err in cases:
+        proc = subprocess.run([sys.executable, "-m", "schurcalc", *argv], capture_output=True,
+                              timeout=30, preexec_fn=_limit_address_space)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err.encode()), argv
+    # a c' or v class that cancels to zero keeps its degree, as a c class does
+    code, payload = run_json(capsys, "gr", "--r", "2", "--n", "4", "reduce", "c'1^2 - c'1^2")
+    assert (code, payload) == (0, {"ring": "Gr(2,4)", "degree": 2, "expansion": []})
+    # within the top degree a c' input still gets the family message
+    code, out, err = run_cli("gr", "--r", "2", "--n", "4", "reduce", "c'1")
+    assert (code, out, err) == (2, b"", b"error: Gr(2,4) expects a polynomial in the c family only\n")

@@ -105,14 +105,16 @@ def test_nesting_limit():
 def test_expression_degree():
     known = {"7": 0, "c3": 3, "s[2,1]": 3, "q[3,1]": 4, "c1^4 - c2*c1^2": 4,
              "2*(c1 + c2 - c2)^3": None, "c1^0": 0, "0*s[25]": 25,
-             "(c1^2 + c2)*s[1]*q[2]": 5, "c1^2 - c1^2": 2}
-    unknown = ["c1 + c2", "1 + c1", "c'1", "v1*q[1]", "v2^0", "c1*c'1^2"]
+             "(c1^2 + c2)*s[1]*q[2]": 5, "c1^2 - c1^2": 2,
+             "c'1": 1, "v1*q[1]": 2, "v2^0": 0, "c1*c'1^2": 3}
+    unknown = ["c1 + c2", "1 + c1"]
     for text, degree in known.items():
         assert expression_degree(parse(text)) == degree, text
     for text in unknown:
         assert expression_degree(parse(text)) is None, text
     # a known degree is the degree of every term of the value
-    for text in ["c1^4 - c2*c1^2", "(c1^2 + c2)*s[1]*q[2]", "3*s[3,1] - q[2,1]*c1"]:
+    for text in ["c1^4 - c2*c1^2", "(c1^2 + c2)*s[1]*q[2]", "3*s[3,1] - q[2,1]*c1",
+                 "c1*c'1^2 - c'3", "v1*v2 + v1^2"]:
         value = evaluate_text(text)
         assert value.homogeneous_degree() == expression_degree(parse(text)), text
 

@@ -1,21 +1,21 @@
 import math
+from math import prod
 
 import pytest
 
 from schurcalc.partitions import (
     Partition,
-    SemistandardTableau,
     StrictPartition,
     TERM_BUDGET,
     check_term_budget,
     conjugate,
     enumerate_partitions,
-    enumerate_ssyt,
     enumerate_strict_partitions,
     hook_contains,
     parse_partition_arg,
     partition_count,
     rectangle_dual,
+    ssyt_weights,
     staircase,
     strict_complement,
 )
@@ -131,28 +131,38 @@ def test_partition_global_order_is_reverse_lexicographic():
 
 
 def test_ssyt_examples():
-    assert len(enumerate_ssyt(Partition([2]), 2)) == 3
-    assert len(enumerate_ssyt(Partition([1, 1]), 2)) == 1
-    assert len(enumerate_ssyt(Partition([2, 1]), 2)) == 2
-    only = enumerate_ssyt(Partition([1, 1]), 2)[0]
-    assert only.rows == ((1,), (2,))
-    assert only.weight(2) == (1, 1)
+    assert ssyt_weights(Partition([2]), 2) == ((2, 0), (1, 1), (0, 2))
+    assert ssyt_weights(Partition([1, 1]), 2) == ((1, 1),)
+    assert ssyt_weights(Partition([2, 1]), 2) == ((2, 1), (1, 2))
+    assert ssyt_weights(Partition(), 3) == ((0, 0, 0),)
+    # more rows than entries: no tableau
+    assert ssyt_weights(Partition([1, 1, 1]), 2) == ()
+
+
+def _weyl_dimension(lam: Partition, n: int) -> int:
+    num = prod(lam.part(i) - lam.part(j) + j - i
+               for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return num // prod(j - i for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 def test_ssyt_counts_match_binomials():
     for n in range(1, 6):
-        for k in range(1, 6):
-            column = Partition([1] * k)
-            row = Partition([k])
-            assert len(enumerate_ssyt(column, n)) == math.comb(n, k)
-            assert len(enumerate_ssyt(row, n)) == math.comb(n + k - 1, k)
-
-
-def test_ssyt_validation():
-    with pytest.raises(ValueError):
-        SemistandardTableau([(2, 1)])  # row decreasing
-    with pytest.raises(ValueError):
-        SemistandardTableau([(1, 1), (1,)])  # column not strict
+        for k in range(1, 7):
+            assert len(ssyt_weights(Partition([1] * k), n)) == math.comb(n, k)
+            assert len(ssyt_weights(Partition([k]), n)) == math.comb(n + k - 1, k)
+    # every shape of weight <= 6: the count is Weyl's dimension, and each
+    # weight lists the entries of a tableau of that shape
+    for d in range(7):
+        for lam in enumerate_partitions(d):
+            for n in range(6):
+                weights = ssyt_weights(lam, n)
+                expected = _weyl_dimension(lam, n) if len(lam) <= n else 0
+                assert len(weights) == expected, (lam, n)
+                assert all(len(w) == n and sum(w) == d for w in weights), (lam, n)
+                # the lower bound schur_bundle_class rejects huge inputs by
+                if lam.parts and len(lam) < n:
+                    assert len(weights) >= max(n, d + 1), (lam, n)
+    assert ssyt_weights(Partition([1]), 0) == ()
 
 
 def test_hook_contains():

@@ -1,9 +1,10 @@
 import pytest
 
-from schurcalc.partitions import Partition, enumerate_partitions, hook_contains
+from schurcalc.partitions import Partition, enumerate_partitions, hook_contains, ssyt_weights
 from schurcalc.polynomial import FAMILY_C, CPolynomial
 from schurcalc.positivity import (
     CLASSICAL_THOM_TABLE,
+    MAX_BUNDLE_ROOTS,
     VERDICT_NOT_NONNEGATIVE,
     VERDICT_POSITIVE,
     VERDICT_ZERO,
@@ -14,7 +15,7 @@ from schurcalc.positivity import (
 )
 from schurcalc.schur import schur_dual_jt
 
-from oracles import partitions_up_to, to_schur_oracle
+from oracles import partitions_up_to, schur_bundle_oracle, to_schur_oracle
 
 
 def c(i):
@@ -101,6 +102,45 @@ def test_schur_bundle_work_bounds():
         schur_bundle_class(Partition([2]), Partition([1]), 10)  # 55 roots
     with pytest.raises(ValueError):
         schur_bundle_class(Partition([1]), Partition([5]), 2)  # |mu| > 4
+
+
+def test_schur_bundle_class_agrees_with_the_n_variable_oracle():
+    # the determinant twist, the root count from Weyl's formula and the
+    # min(n, |mu|) variables against tableau enumeration in all n variables
+    cases = 0
+    for w in range(5):
+        for lam in enumerate_partitions(w):
+            for n in range(6):
+                if len(ssyt_weights(lam, n)) > MAX_BUNDLE_ROOTS:
+                    continue
+                for d in range(5):
+                    for mu in enumerate_partitions(d):
+                        assert schur_bundle_class(lam, mu, n) == \
+                            schur_bundle_oracle(lam, mu, n), (lam, mu, n)
+                        cases += 1
+    assert cases == 768
+
+
+def test_schur_bundle_root_count_is_checked_before_any_tableau():
+    # the count is Weyl's dimension; when rank and |lam| both exceed the
+    # bound the dimension is at least max(rank, |lam| + 1) and is not computed
+    for lam, n, shown in (([1], 21, "21"), ([2], 10, "55"), ([10, 10], 20, "23896002230100"),
+                          ([1], 10 ** 8, "100000000"), ([10 ** 6], 2, "1000001"),
+                          ([1] * 21, 22, "more than 20"), ([21], 21, "more than 20")):
+        with pytest.raises(ValueError, match=f"^{shown} roots exceed the work bound 20$"):
+            schur_bundle_class(Partition(lam), Partition([1]), n)
+    # the root count comes before |mu|
+    with pytest.raises(ValueError, match="^55 roots"):
+        schur_bundle_class(Partition([2]), Partition([5]), 10)
+    # det(E)^k has one root k(x_1 + ... + x_n), read in |mu| variables
+    for lam, n in (([1] * 30, 30), ([1] * 1200, 1200), ([3] * 50, 50)):
+        k = lam[0]
+        assert schur_bundle_class(Partition(lam), Partition([2]), n).coefficients == \
+            {Partition([2]): k * k, Partition([1, 1]): k * k}
+    assert schur_bundle_class(Partition(), Partition([1]), 10 ** 9).coefficients == {}
+    # more rows than the rank: S^lam(E) = 0, whatever the length of the rows
+    for lam in ([1, 1], [10 ** 9, 1]):
+        assert schur_bundle_class(Partition(lam), Partition([1]), 1).coefficients == {}
 
 
 def test_report_json_shape():

@@ -237,13 +237,13 @@ def test_lr_pieri_closed_forms_with_a_light_factor():
 def test_lr_dimension_consistency():
     # characters multiply: sum of c^nu_{lam,mu} dim(nu) over GL(N) equals
     # dim(lam) * dim(mu); counts come from tableau enumeration only
-    from schurcalc.partitions import enumerate_ssyt
+    from schurcalc.partitions import ssyt_weights
 
     lam = mu = Partition([2, 1])
     n = 6
     product = lr_multiply(lam, mu)
-    total = sum(c * len(enumerate_ssyt(nu, n)) for nu, c in product.items())
-    assert total == len(enumerate_ssyt(lam, n)) * len(enumerate_ssyt(mu, n))
+    total = sum(c * len(ssyt_weights(nu, n)) for nu, c in product.items())
+    assert total == len(ssyt_weights(lam, n)) * len(ssyt_weights(mu, n))
 
 
 def test_lr_dimension_identity_beyond_the_oracle():
