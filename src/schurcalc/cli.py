@@ -6,14 +6,54 @@ can gate on positivity), 2 on usage or parse errors.  Output is
 byte-deterministic: every ordering is fixed.
 
 Each command imports the modules it runs when it starts, so a fresh
-process loads and compiles no module that its command does not call.
+process loads and compiles no module that its command does not call.  The
+front end is no exception: COMMANDS describes every command once.
+read_argv reads the canonical form `[--pretty] [--input FILE] COMMAND
+[--opt VALUE ...] [POSITIONAL ...]` from it into the namespace argparse
+would build, and to_json writes the bytes json.dumps would write, so a
+computing command loads neither argparse nor json.  Every other argv (help,
+abbreviations, `--opt=value`, `--`, usage errors) goes to the argparse
+parser that build_parser makes from the same table, so help texts and
+usage errors stay argparse's own.
 """
 
-import argparse
 import sys
 
+# The command line, described once.  command -> (help, options, positionals);
+# an option is (flag, dest, type, choices, required, metavar) and a positional
+# (dest, choices, optional).  build_parser() turns it into argparse parsers and
+# read_argv() reads the canonical form from it.
+_LENGTH_BOUND = ("--length-bound", "length_bound", int, None, False, None)
+_R = ("--r", "r", int, None, True, None)
+_N = ("--n", "n", int, None, True, None)
+_ARG = ("arg", None, True)
+COMMANDS = {
+    "to-schur": ("expand an expression in the Schur basis",
+                 (_LENGTH_BOUND,), (("expr", None, True),)),
+    "certify": ("Schur-positivity certificate",
+                (_LENGTH_BOUND,), (("expr", None, True),)),
+    "lr": ("Littlewood-Richardson product s_lam * s_mu",
+           (), (("lam", None, False), ("mu", None, False))),
+    "qtilde": ("Q-tilde polynomial of a partition", (), (("mu", None, False),)),
+    "gr": ("Grassmannian cohomology ring operations", (_R, _N),
+           (("action", ("reduce", "integrate", "dual", "pairing"), False), _ARG)),
+    "lg": ("Lagrangian Grassmannian ring operations", (_N,),
+           (("action", ("reduce", "integrate", "dual", "restrict", "pairing"), False), _ARG)),
+    "thom-verify": ("verify a built-in positivity table",
+                    (("--table", "table", None, ("classical", "lagrangian", "legendrian"),
+                      True, None),), ()),
+    "schur-bundle": ("Schur class of a Schur bundle in the Schur basis",
+                     (("--rank", "rank", int, None, True, None),
+                      ("--functor", "functor", None, None, True, "LAMBDA"),
+                      ("--class", "class_", None, None, True, "MU")), ()),
+}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser():
+    """The argparse parser of COMMANDS: help, usage errors and every
+    spelling that read_argv does not take."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="schurcalc",
         description="Exact Schur/Q-tilde calculus with positivity certification",
@@ -23,45 +63,80 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--input", metavar="FILE",
                      help="read the expression argument from FILE")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("to-schur", help="expand an expression in the Schur basis")
-    p.add_argument("expr", nargs="?")
-    p.add_argument("--length-bound", type=int, default=None)
-
-    p = sub.add_parser("certify", help="Schur-positivity certificate")
-    p.add_argument("expr", nargs="?")
-    p.add_argument("--length-bound", type=int, default=None)
-
-    p = sub.add_parser("lr", help="Littlewood-Richardson product s_lam * s_mu")
-    p.add_argument("lam")
-    p.add_argument("mu")
-
-    p = sub.add_parser("qtilde", help="Q-tilde polynomial of a partition")
-    p.add_argument("mu")
-
-    p = sub.add_parser("gr", help="Grassmannian cohomology ring operations")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("action", choices=["reduce", "integrate", "dual", "pairing"])
-    p.add_argument("arg", nargs="?")
-
-    p = sub.add_parser("lg", help="Lagrangian Grassmannian ring operations")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("action",
-                   choices=["reduce", "integrate", "dual", "restrict", "pairing"])
-    p.add_argument("arg", nargs="?")
-
-    p = sub.add_parser("thom-verify", help="verify a built-in positivity table")
-    p.add_argument("--table", choices=["classical", "lagrangian", "legendrian"],
-                   required=True)
-
-    p = sub.add_parser("schur-bundle",
-                       help="Schur class of a Schur bundle in the Schur basis")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--functor", required=True, metavar="LAMBDA")
-    p.add_argument("--class", dest="class_", required=True, metavar="MU")
-
+    for name, (help_text, options, positionals) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        # options first: argparse lists missing required arguments in this order
+        for flag, dest, kind, choices, required, metavar in options:
+            p.add_argument(flag, dest=dest, type=kind, choices=choices,
+                           required=required, metavar=metavar)
+        for dest, choices, optional in positionals:
+            p.add_argument(dest, choices=choices, nargs="?" if optional else None)
     return top
+
+
+class Arguments:
+    """The namespace read_argv returns; its vars() equal argparse's."""
+
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
+
+
+def read_argv(argv) -> Arguments | None:
+    """argparse's namespace for argv in the canonical form
+    `[--pretty] [--input FILE] COMMAND [--opt VALUE ...] [POSITIONAL ...]`,
+    each value checked as argparse checks it; None for any other argv (help,
+    abbreviations, --opt=value, --, a value starting with -, a repeated
+    option, a missing or surplus argument, a bad value)."""
+    values = {"pretty": False, "input": None}
+    rest = list(argv)
+    while rest and rest[0] in ("--pretty", "--input"):
+        flag = rest.pop(0)
+        if flag == "--pretty" and not values["pretty"]:
+            values["pretty"] = True
+        elif flag == "--input" and values["input"] is None and rest \
+                and not rest[0].startswith("-"):
+            values["input"] = rest.pop(0)
+        else:
+            return None
+    if not rest or rest[0] not in COMMANDS:
+        return None
+    values["command"] = rest[0]
+    _, options, positionals = COMMANDS[rest.pop(0)]
+    unread = {}
+    for option in options:
+        unread[option[0]] = option
+        values[option[1]] = None
+    while rest and rest[0].startswith("-"):
+        option = unread.pop(rest[0], None)
+        if option is None or len(rest) < 2 or rest[1].startswith("-"):
+            return None
+        _, dest, kind, choices, _, _ = option
+        value = rest[1]
+        del rest[:2]
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    for option in unread.values():
+        if option[4]:  # a required option is missing
+            return None
+    for dest, choices, optional in positionals:
+        if not rest:
+            if not optional:
+                return None
+            values[dest] = None
+            continue
+        value = rest.pop(0)
+        if value.startswith("-") or choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if rest:
+        return None
+    return Arguments(values)
 
 
 def _expression_text(args, value: str | None) -> str:
@@ -74,12 +149,59 @@ def _expression_text(args, value: str | None) -> str:
 
 
 def _emit(payload, pretty: bool) -> None:
-    if pretty:
-        sys.stdout.write(_render(payload, 0) + "\n")
-    else:
-        import json
+    sys.stdout.write((_render(payload, 0) if pretty else to_json(payload)) + "\n")
 
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+                 "\b": "\\b", "\f": "\\f"}
+
+
+def to_json(value) -> str:
+    """json.dumps(value, separators=(",", ":")), byte for byte, for values
+    built of dict (str keys), list, tuple, str, int, bool and None, each of
+    exactly that type; TypeError on any other."""
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is dict:
+        return "{" + ",".join([f"{_json_key(k)}:{to_json(v)}" for k, v in value.items()]) + "}"
+    if kind is list or kind is tuple:
+        if all(type(v) is int for v in value):  # partitions and matrix rows
+            return "[" + ",".join(map(repr, value)) + "]"
+        return "[" + ",".join(map(to_json, value)) + "]"
+    if kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    if type(key) is not str:
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _json_string(key)
+
+
+def _json_string(text: str) -> str:
+    """text as json's ensure_ascii writes it: short escapes, \\u00XX for the
+    other controls and DEL, \\uXXXX past ASCII, surrogate pairs past the BMP."""
+    if text.isascii() and text.isprintable():
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in _JSON_ESCAPES:
+            out.append(_JSON_ESCAPES[ch])
+        elif 0x20 <= code < 0x7F:
+            out.append(ch)
+        elif code < 0x10000:
+            out.append(f"\\u{code:04x}")
+        else:
+            code -= 0x10000
+            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+    return '"' + "".join(out) + '"'
 
 
 def _render(value, depth: int) -> str:
@@ -207,7 +329,7 @@ def _schur_input(args):
 
 
 def _ring_command(args, pretty: bool) -> int:
-    from .partitions import StrictPartition, parse_partition_arg
+    from .partitions import StrictPartition, coefficient_text, parse_partition_arg
     from .rings import GrassmannianRing, LagrangianRing
 
     if args.command == "gr":
@@ -237,7 +359,7 @@ def _ring_command(args, pretty: bool) -> int:
         degree = ring.check_degree(expression_degree(parse(text)))
         expansion = ring.reduce_tautological(evaluate_text(text), degree)
     if args.action == "integrate":
-        _emit({"ring": ring.label, "value": str(ring.integrate(expansion))}, pretty)
+        _emit({"ring": ring.label, "value": coefficient_text(ring.integrate(expansion))}, pretty)
     else:
         _emit({"ring": ring.label, **_expansion_payload(expansion)}, pretty)
     return 0
@@ -246,11 +368,12 @@ def _ring_command(args, pretty: bool) -> int:
 def _thom_verify(table: str, pretty: bool) -> int:
     # per table: its reports, and the fields each entry adds to its report
     if table == "classical":
+        from .partitions import coefficient_text
         from .positivity import CLASSICAL_THOM_TABLE, minimal_hook_rank, verify_thom_table
 
         reports = verify_thom_table()
         extras = [{"expression": entry.expression, "codimension": entry.codimension,
-                   "coefficient_sum": str(report.expansion.coefficient_sum()),
+                   "coefficient_sum": coefficient_text(report.expansion.coefficient_sum()),
                    "hook_rank": minimal_hook_rank(report.expansion)}
                   for entry, report in zip(CLASSICAL_THOM_TABLE, reports)]
     elif table == "lagrangian":
@@ -272,8 +395,11 @@ def _thom_verify(table: str, pretty: bool) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return _run_command(args)
     except (ValueError, OSError) as exc:

@@ -8,7 +8,7 @@ the published table entries verbatim as expression strings.
 
 from __future__ import annotations
 
-from .partitions import StrictPartition
+from .partitions import StrictPartition, coefficient_text
 from .polynomial import FAMILY_V1, FAMILY_V2, CPolynomial, degree_list
 from .positivity import VERDICT_NONNEGATIVE, PositivityReport, positivity_report
 from .records import FrozenRecord, Record
@@ -35,7 +35,8 @@ class LegendrianClass(Record):
         return self.coefficients.get((StrictPartition(mu), a, b), 0)
 
     def to_json(self, items=None) -> list:
-        return [{"strict_partition": list(mu.parts), "a": a, "b": b, "coeff": str(c)}
+        return [{"strict_partition": list(mu.parts), "a": a, "b": b,
+                 "coeff": coefficient_text(c)}
                 for (mu, a, b), c in (self.items() if items is None else items)]
 
 

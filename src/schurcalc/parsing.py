@@ -15,6 +15,8 @@ position in the input.
 
 from __future__ import annotations
 
+import sys
+
 from .partitions import Partition
 from .polynomial import (FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, CPolynomial,
                          generator_degree)
@@ -86,11 +88,16 @@ class _Parser:
 
     def take_nat(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error("expected a natural number")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # longer than Python's int/str digit limit
+            digits, self.pos = self.pos - start, start
+            self.error(f"a number of {digits} digits exceeds the limit of "
+                       f"{sys.get_int_max_str_digits()} digits")
 
     def parse(self) -> Expression:
         expr = self.parse_expr()
@@ -138,7 +145,7 @@ class _Parser:
         ch = self.peek()
         if ch == "":
             self.error("unexpected end of input")
-        if ch.isdigit():
+        if ch.isdecimal():
             return Num(self.take_nat())
         if ch == "(":
             if self.depth == MAX_NESTING:

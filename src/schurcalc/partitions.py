@@ -7,6 +7,7 @@ construction and safe to share.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 
@@ -214,6 +215,16 @@ def check_term_budget(d: int | None) -> None:
     if d is not None and any(partition_count(k) > TERM_BUDGET for k in range(d + 1)):
         raise ValueError(f"degree {d} exceeds the output budget: "
                          f"p({d}) > {TERM_BUDGET} terms")
+
+
+def coefficient_text(c: int) -> str:
+    """str(c); a coefficient longer than Python turns into text (its int/str
+    digit limit) exceeds the output budget."""
+    try:
+        return str(c)
+    except ValueError:
+        raise ValueError("a coefficient exceeds the output budget: more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def check_part_budget(parts: int) -> None:

@@ -8,6 +8,8 @@ is reproducible.
 
 from __future__ import annotations
 
+from .partitions import coefficient_text
+
 FAMILY_C = "c"
 FAMILY_CPRIME = "c'"
 FAMILY_V1 = "v1"
@@ -235,11 +237,11 @@ class CPolynomial:
             return "0"
         pieces = []
         for mono, coeff in reversed(self.sorted_terms()):
-            mag = abs(coeff)
+            mag = coefficient_text(abs(coeff))
             body = monomial_name(mono)
             if body == "1":
-                text = str(mag)
-            elif mag == 1:
+                text = mag
+            elif mag == "1":
                 text = body
             else:
                 text = f"{mag}*{body}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import Partition, check_term_budget
+from .partitions import Partition, check_term_budget, coefficient_text
 from .polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial
 
 # The most factors a c-monomial folds.  Its index tuple and the memo of its
@@ -92,7 +92,7 @@ class Expansion:
         return bool(self.coefficients)
 
     def to_json(self, items=None) -> list:
-        return [{self.key.json_key: list(lam.parts), "coeff": str(c)}
+        return [{self.key.json_key: list(lam.parts), "coeff": coefficient_text(c)}
                 for lam, c in (self.items() if items is None else items)]
 
     def __repr__(self) -> str:

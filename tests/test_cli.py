@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import re
 import resource
@@ -8,9 +10,12 @@ from functools import lru_cache
 from math import factorial, prod
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import schurcalc
 from schurcalc import linalg
-from schurcalc.cli import main
+from schurcalc.cli import COMMANDS, build_parser, main, read_argv, to_json
 
 import oracles
 
@@ -288,7 +293,13 @@ def test_cli_import_path_is_free_of_heavy_modules():
     # as heavy
     denied = {"dataclasses", "inspect", "ast", "typing", "fractions", "schurcalc.linalg"}
     for argv, _ in _COLD_LOADS:
-        assert not denied & _cold_imports(*argv), argv
+        loaded = _cold_imports(*argv)
+        assert not denied & loaded, argv
+        # a computing command reads its argv without argparse and writes its
+        # JSON without json; help stays argparse's own
+        if argv != ("--help",):
+            assert not {"argparse", "json"} & loaded, argv
+    assert "argparse" in _cold_imports("--help")
 
 
 def test_cold_commands_load_only_the_modules_they_run():
@@ -573,3 +584,100 @@ def test_graded_leaves_are_held_to_the_budgets(capsys):
     # within the top degree a c' input still gets the family message
     code, out, err = run_cli("gr", "--r", "2", "--n", "4", "reduce", "c'1")
     assert (code, out, err) == (2, b"", b"error: Gr(2,4) expects a polynomial in the c family only\n")
+
+
+def test_integers_past_the_digit_limit_are_budget_errors():
+    limit = sys.get_int_max_str_digits()
+    # a coefficient too long for str() is held to the output budget
+    code, out, err = run_cli("certify", "99^9999*c1")
+    assert (code, out, err) == (2, b"", f"error: a coefficient exceeds the output budget: "
+                                        f"more than {limit} digits\n".encode())
+    # a literal too long for int() is a parse error at its position
+    digits = limit + 100
+    code, out, err = run_cli("certify", "c1 + " + "1" * digits + "*c1")
+    assert (code, out, err) == (2, b"", f"parse error: a number of {digits} digits exceeds "
+                                        f"the limit of {limit} digits (at position 5)\n".encode())
+    # 7^5000 has 4226 digits, within the limit
+    code, out, err = run_cli("gr", "--r", "2", "--n", "4", "integrate", "7^5000*c1^4")
+    assert (code, err) == (0, b"")
+    assert json.loads(out) == {"ring": "Gr(2,4)", "value": str(2 * 7**5000)}
+
+
+def test_unicode_digits_outside_decimal_are_parse_errors():
+    code, out, err = run_cli("certify", "c\u00b2")
+    assert (code, out, err) == \
+        (2, b"", b"parse error: expected a natural number (at position 1)\n")
+
+
+# The reader's alphabet: every flag of COMMANDS, their abbreviations and
+# --flag=value spellings, help, --, and values in and out of each choice,
+# negative, non-numeric and starting with a dash
+_FLAGS = sorted({"--pretty", "--input"} | {option[0] for _, options, _ in COMMANDS.values()
+                                         for option in options})
+_INTS = ["2", "4", "0", "-1", " 3", "3_0", "x", ""]
+_TEXTS = ["c1^2", "2,1", "FILE", "", "-", "-1", "-x", "-h", "--r", "--"]
+_TOKENS = [*_FLAGS, *(f[:k] for f in _FLAGS for k in (3, 4)), *(f"{f}=2" for f in _FLAGS),
+           "--help", "--bogus", *COMMANDS, "cert", "nonsense", "reduce", "classical", *_INTS,
+           *_TEXTS]
+
+
+def _values(kind, choices):
+    if choices is not None:
+        return [*choices, "nope", "-x", ""]
+    return _INTS if kind is int else _TEXTS
+
+
+@st.composite
+def _argv(draw):
+    """A canonical argv of a drawn command, then a few tokens replaced,
+    inserted or dropped."""
+    argv = []
+    for flag in draw(st.lists(st.sampled_from(["--pretty", "--input"]), max_size=2)):
+        argv += [flag] if flag == "--pretty" else [flag, draw(st.sampled_from(_TEXTS))]
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv.append(command)
+    _, options, positionals = COMMANDS[command]
+    for flag, _, kind, choices, _, _ in draw(st.permutations(options)):
+        if draw(st.integers(0, 4)):
+            argv += [flag, draw(st.sampled_from(_values(kind, choices)))]
+    for _, choices, _ in positionals:
+        if draw(st.integers(0, 4)):
+            argv.append(draw(st.sampled_from(_values(None, choices))))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["replace", "insert", "drop"]))
+        if edit == "insert" or not argv[at:]:
+            argv.insert(at, draw(st.sampled_from(_TOKENS)))
+        elif edit == "replace":
+            argv[at] = draw(st.sampled_from(_TOKENS))
+        else:
+            del argv[at]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500)
+@given(_argv())
+def test_read_argv_agrees_with_argparse(argv):
+    args = read_argv(argv)
+    if args is not None:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                expected = build_parser().parse_args(argv)
+            except SystemExit:
+                raise AssertionError(f"argparse rejects {argv}: {err.getvalue()}") from None
+        assert vars(args) == vars(expected), argv
+
+
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f\x80\u2028\U0001f600'),
+                               st.characters(blacklist_categories=())))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(st.integers(), max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(_JSON_VALUES)
+def test_to_json_equals_json_dumps(value):
+    assert to_json(value) == json.dumps(value, separators=(",", ":"))
