@@ -1,5 +1,6 @@
-import sys
+"""`python -m schurcalc`: cli.run(), which exits without interpreter
+teardown once the command's output is flushed (see cli.py)."""
 
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+run()

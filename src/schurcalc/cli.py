@@ -15,8 +15,20 @@ computing command loads neither argparse nor json.  Every other argv (help,
 abbreviations, `--opt=value`, `--`, usage errors) goes to the argparse
 parser that build_parser makes from the same table, so help texts and
 usage errors stay argparse's own.
+
+The Pieri layer (partitions, schur, rings) imports the polynomial and
+Q-tilde layers only in the functions that build c-polynomials, so lr loads
+cli, partitions and schur, and gr/lg pairing, dual and restrict load rings
+besides; README.md lists what every command loads.
+
+run(), the entry point of `python -m schurcalc` and of the console script,
+ends the process with os._exit once main() has returned and stdout and
+stderr are flushed.  Freeing the modules and memos of a finished command
+costs more than many commands compute, and no output needs it.  main()
+itself returns its exit code and never exits, so it can be called in-process.
 """
 
+import os
 import sys
 
 # The command line, described once.  command -> (help, options, positionals);
@@ -149,6 +161,8 @@ def _expression_text(args, value: str | None) -> str:
 
 
 def _emit(payload, pretty: bool) -> None:
+    if sys.stdout is None:  # the process started with its stdout closed
+        raise OSError("standard output is closed")
     sys.stdout.write((_render(payload, 0) if pretty else to_json(payload)) + "\n")
 
 
@@ -329,7 +343,7 @@ def _schur_input(args):
 
 
 def _ring_command(args, pretty: bool) -> int:
-    from .partitions import StrictPartition, coefficient_text, parse_partition_arg
+    from .partitions import StrictPartition, number_text, parse_partition_arg
     from .rings import GrassmannianRing, LagrangianRing
 
     if args.command == "gr":
@@ -359,7 +373,7 @@ def _ring_command(args, pretty: bool) -> int:
         degree = ring.check_degree(expression_degree(parse(text)))
         expansion = ring.reduce_tautological(evaluate_text(text), degree)
     if args.action == "integrate":
-        _emit({"ring": ring.label, "value": coefficient_text(ring.integrate(expansion))}, pretty)
+        _emit({"ring": ring.label, "value": number_text(ring.integrate(expansion))}, pretty)
     else:
         _emit({"ring": ring.label, **_expansion_payload(expansion)}, pretty)
     return 0
@@ -368,12 +382,12 @@ def _ring_command(args, pretty: bool) -> int:
 def _thom_verify(table: str, pretty: bool) -> int:
     # per table: its reports, and the fields each entry adds to its report
     if table == "classical":
-        from .partitions import coefficient_text
+        from .partitions import number_text
         from .positivity import CLASSICAL_THOM_TABLE, minimal_hook_rank, verify_thom_table
 
         reports = verify_thom_table()
         extras = [{"expression": entry.expression, "codimension": entry.codimension,
-                   "coefficient_sum": coefficient_text(report.expansion.coefficient_sum()),
+                   "coefficient_sum": number_text(report.expansion.coefficient_sum()),
                    "hook_rank": minimal_hook_rank(report.expansion)}
                   for entry, report in zip(CLASSICAL_THOM_TABLE, reports)]
     elif table == "lagrangian":
@@ -410,5 +424,28 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """main(argv from sys.argv), then an exit without interpreter teardown.
+
+    argparse's SystemExit (help, usage errors) counts as main's return.
+    After stdout and stderr are flushed, os._exit ends the process.  A flush
+    that raises (a closed pipe, a full disk) hands the exit to sys.exit, so
+    the interpreter reports the failure as it does after any return; any
+    other exception from main takes the normal path, with its traceback and
+    exit code 1.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

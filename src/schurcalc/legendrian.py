@@ -8,7 +8,7 @@ the published table entries verbatim as expression strings.
 
 from __future__ import annotations
 
-from .partitions import StrictPartition, coefficient_text
+from .partitions import StrictPartition, number_text
 from .polynomial import FAMILY_V1, FAMILY_V2, CPolynomial, degree_list
 from .positivity import VERDICT_NONNEGATIVE, PositivityReport, positivity_report
 from .records import FrozenRecord, Record
@@ -36,7 +36,7 @@ class LegendrianClass(Record):
 
     def to_json(self, items=None) -> list:
         return [{"strict_partition": list(mu.parts), "a": a, "b": b,
-                 "coeff": coefficient_text(c)}
+                 "coeff": number_text(c)}
                 for (mu, a, b), c in (self.items() if items is None else items)]
 
 

@@ -2,13 +2,21 @@
 
 Everything downstream (Schur functions, Q-tilde functions, Schubert bases)
 is indexed by the types in this module.  All values are immutable after
-construction and safe to share.
+construction and safe to share.  It is also the base that every layer
+imports: the generator family names, the budgets and the text of numbers
+and degree lists in messages live here, so the Pieri layer reads them
+without loading the polynomial layer.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import lru_cache
+
+FAMILY_C = "c"
+FAMILY_CPRIME = "c'"
+FAMILY_V1 = "v1"
+FAMILY_V2 = "v2"
 
 
 class Partition:
@@ -112,8 +120,18 @@ def parse_partition_arg(text: str, strict: bool = False) -> Partition:
         return StrictPartition() if strict else Partition()
     if cleaned.startswith("[") and cleaned.endswith("]"):
         cleaned = cleaned[1:-1]
+    pieces = cleaned.split(",")
+    limit = sys.get_int_max_str_digits()
+    for piece in pieces:
+        # int() of a part past the digit limit raises with Python's advice;
+        # name the limit instead, and do not echo the argument
+        if len(piece) > limit:
+            digits = sum(ch.isdecimal() for ch in piece)
+            if digits > limit:
+                raise ValueError(f"bad partition argument: a part of {digits} digits "
+                                 f"exceeds the limit of {limit} digits")
     try:
-        parts = [int(p) for p in cleaned.split(",")]
+        parts = [int(p) for p in pieces]
         return StrictPartition(parts) if strict else Partition(parts)
     except ValueError as exc:
         raise ValueError(f"bad partition argument {text!r}: {exc}") from exc
@@ -213,18 +231,27 @@ def check_term_budget(d: int | None) -> None:
     """Reject a degree whose p(d) terms exceed TERM_BUDGET; None passes.
     p increases, so a huge d costs no more than the first degree past it."""
     if d is not None and any(partition_count(k) > TERM_BUDGET for k in range(d + 1)):
+        d = number_text(d, "the degree")
         raise ValueError(f"degree {d} exceeds the output budget: "
                          f"p({d}) > {TERM_BUDGET} terms")
 
 
-def coefficient_text(c: int) -> str:
-    """str(c); a coefficient longer than Python turns into text (its int/str
-    digit limit) exceeds the output budget."""
+def number_text(n: int, what: str = "a coefficient") -> str:
+    """str(n); a number longer than Python turns into text (its int/str
+    digit limit) exceeds the output budget, and what names it."""
     try:
-        return str(c)
+        return str(n)
     except ValueError:
-        raise ValueError("a coefficient exceeds the output budget: more than "
+        raise ValueError(f"{what} exceeds the output budget: more than "
                          f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def degree_list(degrees) -> str:
+    """Sorted degrees for an error message; more than four are elided."""
+    ds = [number_text(d, "a degree") for d in sorted(degrees)]
+    if len(ds) <= 4:
+        return f"[{', '.join(ds)}]"
+    return f"[{ds[0]}, {ds[1]}, {ds[2]}, ..., {ds[-1]}], {len(ds)} in all"
 
 
 def check_part_budget(parts: int) -> None:

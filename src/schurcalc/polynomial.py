@@ -8,12 +8,10 @@ is reproducible.
 
 from __future__ import annotations
 
-from .partitions import coefficient_text
-
-FAMILY_C = "c"
-FAMILY_CPRIME = "c'"
-FAMILY_V1 = "v1"
-FAMILY_V2 = "v2"
+# the family names and degree_list live in the base module, which the
+# Pieri layer reads without loading this one
+from .partitions import (FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2,
+                         degree_list, number_text)
 
 # A generator is a (family, index) pair; v1/v2 carry index 0.  The family
 # names sort c < c' < v1 < v2, so generators sort as plain tuples.
@@ -48,14 +46,6 @@ def generator_name(g: Generator) -> str:
 
 def monomial_degree(m: Monomial) -> int:
     return sum(generator_degree(g) * e for g, e in m)
-
-
-def degree_list(degrees) -> str:
-    """Sorted degrees for an error message; more than four are elided."""
-    ds = sorted(degrees)
-    if len(ds) <= 4:
-        return str(ds)
-    return f"[{ds[0]}, {ds[1]}, {ds[2]}, ..., {ds[-1]}], {len(ds)} in all"
 
 
 def monomial_key(m: Monomial):
@@ -237,7 +227,7 @@ class CPolynomial:
             return "0"
         pieces = []
         for mono, coeff in reversed(self.sorted_terms()):
-            mag = coefficient_text(abs(coeff))
+            mag = number_text(abs(coeff))
             body = monomial_name(mono)
             if body == "1":
                 text = mag

@@ -17,6 +17,12 @@ them each c-monomial from 1 and the lighter of two classes on the heavier:
   bounded by mu_1 <= n, and a class is peeled by its first row.
 
 Every step is a product of basis classes in the ring, so the bound is exact.
+
+Reduction, products, pairings and restriction read only the Pieri layer.
+The polynomial and Q-tilde layers are imported by the methods that build
+c-polynomials (reduce_tautological, basis_polynomial) when they run, so a
+pairing, dual or restrict command never loads them, and no warm call of
+reduce, integrate, basis_product or restrict runs an import statement.
 """
 
 from __future__ import annotations
@@ -24,23 +30,26 @@ from __future__ import annotations
 from functools import cached_property
 
 from .partitions import (
+    FAMILY_C,
     Partition,
     StrictPartition,
     check_term_budget,
+    degree_list,
     enumerate_partitions,
     enumerate_strict_partitions,
+    number_text,
     rectangle_dual,
     staircase,
     strict_complement,
 )
-from .polynomial import FAMILY_C, CPolynomial, degree_list, truncate_family
-from .qtilde import qtilde, qtilde_pieri_step, row_peel
 from .schur import (
     Expansion,
     basis_key,
     column_peel,
     fold_coefficients,
     pieri_build,
+    qtilde_pieri_step,
+    row_peel,
     schur_dual_jt,
     vertical_strip_step,
 )
@@ -97,6 +106,7 @@ class SchubertRing:
     def check_degree(self, d: int | None) -> int | None:
         """Reject a degree above the top degree; None (unknown) passes."""
         if d is not None and d > self.top_degree:
+            d = number_text(d, "the degree")
             raise ValueError(f"degree {d} exceeds the top degree {self.top_degree} "
                              f"of {self.label}")
         return d
@@ -107,6 +117,8 @@ class SchubertRing:
         c_k with k above the rank is zero there; when that kills p, the zero
         class keeps the degree p had.  degree is the degree of a zero p.
         """
+        from .polynomial import truncate_family
+
         if not p.is_zero():
             degree = p.homogeneous_degree() if p.is_homogeneous() else None
         return self.reduce(truncate_family(p, FAMILY_C, self.rank), degree=degree)
@@ -120,9 +132,8 @@ class SchubertRing:
     def integrate(self, x: Expansion) -> int:
         """Coefficient of the point class; defined only in the top degree."""
         if x.degree != self.top_degree:
-            raise ValueError(
-                f"integration needs degree {self.top_degree}, got {x.degree}"
-            )
+            top = number_text(self.top_degree, "the top degree")
+            raise ValueError(f"integration needs degree {top}, got {x.degree}")
         return x.get(self.point_class)
 
     def basis_product(self, lam: Partition, mu: Partition) -> Expansion:
@@ -208,6 +219,8 @@ class GrassmannianRing(SchubertRing):
 
     def basis_polynomial(self, lam: Partition) -> CPolynomial:
         """The Giambelli representative: the Schur polynomial in c_1..c_r."""
+        from .polynomial import truncate_family
+
         return truncate_family(schur_dual_jt(self.basis_index(lam)), FAMILY_C, self.r)
 
     def dual(self, lam: Partition) -> Partition:
@@ -267,6 +280,9 @@ class LagrangianRing(SchubertRing):
 
     def basis_polynomial(self, mu: StrictPartition) -> CPolynomial:
         """Q_mu truncated to c_1..c_n, the Giambelli representative of Y^mu."""
+        from .polynomial import truncate_family
+        from .qtilde import qtilde
+
         return truncate_family(qtilde(self.basis_index(mu)), FAMILY_C, self.n)
 
     def dual(self, mu: StrictPartition) -> StrictPartition:

@@ -6,14 +6,18 @@ the dual Pieri step (c_k = s_(1^k) adds vertical k-strips) it expands
 c-monomials and s_lam . s_mu in the Schur basis and, in an r x (n-r) box,
 reduces in H*(Gr(r, n)); with the Q-tilde step it works in H*(LG(n)).  On
 c-monomials it builds s_lam itself.
+
+The steps, peels and the build work on tuples of parts and read only
+partitions.py.  The polynomial layer is imported by the functions that
+build c-polynomials (schur_dual_jt, from_schur) when they run, so lr and
+the ring commands, which build none, never load it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import Partition, check_term_budget, coefficient_text
-from .polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial
+from .partitions import FAMILY_C, FAMILY_CPRIME, Partition, check_term_budget, number_text
 
 # The most factors a c-monomial folds.  Its index tuple and the memo of its
 # prefixes grow with the factor count, the memo as its square: a cold
@@ -26,6 +30,8 @@ FOLD_FACTOR_BUDGET = 5000
 def schur_dual_jt(lam: Partition, family: str = FAMILY_C) -> CPolynomial:
     """s_lambda in raw c-generators, built on c-monomials by column peels; no
     rank bound.  A weight past the output budget is rejected."""
+    from .polynomial import CPolynomial
+
     parts = Partition(lam).parts
     check_term_budget(sum(parts))
     built = pieri_build((), parts, monomial_step, None, column_peel, (None, None))
@@ -92,7 +98,7 @@ class Expansion:
         return bool(self.coefficients)
 
     def to_json(self, items=None) -> list:
-        return [{self.key.json_key: list(lam.parts), "coeff": coefficient_text(c)}
+        return [{self.key.json_key: list(lam.parts), "coeff": number_text(c)}
                 for lam, c in (self.items() if items is None else items)]
 
     def __repr__(self) -> str:
@@ -139,6 +145,33 @@ def column_peel(mu: tuple[int, ...], bound: tuple) -> tuple:
 def index_peel(mu: tuple[int, ...], bound) -> tuple:
     """A c-monomial (indices ascending) is its last index times the rest."""
     return mu[-1], mu[:-1], ((mu, 1),)
+
+
+@lru_cache(maxsize=None)
+def qtilde_pieri_step(lam: tuple[int, ...], k: int, bound: tuple[int]) -> tuple:
+    """(mu, 2^e) for c_k . Q_lam = sum 2^e Q_mu in H*(LG(n)), with bound (n,).
+
+    The Pieri rule of Pragacz-Ratajski: mu runs over the strict partitions
+    with mu_1 <= n and |mu| = |lam| + k such that mu/lam is a horizontal
+    strip of the ordinary (unshifted) diagram, and e counts the j with
+    mu_{j+1} < lam_j < mu_j.  The recursion drops the first row and passes
+    the cap of the next row as its bound.
+    """
+    (cap,) = bound
+    if not lam:
+        return (((k,) if k else (), 1),) if k <= cap else ()
+    head, tail = lam[0], lam[1:]
+    out = []
+    for a in range(min(k, cap - head) + 1):
+        for mu, mult in qtilde_pieri_step(tail, k - a, (head if a else head - 1,)):
+            split = a and (mu[0] if mu else 0) < head
+            out.append(((head + a,) + mu, 2 * mult if split else mult))
+    return tuple(out)
+
+
+def row_peel(mu: tuple[int, ...], bound: tuple[int]) -> tuple:
+    """k = mu_1, nu = mu less it: c_k . Q_nu has Q_mu once, other kappa_1 > k."""
+    return mu[0], mu[1:], qtilde_pieri_step(mu[1:], mu[0], bound)
 
 
 @lru_cache(maxsize=None)
@@ -220,6 +253,8 @@ def to_schur(p: CPolynomial, length_bound: int | None = None) -> Expansion:
 
 def from_schur(x: Expansion, family: str = FAMILY_C) -> CPolynomial:
     """Inverse of to_schur: substitute the defining polynomials and expand."""
+    from .polynomial import CPolynomial
+
     total = CPolynomial.zero()
     for lam, coeff in x.items():
         total = total + coeff * schur_dual_jt(lam, family)

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import os
 import re
 import resource
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurcalc
-from schurcalc import linalg
+from schurcalc import cli, linalg
 from schurcalc.cli import COMMANDS, build_parser, main, read_argv, to_json
 
 import oracles
@@ -245,34 +246,43 @@ def test_production_is_integer_only():
 
 
 @lru_cache(maxsize=None)
-def _cold_imports(*argv):
-    """Every module a fresh `python -S -m schurcalc ARGV` (or, with no ARGV,
-    `import schurcalc`) imports; -S keeps site's own imports out.  python -m
-    runs __main__ as a script, so schurcalc.__main__ is not listed."""
+def _python_s_imports(*command):
+    """Every module a fresh `python -S COMMAND` imports; -S keeps site's own
+    imports out."""
     src = str(Path(schurcalc.__file__).parent.parent)
-    command = ["-m", "schurcalc", *argv] if argv else ["-c", "import schurcalc"]
     proc = subprocess.run([sys.executable, "-S", "-X", "importtime", *command],
                           capture_output=True, env={"PYTHONPATH": src}, text=True,
                           timeout=60)
-    assert proc.returncode == 0, (argv, proc.stderr)
+    assert proc.returncode == 0, (command, proc.stderr)
     names = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
              if line.startswith("import time:")}
     assert "schurcalc" in names
     return names
 
 
-_BUILD = {"partitions", "polynomial", "schur"}
-_RING = {"cli", "qtilde", "rings"} | _BUILD
+def _cold_imports(*argv):
+    """Every module a fresh `python -S -m schurcalc ARGV` (or, with no ARGV,
+    `import schurcalc`) imports.  python -m runs __main__ as a script, so
+    schurcalc.__main__ is not listed."""
+    return _python_s_imports(*(["-m", "schurcalc", *argv] if argv else
+                               ["-c", "import schurcalc"]))
+
+
+# the Pieri layer: steps, peels and the build, on tuples of parts
+_PIERI = {"partitions", "schur"}
+_BUILD = {"polynomial"} | _PIERI
+_RING = {"cli", "rings"} | _PIERI
 # records holds the base of the syntax-tree nodes and of the reports
 _GRAMMAR = {"parsing", "qtilde", "records"} | _BUILD
 _POSITIVITY = {"cli", "positivity", "records"}
 
 # per command, exactly the schurcalc submodules it loads: the grammar only
-# where an expression is read, legendrian only for the Legendrian tables
+# where an expression is read, legendrian only for the Legendrian tables,
+# the polynomial layer only where a c-polynomial is built
 _COLD_LOADS = [
     ((), set()),
     (("--help",), {"cli"}),
-    (("lr", "2,1", "1"), {"cli"} | _BUILD),
+    (("lr", "2,1", "1"), {"cli"} | _PIERI),
     (("qtilde", "2,1"), {"cli", "partitions", "polynomial", "qtilde"}),
     (("schur-bundle", "--rank", "2", "--functor", "1", "--class", "1"),
      _POSITIVITY | _BUILD),
@@ -307,6 +317,28 @@ def test_cold_commands_load_only_the_modules_they_run():
         loaded = {name.partition(".")[2] for name in _cold_imports(*argv)
                   if name.startswith("schurcalc.")}
         assert loaded == expected, argv
+
+
+def test_the_pieri_layer_loads_no_polynomial_code():
+    # rings and schur import polynomial and qtilde only in the functions that
+    # build c-polynomials
+    loaded = _python_s_imports("-c", "import schurcalc.rings")
+    assert {"schurcalc.rings", "schurcalc.schur", "schurcalc.partitions"} <= loaded
+    assert not {"schurcalc.polynomial", "schurcalc.qtilde"} & loaded
+
+
+def test_only_the_c_polynomial_builders_import_when_called():
+    # so no warm reduce, integrate, basis_product or restrict runs an import
+    # statement, which costs about 2 us, an eighth of a warm reduce
+    from schurcalc import rings, schur
+
+    builders = {schur: {"schur_dual_jt", "from_schur"},
+                rings: {"reduce_tautological", "basis_polynomial"}}
+    for module, names in builders.items():
+        tree = ast.parse(Path(module.__file__).read_text())
+        importing = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                     and any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(node))}
+        assert importing == names, module.__name__
 
 
 def test_error_messages_are_exact(tmp_path):
@@ -601,6 +633,126 @@ def test_integers_past_the_digit_limit_are_budget_errors():
     code, out, err = run_cli("gr", "--r", "2", "--n", "4", "integrate", "7^5000*c1^4")
     assert (code, err) == (0, b"")
     assert json.loads(out) == {"ring": "Gr(2,4)", "value": str(2 * 7**5000)}
+
+
+def test_degrees_and_parts_past_the_digit_limit_are_not_echoed():
+    limit = sys.get_int_max_str_digits()
+    n = "7" * 3000  # (c1^n)^n has a degree of about 6000 digits
+    for argv in (["to-schur", f"(c1^{n})^{n}"],
+                 ["gr", "--r", "2", "--n", "4", "integrate", f"(c1^{n})^{n}"]):
+        assert run_cli(*argv) == (2, b"", f"error: the degree exceeds the output budget: "
+                                          f"more than {limit} digits\n".encode()), argv[0]
+    assert run_cli("certify", f"(c1^{n})^{n} + c1") == \
+        (2, b"", f"error: a degree exceeds the output budget: more than {limit} digits\n".encode())
+    # r (n - r) has about 4500 digits
+    r, m = "1" * (limit // 2 + 100), "2" * (limit // 2 + 100)
+    assert run_cli("gr", "--r", r, "--n", m, "integrate", "c1") == \
+        (2, b"", f"error: the top degree exceeds the output budget: "
+                 f"more than {limit} digits\n".encode())
+    ones = "1" * (limit + 100)
+    for argv in (["lr", ones, "1"], ["gr", "--r", "2", "--n", "4", "dual", ones],
+                 ["lg", "--n", "3", "dual", f"2,{ones}"]):
+        assert run_cli(*argv) == (2, b"", f"error: bad partition argument: a part of "
+                                          f"{limit + 100} digits exceeds the limit of "
+                                          f"{limit} digits\n".encode()), argv[0]
+
+
+def test_closed_stdout_is_one_error_line():
+    proc = subprocess.run([sys.executable, "-m", "schurcalc", "lr", "2,1", "1"],
+                          stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, b"error: standard output is closed\n")
+
+
+def _exits(argv, stdout=subprocess.PIPE, unbuffered=False):
+    """(code, stdout, stderr) of `python -m schurcalc ARGV`, which ends in
+    cli.run's exit without teardown, and of the same command ending in
+    sys.exit(main()) and the interpreter's teardown."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    results = []
+    for command in (["-m", "schurcalc"],
+                    ["-c", "import sys; from schurcalc.cli import main; sys.exit(main())"]):
+        proc = subprocess.run([sys.executable, *command, *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+        results.append((proc.returncode, proc.stdout, proc.stderr))
+    return results
+
+
+def test_fast_exit_keeps_codes_and_bytes():
+    for argv, code in ((["lg", "--n", "3", "pairing"], 0),
+                       (["certify", "c1^2-3*s[2]"], 1),
+                       (["certify", "c1 +"], 2),
+                       (["--help"], 0), (["gr", "--help"], 0),
+                       (["gr", "--r", "x", "--n", "4", "pairing"], 2)):
+        fast, slow = _exits(argv)
+        assert fast == slow, argv
+        # an answer or help on stdout, or one message on stderr
+        assert (fast[0], bool(fast[1]), bool(fast[2])) == (code, code < 2, code == 2), argv
+
+
+def test_fast_exit_reports_failed_writes_as_teardown_does():
+    # the output sits in stdout's buffer until the exit flushes it; that
+    # flush fails, and the interpreter reports it with exit code 120
+    if Path("/dev/full").exists():
+        with open("/dev/full", "wb") as full:
+            fast, slow = _exits(["lr", "2,1", "1"], stdout=full)
+        assert fast == slow
+        assert fast[0] == 120 and fast[2].endswith(b"No space left on device\n")
+    for unbuffered in (False, True):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the command writes
+        try:
+            fast, slow = _exits(["lg", "--n", "3", "pairing"], stdout=write,
+                                unbuffered=unbuffered)
+        finally:
+            os.close(write)
+        assert fast == slow, unbuffered
+        if unbuffered:  # the write itself fails, and main reports it
+            assert fast == (2, None, b"error: [Errno 32] Broken pipe\n")
+        else:
+            assert fast[0] == 120 and fast[2].endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+            assert b"Traceback" not in fast[2]
+
+
+def test_an_exception_in_main_prints_its_traceback():
+    failing = ("import schurcalc.cli as cli; "
+               "cli._run_command = lambda args: 1 // 0; cli.run()")
+    proc = subprocess.run([sys.executable, "-c", failing, "lr", "1", "1"],
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"Traceback (most recent call last):\n")
+    assert proc.stderr.endswith(b"ZeroDivisionError: integer division or modulo by zero\n")
+
+
+def test_main_returns_and_run_exits(monkeypatch, capsys):
+    # main never exits, so tests and the benchmark call it in-process
+    assert main(["lr", "1", "1"]) == 0
+    assert main(["certify", "c1 +"]) == 2
+    # run turns main's return and argparse's SystemExit into os._exit
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+    for argv in (["lr", "1", "1"], ["certify", "c1^2-3*s[2]"], ["bogus"], ["--help"]):
+        monkeypatch.setattr(sys, "argv", ["schurcalc", *argv])
+        cli.run()
+    assert exits == [0, 1, 2, 0]
+    capsys.readouterr()
+
+    # a flush that fails hands the exit to sys.exit
+    class Closed(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    monkeypatch.setattr(sys, "argv", ["schurcalc", "lr", "1", "1"])
+    try:
+        cli.run()
+    except SystemExit as exc:
+        assert exc.code == 0
+    else:
+        raise AssertionError("run did not exit")
+    assert exits == [0, 1, 2, 0]
 
 
 def test_unicode_digits_outside_decimal_are_parse_errors():
