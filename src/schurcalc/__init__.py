@@ -32,9 +32,9 @@ _EXPORTS = {
     "qtilde": ("qtilde",),
     "rings": ("GrassmannianRing", "LagrangianRing"),
     "positivity": (
-        "PositivityReport", "certify", "verify_thom_table", "schur_bundle_class",
-        "CLASSICAL_THOM_TABLE",
+        "PositivityReport", "certify", "verify_thom_table", "CLASSICAL_THOM_TABLE",
     ),
+    "bundles": ("schur_bundle_class",),
     "legendrian": (
         "LegendrianClass", "legendrian_parse", "lagrangian_part",
         "legendrian_positivity", "LEGENDRIAN_TABLE",

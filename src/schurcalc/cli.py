@@ -13,13 +13,19 @@ read_argv reads the canonical form `[--pretty] [--input FILE] COMMAND
 would build, and to_json writes the bytes json.dumps would write, so a
 computing command loads neither argparse nor json.  Every other argv (help,
 abbreviations, `--opt=value`, `--`, usage errors) goes to the argparse
-parser that build_parser makes from the same table, so help texts and
-usage errors stay argparse's own.
+parser that plaintext.build_parser makes from the same table, so help texts
+and usage errors stay argparse's own; plaintext also holds the --pretty
+renderer, and no other command loads it.  The handlers of gr, lg and
+thom-verify live in commands.py, which only those commands load.
 
-The Pieri layer (partitions, schur, rings) imports the polynomial and
-Q-tilde layers only in the functions that build c-polynomials, so lr loads
-cli, partitions and schur, and gr/lg pairing, dual and restrict load rings
-besides; README.md lists what every command loads.
+The Pieri layer (partitions, schur, rings) and the grammar import the
+polynomial and Q-tilde layers only in the functions that build
+c-polynomials.  to-schur and certify evaluate their expression in the
+Schur basis, so lr loads cli, partitions and schur, to-schur and certify
+the grammar besides, and gr/lg pairing, dual and restrict commands and
+rings; only a q atom, a sum of terms of different degrees, a ring
+reduction or a table loads the polynomial layer.  README.md
+lists what every command loads.
 
 run(), the entry point of `python -m schurcalc` and of the console script,
 ends the process with os._exit once main() has returned and stdout and
@@ -33,8 +39,8 @@ import sys
 
 # The command line, described once.  command -> (help, options, positionals);
 # an option is (flag, dest, type, choices, required, metavar) and a positional
-# (dest, choices, optional).  build_parser() turns it into argparse parsers and
-# read_argv() reads the canonical form from it.
+# (dest, choices, optional).  plaintext.build_parser() turns it into argparse
+# parsers and read_argv() reads the canonical form from it.
 _LENGTH_BOUND = ("--length-bound", "length_bound", int, None, False, None)
 _R = ("--r", "r", int, None, True, None)
 _N = ("--n", "n", int, None, True, None)
@@ -59,31 +65,6 @@ COMMANDS = {
                       ("--functor", "functor", None, None, True, "LAMBDA"),
                       ("--class", "class_", None, None, True, "MU")), ()),
 }
-
-
-def build_parser():
-    """The argparse parser of COMMANDS: help, usage errors and every
-    spelling that read_argv does not take."""
-    import argparse
-
-    top = argparse.ArgumentParser(
-        prog="schurcalc",
-        description="Exact Schur/Q-tilde calculus with positivity certification",
-    )
-    top.add_argument("--pretty", action="store_true",
-                     help="plain-text output instead of JSON")
-    top.add_argument("--input", metavar="FILE",
-                     help="read the expression argument from FILE")
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, options, positionals) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        # options first: argparse lists missing required arguments in this order
-        for flag, dest, kind, choices, required, metavar in options:
-            p.add_argument(flag, dest=dest, type=kind, choices=choices,
-                           required=required, metavar=metavar)
-        for dest, choices, optional in positionals:
-            p.add_argument(dest, choices=choices, nargs="?" if optional else None)
-    return top
 
 
 class Arguments:
@@ -151,7 +132,7 @@ def read_argv(argv) -> Arguments | None:
     return Arguments(values)
 
 
-def _expression_text(args, value: str | None) -> str:
+def expression_text(args, value: str | None) -> str:
     if value is not None:
         return value
     if args.input:
@@ -160,10 +141,16 @@ def _expression_text(args, value: str | None) -> str:
     raise ValueError("an expression is required (positional or via --input)")
 
 
-def _emit(payload, pretty: bool) -> None:
+def emit(payload, pretty: bool) -> None:
     if sys.stdout is None:  # the process started with its stdout closed
         raise OSError("standard output is closed")
-    sys.stdout.write((_render(payload, 0) if pretty else to_json(payload)) + "\n")
+    if pretty:
+        from .plaintext import render
+
+        text = render(payload, 0)
+    else:
+        text = to_json(payload)
+    sys.stdout.write(text + "\n")
 
 
 _JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
@@ -218,77 +205,22 @@ def _json_string(text: str) -> str:
     return '"' + "".join(out) + '"'
 
 
-def _render(value, depth: int) -> str:
-    pad = "  " * depth
-    if isinstance(value, dict):
-        lines = []
-        for k, v in value.items():
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}{k}:")
-                lines.append(_render(v, depth + 1))
-            else:
-                lines.append(f"{pad}{k}: {_render_scalar(v)}")
-        return "\n".join(lines)
-    if isinstance(value, list):
-        lines = []
-        for item in value:
-            if isinstance(item, (dict, list)) and item:
-                body = _render(item, depth + 1)
-                lines.append(f"{pad}-\n{body}")
-            else:
-                lines.append(f"{pad}- {_render_scalar(item)}")
-        return "\n".join(lines)
-    return f"{pad}{_render_scalar(value)}"
-
-
-def _render_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, dict):
-        return "{}"
-    if isinstance(value, list):
-        return "[]"
-    return str(value)
-
-
-def _expansion_payload(expansion) -> dict:
+def expansion_payload(expansion) -> dict:
     return {"degree": expansion.degree, "expansion": expansion.to_json()}
-
-
-def _pairing_payload(ring) -> dict:
-    ring.check_pairing_budget()
-    degrees = []
-    for d in range(ring.top_degree + 1):
-        rows, cols, matrix = ring.pairing_matrix(d)
-        degrees.append({
-            "degree": d,
-            "rows": [list(p.parts) for p in rows],
-            "cols": [list(p.parts) for p in cols],
-            "matrix": matrix,
-            "is_dual_permutation": ring.is_dual_permutation(rows, cols, matrix),
-        })
-    ok = all(block["is_dual_permutation"] for block in degrees)
-    return {"ring": ring.label, "degrees": degrees, "is_dual_permutation": ok}
 
 
 def _run_command(args) -> int:
     pretty = args.pretty
 
     if args.command == "to-schur":
-        from .schur import to_schur
-
-        expansion = to_schur(_schur_input(args), length_bound=args.length_bound)
-        _emit(_expansion_payload(expansion), pretty)
+        emit(expansion_payload(_schur_input(args)), pretty)
         return 0
 
     if args.command == "certify":
-        from .positivity import certify
+        from .positivity import schur_positivity
 
-        poly = _schur_input(args)
-        report = certify(poly, length_bound=args.length_bound)
-        _emit(report.to_json(), pretty)
+        report = schur_positivity(_schur_input(args))
+        emit(report.to_json(), pretty)
         return 0 if report.nonnegative else 1
 
     if args.command == "lr":
@@ -297,7 +229,7 @@ def _run_command(args) -> int:
 
         lam = parse_partition_arg(args.lam)
         mu = parse_partition_arg(args.mu)
-        _emit(_expansion_payload(lr_multiply(lam, mu)), pretty)
+        emit(expansion_payload(lr_multiply(lam, mu)), pretty)
         return 0
 
     if args.command == "qtilde":
@@ -306,106 +238,42 @@ def _run_command(args) -> int:
 
         mu = parse_partition_arg(args.mu)
         poly = qtilde(mu)
-        _emit({"partition": list(mu.parts), "degree": mu.weight,
+        emit({"partition": list(mu.parts), "degree": mu.weight,
                "polynomial": str(poly)}, pretty)
         return 0
 
     if args.command in ("gr", "lg"):
-        return _ring_command(args, pretty)
+        from .commands import ring_command
+
+        return ring_command(args, pretty)
 
     if args.command == "thom-verify":
-        return _thom_verify(args.table, pretty)
+        from .commands import thom_verify
+
+        return thom_verify(args.table, pretty)
 
     if args.command == "schur-bundle":
         from .partitions import parse_partition_arg
-        from .positivity import schur_bundle_class
+        from .bundles import schur_bundle_class
 
         lam = parse_partition_arg(args.functor)
         mu = parse_partition_arg(args.class_)
         expansion = schur_bundle_class(lam, mu, args.rank)
-        _emit(_expansion_payload(expansion), pretty)
+        emit(expansion_payload(expansion), pretty)
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")
 
 
 def _schur_input(args):
-    """The expression of to-schur or certify, evaluated once its length
-    bound and the output size of its degree (read as in _ring_command) pass."""
-    from .parsing import evaluate_text, expression_degree, parse
-    from .partitions import check_term_budget
+    """The Schur expansion of the expression of to-schur or certify, once its
+    length bound passes; evaluate_schur checks the expression's degrees
+    against the output budget before it evaluates."""
+    from .parsing import evaluate_schur
 
     if args.length_bound is not None and args.length_bound < 0:
         raise ValueError(f"length bound must be nonnegative, got {args.length_bound}")
-    text = _expression_text(args, args.expr)
-    check_term_budget(expression_degree(parse(text)))
-    return evaluate_text(text)
-
-
-def _ring_command(args, pretty: bool) -> int:
-    from .partitions import StrictPartition, number_text, parse_partition_arg
-    from .rings import GrassmannianRing, LagrangianRing
-
-    if args.command == "gr":
-        ring = GrassmannianRing(args.r, args.n)
-    else:
-        ring = LagrangianRing(args.n)
-    if args.action == "pairing":
-        _emit(_pairing_payload(ring), pretty)
-        return 0
-    if args.action in ("dual", "restrict") and args.arg is None:
-        raise ValueError(f"{args.command} {args.action} needs a partition argument "
-                         "(\"\", 0 or [] for the empty partition)")
-    if args.action == "dual":
-        lam = parse_partition_arg(args.arg, strict=ring.key is StrictPartition)
-        _emit({ring.key.json_key: list(ring.dual(lam).parts)}, pretty)
-        return 0
-    if args.action == "restrict":
-        expansion = ring.restrict(parse_partition_arg(args.arg))
-    else:
-        # the degree read from the syntax tree rejects a class above the top
-        # degree before any evaluation, and is the degree of a zero value;
-        # evaluate_text parses again (linear in the text) so that evaluation
-        # stays one function for schurbench's tracer
-        from .parsing import evaluate_text, expression_degree, parse
-
-        text = _expression_text(args, args.arg)
-        degree = ring.check_degree(expression_degree(parse(text)))
-        expansion = ring.reduce_tautological(evaluate_text(text), degree)
-    if args.action == "integrate":
-        _emit({"ring": ring.label, "value": number_text(ring.integrate(expansion))}, pretty)
-    else:
-        _emit({"ring": ring.label, **_expansion_payload(expansion)}, pretty)
-    return 0
-
-
-def _thom_verify(table: str, pretty: bool) -> int:
-    # per table: its reports, and the fields each entry adds to its report
-    if table == "classical":
-        from .partitions import number_text
-        from .positivity import CLASSICAL_THOM_TABLE, minimal_hook_rank, verify_thom_table
-
-        reports = verify_thom_table()
-        extras = [{"expression": entry.expression, "codimension": entry.codimension,
-                   "coefficient_sum": number_text(report.expansion.coefficient_sum()),
-                   "hook_rank": minimal_hook_rank(report.expansion)}
-                  for entry, report in zip(CLASSICAL_THOM_TABLE, reports)]
-    elif table == "lagrangian":
-        from .legendrian import LEGENDRIAN_TABLE, verify_lagrangian_table
-
-        reports = verify_lagrangian_table()
-        extras = [{"bold_expression": entry.lagrangian_expression}
-                  for entry in LEGENDRIAN_TABLE]
-    else:
-        from .legendrian import LEGENDRIAN_TABLE, verify_legendrian_table
-
-        reports = verify_legendrian_table()
-        extras = [{"codimension": entry.codimension, "degree": report.expansion.degree}
-                  for entry, report in zip(LEGENDRIAN_TABLE, reports)]
-    entries = [{**report.to_json(), **extra} for report, extra in zip(reports, extras)]
-    ok = all(report.nonnegative for report in reports)
-    _emit({"table": table, "entries": entries, "all_nonnegative": ok}, pretty)
-    return 0 if ok else 1
+    return evaluate_schur(expression_text(args, args.expr), args.length_bound)
 
 
 def main(argv=None) -> int:
@@ -413,6 +281,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = read_argv(argv)
     if args is None:
+        from .plaintext import build_parser
+
         args = build_parser().parse_args(argv)
     try:
         return _run_command(args)

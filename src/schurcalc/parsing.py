@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import sys
 
-from .partitions import Partition
-from .polynomial import (FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, CPolynomial,
-                         generator_degree)
-from .qtilde import qtilde
+from .partitions import (FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, Partition,
+                         check_term_budget, generator_degree)
 from .records import FrozenRecord
-from .schur import schur_dual_jt
+from .schur import check_schur_families, schur_expansion, schur_product, to_schur
 
 
 # Deepest parenthesis nesting the parser accepts; the recursive descent and
@@ -223,13 +221,21 @@ def parse(text: str) -> Expression:
 def _polynomial_atom(expr: Num | Gen | Basis) -> CPolynomial:
     """A leaf as a polynomial; s and q atoms expand to their defining
     c-polynomials (s by the dual Pieri rule, q via Q-tilde), whose builders
-    check their weight against the output budget."""
+    check their weight against the output budget.  The polynomial layer is
+    imported here, so an expression that is not evaluated to a polynomial
+    never loads it."""
+    from .polynomial import CPolynomial
+
     if isinstance(expr, Num):
         return CPolynomial.constant(expr.value)
     if isinstance(expr, Gen):
         return CPolynomial.gen(expr.family, expr.index)
     if expr.kind == "s":
+        from .schur import schur_dual_jt
+
         return schur_dual_jt(Partition(expr.parts))
+    from .qtilde import qtilde
+
     return qtilde(Partition(expr.parts))
 
 
@@ -258,33 +264,40 @@ def evaluate_text(text: str) -> CPolynomial:
     return evaluate(parse(text))
 
 
-class _Degree:
-    """Evaluator value for the degree of an expression read from its syntax
-    tree; d is None when unknown (terms of a sum differ in degree)."""
+class _Reading:
+    """Evaluator value for what the syntax tree alone says of an expression:
+    lo and hi bound the degrees of the value's terms, peak is the highest
+    degree of any subexpression (more than hi only under a power 0), and
+    families holds the generator families it names, c for s and q atoms."""
 
-    __slots__ = ("d",)
+    __slots__ = ("lo", "hi", "peak", "families")
 
-    def __init__(self, d: int | None):
-        self.d = d
+    def __init__(self, lo: int, hi: int, peak: int, families: frozenset):
+        self.lo, self.hi, self.peak, self.families = lo, hi, peak, families
 
-    def __add__(self, other: "_Degree") -> "_Degree":
-        return _Degree(self.d if self.d == other.d else None)
+    def __add__(self, other: "_Reading") -> "_Reading":
+        return _Reading(min(self.lo, other.lo), max(self.hi, other.hi),
+                        max(self.peak, other.peak), self.families | other.families)
 
     __sub__ = __add__
 
-    def __mul__(self, other: "_Degree") -> "_Degree":
-        return _Degree(None if None in (self.d, other.d) else self.d + other.d)
+    def __mul__(self, other: "_Reading") -> "_Reading":
+        hi = self.hi + other.hi
+        return _Reading(self.lo + other.lo, hi, max(self.peak, other.peak, hi),
+                        self.families | other.families)
 
-    def __pow__(self, e: int) -> "_Degree":
-        return _Degree(None if self.d is None else self.d * e)
+    def __pow__(self, e: int) -> "_Reading":
+        return _Reading(self.lo * e, self.hi * e, max(self.peak, self.hi * e), self.families)
 
 
-def _degree_atom(expr: Num | Gen | Basis) -> _Degree:
+def _reading_atom(expr: Num | Gen | Basis) -> _Reading:
     if isinstance(expr, Num):
-        return _Degree(0)
+        return _Reading(0, 0, 0, frozenset())
     if isinstance(expr, Gen):
-        return _Degree(generator_degree((expr.family, expr.index)))
-    return _Degree(sum(expr.parts))
+        d = generator_degree((expr.family, expr.index))
+        return _Reading(d, d, d, frozenset((expr.family,)))
+    d = sum(expr.parts)
+    return _Reading(d, d, d, frozenset((FAMILY_C,)))
 
 
 def expression_degree(expr: Expression) -> int | None:
@@ -292,5 +305,88 @@ def expression_degree(expr: Expression) -> int | None:
     degree 0, c_k and c'_k degree k, v1 and v2 degree 1, s[lam] and q[mu]
     their weight.  None when unknown; a known degree is that of every term
     of the value."""
-    return evaluate(expr, _degree_atom).d
+    reading = evaluate(expr, _reading_atom)
+    return reading.lo if reading.lo == reading.hi else None
 
+
+class _SchurValue:
+    """Evaluator value in the Schur basis: terms maps tuples of parts to
+    nonzero ints, and columns holds the indices k of c_k factors not yet
+    applied.  A product with c-monomials only joins their columns; a sum and
+    the end of the evaluation apply them, each as one vertical strip step
+    per term."""
+
+    __slots__ = ("terms", "columns")
+
+    def __init__(self, terms: dict, columns: tuple = ()):
+        self.terms = terms
+        self.columns = columns if terms else ()
+
+    def expanded(self) -> dict:
+        terms = self.terms
+        for k in self.columns:
+            terms = schur_product(terms, {(1,) * k: 1})
+        return terms
+
+    def __add__(self, other: "_SchurValue") -> "_SchurValue":
+        terms = dict(self.expanded())
+        for lam, c in other.expanded().items():
+            terms[lam] = terms.get(lam, 0) + c
+        return _SchurValue({lam: c for lam, c in terms.items() if c})
+
+    def __sub__(self, other: "_SchurValue") -> "_SchurValue":
+        return self + _SchurValue({(): -1}) * other
+
+    def __mul__(self, other: "_SchurValue") -> "_SchurValue":
+        return _SchurValue(schur_product(self.terms, other.terms), self.columns + other.columns)
+
+    def __pow__(self, e: int) -> "_SchurValue":
+        if not self.columns and set(self.terms) <= {()}:
+            # a scalar, whose exponent the budget does not bound: one integer power
+            scalar = self.terms.get((), 0) ** e
+            return _SchurValue({(): scalar} if scalar else {})
+        # the highest degree of every subexpression is within the budget, so
+        # a value of positive degree has e <= 40
+        out = _SchurValue({(): 1})
+        for _ in range(e):
+            out = out * self
+        return out
+
+
+def _schur_atom(expr: Num | Gen | Basis) -> _SchurValue:
+    """c_k and c'_k are s_(1^k) and s[lam] is s_lam; q[mu] is the Schur
+    expansion of its Q-tilde polynomial, so only an expression with a q atom
+    loads the polynomial layer.  The families are checked before evaluation,
+    so no v atom comes here."""
+    if isinstance(expr, Num):
+        return _SchurValue({(): expr.value} if expr.value else {})
+    if isinstance(expr, Gen):
+        return _SchurValue({(): 1}, (expr.index,))
+    if expr.kind == "s":
+        return _SchurValue({expr.parts: 1})
+    from .qtilde import qtilde
+
+    expansion = to_schur(qtilde(Partition(expr.parts)))
+    return _SchurValue({lam.parts: c for lam, c in expansion.items()})
+
+
+def evaluate_schur(text: str, length_bound: int | None = None) -> Expansion:
+    """The Schur expansion of an expression, with the messages of to_schur.
+
+    The syntax tree is read first: the highest degree of the expression,
+    then that of every subexpression, must pass the output budget, and the
+    generator families it names must be one c-type family.  An expression
+    whose terms all have one degree is evaluated in the Schur basis.  One
+    whose terms differ in degree may be inhomogeneous, which its
+    c-polynomial shows before any expansion, so it is folded from that as
+    to_schur does.  The value must lie on partitions of at most length_bound
+    parts, when one is given.
+    """
+    expr = parse(text)
+    reading = evaluate(expr, _reading_atom)
+    check_term_budget(reading.hi)
+    check_term_budget(reading.peak)
+    check_schur_families(reading.families)
+    if reading.lo != reading.hi:
+        return to_schur(evaluate(expr), length_bound)
+    return schur_expansion(evaluate(expr, _schur_atom).expanded(), length_bound)

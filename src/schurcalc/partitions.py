@@ -1,4 +1,4 @@
-"""Partitions, strict partitions, and the weights of semistandard tableaux.
+"""Partitions and strict partitions.
 
 Everything downstream (Schur functions, Q-tilde functions, Schubert bases)
 is indexed by the types in this module.  All values are immutable after
@@ -17,6 +17,12 @@ FAMILY_C = "c"
 FAMILY_CPRIME = "c'"
 FAMILY_V1 = "v1"
 FAMILY_V2 = "v2"
+
+
+def generator_degree(g: tuple[str, int]) -> int:
+    """The degree of a generator (family, index): 1 for v1 and v2, else the index."""
+    family, index = g
+    return 1 if family in (FAMILY_V1, FAMILY_V2) else index
 
 
 class Partition:
@@ -269,37 +275,3 @@ def hook_contains(lam: Partition, n: int, m: int) -> bool:
     """
     lam = Partition(lam)
     return lam.part(n + 1) <= m
-
-
-@lru_cache(maxsize=None)
-def ssyt_weights(shape: Partition, n: int) -> tuple[tuple[int, ...], ...]:
-    """Weights of the semistandard tableaux of the shape with entries in
-    1..n, cached; the GL(n) character support.
-
-    Cells are filled row by row.  The entry in row i of a column of height h
-    is at most n - (h - 1 - i), which leaves room for the entries below it,
-    so every branch ends in a tableau.
-    """
-    shape = Partition(shape)
-    if len(shape) > n:
-        return ()
-    heights = shape.conjugate().parts
-    cells = [(i, j) for i, p in enumerate(shape.parts) for j in range(p)]
-    grid = [[0] * p for p in shape.parts]
-    counts = [0] * n
-    out: list[tuple[int, ...]] = []
-
-    def fill(k: int):
-        if k == len(cells):
-            out.append(tuple(counts))
-            return
-        i, j = cells[k]
-        lo = max(grid[i][j - 1] if j else 1, grid[i - 1][j] + 1 if i else 1)
-        for v in range(lo, n - heights[j] + i + 2):
-            grid[i][j] = v
-            counts[v - 1] += 1
-            fill(k + 1)
-            counts[v - 1] -= 1
-
-    fill(0)
-    return tuple(out)

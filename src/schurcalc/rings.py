@@ -27,7 +27,7 @@ reduce, integrate, basis_product or restrict runs an import statement.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .partitions import (
     FAMILY_C,
@@ -48,8 +48,6 @@ from .schur import (
     column_peel,
     fold_coefficients,
     pieri_build,
-    qtilde_pieri_step,
-    row_peel,
     schur_dual_jt,
     vertical_strip_step,
 )
@@ -57,6 +55,33 @@ from .schur import (
 # The most pairing-matrix cells a whole-ring pairing builds, summed over the
 # degrees; a larger ring is rejected before any basis is enumerated.
 PAIRING_BUDGET = 75000
+
+
+@lru_cache(maxsize=None)
+def qtilde_pieri_step(lam: tuple[int, ...], k: int, bound: tuple[int]) -> tuple:
+    """(mu, 2^e) for c_k . Q_lam = sum 2^e Q_mu in H*(LG(n)), with bound (n,).
+
+    The Pieri rule of Pragacz-Ratajski: mu runs over the strict partitions
+    with mu_1 <= n and |mu| = |lam| + k such that mu/lam is a horizontal
+    strip of the ordinary (unshifted) diagram, and e counts the j with
+    mu_{j+1} < lam_j < mu_j.  The recursion drops the first row and passes
+    the cap of the next row as its bound.
+    """
+    (cap,) = bound
+    if not lam:
+        return (((k,) if k else (), 1),) if k <= cap else ()
+    head, tail = lam[0], lam[1:]
+    out = []
+    for a in range(min(k, cap - head) + 1):
+        for mu, mult in qtilde_pieri_step(tail, k - a, (head if a else head - 1,)):
+            split = a and (mu[0] if mu else 0) < head
+            out.append(((head + a,) + mu, 2 * mult if split else mult))
+    return tuple(out)
+
+
+def row_peel(mu: tuple[int, ...], bound: tuple[int]) -> tuple:
+    """k = mu_1, nu = mu less it: c_k . Q_nu has Q_mu once, other kappa_1 > k."""
+    return mu[0], mu[1:], qtilde_pieri_step(mu[1:], mu[0], bound)
 
 
 class SchubertRing:

@@ -4,8 +4,11 @@ One memoized recursion, pieri_build, builds b_start . X_mu with a Pieri
 step c_k . b_lam, peeling X_mu as c_k . X_nu less its other strips.  With
 the dual Pieri step (c_k = s_(1^k) adds vertical k-strips) it expands
 c-monomials and s_lam . s_mu in the Schur basis and, in an r x (n-r) box,
-reduces in H*(Gr(r, n)); with the Q-tilde step it works in H*(LG(n)).  On
-c-monomials it builds s_lam itself.
+reduces in H*(Gr(r, n)); with the Q-tilde step of rings.py it works in
+H*(LG(n)).  On
+c-monomials it builds s_lam itself.  schur_product multiplies whole Schur
+expansions with it, which is how the grammar evaluates an expression in
+the Schur basis.
 
 The steps, peels and the build work on tuples of parts and read only
 partitions.py.  The polynomial layer is imported by the functions that
@@ -17,13 +20,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import FAMILY_C, FAMILY_CPRIME, Partition, check_term_budget, number_text
+from .partitions import (FAMILY_C, FAMILY_CPRIME, Partition, check_term_budget, degree_list,
+                         number_text)
 
 # The most factors a c-monomial folds.  Its index tuple and the memo of its
 # prefixes grow with the factor count, the memo as its square: a cold
 # `gr --r 1 --n 3001 integrate c1^3000` takes 0.3 s and 51 MB, c1^5000 in
 # Gr(1, 5001) 0.6 s and 114 MB (2 cores, Python 3.11).
 FOLD_FACTOR_BUDGET = 5000
+
+# the bound of a step or peel with both sides of the box open
+OPEN = (None, None)
 
 
 @lru_cache(maxsize=None)
@@ -34,7 +41,7 @@ def schur_dual_jt(lam: Partition, family: str = FAMILY_C) -> CPolynomial:
 
     parts = Partition(lam).parts
     check_term_budget(sum(parts))
-    built = pieri_build((), parts, monomial_step, None, column_peel, (None, None))
+    built = pieri_build((), parts, monomial_step, None, column_peel, OPEN)
     return CPolynomial({tuple(((family, i), 1) for i in m): c for m, c in built.items()})
 
 
@@ -106,27 +113,57 @@ class Expansion:
         return f"Expansion({{{body}}}, degree={self.degree}, key={self.key.__name__})"
 
 
-@lru_cache(maxsize=None)
-def vertical_strip_step(lam: tuple[int, ...], k: int,
-                        bound: tuple[int | None, int | None]) -> tuple:
+def vertical_strips(lam: tuple[int, ...], k: int,
+                    bound: tuple[int | None, int | None]) -> tuple:
     """(mu, 1) for mu/lam a vertical strip of k boxes in the rows x cols box.
 
     bound is (rows, cols); None leaves a side open.  This is s_(1^k) . s_lam
     by the dual Pieri rule.  Dropping the classes outside the box is exact
     in H*(Gr(rows, rows + cols)), because they span an ideal there.
+
+    A vertical strip adds its boxes to the top rows of each block of equal
+    parts, any number of them up to the block's size, and the rest as new
+    rows of one box.  Only the top block can meet the cols side, and only
+    the new rows the rows side.  So the strips are built block by block in
+    a loop, with no recursion, and a column of any length is one block.
+    They come in the order of the row-by-row recursion that
+    tests/oracles.py keeps.
     """
     rows, cols = bound
-    if k == 0:
+    if not k:
         return ((lam, 1),)
-    if not lam:
-        return (((1,) * k, 1),) if rows is None or k <= rows else ()
-    head, tail = lam[0], lam[1:]
-    below = None if rows is None else rows - 1
-    out = [((head,) + mu, 1) for mu, _ in vertical_strip_step(tail, k, (below, head))]
-    if cols is None or head < cols:
-        out += [((head + 1,) + mu, 1)
-                for mu, _ in vertical_strip_step(tail, k - 1, (below, None))]
-    return tuple(out)
+    n = len(lam)
+    # the parts of mu so far and the boxes left to place; a head with none
+    # left is already the whole of mu
+    partial = [((), k)]
+    start = 0
+    while start < n:
+        part, end = lam[start], start + 1
+        while end < n and lam[end] == part:
+            end += 1
+        size = end - start
+        most = 0 if not start and cols is not None and part >= cols else size
+        grown = []
+        for head, left in partial:
+            if not left:
+                grown.append((head, 0))
+                continue
+            for j in range(min(most, left) + 1):
+                if j == left:
+                    grown.append((head + (part + 1,) * j + lam[start + j:], 0))
+                else:
+                    grown.append((head + (part + 1,) * j + (part,) * (size - j), left - j))
+        partial = grown
+        start = end
+    room = None if rows is None else rows - n
+    return tuple((head + (1,) * left, 1) for head, left in partial
+                 if not left or room is None or left <= room)
+
+
+# The step of the builds and the rings, memoized on whole calls: a ring's
+# products and reductions meet the same (lam, k) again and again, where one
+# Schur evaluation meets each about once and calls vertical_strips itself.
+vertical_strip_step = lru_cache(maxsize=None)(vertical_strips)
 
 
 def monomial_step(lam: tuple[int, ...], k: int, bound) -> tuple:
@@ -145,33 +182,6 @@ def column_peel(mu: tuple[int, ...], bound: tuple) -> tuple:
 def index_peel(mu: tuple[int, ...], bound) -> tuple:
     """A c-monomial (indices ascending) is its last index times the rest."""
     return mu[-1], mu[:-1], ((mu, 1),)
-
-
-@lru_cache(maxsize=None)
-def qtilde_pieri_step(lam: tuple[int, ...], k: int, bound: tuple[int]) -> tuple:
-    """(mu, 2^e) for c_k . Q_lam = sum 2^e Q_mu in H*(LG(n)), with bound (n,).
-
-    The Pieri rule of Pragacz-Ratajski: mu runs over the strict partitions
-    with mu_1 <= n and |mu| = |lam| + k such that mu/lam is a horizontal
-    strip of the ordinary (unshifted) diagram, and e counts the j with
-    mu_{j+1} < lam_j < mu_j.  The recursion drops the first row and passes
-    the cap of the next row as its bound.
-    """
-    (cap,) = bound
-    if not lam:
-        return (((k,) if k else (), 1),) if k <= cap else ()
-    head, tail = lam[0], lam[1:]
-    out = []
-    for a in range(min(k, cap - head) + 1):
-        for mu, mult in qtilde_pieri_step(tail, k - a, (head if a else head - 1,)):
-            split = a and (mu[0] if mu else 0) < head
-            out.append(((head + a,) + mu, 2 * mult if split else mult))
-    return tuple(out)
-
-
-def row_peel(mu: tuple[int, ...], bound: tuple[int]) -> tuple:
-    """k = mu_1, nu = mu less it: c_k . Q_nu has Q_mu once, other kappa_1 > k."""
-    return mu[0], mu[1:], qtilde_pieri_step(mu[1:], mu[0], bound)
 
 
 @lru_cache(maxsize=None)
@@ -231,16 +241,30 @@ def to_schur(p: CPolynomial, length_bound: int | None = None) -> Expansion:
     degree is unique; when a length bound is given, any support on longer
     partitions makes the input inexpressible and raises.
     """
-    families = p.families()
+    check_schur_families(p.families())
+    if p.homogeneous_degree() is None:
+        return Expansion({}, degree=None)
+    return schur_expansion(fold_coefficients(p, vertical_strip_step, OPEN), length_bound)
+
+
+def check_schur_families(families: set[str]) -> None:
+    """Reject generator families that one Schur expansion cannot read: two or
+    more, or v1 or v2.  c_k and c'_k both read as s_(1^k)."""
     if len(families) > 1:
         raise ValueError(f"polynomial mixes generator families: {sorted(families)}")
-    fam = families.pop() if families else FAMILY_C
-    if fam not in (FAMILY_C, FAMILY_CPRIME):
+    if not families <= {FAMILY_C, FAMILY_CPRIME}:
         raise ValueError("Schur expansion is defined for c-type families only")
-    d = p.homogeneous_degree()
-    if d is None:
-        return Expansion({}, degree=None)
-    coeffs = fold_coefficients(p, vertical_strip_step, (None, None))
+
+
+def schur_expansion(coeffs: dict[tuple[int, ...], int],
+                    length_bound: int | None = None) -> Expansion:
+    """The Expansion of Schur coefficients on tuples of parts.  Nonzero terms
+    of more than one weight are an inhomogeneous input, zero has no degree,
+    and with a length bound, support on longer partitions makes the input
+    inexpressible; both raise."""
+    degrees = {sum(lam) for lam, c in coeffs.items() if c}
+    if len(degrees) > 1:
+        raise ValueError(f"polynomial is not homogeneous (degrees {degree_list(degrees)})")
     if length_bound is not None:
         long = [lam for lam, c in coeffs.items() if c and len(lam) > length_bound]
         if long:
@@ -248,7 +272,36 @@ def to_schur(p: CPolynomial, length_bound: int | None = None) -> Expansion:
                 f"not expressible with length bound {length_bound}: "
                 f"support on {sorted(long)}"
             )
-    return Expansion(coeffs, degree=d)
+    return Expansion(coeffs, degree=degrees.pop() if degrees else None)
+
+
+def schur_product(a: dict[tuple[int, ...], int],
+                  b: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """Coefficients of (sum a_lam s_lam) . (sum b_mu s_mu) on tuples of parts.
+
+    A column (1^k), which is c_k, is one vertical strip step on the other
+    class; any other pair builds the lighter class on the heavier by column
+    peels.  Neither side is held to a budget here.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for lam, x in a.items():
+        for mu, y in b.items():
+            for kappa, m in _pair_product(lam, mu):
+                out[kappa] = out.get(kappa, 0) + x * y * m
+    return {kappa: c for kappa, c in out.items() if c}
+
+
+def _pair_product(lam: tuple[int, ...], mu: tuple[int, ...]):
+    """(kappa, m) pairs of s_lam . s_mu = sum m s_kappa."""
+    if sum(mu) > sum(lam):
+        lam, mu = mu, lam
+    if not mu:
+        return ((lam, 1),)
+    if mu[0] == 1:
+        return vertical_strips(lam, len(mu), OPEN)
+    if lam[0] == 1:
+        return vertical_strips(mu, len(lam), OPEN)
+    return pieri_build(lam, mu, vertical_strip_step, OPEN, column_peel, OPEN).items()
 
 
 def from_schur(x: Expansion, family: str = FAMILY_C) -> CPolynomial:
@@ -262,10 +315,9 @@ def from_schur(x: Expansion, family: str = FAMILY_C) -> CPolynomial:
 
 
 def lr_multiply(lam: Partition, mu: Partition) -> Expansion:
-    """Littlewood-Richardson s_lam . s_mu: the lighter class built on the heavier."""
+    """Littlewood-Richardson s_lam . s_mu: the lighter class, its weight held
+    to the output budget, built on the heavier."""
     lam, mu = Partition(lam), Partition(mu)
-    lam, mu = (mu, lam) if mu.weight > lam.weight else (lam, mu)
-    check_term_budget(mu.weight)
-    coeffs = pieri_build(lam.parts, mu.parts, vertical_strip_step, (None, None),
-                         column_peel, (None, None))
-    return Expansion(coeffs, degree=lam.weight + mu.weight)
+    check_term_budget(min(lam.weight, mu.weight))
+    return Expansion(schur_product({lam.parts: 1}, {mu.parts: 1}),
+                     degree=lam.weight + mu.weight)

@@ -28,9 +28,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from schurcalc.bundles import (XPoly, peel_schur, schur_monomials, ssyt_weights, xp_accumulate,
+                               xp_mul)
 from schurcalc.linalg import matrix_rank, solve_exact
 from schurcalc.parsing import Basis, Expression, Gen, Num, Pow, Prod, Sum
-from schurcalc.partitions import Partition, enumerate_partitions, ssyt_weights
+from schurcalc.partitions import Partition, enumerate_partitions
 from schurcalc.polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
@@ -44,7 +46,6 @@ from schurcalc.polynomial import (
     monomial_key,
     truncate_family,
 )
-from schurcalc.positivity import XPoly, peel_schur, schur_monomials, xp_accumulate, xp_mul
 from schurcalc.qtilde import _q_single, qtilde_pair
 from schurcalc.records import FrozenRecord
 from schurcalc.rings import LagrangianRing
@@ -362,6 +363,27 @@ def lr_oracle(lam: Partition, mu: Partition, bound: int = 8) -> Expansion:
     a: XPoly = dict(schur_monomials(lam, n))
     b: XPoly = dict(schur_monomials(mu, n))
     return Expansion(peel_schur(xp_mul(a, b), n), degree=total)
+
+
+@lru_cache(maxsize=None)
+def vertical_strip_rows(lam: tuple[int, ...], k: int,
+                        bound: tuple[int | None, int | None]) -> tuple:
+    """schur.vertical_strip_step by a recursion once per row: the first row
+    takes no box or one (if below the cols side), and the rest of lam is a
+    strip problem in one row fewer, capped by that row when it took none.
+    Its depth grows with the length of lam."""
+    rows, cols = bound
+    if k == 0:
+        return ((lam, 1),)
+    if not lam:
+        return (((1,) * k, 1),) if rows is None or k <= rows else ()
+    head, tail = lam[0], lam[1:]
+    below = None if rows is None else rows - 1
+    out = [((head,) + mu, 1) for mu, _ in vertical_strip_rows(tail, k, (below, head))]
+    if cols is None or head < cols:
+        out += [((head + 1,) + mu, 1)
+                for mu, _ in vertical_strip_rows(tail, k - 1, (below, None))]
+    return tuple(out)
 
 
 def elementary_xpoly(i: int, n: int) -> XPoly:

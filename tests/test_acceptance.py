@@ -30,7 +30,7 @@ from schurcalc.polynomial import (
 from schurcalc.positivity import CLASSICAL_THOM_TABLE, certify, verify_thom_table
 from schurcalc.rings import GrassmannianRing, LagrangianRing
 from schurcalc.schur import lr_multiply, schur_dual_jt, to_schur
-from schurcalc.positivity import schur_bundle_class
+from schurcalc.bundles import schur_bundle_class
 
 from oracles import (
     BundleSymbol,

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import schurcalc
 from schurcalc import cli, linalg
-from schurcalc.cli import COMMANDS, build_parser, main, read_argv, to_json
+from schurcalc.cli import COMMANDS, main, read_argv, to_json
+from schurcalc.plaintext import build_parser
 
 import oracles
 
@@ -271,30 +272,40 @@ def _cold_imports(*argv):
 # the Pieri layer: steps, peels and the build, on tuples of parts
 _PIERI = {"partitions", "schur"}
 _BUILD = {"polynomial"} | _PIERI
-_RING = {"cli", "rings"} | _PIERI
+_RING = {"cli", "commands", "rings"} | _PIERI
 # records holds the base of the syntax-tree nodes and of the reports
-_GRAMMAR = {"parsing", "qtilde", "records"} | _BUILD
+_GRAMMAR = {"parsing", "records"} | _PIERI
 _POSITIVITY = {"cli", "positivity", "records"}
 
 # per command, exactly the schurcalc submodules it loads: the grammar only
 # where an expression is read, legendrian only for the Legendrian tables,
-# the polynomial layer only where a c-polynomial is built
+# the polynomial layer only where a c-polynomial is built (a ring reduction,
+# a table, a q atom, a sum whose terms differ in degree) and qtilde only for
+# q, plaintext only for help, --pretty and argv outside the canonical form,
+# commands only for gr, lg and thom-verify, bundles only for schur-bundle
 _COLD_LOADS = [
     ((), set()),
-    (("--help",), {"cli"}),
+    (("--help",), {"cli", "plaintext"}),
     (("lr", "2,1", "1"), {"cli"} | _PIERI),
+    (("--pretty", "lr", "2,1", "1"), {"cli", "plaintext"} | _PIERI),
+    (("lr", "--", "2,1", "1"), {"cli", "plaintext"} | _PIERI),
     (("qtilde", "2,1"), {"cli", "partitions", "polynomial", "qtilde"}),
     (("schur-bundle", "--rank", "2", "--functor", "1", "--class", "1"),
-     _POSITIVITY | _BUILD),
+     {"cli", "bundles"} | _BUILD),
     (("to-schur", "c1^2"), {"cli"} | _GRAMMAR),
+    (("to-schur", "s[3,1]*c2 - 2*c1^6"), {"cli"} | _GRAMMAR),
+    (("to-schur", "q[2,1]*c1"), {"cli", "polynomial", "qtilde"} | _GRAMMAR),
     (("certify", "c1^2"), _POSITIVITY | _GRAMMAR),
+    (("certify", "c1 - c1 + c2"), _POSITIVITY | _GRAMMAR | {"polynomial"}),
     (("gr", "--r", "2", "--n", "4", "pairing"), _RING),
     (("lg", "--n", "3", "pairing"), _RING),
     (("gr", "--r", "2", "--n", "4", "dual", "1"), _RING),
     (("lg", "--n", "3", "restrict", "1"), _RING),
-    (("gr", "--r", "2", "--n", "4", "reduce", "c1^2"), _RING | _GRAMMAR),
-    (("thom-verify", "--table", "classical"), _POSITIVITY | _GRAMMAR),
-    (("thom-verify", "--table", "legendrian"), {"legendrian"} | _POSITIVITY | _GRAMMAR),
+    (("gr", "--r", "2", "--n", "4", "reduce", "c1^2"), _RING | _GRAMMAR | {"polynomial"}),
+    (("thom-verify", "--table", "classical"),
+     {"commands", "polynomial"} | _POSITIVITY | _GRAMMAR),
+    (("thom-verify", "--table", "legendrian"),
+     {"commands", "legendrian", "polynomial"} | _POSITIVITY | _GRAMMAR),
 ]
 
 
@@ -306,9 +317,11 @@ def test_cli_import_path_is_free_of_heavy_modules():
         loaded = _cold_imports(*argv)
         assert not denied & loaded, argv
         # a computing command reads its argv without argparse and writes its
-        # JSON without json; help stays argparse's own
-        if argv != ("--help",):
-            assert not {"argparse", "json"} & loaded, argv
+        # JSON without json; help and argv outside the canonical form stay
+        # argparse's own, and --pretty needs neither
+        assert "json" not in loaded, argv
+        if argv:
+            assert ("argparse" in loaded) == (read_argv(argv) is None), argv
     assert "argparse" in _cold_imports("--help")
 
 
@@ -320,20 +333,24 @@ def test_cold_commands_load_only_the_modules_they_run():
 
 
 def test_the_pieri_layer_loads_no_polynomial_code():
-    # rings and schur import polynomial and qtilde only in the functions that
-    # build c-polynomials
-    loaded = _python_s_imports("-c", "import schurcalc.rings")
-    assert {"schurcalc.rings", "schurcalc.schur", "schurcalc.partitions"} <= loaded
+    # rings, schur, the grammar and positivity import polynomial and qtilde
+    # only in the functions that build c-polynomials
+    loaded = _python_s_imports("-c", "import schurcalc.rings, schurcalc.parsing, "
+                                     "schurcalc.positivity")
+    assert {"schurcalc.rings", "schurcalc.schur", "schurcalc.partitions",
+            "schurcalc.parsing", "schurcalc.positivity"} <= loaded
     assert not {"schurcalc.polynomial", "schurcalc.qtilde"} & loaded
 
 
 def test_only_the_c_polynomial_builders_import_when_called():
     # so no warm reduce, integrate, basis_product or restrict runs an import
     # statement, which costs about 2 us, an eighth of a warm reduce
-    from schurcalc import rings, schur
+    from schurcalc import parsing, positivity, rings, schur
 
     builders = {schur: {"schur_dual_jt", "from_schur"},
-                rings: {"reduce_tautological", "basis_polynomial"}}
+                rings: {"reduce_tautological", "basis_polynomial"},
+                parsing: {"_polynomial_atom", "_schur_atom"},
+                positivity: {"_entry_polynomial"}}
     for module, names in builders.items():
         tree = ast.parse(Path(module.__file__).read_text())
         importing = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
@@ -362,18 +379,72 @@ def test_error_messages_are_exact(tmp_path):
 
 
 def test_inhomogeneous_message_is_capped():
-    for argv in (["to-schur", "(c1+c2)^300"], ["certify", "(c1+c2)^300"],
-                 ["gr", "--r", "2", "--n", "400", "reduce", "(c1+c2)^300"],
-                 ["lg", "--n", "2", "integrate", "(c1+c2)^300"]):
+    # to-schur and certify hold the highest degree to the output budget, so
+    # their sum stays within it
+    for argv, degrees in ((["to-schur", "(c1+c2)^20"], b"[20, 21, 22, ..., 40], 21"),
+                          (["certify", "(c1+c2)^20"], b"[20, 21, 22, ..., 40], 21"),
+                          (["gr", "--r", "2", "--n", "400", "reduce", "(c1+c2)^300"],
+                           b"[300, 301, 302, ..., 600], 301"),
+                          (["lg", "--n", "2", "integrate", "(c1+c2)^300"],
+                           b"[300, 301, 302, ..., 600], 301")):
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, b""), argv
         assert b"Traceback" not in err
         assert len(err) < 200, argv
-        assert b"(degrees [300, 301, 302, ..., 600], 301 in all)" in err, argv
+        assert b"(degrees " + degrees + b" in all)" in err, argv
     # up to four degrees the message lists them all
     code, out, err = run_cli("to-schur", "c1 + c2 + c3 + c4")
     assert (code, out, err) == \
         (2, b"", b"error: polynomial is not homogeneous (degrees [1, 2, 3, 4])\n")
+
+
+def test_schur_input_errors_by_class():
+    # to-schur and certify fail alike, in the order of the table; the
+    # budget and the families are read from the syntax tree before any
+    # evaluation, so a sum whose high terms cancel and a family that cancels
+    # out are rejected too
+    budget = b"error: degree 41 exceeds the output budget: p(41) > 37338 terms\n"
+    mixed = b"error: polynomial mixes generator families: ['c', \"c'\"]\n"
+    cases = [
+        (["c1 +"], b"parse error: unexpected end of input (at position 4)\n"),
+        (["--length-bound", "-1", "c1"], b"error: length bound must be nonnegative, got -1\n"),
+        (["--length-bound", "2", "c1^3"],
+         b"error: not expressible with length bound 2: support on [(1, 1, 1)]\n"),
+        (["c1^41"], budget),
+        (["c1^41 - c1^41 + c1"], budget),
+        (["(c1^41)^0"], budget),
+        (["(c1 + 1)^3000"],
+         b"error: degree 3000 exceeds the output budget: p(3000) > 37338 terms\n"),
+        (["c1*c'1"], mixed),
+        (["c1 - c1 + c'1"], mixed),
+        (["v1^2"], b"error: Schur expansion is defined for c-type families only\n"),
+        (["v1 - v1"], b"error: Schur expansion is defined for c-type families only\n"),
+        (["c1 + c2"], b"error: polynomial is not homogeneous (degrees [1, 2])\n"),
+        (["s[2]*s[1] - q[3] + 1"],
+         b"error: polynomial is not homogeneous (degrees [0, 3])\n"),
+    ]
+    for command in ("to-schur", "certify"):
+        for args, err in cases:
+            assert run_cli(command, *args) == (2, b"", err), (command, args)
+
+
+def test_over_long_int_options_are_not_echoed():
+    limit = sys.get_int_max_str_digits()
+    ones = "1" * (limit + 100)
+    for argv, flag in ((["lg", "--n", ones, "pairing"], "--n"),
+                       (["gr", "--r", ones, "--n", "4", "pairing"], "--r"),
+                       (["to-schur", "--length-bound", ones, "c1"], "--length-bound"),
+                       (["schur-bundle", "--rank", "-" + ones, "--functor", "1",
+                         "--class", "1"], "--rank")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, b""), flag
+        assert err.startswith(b"usage: schurcalc "), flag
+        assert err.endswith(f"error: argument {flag}: a value of {limit + 100} digits "
+                            f"exceeds the limit of {limit} digits\n".encode()), flag
+        assert len(err) < 400, flag
+    # a value within the limit keeps argparse's own message
+    code, out, err = run_cli("gr", "--r", "x", "--n", "4", "pairing")
+    assert err.endswith(b"error: argument --r: invalid int value: 'x'\n")
 
 
 def test_zero_class_keeps_its_degree(capsys):
@@ -642,7 +713,11 @@ def test_degrees_and_parts_past_the_digit_limit_are_not_echoed():
                  ["gr", "--r", "2", "--n", "4", "integrate", f"(c1^{n})^{n}"]):
         assert run_cli(*argv) == (2, b"", f"error: the degree exceeds the output budget: "
                                           f"more than {limit} digits\n".encode()), argv[0]
+    # the highest degree of a sum is checked first in certify, and its degree
+    # list in a ring reduction
     assert run_cli("certify", f"(c1^{n})^{n} + c1") == \
+        (2, b"", f"error: the degree exceeds the output budget: more than {limit} digits\n".encode())
+    assert run_cli("gr", "--r", "2", "--n", "4", "reduce", f"(c1^{n})^{n} + c1") == \
         (2, b"", f"error: a degree exceeds the output budget: more than {limit} digits\n".encode())
     # r (n - r) has about 4500 digits
     r, m = "1" * (limit // 2 + 100), "2" * (limit // 2 + 100)

@@ -106,7 +106,9 @@ def test_expression_degree():
     known = {"7": 0, "c3": 3, "s[2,1]": 3, "q[3,1]": 4, "c1^4 - c2*c1^2": 4,
              "2*(c1 + c2 - c2)^3": None, "c1^0": 0, "0*s[25]": 25,
              "(c1^2 + c2)*s[1]*q[2]": 5, "c1^2 - c1^2": 2,
-             "c'1": 1, "v1*q[1]": 2, "v2^0": 0, "c1*c'1^2": 3}
+             "c'1": 1, "v1*q[1]": 2, "v2^0": 0, "c1*c'1^2": 3,
+             # any base to the power 0 is 1, of degree 0
+             "(c1 + 1)^0": 0, "2*(c1 + c2)^0*c3": 3}
     unknown = ["c1 + c2", "1 + c1"]
     for text, degree in known.items():
         assert expression_degree(parse(text)) == degree, text

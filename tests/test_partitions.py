@@ -3,6 +3,7 @@ from math import prod
 
 import pytest
 
+from schurcalc.bundles import ssyt_weights
 from schurcalc.partitions import (
     Partition,
     StrictPartition,
@@ -15,7 +16,6 @@ from schurcalc.partitions import (
     parse_partition_arg,
     partition_count,
     rectangle_dual,
-    ssyt_weights,
     staircase,
     strict_complement,
 )

@@ -1,16 +1,15 @@
 import pytest
 
-from schurcalc.partitions import Partition, enumerate_partitions, hook_contains, ssyt_weights
+from schurcalc.bundles import MAX_BUNDLE_ROOTS, schur_bundle_class, ssyt_weights
+from schurcalc.partitions import Partition, enumerate_partitions, hook_contains
 from schurcalc.polynomial import FAMILY_C, CPolynomial
 from schurcalc.positivity import (
     CLASSICAL_THOM_TABLE,
-    MAX_BUNDLE_ROOTS,
     VERDICT_NOT_NONNEGATIVE,
     VERDICT_POSITIVE,
     VERDICT_ZERO,
     certify,
     minimal_hook_rank,
-    schur_bundle_class,
     verify_thom_table,
 )
 from schurcalc.schur import schur_dual_jt

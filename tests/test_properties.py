@@ -1,4 +1,5 @@
-"""Property tests over random homogeneous combinations of c-monomials.
+"""Property tests over random homogeneous combinations of c-monomials and
+random expressions of the grammar.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from schurcalc import partitions, rings, schur
 from schurcalc import qtilde as qtilde_module
-from schurcalc.partitions import StrictPartition, enumerate_partitions
-from schurcalc.polynomial import FAMILY_C, CPolynomial, truncate_family
+from schurcalc.parsing import evaluate_schur, evaluate_text
+from schurcalc.partitions import StrictPartition, enumerate_partitions, enumerate_strict_partitions
+from schurcalc.polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial, truncate_family
 from schurcalc.rings import GrassmannianRing, LagrangianRing
 from schurcalc.schur import Expansion, from_schur, to_schur
 
@@ -58,6 +60,77 @@ def test_gr_reduce_is_to_schur_cut_to_the_rectangle(case):
     kept = {lam: c for lam, c in full.coefficients.items()
             if lam.fits_rectangle(r, n - r)}
     assert ring.reduce(p).coefficients == kept
+
+
+# -- the Schur-basis evaluation equals the c-polynomial path ------------------
+
+EXPRESSION_DEGREE = 10
+
+
+def _parts(lam) -> str:
+    return ",".join(map(str, lam.parts))
+
+
+@st.composite
+def homogeneous_text(draw, family, d, depth=0):
+    """The text of an expression of degree d in one family: s and q atoms are
+    of the c family, so c' expressions hold only c' atoms and numbers."""
+    kinds = ["atom"] if depth == 3 else ["atom", "atom", "sum", "product", "power", "cancel"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "sum":
+        op = draw(st.sampled_from(["+", "-"]))
+        return f"{draw(homogeneous_text(family, d, depth + 1))} {op} " \
+               f"{draw(homogeneous_text(family, d, depth + 1))}"
+    if kind == "product" and d:
+        a = draw(st.integers(0, d))
+        return f"({draw(homogeneous_text(family, a, depth + 1))})*" \
+               f"({draw(homogeneous_text(family, d - a, depth + 1))})"
+    if kind == "power" and d:
+        e = draw(st.sampled_from([e for e in range(1, 4) if d % e == 0]))
+        return f"({draw(homogeneous_text(family, d // e, depth + 1))})^{e}"
+    if kind == "cancel":
+        # a value minus itself: zero, and of degree d in the syntax tree
+        inner = draw(homogeneous_text(family, d, depth + 1))
+        return f"{draw(homogeneous_text(family, d, depth + 1))} + ({inner}) - ({inner})"
+    if d == 0:
+        return draw(st.sampled_from(["0", "1", "3", f"{family}1^0", "2^3"]))
+    atoms = [st.just(f"{family}{d}"),
+             st.integers(1, d).map(lambda k: f"{family}{k}^{d // k}*{family}{d % k}"
+                                   if d % k else f"{family}{k}^{d // k}")]
+    if family == FAMILY_C:
+        atoms += [st.sampled_from(enumerate_partitions(d)).map(lambda lam: f"s[{_parts(lam)}]"),
+                  st.sampled_from(enumerate_strict_partitions(d, d))
+                  .map(lambda mu: f"q[{_parts(mu)}]")]
+    # (0 - k) is a negative number of degree 0, unlike a leading "0 -"
+    coeff = draw(st.sampled_from(["", "2*", "(0 - 1)*", "(0 - 3)*", "0*"]))
+    return coeff + draw(st.one_of(atoms))
+
+
+@st.composite
+def expression_text(draw):
+    """A single-family expression of highest degree at most EXPRESSION_DEGREE;
+    a quarter of them add and take away a term of another degree."""
+    family = draw(st.sampled_from([FAMILY_C, FAMILY_CPRIME]))
+    d = draw(st.integers(0, EXPRESSION_DEGREE))
+    text = draw(homogeneous_text(family, d))
+    if draw(st.integers(0, 3)) == 0:
+        other = draw(homogeneous_text(family, draw(st.integers(0, EXPRESSION_DEGREE))))
+        text = f"{text} + ({other}) - ({other})"
+    return text
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(expression_text(), st.sampled_from([None, 0, 1, 2, 3]))
+def test_the_schur_evaluation_equals_the_polynomial_path(text, length_bound):
+    expected = _outcome(lambda: to_schur(evaluate_text(text), length_bound=length_bound))
+    assert _outcome(evaluate_schur, text, length_bound) == expected, text
 
 
 # -- warm ring calls equal cold calls and the oracles --------------------------

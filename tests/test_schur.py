@@ -28,6 +28,7 @@ from schurcalc.schur import (
     schur_dual_jt,
     to_schur,
     vertical_strip_step,
+    vertical_strips,
 )
 
 from oracles import (
@@ -45,6 +46,7 @@ from oracles import (
     supersymmetric_s,
     supersymmetrize,
     to_schur_oracle,
+    vertical_strip_rows,
 )
 
 E = BundleSymbol(FAMILY_C)
@@ -237,7 +239,7 @@ def test_lr_pieri_closed_forms_with_a_light_factor():
 def test_lr_dimension_consistency():
     # characters multiply: sum of c^nu_{lam,mu} dim(nu) over GL(N) equals
     # dim(lam) * dim(mu); counts come from tableau enumeration only
-    from schurcalc.partitions import ssyt_weights
+    from schurcalc.bundles import ssyt_weights
 
     lam = mu = Partition([2, 1])
     n = 6
@@ -390,3 +392,24 @@ def test_fold_budget_rejects_a_long_monomial_before_listing_its_factors():
     # the budget counts the factors of one monomial, not its degree
     with pytest.raises(ValueError, match="a monomial of 5001 factors"):
         fold_coefficients(c(1) ** 2500 * c(2) ** 2501, vertical_strip_step, (2, 5000))
+
+
+def test_the_strip_step_equals_the_row_recursion():
+    # every bound from open to smaller than lam, in both sides
+    sides = (None, 0, 1, 2, 3, 4, 6)
+    for lam in partitions_up_to(10):
+        for k in range(6):
+            for bound in [(rows, cols) for rows in sides for cols in sides]:
+                strips = vertical_strip_rows(lam.parts, k, bound)
+                assert vertical_strip_step(lam.parts, k, bound) == strips, (lam, k, bound)
+                assert vertical_strips(lam.parts, k, bound) == strips, (lam, k, bound)
+
+
+def test_the_strip_step_walks_blocks_of_equal_parts():
+    # far past the recursion limit in rows
+    column = (1,) * 2999
+    assert vertical_strips(column, 1, (3000, 1)) == ((column + (1,), 1),)
+    assert vertical_strips(column, 2, (None, None)) == \
+        (((1,) * 3001, 1), ((2,) + (1,) * 2999, 1), ((2, 2) + (1,) * 2997, 1))
+    assert vertical_strips((3,) * 1500 + (1,) * 1500, 1, (3000, 3)) == \
+        (((3,) * 1500 + (2,) + (1,) * 1499, 1),)
