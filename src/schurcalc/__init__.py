@@ -15,33 +15,31 @@ import sys
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines, in the order of __all__
-_EXPORTS = {
-    "partitions": (
-        "Partition", "StrictPartition",
-        "conjugate", "rectangle_dual", "strict_complement", "staircase",
-        "enumerate_partitions", "enumerate_strict_partitions", "hook_contains",
-    ),
-    "polynomial": (
+# (submodule, the public names it defines), in the order of __all__
+_EXPORTS = (
+    ("partitions", ("Partition", "StrictPartition", "conjugate")),
+    ("schubert", ("rectangle_dual", "strict_complement", "staircase")),
+    ("rings", ("enumerate_partitions", "enumerate_strict_partitions")),
+    ("positivity", ("hook_contains",)),
+    ("polynomial", (
         "CPolynomial", "truncate_family",
         "FAMILY_C", "FAMILY_CPRIME", "FAMILY_V1", "FAMILY_V2",
-    ),
-    "schur": (
-        "Expansion", "schur_dual_jt", "to_schur", "from_schur", "lr_multiply",
-    ),
-    "qtilde": ("qtilde",),
-    "rings": ("GrassmannianRing", "LagrangianRing"),
-    "positivity": (
+    )),
+    ("pieri", ("Expansion",)),
+    ("schur", ("schur_dual_jt", "to_schur", "from_schur", "lr_multiply")),
+    ("qtilde", ("qtilde",)),
+    ("rings", ("GrassmannianRing", "LagrangianRing")),
+    ("positivity", (
         "PositivityReport", "certify", "verify_thom_table", "CLASSICAL_THOM_TABLE",
-    ),
-    "bundles": ("schur_bundle_class",),
-    "legendrian": (
+    )),
+    ("bundles", ("schur_bundle_class",)),
+    ("legendrian", (
         "LegendrianClass", "legendrian_parse", "lagrangian_part",
         "legendrian_positivity", "LEGENDRIAN_TABLE",
-    ),
-    "parsing": ("parse", "evaluate_text", "ParseError"),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+    )),
+    ("parsing", ("parse", "evaluate_text", "ParseError")),
+)
+_MODULE_OF = {name: module for module, names in _EXPORTS for name in names}
 
 __all__ = list(_MODULE_OF)
 

@@ -13,7 +13,8 @@ from functools import lru_cache
 from math import comb
 
 from .partitions import Partition
-from .schur import Expansion, schur_dual_jt
+from .pieri import Expansion
+from .schur import schur_dual_jt
 
 
 @lru_cache(maxsize=None)

@@ -15,17 +15,20 @@ computing command loads neither argparse nor json.  Every other argv (help,
 abbreviations, `--opt=value`, `--`, usage errors) goes to the argparse
 parser that plaintext.build_parser makes from the same table, so help texts
 and usage errors stay argparse's own; plaintext also holds the --pretty
-renderer, and no other command loads it.  The handlers of gr, lg and
-thom-verify live in commands.py, which only those commands load.
+renderer, and no other command loads it.  _run_command hands the gr and lg
+commands that build a ring (pairing, reduce, integrate) to ringcommands.py
+and every other command to commands.py, so each compiles only its side.
 
-The Pieri layer (partitions, schur, rings) and the grammar import the
-polynomial and Q-tilde layers only in the functions that build
-c-polynomials.  to-schur and certify evaluate their expression in the
-Schur basis, so lr loads cli, partitions and schur, to-schur and certify
-the grammar besides, and gr/lg pairing, dual and restrict commands and
-rings; only a q atom, a sum of terms of different degrees, a ring
-reduction or a table loads the polynomial layer.  README.md
-lists what every command loads.
+The Pieri core (partitions, pieri), the Schur functions (schur), the
+rings and the grammar import the polynomial and Q-tilde layers only in the
+functions that build c-polynomials.  to-schur and certify evaluate their
+expression in the Schur basis, so lr loads cli, commands, partitions, pieri
+and schur, and to-schur and certify the grammar and schureval besides.
+gr/lg dual and lg restrict load schubert on the Pieri core and no ring
+class; pairing loads ringcommands, schubert and the rings instead of
+commands; only a q atom, a sum of terms of different degrees, a ring
+reduction or a table loads the polynomial layer.  README.md lists what
+every command loads.
 
 run(), the entry point of `python -m schurcalc` and of the console script,
 ends the process with os._exit once main() has returned and stdout and
@@ -132,15 +135,6 @@ def read_argv(argv) -> Arguments | None:
     return Arguments(values)
 
 
-def expression_text(args, value: str | None) -> str:
-    if value is not None:
-        return value
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            return handle.read().strip()
-    raise ValueError("an expression is required (positional or via --input)")
-
-
 def emit(payload, pretty: bool) -> None:
     if sys.stdout is None:  # the process started with its stdout closed
         raise OSError("standard output is closed")
@@ -151,10 +145,6 @@ def emit(payload, pretty: bool) -> None:
     else:
         text = to_json(payload)
     sys.stdout.write(text + "\n")
-
-
-_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-                 "\b": "\\b", "\f": "\\f"}
 
 
 def to_json(value) -> str:
@@ -186,23 +176,13 @@ def _json_key(key) -> str:
 
 
 def _json_string(text: str) -> str:
-    """text as json's ensure_ascii writes it: short escapes, \\u00XX for the
-    other controls and DEL, \\uXXXX past ASCII, surrogate pairs past the BMP."""
+    """text as json's ensure_ascii writes it.  Computed output is printable
+    ASCII; other text takes plaintext.json_escaped."""
     if text.isascii() and text.isprintable():
         return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    out = []
-    for ch in text:
-        code = ord(ch)
-        if ch in _JSON_ESCAPES:
-            out.append(_JSON_ESCAPES[ch])
-        elif 0x20 <= code < 0x7F:
-            out.append(ch)
-        elif code < 0x10000:
-            out.append(f"\\u{code:04x}")
-        else:
-            code -= 0x10000
-            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
-    return '"' + "".join(out) + '"'
+    from .plaintext import json_escaped
+
+    return json_escaped(text)
 
 
 def expansion_payload(expansion) -> dict:
@@ -210,70 +190,11 @@ def expansion_payload(expansion) -> dict:
 
 
 def _run_command(args) -> int:
-    pretty = args.pretty
-
-    if args.command == "to-schur":
-        emit(expansion_payload(_schur_input(args)), pretty)
-        return 0
-
-    if args.command == "certify":
-        from .positivity import schur_positivity
-
-        report = schur_positivity(_schur_input(args))
-        emit(report.to_json(), pretty)
-        return 0 if report.nonnegative else 1
-
-    if args.command == "lr":
-        from .partitions import parse_partition_arg
-        from .schur import lr_multiply
-
-        lam = parse_partition_arg(args.lam)
-        mu = parse_partition_arg(args.mu)
-        emit(expansion_payload(lr_multiply(lam, mu)), pretty)
-        return 0
-
-    if args.command == "qtilde":
-        from .partitions import parse_partition_arg
-        from .qtilde import qtilde
-
-        mu = parse_partition_arg(args.mu)
-        poly = qtilde(mu)
-        emit({"partition": list(mu.parts), "degree": mu.weight,
-               "polynomial": str(poly)}, pretty)
-        return 0
-
-    if args.command in ("gr", "lg"):
-        from .commands import ring_command
-
-        return ring_command(args, pretty)
-
-    if args.command == "thom-verify":
-        from .commands import thom_verify
-
-        return thom_verify(args.table, pretty)
-
-    if args.command == "schur-bundle":
-        from .partitions import parse_partition_arg
-        from .bundles import schur_bundle_class
-
-        lam = parse_partition_arg(args.functor)
-        mu = parse_partition_arg(args.class_)
-        expansion = schur_bundle_class(lam, mu, args.rank)
-        emit(expansion_payload(expansion), pretty)
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
-
-
-def _schur_input(args):
-    """The Schur expansion of the expression of to-schur or certify, once its
-    length bound passes; evaluate_schur checks the expression's degrees
-    against the output budget before it evaluates."""
-    from .parsing import evaluate_schur
-
-    if args.length_bound is not None and args.length_bound < 0:
-        raise ValueError(f"length bound must be nonnegative, got {args.length_bound}")
-    return evaluate_schur(expression_text(args, args.expr), args.length_bound)
+    if args.command in ("gr", "lg") and args.action in ("pairing", "reduce", "integrate"):
+        from .ringcommands import run
+    else:
+        from .commands import run
+    return run(args, args.pretty)
 
 
 def main(argv=None) -> int:

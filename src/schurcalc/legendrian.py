@@ -12,7 +12,7 @@ from .partitions import StrictPartition, number_text
 from .polynomial import FAMILY_V1, FAMILY_V2, CPolynomial, degree_list
 from .positivity import VERDICT_NONNEGATIVE, PositivityReport, positivity_report
 from .records import FrozenRecord, Record
-from .schur import Expansion
+from .pieri import Expansion
 from . import parsing
 
 

@@ -11,16 +11,19 @@ Whitespace is insignificant.  There is no implicit multiplication and no
 unary minus; subtraction is only binary.  Indices of s[...] must be weakly
 decreasing, of q[...] strictly decreasing.  Errors carry the offending
 position in the input.
+
+evaluate folds a syntax tree with the values an atom function gives its
+leaves: evaluate_text reads a c-polynomial, expression_reading the degrees
+and families that the tree alone shows.  The Schur-basis evaluation of
+to-schur and certify is in schureval.py.
 """
 
 from __future__ import annotations
 
 import sys
 
-from .partitions import (FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, Partition,
-                         check_term_budget, generator_degree)
+from .partitions import FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, Partition
 from .records import FrozenRecord
-from .schur import check_schur_families, schur_expansion, schur_product, to_schur
 
 
 # Deepest parenthesis nesting the parser accepts; the recursive descent and
@@ -210,6 +213,16 @@ class _Parser:
         return value
 
 
+def expression_text(args, value: str | None) -> str:
+    """The expression of a command: value, else the text of --input FILE."""
+    if value is not None:
+        return value
+    if args.input:
+        with open(args.input, "r", encoding="utf-8") as handle:
+            return handle.read().strip()
+    raise ValueError("an expression is required (positional or via --input)")
+
+
 def parse(text: str) -> Expression:
     """Parse an expression; raises ParseError with a position on bad input."""
     return _Parser(text).parse()
@@ -294,99 +307,21 @@ def _reading_atom(expr: Num | Gen | Basis) -> _Reading:
     if isinstance(expr, Num):
         return _Reading(0, 0, 0, frozenset())
     if isinstance(expr, Gen):
-        d = generator_degree((expr.family, expr.index))
+        d = expr.index or 1  # v1 and v2 have index 0 and degree 1
         return _Reading(d, d, d, frozenset((expr.family,)))
     d = sum(expr.parts)
     return _Reading(d, d, d, frozenset((FAMILY_C,)))
 
 
-def expression_degree(expr: Expression) -> int | None:
-    """Degree of the value of expr, from its syntax tree alone: numbers have
+def expression_reading(expr: Expression) -> _Reading:
+    """What the syntax tree alone says of the value of expr: numbers have
     degree 0, c_k and c'_k degree k, v1 and v2 degree 1, s[lam] and q[mu]
-    their weight.  None when unknown; a known degree is that of every term
-    of the value."""
-    reading = evaluate(expr, _reading_atom)
+    their weight."""
+    return evaluate(expr, _reading_atom)
+
+
+def expression_degree(expr: Expression) -> int | None:
+    """Degree of the value of expr, from its syntax tree alone; None when
+    unknown.  A known degree is that of every term of the value."""
+    reading = expression_reading(expr)
     return reading.lo if reading.lo == reading.hi else None
-
-
-class _SchurValue:
-    """Evaluator value in the Schur basis: terms maps tuples of parts to
-    nonzero ints, and columns holds the indices k of c_k factors not yet
-    applied.  A product with c-monomials only joins their columns; a sum and
-    the end of the evaluation apply them, each as one vertical strip step
-    per term."""
-
-    __slots__ = ("terms", "columns")
-
-    def __init__(self, terms: dict, columns: tuple = ()):
-        self.terms = terms
-        self.columns = columns if terms else ()
-
-    def expanded(self) -> dict:
-        terms = self.terms
-        for k in self.columns:
-            terms = schur_product(terms, {(1,) * k: 1})
-        return terms
-
-    def __add__(self, other: "_SchurValue") -> "_SchurValue":
-        terms = dict(self.expanded())
-        for lam, c in other.expanded().items():
-            terms[lam] = terms.get(lam, 0) + c
-        return _SchurValue({lam: c for lam, c in terms.items() if c})
-
-    def __sub__(self, other: "_SchurValue") -> "_SchurValue":
-        return self + _SchurValue({(): -1}) * other
-
-    def __mul__(self, other: "_SchurValue") -> "_SchurValue":
-        return _SchurValue(schur_product(self.terms, other.terms), self.columns + other.columns)
-
-    def __pow__(self, e: int) -> "_SchurValue":
-        if not self.columns and set(self.terms) <= {()}:
-            # a scalar, whose exponent the budget does not bound: one integer power
-            scalar = self.terms.get((), 0) ** e
-            return _SchurValue({(): scalar} if scalar else {})
-        # the highest degree of every subexpression is within the budget, so
-        # a value of positive degree has e <= 40
-        out = _SchurValue({(): 1})
-        for _ in range(e):
-            out = out * self
-        return out
-
-
-def _schur_atom(expr: Num | Gen | Basis) -> _SchurValue:
-    """c_k and c'_k are s_(1^k) and s[lam] is s_lam; q[mu] is the Schur
-    expansion of its Q-tilde polynomial, so only an expression with a q atom
-    loads the polynomial layer.  The families are checked before evaluation,
-    so no v atom comes here."""
-    if isinstance(expr, Num):
-        return _SchurValue({(): expr.value} if expr.value else {})
-    if isinstance(expr, Gen):
-        return _SchurValue({(): 1}, (expr.index,))
-    if expr.kind == "s":
-        return _SchurValue({expr.parts: 1})
-    from .qtilde import qtilde
-
-    expansion = to_schur(qtilde(Partition(expr.parts)))
-    return _SchurValue({lam.parts: c for lam, c in expansion.items()})
-
-
-def evaluate_schur(text: str, length_bound: int | None = None) -> Expansion:
-    """The Schur expansion of an expression, with the messages of to_schur.
-
-    The syntax tree is read first: the highest degree of the expression,
-    then that of every subexpression, must pass the output budget, and the
-    generator families it names must be one c-type family.  An expression
-    whose terms all have one degree is evaluated in the Schur basis.  One
-    whose terms differ in degree may be inhomogeneous, which its
-    c-polynomial shows before any expansion, so it is folded from that as
-    to_schur does.  The value must lie on partitions of at most length_bound
-    parts, when one is given.
-    """
-    expr = parse(text)
-    reading = evaluate(expr, _reading_atom)
-    check_term_budget(reading.hi)
-    check_term_budget(reading.peak)
-    check_schur_families(reading.families)
-    if reading.lo != reading.hi:
-        return to_schur(evaluate(expr), length_bound)
-    return schur_expansion(evaluate(expr, _schur_atom).expanded(), length_bound)

@@ -3,9 +3,12 @@
 Everything downstream (Schur functions, Q-tilde functions, Schubert bases)
 is indexed by the types in this module.  All values are immutable after
 construction and safe to share.  It is also the base that every layer
-imports: the generator family names, the budgets and the text of numbers
-and degree lists in messages live here, so the Pieri layer reads them
-without loading the polynomial layer.
+imports: the generator family names, the output budget and the text of
+numbers and degree lists in messages live here, so the Pieri layer reads
+them without loading the polynomial layer.  Every command that reads a
+partition or a budget compiles this module, so it holds nothing more: the
+enumerators are in rings.py, the Poincare duals and the staircase in
+schubert.py.
 """
 
 from __future__ import annotations
@@ -17,12 +20,6 @@ FAMILY_C = "c"
 FAMILY_CPRIME = "c'"
 FAMILY_V1 = "v1"
 FAMILY_V2 = "v2"
-
-
-def generator_degree(g: tuple[str, int]) -> int:
-    """The degree of a generator (family, index): 1 for v1 and v2, else the index."""
-    family, index = g
-    return 1 if family in (FAMILY_V1, FAMILY_V2) else index
 
 
 class Partition:
@@ -147,76 +144,6 @@ def conjugate(lam: Partition) -> Partition:
     return Partition(lam).conjugate()
 
 
-def staircase(n: int) -> StrictPartition:
-    """The strict partition (n, n-1, ..., 1); the point class index of LG(n)."""
-    return StrictPartition(range(n, 0, -1))
-
-
-def rectangle_dual(lam: Partition, r: int, n: int) -> Partition:
-    """Poincare dual index inside the r x (n-r) rectangle.
-
-    Pads lam with zeros to length r, reverses, and complements each part in
-    n - r.  Involution; weights of a partition and its dual sum to r(n-r).
-    """
-    lam = Partition(lam)
-    cols = n - r
-    if not lam.fits_rectangle(r, cols):
-        raise ValueError(f"{lam!r} does not fit in the {r}x{cols} rectangle")
-    check_part_budget(r - lam.parts.count(cols))
-    return Partition(cols - lam.part(r - i) for i in range(r))
-
-
-def strict_complement(mu: StrictPartition, n: int) -> StrictPartition:
-    """Poincare dual index on LG(n): complement the parts of mu in {1..n}."""
-    mu = StrictPartition(mu)
-    if mu.parts and mu.parts[0] > n:
-        raise ValueError(f"{mu!r} is not contained in the staircase of {n}")
-    check_part_budget(n - len(mu))
-    present = set(mu.parts)
-    return StrictPartition([k for k in range(n, 0, -1) if k not in present])
-
-
-def enumerate_partitions(d: int, max_part: int | None = None,
-                         max_length: int | None = None) -> list[Partition]:
-    """All partitions of weight d within the bounds, largest-first.
-
-    The order is reverse lexicographic, the fixed global order used for
-    every transition matrix and serialization.
-    """
-    if d < 0:
-        raise ValueError("weight must be nonnegative")
-    first = d if max_part is None else min(d, max_part)
-    length = d if max_length is None else max_length
-
-    def build(remaining: int, cap: int, slots: int, prefix: list[int]):
-        if remaining == 0:
-            yield Partition(prefix)
-            return
-        if slots == 0:
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            yield from build(remaining - p, p, slots - 1, prefix)
-            prefix.pop()
-
-    return list(build(d, first, length, []))
-
-
-def enumerate_strict_partitions(d: int, max_part: int) -> list[StrictPartition]:
-    """All strict partitions of weight d with parts at most max_part, largest-first."""
-
-    def build(remaining: int, cap: int, prefix: list[int]):
-        if remaining == 0:
-            yield StrictPartition(prefix)
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            yield from build(remaining - p, p - 1, prefix)
-            prefix.pop()
-
-    return list(build(d, max_part, []))
-
-
 # The largest output a command builds: p(40) terms, the Schur expansion of
 # certify "c1^40" (5-6 s); a larger degree is rejected before evaluation.
 TERM_BUDGET = 37338
@@ -258,20 +185,3 @@ def degree_list(degrees) -> str:
     if len(ds) <= 4:
         return f"[{', '.join(ds)}]"
     return f"[{ds[0]}, {ds[1]}, {ds[2]}, ..., {ds[-1]}], {len(ds)} in all"
-
-
-def check_part_budget(parts: int) -> None:
-    """Reject a dual index of more than TERM_BUDGET parts before it is built."""
-    if parts > TERM_BUDGET:
-        raise ValueError(f"the dual index exceeds the output budget: "
-                         f"{parts} > {TERM_BUDGET} parts")
-
-
-def hook_contains(lam: Partition, n: int, m: int) -> bool:
-    """Whether lam lies in the (n, m)-hook: every part after the n-th is <= m.
-
-    This is the support region of s_lambda(E - F) when E has rank n and F
-    has rank m.  Diagnostic use only; the core algebra never consults it.
-    """
-    lam = Partition(lam)
-    return lam.part(n + 1) <= m

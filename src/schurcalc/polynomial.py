@@ -8,10 +8,9 @@ is reproducible.
 
 from __future__ import annotations
 
-# the family names, generator_degree and degree_list live in the base
-# module, which the Pieri layer and the grammar read without loading this one
-from .partitions import (FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2,
-                         degree_list, generator_degree, number_text)
+# the family names and degree_list live in the base module, which the
+# Pieri layer and the grammar read without loading this one
+from .partitions import FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, degree_list, number_text
 
 # A generator is a (family, index) pair; v1/v2 carry index 0.  The family
 # names sort c < c' < v1 < v2, so generators sort as plain tuples.
@@ -30,6 +29,12 @@ def generator(family: str, index: int = 0) -> Generator:
             raise ValueError(f"{family} index must be positive, got {index}")
         return (family, index)
     raise ValueError(f"unknown generator family {family!r}")
+
+
+def generator_degree(g: Generator) -> int:
+    """The degree of a generator: 1 for v1 and v2, else the index."""
+    family, index = g
+    return 1 if family in (FAMILY_V1, FAMILY_V2) else index
 
 
 def generator_name(g: Generator) -> str:

@@ -6,15 +6,16 @@ nonnegative coefficients; certify() decides that criterion exactly.  The
 built-in corpus stores the classical singularity-class polynomials verbatim
 as expression strings (data, not code) so they can be audited line by line.
 Schur-bundle classes, which no certification needs, are in bundles.py.
+table_payload is what thom-verify prints.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import hook_contains
+from .partitions import Partition, number_text
 from .records import FrozenRecord, Record
-from .schur import Expansion, to_schur
+from .schur import to_schur
 
 VERDICT_POSITIVE = "POSITIVE"
 VERDICT_NONNEGATIVE = "NONNEGATIVE"
@@ -106,6 +107,16 @@ CLASSICAL_THOM_TABLE: tuple[ThomTableEntry, ...] = (
 )
 
 
+def hook_contains(lam: Partition, n: int, m: int) -> bool:
+    """Whether lam lies in the (n, m)-hook: every part after the n-th is <= m.
+
+    This is the support region of s_lambda(E - F) when E has rank n and F
+    has rank m.  Diagnostic use only; the core algebra never consults it.
+    """
+    lam = Partition(lam)
+    return lam.part(n + 1) <= m
+
+
 def minimal_hook_rank(expansion: Expansion) -> int:
     """Smallest k with every expansion index inside the (k, k)-hook.
 
@@ -123,3 +134,29 @@ def verify_thom_table() -> list[PositivityReport]:
     """Certify every built-in classical entry; all must come out POSITIVE."""
     return [certify(entry.polynomial, name=entry.name)
             for entry in CLASSICAL_THOM_TABLE]
+
+
+def table_payload(table: str) -> dict:
+    """What thom-verify prints for a built-in table: each report with the
+    fields its table entry adds, and whether all are nonnegative."""
+    if table == "classical":
+        reports = verify_thom_table()
+        extras = [{"expression": entry.expression, "codimension": entry.codimension,
+                   "coefficient_sum": number_text(report.expansion.coefficient_sum()),
+                   "hook_rank": minimal_hook_rank(report.expansion)}
+                  for entry, report in zip(CLASSICAL_THOM_TABLE, reports)]
+    elif table == "lagrangian":
+        from .legendrian import LEGENDRIAN_TABLE, verify_lagrangian_table
+
+        reports = verify_lagrangian_table()
+        extras = [{"bold_expression": entry.lagrangian_expression}
+                  for entry in LEGENDRIAN_TABLE]
+    else:
+        from .legendrian import LEGENDRIAN_TABLE, verify_legendrian_table
+
+        reports = verify_legendrian_table()
+        extras = [{"codimension": entry.codimension, "degree": report.expansion.degree}
+                  for entry, report in zip(LEGENDRIAN_TABLE, reports)]
+    entries = [{**report.to_json(), **extra} for report, extra in zip(reports, extras)]
+    return {"table": table, "entries": entries,
+            "all_nonnegative": all(report.nonnegative for report in reports)}

@@ -3,7 +3,7 @@
 Both rings are finite graded quotients of a polynomial ring in Chern
 generators with a self-dual Schubert basis, a point class in the top degree
 and a Poincare pairing; SchubertRing holds what they share.  Each ring names
-a Pieri step c_k . b_lam, a bound and a peel; schur.pieri_build builds on
+a Pieri step c_k . b_lam, a bound and a peel; pieri.pieri_build builds on
 them each c-monomial from 1 and the lighter of two classes on the heavier:
 
 * Gr(r, n): generators c_1..c_r, relations h_k = 0 for n-r < k <= n, basis
@@ -18,70 +18,75 @@ them each c-monomial from 1 and the lighter of two classes on the heavier:
 
 Every step is a product of basis classes in the ring, so the bound is exact.
 
-Reduction, products, pairings and restriction read only the Pieri layer.
-The polynomial and Q-tilde layers are imported by the methods that build
+The labels, the duals, the Q-tilde step and the restriction to LG(n) need
+no ring and live in schubert.py, so the dual and restrict commands do not
+load this module; LagrangianRing.restrict is schubert.restrict itself.
+Reduction, products and pairings read only the Pieri core.  The polynomial,
+Q-tilde and Schur-function layers are imported by the methods that build
 c-polynomials (reduce_tautological, basis_polynomial) when they run, so a
-pairing, dual or restrict command never loads them, and no warm call of
-reduce, integrate, basis_product or restrict runs an import statement.
+pairing command never loads them, and no warm call of reduce, integrate,
+basis_product or restrict runs an import statement.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .partitions import (
-    FAMILY_C,
-    Partition,
-    StrictPartition,
-    check_term_budget,
-    degree_list,
-    enumerate_partitions,
-    enumerate_strict_partitions,
-    number_text,
-    rectangle_dual,
-    staircase,
-    strict_complement,
-)
-from .schur import (
-    Expansion,
-    basis_key,
-    column_peel,
-    fold_coefficients,
-    pieri_build,
-    schur_dual_jt,
-    vertical_strip_step,
-)
+from .partitions import FAMILY_C, TERM_BUDGET, Partition, StrictPartition, degree_list, number_text
+from .pieri import (Expansion, basis_key, column_peel, fold_coefficients, pieri_build,
+                    vertical_strip_step)
+from .schubert import (grassmannian_label, lagrangian_label, qtilde_pieri_step, rectangle_dual,
+                       restrict, row_peel, staircase, strict_complement)
 
 # The most pairing-matrix cells a whole-ring pairing builds, summed over the
 # degrees; a larger ring is rejected before any basis is enumerated.
 PAIRING_BUDGET = 75000
 
+# The heaviest class basis_product builds on another.  The build recurses
+# once per peel, and a class of weight w in Gr(1, n) takes w peels, so this
+# keeps the recursion far inside Python's stack.
+PRODUCT_WEIGHT_BUDGET = 400
 
-@lru_cache(maxsize=None)
-def qtilde_pieri_step(lam: tuple[int, ...], k: int, bound: tuple[int]) -> tuple:
-    """(mu, 2^e) for c_k . Q_lam = sum 2^e Q_mu in H*(LG(n)), with bound (n,).
 
-    The Pieri rule of Pragacz-Ratajski: mu runs over the strict partitions
-    with mu_1 <= n and |mu| = |lam| + k such that mu/lam is a horizontal
-    strip of the ordinary (unshifted) diagram, and e counts the j with
-    mu_{j+1} < lam_j < mu_j.  The recursion drops the first row and passes
-    the cap of the next row as its bound.
+def enumerate_partitions(d: int, max_part: int | None = None,
+                         max_length: int | None = None) -> list[Partition]:
+    """All partitions of weight d within the bounds, largest-first.
+
+    The order is reverse lexicographic, the fixed global order used for
+    every transition matrix and serialization.
     """
-    (cap,) = bound
-    if not lam:
-        return (((k,) if k else (), 1),) if k <= cap else ()
-    head, tail = lam[0], lam[1:]
-    out = []
-    for a in range(min(k, cap - head) + 1):
-        for mu, mult in qtilde_pieri_step(tail, k - a, (head if a else head - 1,)):
-            split = a and (mu[0] if mu else 0) < head
-            out.append(((head + a,) + mu, 2 * mult if split else mult))
-    return tuple(out)
+    if d < 0:
+        raise ValueError("weight must be nonnegative")
+    first = d if max_part is None else min(d, max_part)
+    length = d if max_length is None else max_length
+
+    def build(remaining: int, cap: int, slots: int, prefix: list[int]):
+        if remaining == 0:
+            yield Partition(prefix)
+            return
+        if slots == 0:
+            return
+        for p in range(min(cap, remaining), 0, -1):
+            prefix.append(p)
+            yield from build(remaining - p, p, slots - 1, prefix)
+            prefix.pop()
+
+    return list(build(d, first, length, []))
 
 
-def row_peel(mu: tuple[int, ...], bound: tuple[int]) -> tuple:
-    """k = mu_1, nu = mu less it: c_k . Q_nu has Q_mu once, other kappa_1 > k."""
-    return mu[0], mu[1:], qtilde_pieri_step(mu[1:], mu[0], bound)
+def enumerate_strict_partitions(d: int, max_part: int) -> list[StrictPartition]:
+    """All strict partitions of weight d with parts at most max_part, largest-first."""
+
+    def build(remaining: int, cap: int, prefix: list[int]):
+        if remaining == 0:
+            yield StrictPartition(prefix)
+            return
+        for p in range(min(cap, remaining), 0, -1):
+            prefix.append(p)
+            yield from build(remaining - p, p - 1, prefix)
+            prefix.pop()
+
+    return list(build(d, max_part, []))
 
 
 class SchubertRing:
@@ -161,16 +166,30 @@ class SchubertRing:
             raise ValueError(f"integration needs degree {top}, got {x.degree}")
         return x.get(self.point_class)
 
+    @cached_property
+    def product_weight_bound(self) -> int:
+        """The heaviest class that basis_product builds on another: the
+        largest w <= PRODUCT_WEIGHT_BUDGET with no degree up to w holding
+        more than TERM_BUDGET classes.  The ring's own degree sizes take the
+        place of p(w), the size of a whole degree of Schur classes, so a
+        thin ring builds heavy classes; they are counted from the Gaussian
+        binomials, as the pairing budget is, and only up to that weight."""
+        sizes = self.basis_sizes(PRODUCT_WEIGHT_BUDGET)
+        return next((w - 1 for w, size in enumerate(sizes) if size > TERM_BUDGET),
+                    len(sizes) - 1)
+
     def basis_product(self, lam: Partition, mu: Partition) -> Expansion:
         """Product of two Schubert classes, zero above the top degree: the lighter
-        class, its weight held to the output budget, is built on the heavier."""
+        class, its weight held to product_weight_bound, is built on the heavier."""
         lam, mu = basis_key(self.key, tuple(lam)), basis_key(self.key, tuple(mu))
         d = lam.weight + mu.weight
         if d > self.top_degree:
             return Expansion({}, degree=d, key=self.key)
         lam, mu = self.basis_index(lam), self.basis_index(mu)
         lam, mu = (mu, lam) if mu.weight > lam.weight else (lam, mu)
-        check_term_budget(mu.weight)
+        if mu.weight > self.product_weight_bound:
+            raise ValueError(f"a factor of weight {mu.weight} exceeds the product budget "
+                             f"of {self.label}: weights up to {self.product_weight_bound}")
         coeffs = pieri_build(lam.parts, mu.parts, self.step, self.bound, self.peel, self.bound)
         return Expansion(coeffs, degree=d, key=self.key)
 
@@ -216,13 +235,11 @@ class GrassmannianRing(SchubertRing):
     key = Partition
 
     def __init__(self, r: int, n: int):
-        if not 0 < r < n:
-            raise ValueError("require 0 < r < n")
+        self.label = grassmannian_label(r, n)
         self.r = r
         self.n = n
         self.cols = n - r
         self.rank = r
-        self.label = f"Gr({r},{n})"
         self.top_degree = r * self.cols
         self.step = vertical_strip_step
         self.bound = (r, self.cols)
@@ -245,6 +262,7 @@ class GrassmannianRing(SchubertRing):
     def basis_polynomial(self, lam: Partition) -> CPolynomial:
         """The Giambelli representative: the Schur polynomial in c_1..c_r."""
         from .polynomial import truncate_family
+        from .schur import schur_dual_jt
 
         return truncate_family(schur_dual_jt(self.basis_index(lam)), FAMILY_C, self.r)
 
@@ -261,14 +279,16 @@ class GrassmannianRing(SchubertRing):
                 return True
         return False
 
-    def basis_sizes(self) -> list[int]:
-        """|B_d| for d = 0..top, the coefficients of the Gaussian binomial
-        prod_{i=1..r} (1 - q^(n-r+i)) / (1 - q^i)."""
-        sizes = [1] + [0] * self.top_degree
-        for i in range(1, self.r + 1):
-            for d in range(self.top_degree, self.cols + i - 1, -1):
+    def basis_sizes(self, degree: int | None = None) -> list[int]:
+        """|B_d| for d = 0..top, or up to degree when it is lower: the
+        coefficients of the Gaussian binomial prod_{i=1..r} (1 - q^(n-r+i)) /
+        (1 - q^i).  A factor with i above the degree changes none of them."""
+        top = self.top_degree if degree is None else min(degree, self.top_degree)
+        sizes = [1] + [0] * top
+        for i in range(1, min(self.r, top) + 1):
+            for d in range(top, self.cols + i - 1, -1):
                 sizes[d] -= sizes[d - self.cols - i]
-            for d in range(i, self.top_degree + 1):
+            for d in range(i, top + 1):
                 sizes[d] += sizes[d - i]
         return sizes
 
@@ -279,11 +299,9 @@ class LagrangianRing(SchubertRing):
     key = StrictPartition
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("require n >= 1")
+        self.label = lagrangian_label(n)
         self.n = n
         self.rank = n
-        self.label = f"LG({n})"
         self.top_degree = n * (n + 1) // 2
         self.step = qtilde_pieri_step
         self.bound = (n,)
@@ -317,26 +335,15 @@ class LagrangianRing(SchubertRing):
         """Whether 2^n > budget; n is capped so a huge n builds no huge number."""
         return 2 ** min(self.n, budget.bit_length()) > budget
 
-    def basis_sizes(self) -> list[int]:
-        """|B_d| for d = 0..top, the coefficients of prod_{i=1..n} (1 + q^i)."""
-        sizes = [1] + [0] * self.top_degree
-        for i in range(1, self.n + 1):
-            for d in range(self.top_degree, i - 1, -1):
+    def basis_sizes(self, degree: int | None = None) -> list[int]:
+        """|B_d| for d = 0..top, or up to degree when it is lower: the
+        coefficients of prod_{i=1..n} (1 + q^i)."""
+        top = self.top_degree if degree is None else min(degree, self.top_degree)
+        sizes = [1] + [0] * top
+        for i in range(1, min(self.n, top) + 1):
+            for d in range(top, i - 1, -1):
                 sizes[d] += sizes[d - i]
         return sizes
 
-    def restrict(self, lam: Partition) -> Expansion:
-        """Pullback of the ambient Schubert class X^lam along LG(V) in G_n(V).
-
-        The tautological subbundles agree under the inclusion, so the class
-        is s_lam, built from 1 by column peels within the output budget; above
-        the top degree the cohomology vanishes and it is the zero expansion.
-        """
-        lam = basis_key(Partition, tuple(lam))
-        if not lam.fits_rectangle(self.n, self.n):
-            raise ValueError(f"{lam!r} is not a Schubert index of G_{self.n}(V)")
-        if lam.weight > self.top_degree:
-            return Expansion({}, degree=lam.weight, key=self.key)
-        check_term_budget(lam.weight)
-        return Expansion(pieri_build((), lam.parts, self.step, self.bound, column_peel,
-                                     (self.n, self.n)), degree=lam.weight, key=self.key)
+    # the pullback of X^lam along LG(V) in G_n(V)
+    restrict = restrict

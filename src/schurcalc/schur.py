@@ -1,36 +1,25 @@
-"""Schur functions as exact c-polynomials, and expansions over them.
-
-One memoized recursion, pieri_build, builds b_start . X_mu with a Pieri
-step c_k . b_lam, peeling X_mu as c_k . X_nu less its other strips.  With
-the dual Pieri step (c_k = s_(1^k) adds vertical k-strips) it expands
-c-monomials and s_lam . s_mu in the Schur basis and, in an r x (n-r) box,
-reduces in H*(Gr(r, n)); with the Q-tilde step of rings.py it works in
-H*(LG(n)).  On
-c-monomials it builds s_lam itself.  schur_product multiplies whole Schur
-expansions with it, which is how the grammar evaluates an expression in
+"""Schur functions: s_lam as a c-polynomial, c-polynomials and products in
 the Schur basis.
 
-The steps, peels and the build work on tuples of parts and read only
-partitions.py.  The polynomial layer is imported by the functions that
-build c-polynomials (schur_dual_jt, from_schur) when they run, so lr and
-the ring commands, which build none, never load it.
+Everything here runs on the Pieri core of pieri.py.  With the dual Pieri
+step (c_k = s_(1^k) adds vertical k-strips), to_schur folds each c-monomial
+from 1 and schur_dual_jt builds s_lam on c-monomials by column peels.
+pair_product multiplies two Schur classes, for lr_multiply and for the
+Schur-basis evaluation of schureval.py.  The ring commands need none of
+this, so they do not load it.
+
+The polynomial layer is imported by the functions that build c-polynomials
+(schur_dual_jt, from_schur) when they run, so lr, which builds none, never
+loads it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import (FAMILY_C, FAMILY_CPRIME, Partition, check_term_budget, degree_list,
-                         number_text)
-
-# The most factors a c-monomial folds.  Its index tuple and the memo of its
-# prefixes grow with the factor count, the memo as its square: a cold
-# `gr --r 1 --n 3001 integrate c1^3000` takes 0.3 s and 51 MB, c1^5000 in
-# Gr(1, 5001) 0.6 s and 114 MB (2 cores, Python 3.11).
-FOLD_FACTOR_BUDGET = 5000
-
-# the bound of a step or peel with both sides of the box open
-OPEN = (None, None)
+from .partitions import FAMILY_C, FAMILY_CPRIME, Partition, check_term_budget, degree_list
+from .pieri import (OPEN, Expansion, column_peel, fold_coefficients, pieri_build,
+                    vertical_strip_step, vertical_strips)
 
 
 @lru_cache(maxsize=None)
@@ -45,192 +34,9 @@ def schur_dual_jt(lam: Partition, family: str = FAMILY_C) -> CPolynomial:
     return CPolynomial({tuple(((family, i), 1) for i in m): c for m, c in built.items()})
 
 
-@lru_cache(maxsize=None)
-def basis_key(key: type[Partition], index) -> Partition:
-    """key(index), built and checked once per distinct index and then shared;
-    index is a tuple of parts or a Partition."""
-    return key(index)
-
-
-class Expansion:
-    """A homogeneous integer combination of basis classes.
-
-    Coefficients map partitions of a common weight to nonzero integers; the
-    key type is Partition for the Schur basis and StrictPartition for the
-    Q-tilde basis, and every key is checked against it, once per distinct
-    key through basis_key.  The degree is kept explicitly so the zero
-    expansion of a known degree integrates and serializes unambiguously.
-    """
-
-    def __init__(self, coefficients: dict, degree: int | None = None,
-                 key: type[Partition] = Partition):
-        cleaned = {basis_key(key, lam): coeff for lam, coeff in coefficients.items() if coeff}
-        weights = {lam.weight for lam in cleaned}
-        if len(weights) > 1:
-            raise ValueError(f"mixed weights in expansion: {sorted(weights)}")
-        if weights:
-            common = weights.pop()
-            if degree is not None and degree != common:
-                raise ValueError(f"stated degree {degree} != common weight {common}")
-            degree = common
-        self.coefficients = cleaned
-        self.degree = degree
-        self.key = key
-
-    def items(self) -> list[tuple[Partition, int]]:
-        return sorted(self.coefficients.items(), key=lambda kv: kv[0].sort_key())
-
-    def get(self, lam, default: int = 0) -> int:
-        # an instance of the key type was checked when it was built
-        return self.coefficients.get(lam if type(lam) is self.key else self.key(lam), default)
-
-    def coefficient_sum(self) -> int:
-        return sum(self.coefficients.values())
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def negatives(self) -> list[tuple[Partition, int]]:
-        return [(lam, c) for lam, c in self.items() if c < 0]
-
-    def is_nonnegative(self) -> bool:
-        return not self.negatives()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Expansion) and self.key is other.key
-                and self.degree == other.degree
-                and self.coefficients == other.coefficients)
-
-    def __bool__(self) -> bool:
-        return bool(self.coefficients)
-
-    def to_json(self, items=None) -> list:
-        return [{self.key.json_key: list(lam.parts), "coeff": number_text(c)}
-                for lam, c in (self.items() if items is None else items)]
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{tuple(lam.parts)}: {c}" for lam, c in self.items())
-        return f"Expansion({{{body}}}, degree={self.degree}, key={self.key.__name__})"
-
-
-def vertical_strips(lam: tuple[int, ...], k: int,
-                    bound: tuple[int | None, int | None]) -> tuple:
-    """(mu, 1) for mu/lam a vertical strip of k boxes in the rows x cols box.
-
-    bound is (rows, cols); None leaves a side open.  This is s_(1^k) . s_lam
-    by the dual Pieri rule.  Dropping the classes outside the box is exact
-    in H*(Gr(rows, rows + cols)), because they span an ideal there.
-
-    A vertical strip adds its boxes to the top rows of each block of equal
-    parts, any number of them up to the block's size, and the rest as new
-    rows of one box.  Only the top block can meet the cols side, and only
-    the new rows the rows side.  So the strips are built block by block in
-    a loop, with no recursion, and a column of any length is one block.
-    They come in the order of the row-by-row recursion that
-    tests/oracles.py keeps.
-    """
-    rows, cols = bound
-    if not k:
-        return ((lam, 1),)
-    n = len(lam)
-    # the parts of mu so far and the boxes left to place; a head with none
-    # left is already the whole of mu
-    partial = [((), k)]
-    start = 0
-    while start < n:
-        part, end = lam[start], start + 1
-        while end < n and lam[end] == part:
-            end += 1
-        size = end - start
-        most = 0 if not start and cols is not None and part >= cols else size
-        grown = []
-        for head, left in partial:
-            if not left:
-                grown.append((head, 0))
-                continue
-            for j in range(min(most, left) + 1):
-                if j == left:
-                    grown.append((head + (part + 1,) * j + lam[start + j:], 0))
-                else:
-                    grown.append((head + (part + 1,) * j + (part,) * (size - j), left - j))
-        partial = grown
-        start = end
-    room = None if rows is None else rows - n
-    return tuple((head + (1,) * left, 1) for head, left in partial
-                 if not left or room is None or left <= room)
-
-
-# The step of the builds and the rings, memoized on whole calls: a ring's
-# products and reductions meet the same (lam, k) again and again, where one
-# Schur evaluation meets each about once and calls vertical_strips itself.
-vertical_strip_step = lru_cache(maxsize=None)(vertical_strips)
-
-
 def monomial_step(lam: tuple[int, ...], k: int, bound) -> tuple:
     """(c_lam . c_k, 1) for a c-monomial lam (indices ascending); no bound."""
     return ((tuple(sorted(lam + (k,))), 1),)
-
-
-@lru_cache(maxsize=None)
-def column_peel(mu: tuple[int, ...], bound: tuple) -> tuple:
-    """k = l(mu) and nu = mu less its first column: c_k . s_nu sums s_kappa over
-    the vertical k-strips kappa / nu, the others below mu in dominance."""
-    nu = tuple(p - 1 for p in mu if p > 1)
-    return len(mu), nu, vertical_strip_step(nu, len(mu), bound)
-
-
-def index_peel(mu: tuple[int, ...], bound) -> tuple:
-    """A c-monomial (indices ascending) is its last index times the rest."""
-    return mu[-1], mu[:-1], ((mu, 1),)
-
-
-@lru_cache(maxsize=None)
-def pieri_build(start: tuple[int, ...], mu: tuple[int, ...], step, bound: tuple | None,
-                peel, peel_bound: tuple | None) -> dict[tuple[int, ...], int]:
-    """Coefficients of b_start . X_mu on the basis that step multiplies, in bound.
-
-    peel(mu, peel_bound) is (k, nu, strips) with c_k . X_nu = sum m . X_kappa
-    over the strips, X_mu among them with m = 1.  The memo is keyed on
-    module-level functions and bound tuples, so rings of one shape share it.
-    """
-    if not mu:
-        return {start: 1}
-    k, nu, strips = peel(mu, peel_bound)
-    out: dict[tuple[int, ...], int] = {}
-    for lam, coeff in pieri_build(start, nu, step, bound, peel, peel_bound).items():
-        for kappa, mult in step(lam, k, bound):
-            out[kappa] = out.get(kappa, 0) + coeff * mult
-    for kappa, mult in strips:
-        if kappa != mu:
-            for lam, coeff in pieri_build(start, kappa, step, bound, peel, peel_bound).items():
-                out[lam] = out.get(lam, 0) - mult * coeff
-    return {lam: coeff for lam, coeff in out.items() if coeff}
-
-
-@lru_cache(maxsize=None)
-def monomial_fold(mono, step, bound: tuple) -> dict[tuple[int, ...], int]:
-    """Coefficients of the c-monomial mono on the basis of step, in bound: the
-    dict of pieri_build's memo itself, shared, so it is never changed.  A
-    monomial of more than FOLD_FACTOR_BUDGET factors is rejected before its
-    indices are listed."""
-    factors = sum(e for _, e in mono)
-    if factors > FOLD_FACTOR_BUDGET:
-        raise ValueError(f"a monomial of {factors} factors exceeds the fold budget "
-                         f"of {FOLD_FACTOR_BUDGET} factors")
-    indices = tuple(g[1] for g, e in mono for _ in range(e))
-    # warm every 200th prefix so the build's recursion stays shallow
-    for stop in range(200, len(indices), 200):
-        pieri_build((), indices[:stop], step, bound, index_peel, None)
-    return pieri_build((), indices, step, bound, index_peel, None)
-
-
-def fold_coefficients(p: CPolynomial, step, bound: tuple) -> dict[tuple[int, ...], int]:
-    """Coefficients of p on the basis of step, in bound; c_k and c'_k both count."""
-    total: dict[tuple[int, ...], int] = {}
-    for mono, coeff in p.terms.items():
-        for lam, c in monomial_fold(mono, step, bound).items():
-            total[lam] = total.get(lam, 0) + coeff * c
-    return total
 
 
 def to_schur(p: CPolynomial, length_bound: int | None = None) -> Expansion:
@@ -275,24 +81,13 @@ def schur_expansion(coeffs: dict[tuple[int, ...], int],
     return Expansion(coeffs, degree=degrees.pop() if degrees else None)
 
 
-def schur_product(a: dict[tuple[int, ...], int],
-                  b: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """Coefficients of (sum a_lam s_lam) . (sum b_mu s_mu) on tuples of parts.
+def pair_product(lam: tuple[int, ...], mu: tuple[int, ...]):
+    """(kappa, m) pairs of s_lam . s_mu = sum m s_kappa, each kappa once.
 
     A column (1^k), which is c_k, is one vertical strip step on the other
     class; any other pair builds the lighter class on the heavier by column
     peels.  Neither side is held to a budget here.
     """
-    out: dict[tuple[int, ...], int] = {}
-    for lam, x in a.items():
-        for mu, y in b.items():
-            for kappa, m in _pair_product(lam, mu):
-                out[kappa] = out.get(kappa, 0) + x * y * m
-    return {kappa: c for kappa, c in out.items() if c}
-
-
-def _pair_product(lam: tuple[int, ...], mu: tuple[int, ...]):
-    """(kappa, m) pairs of s_lam . s_mu = sum m s_kappa."""
     if sum(mu) > sum(lam):
         lam, mu = mu, lam
     if not mu:
@@ -319,5 +114,4 @@ def lr_multiply(lam: Partition, mu: Partition) -> Expansion:
     to the output budget, built on the heavier."""
     lam, mu = Partition(lam), Partition(mu)
     check_term_budget(min(lam.weight, mu.weight))
-    return Expansion(schur_product({lam.parts: 1}, {mu.parts: 1}),
-                     degree=lam.weight + mu.weight)
+    return Expansion(dict(pair_product(lam.parts, mu.parts)), degree=lam.weight + mu.weight)

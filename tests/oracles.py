@@ -32,7 +32,8 @@ from schurcalc.bundles import (XPoly, peel_schur, schur_monomials, ssyt_weights,
                                xp_mul)
 from schurcalc.linalg import matrix_rank, solve_exact
 from schurcalc.parsing import Basis, Expression, Gen, Num, Pow, Prod, Sum
-from schurcalc.partitions import Partition, enumerate_partitions
+from schurcalc.partitions import Partition
+from schurcalc.pieri import Expansion
 from schurcalc.polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
@@ -48,8 +49,8 @@ from schurcalc.polynomial import (
 )
 from schurcalc.qtilde import _q_single, qtilde_pair
 from schurcalc.records import FrozenRecord
-from schurcalc.rings import LagrangianRing
-from schurcalc.schur import Expansion, schur_dual_jt, to_schur
+from schurcalc.rings import LagrangianRing, enumerate_partitions
+from schurcalc.schur import schur_dual_jt, to_schur
 
 # -- partitions and expressions -----------------------------------------------
 

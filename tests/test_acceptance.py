@@ -17,18 +17,14 @@ from schurcalc.legendrian import (
     legendrian_parse,
     legendrian_positivity,
 )
-from schurcalc.partitions import (
-    Partition,
-    enumerate_partitions,
-    hook_contains,
-)
+from schurcalc.partitions import Partition
 from schurcalc.polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
     CPolynomial,
 )
-from schurcalc.positivity import CLASSICAL_THOM_TABLE, certify, verify_thom_table
-from schurcalc.rings import GrassmannianRing, LagrangianRing
+from schurcalc.positivity import CLASSICAL_THOM_TABLE, certify, hook_contains, verify_thom_table
+from schurcalc.rings import GrassmannianRing, LagrangianRing, enumerate_partitions
 from schurcalc.schur import lr_multiply, schur_dual_jt, to_schur
 from schurcalc.bundles import schur_bundle_class
 

@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import tokenize
 from functools import lru_cache
 from math import factorial, prod
 from pathlib import Path
@@ -269,43 +270,80 @@ def _cold_imports(*argv):
                                ["-c", "import schurcalc"]))
 
 
-# the Pieri layer: steps, peels and the build, on tuples of parts
-_PIERI = {"partitions", "schur"}
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _code_tokens(path):
+    """The code tokens of a source file: its tokens less comments, line
+    breaks, indentation and the encoding and end markers.  A docstring is
+    one token."""
+    with open(path, "rb") as handle:
+        return sum(token.type not in _NOT_CODE for token in tokenize.tokenize(handle.readline))
+
+
+def _cold_tokens(*argv):
+    """The code tokens of every schurcalc module that a fresh
+    `python -S -m schurcalc ARGV` loads, the package itself included: the
+    volume of source the command compiles when no bytecode exists."""
+    package = Path(schurcalc.__file__).parent
+    names = [name.partition(".")[2] for name in _cold_imports(*argv)
+             if name == "schurcalc" or name.startswith("schurcalc.")]
+    return sum(_code_tokens(package / (f"{name}.py" if name else "__init__.py"))
+               for name in names)
+
+
+# the Pieri core: partitions, expansions, steps, peels and the build
+_PIERI = {"partitions", "pieri"}
 _BUILD = {"polynomial"} | _PIERI
-_RING = {"cli", "commands", "rings"} | _PIERI
+# the commands that build no ring, and those that do
+_COMMAND = {"cli", "commands"}
+_RING = {"cli", "ringcommands", "rings", "schubert"} | _PIERI
 # records holds the base of the syntax-tree nodes and of the reports
 _GRAMMAR = {"parsing", "records"} | _PIERI
-_POSITIVITY = {"cli", "positivity", "records"}
+_SCHUR_INPUT = {"schur", "schureval"} | _COMMAND | _GRAMMAR
+_POSITIVITY = {"positivity", "records"} | _COMMAND
 
-# per command, exactly the schurcalc submodules it loads: the grammar only
-# where an expression is read, legendrian only for the Legendrian tables,
-# the polynomial layer only where a c-polynomial is built (a ring reduction,
-# a table, a q atom, a sum whose terms differ in degree) and qtilde only for
-# q, plaintext only for help, --pretty and argv outside the canonical form,
-# commands only for gr, lg and thom-verify, bundles only for schur-bundle
+# per command, exactly the schurcalc submodules it loads and the most code
+# tokens they may hold (see _cold_tokens): the grammar only where an
+# expression is read, schureval only for to-schur and certify, legendrian
+# only for the Legendrian tables, the polynomial layer only where a
+# c-polynomial is built (a ring reduction, a table, a q atom, a sum whose
+# terms differ in degree) and qtilde only for q, schur only where Schur
+# functions are computed, plaintext only for help, --pretty and argv
+# outside the canonical form, ringcommands and rings only for the gr/lg
+# commands that build a ring, schubert only for gr and lg, bundles only
+# for schur-bundle
 _COLD_LOADS = [
-    ((), set()),
-    (("--help",), {"cli", "plaintext"}),
-    (("lr", "2,1", "1"), {"cli"} | _PIERI),
-    (("--pretty", "lr", "2,1", "1"), {"cli", "plaintext"} | _PIERI),
-    (("lr", "--", "2,1", "1"), {"cli", "plaintext"} | _PIERI),
-    (("qtilde", "2,1"), {"cli", "partitions", "polynomial", "qtilde"}),
+    ((), set(), 400),
+    (("--help",), {"cli", "plaintext"}, 2200),
+    (("lr", "2,1", "1"), {"schur"} | _COMMAND | _PIERI, 4900),
+    (("--pretty", "lr", "2,1", "1"), {"plaintext", "schur"} | _COMMAND | _PIERI, 5500),
+    (("lr", "--", "2,1", "1"), {"plaintext", "schur"} | _COMMAND | _PIERI, 5500),
+    (("qtilde", "2,1"), {"partitions", "polynomial", "qtilde"} | _COMMAND, 4800),
     (("schur-bundle", "--rank", "2", "--functor", "1", "--class", "1"),
-     {"cli", "bundles"} | _BUILD),
-    (("to-schur", "c1^2"), {"cli"} | _GRAMMAR),
-    (("to-schur", "s[3,1]*c2 - 2*c1^6"), {"cli"} | _GRAMMAR),
-    (("to-schur", "q[2,1]*c1"), {"cli", "polynomial", "qtilde"} | _GRAMMAR),
-    (("certify", "c1^2"), _POSITIVITY | _GRAMMAR),
-    (("certify", "c1 - c1 + c2"), _POSITIVITY | _GRAMMAR | {"polynomial"}),
-    (("gr", "--r", "2", "--n", "4", "pairing"), _RING),
-    (("lg", "--n", "3", "pairing"), _RING),
-    (("gr", "--r", "2", "--n", "4", "dual", "1"), _RING),
-    (("lg", "--n", "3", "restrict", "1"), _RING),
-    (("gr", "--r", "2", "--n", "4", "reduce", "c1^2"), _RING | _GRAMMAR | {"polynomial"}),
+     {"bundles", "schur"} | _COMMAND | _BUILD, 7600),
+    (("to-schur", "c1^2"), _SCHUR_INPUT, 7700),
+    (("to-schur", "s[3,1]*c2 - 2*c1^6"), _SCHUR_INPUT, 7700),
+    (("to-schur", "q[2,1]*c1"), {"polynomial", "qtilde"} | _SCHUR_INPUT, 9500),
+    (("certify", "c1^2"), _POSITIVITY | _SCHUR_INPUT, 8400),
+    (("certify", "c1 - c1 + c2"), _POSITIVITY | _SCHUR_INPUT | {"polynomial"}, 9900),
+    (("gr", "--r", "2", "--n", "4", "pairing"), _RING, 6800),
+    (("lg", "--n", "3", "pairing"), _RING, 6800),
+    (("gr", "--r", "2", "--n", "4", "dual", "1"), {"schubert"} | _COMMAND | _PIERI, 4900),
+    (("lg", "--n", "3", "dual", "1"), {"schubert"} | _COMMAND | _PIERI, 4900),
+    (("lg", "--n", "5", "restrict", "3,2,1"), {"schubert"} | _COMMAND | _PIERI, 4900),
+    (("gr", "--r", "2", "--n", "4", "reduce", "c1^2"), _RING | _GRAMMAR | {"polynomial"}, 10300),
+    (("gr", "--r", "2", "--n", "7", "integrate", "s[5,4]*s[1]"),
+     _RING | _GRAMMAR | {"polynomial", "schur"}, 11000),
+    (("lg", "--n", "3", "integrate", "q[2,1]*c3"),
+     _RING | _GRAMMAR | {"polynomial", "qtilde"}, 10600),
     (("thom-verify", "--table", "classical"),
-     {"commands", "polynomial"} | _POSITIVITY | _GRAMMAR),
+     {"polynomial", "schur"} | _POSITIVITY | _GRAMMAR, 9300),
+    (("thom-verify", "--table", "lagrangian"),
+     {"legendrian", "polynomial", "schur"} | _POSITIVITY | _GRAMMAR, 10500),
     (("thom-verify", "--table", "legendrian"),
-     {"commands", "legendrian", "polynomial"} | _POSITIVITY | _GRAMMAR),
+     {"legendrian", "polynomial", "schur"} | _POSITIVITY | _GRAMMAR, 10500),
 ]
 
 
@@ -313,7 +351,7 @@ def test_cli_import_path_is_free_of_heavy_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize, and typing is
     # as heavy
     denied = {"dataclasses", "inspect", "ast", "typing", "fractions", "schurcalc.linalg"}
-    for argv, _ in _COLD_LOADS:
+    for argv, _, _ in _COLD_LOADS:
         loaded = _cold_imports(*argv)
         assert not denied & loaded, argv
         # a computing command reads its argv without argparse and writes its
@@ -326,31 +364,52 @@ def test_cli_import_path_is_free_of_heavy_modules():
 
 
 def test_cold_commands_load_only_the_modules_they_run():
-    for argv, expected in _COLD_LOADS:
+    for argv, expected, _ in _COLD_LOADS:
         loaded = {name.partition(".")[2] for name in _cold_imports(*argv)
                   if name.startswith("schurcalc.")}
         assert loaded == expected, argv
 
 
+def test_cold_commands_compile_at_most_their_token_ceilings():
+    # without bytecode a command compiles every module it loads, so the code
+    # tokens of those modules gauge its compile cost without timing it
+    for argv, _, ceiling in _COLD_LOADS:
+        assert _cold_tokens(*argv) <= ceiling, argv
+
+
+def test_the_token_gauge_counts_code_only():
+    source = '"""doc"""\n# comment\n\nif x:\n    y = 1  # more\n'
+    tokens = tokenize.tokenize(io.BytesIO(source.encode()).readline)
+    assert [t.string for t in tokens if t.type not in _NOT_CODE] == \
+        ['"""doc"""', "if", "x", ":", "y", "=", "1"]
+
+
 def test_the_pieri_layer_loads_no_polynomial_code():
-    # rings, schur, the grammar and positivity import polynomial and qtilde
-    # only in the functions that build c-polynomials
-    loaded = _python_s_imports("-c", "import schurcalc.rings, schurcalc.parsing, "
+    # rings, schur, the grammar, the Schur-basis evaluation and positivity
+    # import polynomial and qtilde only in the functions that build
+    # c-polynomials, and the rings import no Schur function
+    loaded = _python_s_imports("-c", "import schurcalc.rings")
+    assert {"schurcalc.rings", "schurcalc.schubert", "schurcalc.pieri",
+            "schurcalc.partitions"} <= loaded
+    assert not {"schurcalc.polynomial", "schurcalc.qtilde", "schurcalc.schur"} & loaded
+    loaded = _python_s_imports("-c", "import schurcalc.rings, schurcalc.schureval, "
                                      "schurcalc.positivity")
-    assert {"schurcalc.rings", "schurcalc.schur", "schurcalc.partitions",
-            "schurcalc.parsing", "schurcalc.positivity"} <= loaded
+    assert {"schurcalc.schur", "schurcalc.parsing", "schurcalc.positivity"} <= loaded
     assert not {"schurcalc.polynomial", "schurcalc.qtilde"} & loaded
 
 
 def test_only_the_c_polynomial_builders_import_when_called():
     # so no warm reduce, integrate, basis_product or restrict runs an import
     # statement, which costs about 2 us, an eighth of a warm reduce
-    from schurcalc import parsing, positivity, rings, schur
+    # (positivity.table_payload loads the Legendrian tables for thom-verify)
+    from schurcalc import parsing, pieri, positivity, rings, schubert, schur, schureval
 
     builders = {schur: {"schur_dual_jt", "from_schur"},
                 rings: {"reduce_tautological", "basis_polynomial"},
-                parsing: {"_polynomial_atom", "_schur_atom"},
-                positivity: {"_entry_polynomial"}}
+                parsing: {"_polynomial_atom"},
+                schureval: {"_schur_atom"},
+                positivity: {"_entry_polynomial", "table_payload"},
+                pieri: set(), schubert: set()}
     for module, names in builders.items():
         tree = ast.parse(Path(module.__file__).read_text())
         importing = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
@@ -531,6 +590,22 @@ def test_pairing_budget_rejects_before_enumerating():
                               capture_output=True, timeout=30)
         err = f"error: {label} exceeds the pairing budget: more than 75000 matrix cells\n"
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err.encode()), argv
+
+
+def test_thin_grassmannian_pairings_pass_the_product_budget():
+    # basis_product held the lighter class to p(w) <= 37338 terms, so both
+    # exited 2 with "degree 41 exceeds the output budget"; their degrees
+    # hold at most 1 and 25 classes
+    for argv in (["gr", "--r", "1", "--n", "90", "pairing"],
+                 ["gr", "--r", "2", "--n", "50", "pairing"]):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, b""), argv
+        assert out.endswith(b'"is_dual_permutation":true}\n'), argv
+    # Gr(1,803) passes the pairing budget with 803 cells, but its products
+    # of two classes of weight 401 pass the product budget's weight
+    assert run_cli("gr", "--r", "1", "--n", "803", "pairing") == \
+        (2, b"", b"error: a factor of weight 401 exceeds the product budget of Gr(1,803): "
+                 b"weights up to 400\n")
 
 
 def test_negative_length_bound_is_rejected():

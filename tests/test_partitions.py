@@ -10,15 +10,12 @@ from schurcalc.partitions import (
     TERM_BUDGET,
     check_term_budget,
     conjugate,
-    enumerate_partitions,
-    enumerate_strict_partitions,
-    hook_contains,
     parse_partition_arg,
     partition_count,
-    rectangle_dual,
-    staircase,
-    strict_complement,
 )
+from schurcalc.positivity import hook_contains
+from schurcalc.rings import enumerate_partitions, enumerate_strict_partitions
+from schurcalc.schubert import rectangle_dual, staircase, strict_complement
 
 from oracles import partitions_up_to
 

@@ -10,7 +10,8 @@ from schurcalc.polynomial import (
     CPolynomial,
     truncate_family,
 )
-from schurcalc.partitions import Partition, enumerate_partitions
+from schurcalc.partitions import Partition
+from schurcalc.rings import enumerate_partitions
 from schurcalc.qtilde import qtilde
 
 from oracles import monomials_of_degree, poly_det, specialize

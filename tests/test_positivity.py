@@ -1,7 +1,7 @@
 import pytest
 
 from schurcalc.bundles import MAX_BUNDLE_ROOTS, schur_bundle_class, ssyt_weights
-from schurcalc.partitions import Partition, enumerate_partitions, hook_contains
+from schurcalc.partitions import Partition
 from schurcalc.polynomial import FAMILY_C, CPolynomial
 from schurcalc.positivity import (
     CLASSICAL_THOM_TABLE,
@@ -9,9 +9,11 @@ from schurcalc.positivity import (
     VERDICT_POSITIVE,
     VERDICT_ZERO,
     certify,
+    hook_contains,
     minimal_hook_rank,
     verify_thom_table,
 )
+from schurcalc.rings import enumerate_partitions
 from schurcalc.schur import schur_dual_jt
 
 from oracles import partitions_up_to, schur_bundle_oracle, to_schur_oracle

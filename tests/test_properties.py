@@ -7,13 +7,16 @@ Examples are derandomized, so every run checks the same inputs.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurcalc import partitions, rings, schur
+from schurcalc import partitions, pieri, rings, schubert, schur
 from schurcalc import qtilde as qtilde_module
-from schurcalc.parsing import evaluate_schur, evaluate_text
-from schurcalc.partitions import StrictPartition, enumerate_partitions, enumerate_strict_partitions
+from schurcalc.parsing import evaluate_text
+from schurcalc.partitions import StrictPartition
+from schurcalc.pieri import Expansion
 from schurcalc.polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial, truncate_family
-from schurcalc.rings import GrassmannianRing, LagrangianRing
-from schurcalc.schur import Expansion, from_schur, to_schur
+from schurcalc.rings import (GrassmannianRing, LagrangianRing, enumerate_partitions,
+                             enumerate_strict_partitions)
+from schurcalc.schur import from_schur, to_schur
+from schurcalc.schureval import evaluate_schur
 
 from oracles import lg_reduce_by_solve, qtilde_two_rules, schur_jt_dual_form, to_schur_oracle
 
@@ -135,7 +138,7 @@ def test_the_schur_evaluation_equals_the_polynomial_path(text, length_bound):
 
 # -- warm ring calls equal cold calls and the oracles --------------------------
 
-MEMO_MODULES = (partitions, qtilde_module, schur, rings)
+MEMO_MODULES = (partitions, pieri, qtilde_module, schubert, schur, rings)
 WARM_RINGS = [("gr", r, n) for n in range(2, 8) for r in range(1, n)] + \
     [("lg", n) for n in range(1, 5)]
 

@@ -1,14 +1,10 @@
 import pytest
 
-from schurcalc.partitions import (
-    Partition,
-    StrictPartition,
-    enumerate_strict_partitions,
-)
+from schurcalc.partitions import Partition, StrictPartition
+from schurcalc.pieri import Expansion
 from schurcalc.polynomial import FAMILY_C, CPolynomial
 from schurcalc.qtilde import qtilde, qtilde_pair
-from schurcalc.rings import LagrangianRing
-from schurcalc.schur import Expansion
+from schurcalc.rings import LagrangianRing, enumerate_strict_partitions
 
 from oracles import ideal_generator, partitions_up_to, qtilde_two_rules
 

@@ -4,10 +4,11 @@ from math import factorial, prod
 
 import pytest
 
-from schurcalc.partitions import Partition, StrictPartition, enumerate_partitions
+from schurcalc.partitions import Partition, StrictPartition
+from schurcalc.pieri import Expansion
 from schurcalc.polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial, truncate_family
-from schurcalc.rings import PAIRING_BUDGET, GrassmannianRing, LagrangianRing
-from schurcalc.schur import Expansion, schur_dual_jt
+from schurcalc.rings import PAIRING_BUDGET, GrassmannianRing, LagrangianRing, enumerate_partitions
+from schurcalc.schur import schur_dual_jt
 
 from oracles import (
     BundleSymbol,
@@ -352,6 +353,42 @@ def test_pairing_budget_counts_cells_before_enumerating():
             ring.pairing_is_dual_permutation()
         assert str(info.value) == \
             f"{ring.label} exceeds the pairing budget: more than 75000 matrix cells"
+
+
+def test_product_budget_reads_the_ring_degree_sizes():
+    from schurcalc.partitions import TERM_BUDGET
+    from schurcalc.rings import PRODUCT_WEIGHT_BUDGET
+
+    # the heaviest lighter class: the weight cap, the top degree, or the
+    # degree before the first with more than TERM_BUDGET classes
+    for ring in (GrassmannianRing(1, 90), GrassmannianRing(2, 50), GrassmannianRing(3, 7),
+                 GrassmannianRing(1, 10 ** 9), GrassmannianRing(12, 40), LagrangianRing(5),
+                 LagrangianRing(10 ** 9)):
+        bound = ring.product_weight_bound
+        assert max(ring.basis_sizes(bound)) <= TERM_BUDGET, ring
+        if bound < min(ring.top_degree, PRODUCT_WEIGHT_BUDGET):
+            assert ring.basis_sizes(bound + 1)[-1] > TERM_BUDGET, ring
+    assert [ring.product_weight_bound for ring in (
+        GrassmannianRing(1, 90), GrassmannianRing(2, 50), GrassmannianRing(3, 7),
+        GrassmannianRing(1, 10 ** 9))] == [89, 96, 12, PRODUCT_WEIGHT_BUDGET]
+    # 73 has 40026 strict partitions, and 44 has 41663 partitions in the
+    # 12 x 28 box, the first degrees past TERM_BUDGET
+    assert LagrangianRing(10 ** 9).product_weight_bound == 72
+    assert GrassmannianRing(12, 40).product_weight_bound == 43
+    # the lighter factor alone is held to the bound
+    ring = GrassmannianRing(1, 10 ** 9)
+    assert ring.basis_product(Partition([400]), Partition([10 ** 6])).get([10 ** 6 + 400]) == 1
+    with pytest.raises(ValueError, match=r"^a factor of weight 401 exceeds the product budget "
+                                         r"of Gr\(1,1000000000\): weights up to 400$"):
+        ring.basis_product(Partition([401]), Partition([401]))
+
+
+def test_basis_sizes_up_to_a_degree_are_a_prefix():
+    for ring in [GrassmannianRing(r, n) for n in range(2, 9) for r in range(1, n)] + \
+            [LagrangianRing(n) for n in range(1, 7)]:
+        sizes = ring.basis_sizes()
+        for degree in range(ring.top_degree + 3):
+            assert ring.basis_sizes(degree) == sizes[:degree + 1], (ring, degree)
 
 
 def test_lg_basis_total_count():

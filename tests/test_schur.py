@@ -4,30 +4,29 @@ from math import comb, factorial, prod
 
 import pytest
 
-from schurcalc.partitions import (
-    Partition,
-    StrictPartition,
-    enumerate_partitions,
-    hook_contains,
+from schurcalc.partitions import Partition, StrictPartition
+from schurcalc.pieri import (
+    FOLD_FACTOR_BUDGET,
+    Expansion,
+    basis_key,
+    fold_coefficients,
+    index_peel,
+    monomial_fold,
+    pieri_build,
+    vertical_strip_step,
 )
+from schurcalc.positivity import hook_contains
+from schurcalc.rings import enumerate_partitions
 from schurcalc.polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
     CPolynomial,
 )
 from schurcalc.schur import (
-    FOLD_FACTOR_BUDGET,
-    Expansion,
-    basis_key,
-    fold_coefficients,
     from_schur,
-    index_peel,
     lr_multiply,
-    monomial_fold,
-    pieri_build,
     schur_dual_jt,
     to_schur,
-    vertical_strip_step,
     vertical_strips,
 )
 
