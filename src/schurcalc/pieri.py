@@ -5,7 +5,8 @@ X_mu as c_k . X_nu less its other strips.  With the dual Pieri step
 (c_k = s_(1^k) adds vertical k-strips) it works in the Schur basis and, in
 an r x (n-r) box, reduces in H*(Gr(r, n)); with the Q-tilde step of
 schubert.py it works in H*(LG(n)).  monomial_fold builds a c-monomial from
-1 with it, which is how to_schur and the ring reductions read c-polynomials.
+1 with it: to_schur folds each monomial of a c-polynomial through it, and a
+ring folds each monomial once, into its table of monomial classes.
 
 Every command that computes in a basis loads this module, so it holds only
 the Expansion type, the steps, the peels and the build.  It works on tuples
@@ -41,7 +42,8 @@ class Expansion:
     Coefficients map partitions of a common weight to nonzero integers; the
     key type is Partition for the Schur basis and StrictPartition for the
     Q-tilde basis, and every key is checked against it, once per distinct
-    key through basis_key.  The degree is kept explicitly so the zero
+    key through basis_key; trusted builds an expansion on keys its caller
+    has already checked.  The degree is kept explicitly so the zero
     expansion of a known degree integrates and serializes unambiguously.
     """
 
@@ -60,6 +62,16 @@ class Expansion:
         self.degree = degree
         self.key = key
 
+    @classmethod
+    def trusted(cls, coefficients, degree, key) -> Expansion:
+        """The expansion of coefficients whose keys the caller built as
+        checked instances of key, all of weight degree, so none is checked
+        again; zero coefficients are dropped."""
+        x = object.__new__(cls)
+        x.coefficients = {lam: c for lam, c in coefficients.items() if c}
+        x.degree, x.key = degree, key
+        return x
+
     def items(self) -> list[tuple[Partition, int]]:
         return sorted(self.coefficients.items(), key=lambda kv: kv[0].sort_key())
 
@@ -72,12 +84,6 @@ class Expansion:
 
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def negatives(self) -> list[tuple[Partition, int]]:
-        return [(lam, c) for lam, c in self.items() if c < 0]
-
-    def is_nonnegative(self) -> bool:
-        return not self.negatives()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Expansion) and self.key is other.key
@@ -185,12 +191,12 @@ def pieri_build(start: tuple[int, ...], mu: tuple[int, ...], step, bound: tuple 
     return {lam: coeff for lam, coeff in out.items() if coeff}
 
 
-@lru_cache(maxsize=None)
 def monomial_fold(mono, step, bound: tuple) -> dict[tuple[int, ...], int]:
     """Coefficients of the c-monomial mono on the basis of step, in bound: the
     dict of pieri_build's memo itself, shared, so it is never changed.  A
     monomial of more than FOLD_FACTOR_BUDGET factors is rejected before its
-    indices are listed."""
+    indices are listed.  It keeps no memo of its own: pieri_build's holds
+    the fold, and a ring keeps each monomial's class in its table."""
     factors = sum(e for _, e in mono)
     if factors > FOLD_FACTOR_BUDGET:
         raise ValueError(f"a monomial of {factors} factors exceeds the fold budget "
@@ -201,11 +207,3 @@ def monomial_fold(mono, step, bound: tuple) -> dict[tuple[int, ...], int]:
         pieri_build((), indices[:stop], step, bound, index_peel, None)
     return pieri_build((), indices, step, bound, index_peel, None)
 
-
-def fold_coefficients(p: CPolynomial, step, bound: tuple) -> dict[tuple[int, ...], int]:
-    """Coefficients of p on the basis of step, in bound; c_k and c'_k both count."""
-    total: dict[tuple[int, ...], int] = {}
-    for mono, coeff in p.terms.items():
-        for lam, c in monomial_fold(mono, step, bound).items():
-            total[lam] = total.get(lam, 0) + coeff * c
-    return total

@@ -117,10 +117,6 @@ class CPolynomial:
     def gen(family: str, index: int = 0) -> "CPolynomial":
         return CPolynomial({((generator(family, index), 1),): 1})
 
-    @staticmethod
-    def from_monomial(mono: Monomial, coeff: int = 1) -> "CPolynomial":
-        return CPolynomial({mono: coeff})
-
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other) -> "CPolynomial":

@@ -17,6 +17,9 @@ them each c-monomial from 1 and the lighter of two classes on the heavier:
   bounded by mu_1 <= n, and a class is peeled by its first row.
 
 Every step is a product of basis classes in the ring, so the bound is exact.
+A ring reduces a c-polynomial monomial by monomial, and folds each
+c-monomial from 1 (pieri.monomial_fold) once: its degree and class go into
+the ring's table, monomial_classes, from which every later reduce reads it.
 
 The labels, the duals, the Q-tilde step and the restriction to LG(n) need
 no ring and live in schubert.py, so the dual and restrict commands do not
@@ -33,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .partitions import FAMILY_C, TERM_BUDGET, Partition, StrictPartition, degree_list, number_text
-from .pieri import (Expansion, basis_key, column_peel, fold_coefficients, pieri_build,
+from .pieri import (Expansion, basis_key, column_peel, monomial_fold, pieri_build,
                     vertical_strip_step)
 from .schubert import (grassmannian_label, lagrangian_label, qtilde_pieri_step, rectangle_dual,
                        restrict, row_peel, staircase, strict_complement)
@@ -102,8 +105,14 @@ class SchubertRing:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.label})"
 
-    def all_basis(self) -> list[Partition]:
-        return [lam for d in range(self.top_degree + 1) for lam in self.basis(d)]
+    @cached_property
+    def monomial_classes(self) -> dict:
+        """The table of reduce: each c-monomial the ring has reduced, mapped
+        to its class, an Expansion that holds its degree and its checked
+        basis indices.  A monomial enters only with a polynomial that passed
+        _degree whole.  The table lasts as long as the ring and is
+        unbounded, like the Pieri memos."""
+        return {}
 
     def _degree(self, p: CPolynomial, degree: int | None) -> int | None:
         """Check that p is a class of the ring and return its degree.
@@ -155,9 +164,29 @@ class SchubertRing:
 
     def reduce(self, p: CPolynomial, degree: int | None = None) -> Expansion:
         """Basis expansion of the class of p, by the Pieri build of its
-        monomials from 1.  degree is the degree of a zero p."""
-        d = self._degree(p, degree)
-        return Expansion(fold_coefficients(p, self.step, self.bound), degree=d, key=self.key)
+        monomials from 1.  degree is the degree of a zero p.
+
+        One pass sums the classes of p's monomials from monomial_classes.  A
+        monomial missing there, or a second degree, sends p whole through
+        _degree first, so a bad p fails as on a fresh ring; p's new
+        monomials are then folded into the table and the pass goes on.
+        """
+        table, total, d = self.monomial_classes, {}, None
+        for mono, coeff in p.terms.items():
+            x = table.get(mono)
+            if x is None or d is not None and x.degree != d:
+                d = self._degree(p, degree)
+                for new in p.terms:
+                    if new not in table:
+                        table[new] = Expansion(monomial_fold(new, self.step, self.bound), d,
+                                               self.key)
+                x = table[mono]
+            d = x.degree
+            for lam, c in x.coefficients.items():
+                total[lam] = total.get(lam, 0) + coeff * c
+        if d is None:  # p is zero
+            d = self.check_degree(degree)
+        return Expansion.trusted(total, d, self.key)
 
     def integrate(self, x: Expansion) -> int:
         """Coefficient of the point class; defined only in the top degree."""
@@ -221,12 +250,6 @@ class SchubertRing:
                 return
         raise ValueError(f"{self.label} exceeds the pairing budget: "
                          f"more than {PAIRING_BUDGET} matrix cells")
-
-    def pairing_is_dual_permutation(self) -> bool:
-        """Whole-ring check that every pairing matrix realizes the duality."""
-        self.check_pairing_budget()
-        return all(self.is_dual_permutation(*self.pairing_matrix(d))
-                   for d in range(self.top_degree + 1))
 
 
 class GrassmannianRing(SchubertRing):

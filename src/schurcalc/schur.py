@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .partitions import FAMILY_C, FAMILY_CPRIME, Partition, check_term_budget, degree_list
-from .pieri import (OPEN, Expansion, column_peel, fold_coefficients, pieri_build,
+from .pieri import (OPEN, Expansion, column_peel, monomial_fold, pieri_build,
                     vertical_strip_step, vertical_strips)
 
 
@@ -48,9 +48,12 @@ def to_schur(p: CPolynomial, length_bound: int | None = None) -> Expansion:
     partitions makes the input inexpressible and raises.
     """
     check_schur_families(p.families())
-    if p.homogeneous_degree() is None:
-        return Expansion({}, degree=None)
-    return schur_expansion(fold_coefficients(p, vertical_strip_step, OPEN), length_bound)
+    p.homogeneous_degree()  # raises on an inhomogeneous p
+    coeffs = {}
+    for mono, coeff in p.terms.items():
+        for lam, c in monomial_fold(mono, vertical_strip_step, OPEN).items():
+            coeffs[lam] = coeffs.get(lam, 0) + coeff * c
+    return schur_expansion(coeffs, length_bound)
 
 
 def check_schur_families(families: set[str]) -> None:

@@ -22,6 +22,9 @@ reference identity that no schurcalc command needs.
 * H*(LG(n)) reduction by solving the degree slice of the presentation
   exactly with schurcalc.linalg, and the degreewise dimension identity
   that certifies the presentation.
+* Whole-ring and whole-expansion checks that no command runs: a ring's
+  whole basis, the whole-ring pairing check, and nonnegativity of an
+  expansion.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ def specialize(p: CPolynomial, assignment: dict[Generator, CPolynomial]) -> CPol
                 if term.is_zero():
                     break
             else:
-                term = term * CPolynomial.from_monomial(((g, e),))
+                term = term * CPolynomial({((g, e),): 1})
         result = result + term
     return result
 
@@ -262,7 +265,7 @@ def super_split_poly(p: CPolynomial) -> dict[tuple[Partition, Partition], int]:
     by_alpha: dict[Partition, CPolynomial] = {}
     for fmono, cterms in groups.items():
         for alpha, coeff in to_schur(CPolynomial(cterms)).items():
-            piece = CPolynomial.from_monomial(fmono, coeff)
+            piece = CPolynomial({fmono: coeff})
             by_alpha[alpha] = by_alpha.get(alpha, CPolynomial.zero()) + piece
     out: dict[tuple[Partition, Partition], int] = {}
     for alpha, r_alpha in by_alpha.items():
@@ -485,7 +488,7 @@ def _ideal_columns(ring: LagrangianRing, d: int) -> list[CPolynomial]:
             continue
         gen = ideal_generator(ring, i)
         for mono in monomials_of_degree(rest, FAMILY_C, max_index=ring.n):
-            cols.append(CPolynomial.from_monomial(mono) * gen)
+            cols.append(CPolynomial({mono: 1}) * gen)
     return cols
 
 
@@ -521,3 +524,23 @@ def dimension_identity(ring: LagrangianRing, d: int) -> dict[str, int]:
     else:
         rank = 0
     return {"monomials": len(monos), "basis": len(ring.basis(d)), "ideal_rank": rank}
+
+
+# -- whole-ring and whole-expansion checks ---------------------------------------
+
+
+def all_basis(ring) -> list[Partition]:
+    """Every basis index of the ring, degree by degree."""
+    return [lam for d in range(ring.top_degree + 1) for lam in ring.basis(d)]
+
+
+def pairing_is_dual_permutation(ring) -> bool:
+    """Whole-ring check that every pairing matrix realizes the duality."""
+    ring.check_pairing_budget()
+    return all(ring.is_dual_permutation(*ring.pairing_matrix(d))
+               for d in range(ring.top_degree + 1))
+
+
+def is_nonnegative(x: Expansion) -> bool:
+    """Whether no coefficient of x is negative."""
+    return all(c >= 0 for c in x.coefficients.values())

@@ -32,6 +32,7 @@ from oracles import (
     BundleSymbol,
     dimension_identity,
     ideal_generator,
+    is_nonnegative,
     lr_oracle,
     monomials_of_degree,
     partitions_up_to,
@@ -75,7 +76,7 @@ def test_criterion_2_lr_oracle_equivalence():
             for lam in enumerate_partitions(a):
                 for mu in enumerate_partitions(total - a):
                     fast = lr_multiply(lam, mu)
-                    assert fast.is_nonnegative(), (lam, mu)
+                    assert is_nonnegative(fast), (lam, mu)
                     assert fast == lr_oracle(lam, mu), (lam, mu)
                     pairs += 1
     elapsed = time.perf_counter() - start
@@ -111,7 +112,7 @@ def test_criterion_4_lagrangian_duality_and_ideal():
             gen = ideal_generator(ring, i)
             for d in range(ring.top_degree - 2 * i + 1):
                 for mono in monomials_of_degree(d, FAMILY_C, max_index=n):
-                    product = CPolynomial.from_monomial(mono) * gen
+                    product = CPolynomial({mono: 1}) * gen
                     assert ring.reduce(product).is_zero(), (n, i, mono)
     _ok(4, "LG(n<=4) pairing is the set-complement permutation; ideal killed")
 
@@ -131,7 +132,7 @@ def test_criterion_6_restriction_positivity():
         ring = LagrangianRing(n)
         for d in range(n * n + 1):
             for lam in enumerate_partitions(d, max_part=n, max_length=n):
-                assert ring.restrict(lam).is_nonnegative(), (n, lam)
+                assert is_nonnegative(ring.restrict(lam)), (n, lam)
                 checked += 1
     assert checked == 6 + 20  # partitions inside the 2x2 and 3x3 squares
     _ok(6, "restriction LG(V) in G_n(V) is Schubert-nonnegative, n in {2,3}")
@@ -143,7 +144,7 @@ def test_criterion_7_schur_bundle_positivity():
             for w in (1, 2, 3):
                 for mu in enumerate_partitions(w):
                     result = schur_bundle_class(lam, mu, n)
-                    assert result.is_nonnegative(), (lam, mu, n)
+                    assert is_nonnegative(result), (lam, mu, n)
                     if lam == Partition([1]):
                         expected = {mu: 1} if len(mu) <= n else {}
                         assert result.coefficients == expected
@@ -185,7 +186,7 @@ def test_criterion_9_legendrian_corpus():
         bold = legendrian_parse(entry.lagrangian_expression, LEGENDRIAN_RANK)
         bold_bytes = json.dumps(lagrangian_part(bold).to_json()).encode()
         assert slice_bytes == bold_bytes, entry.name
-        assert lagrangian_part(parsed).is_nonnegative(), entry.name
+        assert is_nonnegative(lagrangian_part(parsed)), entry.name
     _ok(9, "Legendrian corpus parses, homogeneous, nonnegative; bold slice exact")
 
 

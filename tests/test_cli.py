@@ -253,8 +253,8 @@ def _python_s_imports(*command):
     imports out."""
     src = str(Path(schurcalc.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-S", "-X", "importtime", *command],
-                          capture_output=True, env={"PYTHONPATH": src}, text=True,
-                          timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, (command, proc.stderr)
     names = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
              if line.startswith("import time:")}
@@ -705,7 +705,7 @@ def test_readme_library_quick_start():
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     src = str(Path(schurcalc.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, timeout=60)
+                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [
         "POSITIVE",

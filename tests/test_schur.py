@@ -8,15 +8,15 @@ from schurcalc.partitions import Partition, StrictPartition
 from schurcalc.pieri import (
     FOLD_FACTOR_BUDGET,
     Expansion,
+    OPEN,
     basis_key,
-    fold_coefficients,
     index_peel,
     monomial_fold,
     pieri_build,
     vertical_strip_step,
 )
-from schurcalc.positivity import hook_contains
-from schurcalc.rings import enumerate_partitions
+from schurcalc.positivity import VERDICT_POSITIVE, hook_contains, positivity_report
+from schurcalc.rings import GrassmannianRing, enumerate_partitions
 from schurcalc.polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
@@ -34,6 +34,7 @@ from oracles import (
     BundleSymbol,
     complete_from_elementary,
     elementary_super,
+    is_nonnegative,
     lr_oracle,
     monomials_of_degree,
     partitions_up_to,
@@ -257,7 +258,7 @@ def test_lr_dimension_identity_beyond_the_oracle():
 
     for lam, mu in (((6, 4, 3, 2), (5, 3, 2)), ((5, 5), (5, 5))):
         product = lr_multiply(Partition(lam), Partition(mu))
-        assert product.is_nonnegative()
+        assert is_nonnegative(product)
         total = sum(coeff * hook_length_count(nu.parts) for nu, coeff in product.items())
         assert total == comb(sum(lam) + sum(mu), sum(lam)) * \
             hook_length_count(lam) * hook_length_count(mu)
@@ -329,8 +330,8 @@ def test_elementary_super_matches_column_schur():
 def test_expansion_container():
     x = Expansion({Partition([2]): 1, Partition([1, 1]): -2})
     assert x.degree == 2
-    assert x.negatives() == [(Partition([1, 1]), -2)]
-    assert not x.is_nonnegative()
+    assert positivity_report(x, VERDICT_POSITIVE).witnesses == [(Partition([1, 1]), -2)]
+    assert not is_nonnegative(x)
     assert x.to_json() == [
         {"partition": [2], "coeff": "1"},
         {"partition": [1, 1], "coeff": "-2"},
@@ -366,31 +367,32 @@ def test_expansion_keys_are_checked_once_and_shared():
 
 
 def test_monomial_fold_returns_the_pieri_build_dict_itself():
-    # the per-monomial memo stores no copy of what pieri_build memoizes,
-    # also past the 200-factor warm-up of long monomials
+    # a fold is no copy of what pieri_build memoizes, also past the
+    # 200-factor warm-up of long monomials
     for mono, indices, bound in (
             ((((FAMILY_C, 1), 2), ((FAMILY_C, 2), 1)), (1, 1, 2), (2, 2)),
             ((((FAMILY_C, 1), 450),), (1,) * 450, (1, 450))):
         folded = monomial_fold(mono, vertical_strip_step, bound)
         assert folded is pieri_build((), indices, vertical_strip_step, bound, index_peel, None)
         assert monomial_fold(mono, vertical_strip_step, bound) is folded
-    # folding a polynomial leaves the shared dict as it was
+    # expanding a polynomial leaves the shared dict as it was
     p = 3 * c(1) ** 2 * c(2)
-    before = dict(monomial_fold(next(iter(p.terms)), vertical_strip_step, (2, 2)))
-    assert fold_coefficients(p, vertical_strip_step, (2, 2)) == \
-        {lam: 3 * coeff for lam, coeff in before.items()}
-    assert monomial_fold(next(iter(p.terms)), vertical_strip_step, (2, 2)) == before
+    before = dict(monomial_fold(next(iter(p.terms)), vertical_strip_step, OPEN))
+    assert to_schur(p).coefficients == \
+        {Partition(lam): 3 * coeff for lam, coeff in before.items()}
+    assert monomial_fold(next(iter(p.terms)), vertical_strip_step, OPEN) == before
 
 
 def test_fold_budget_rejects_a_long_monomial_before_listing_its_factors():
     for e in (FOLD_FACTOR_BUDGET + 1, 10 ** 16):
-        with pytest.raises(ValueError) as info:
-            fold_coefficients(c(1) ** e, vertical_strip_step, (1, e))
-        assert str(info.value) == \
-            f"a monomial of {e} factors exceeds the fold budget of {FOLD_FACTOR_BUDGET} factors"
+        for fold in (to_schur, GrassmannianRing(1, e + 1).reduce):
+            with pytest.raises(ValueError) as info:
+                fold(c(1) ** e)
+            assert str(info.value) == (f"a monomial of {e} factors exceeds the fold budget "
+                                       f"of {FOLD_FACTOR_BUDGET} factors")
     # the budget counts the factors of one monomial, not its degree
     with pytest.raises(ValueError, match="a monomial of 5001 factors"):
-        fold_coefficients(c(1) ** 2500 * c(2) ** 2501, vertical_strip_step, (2, 5000))
+        to_schur(c(1) ** 2500 * c(2) ** 2501)
 
 
 def test_the_strip_step_equals_the_row_recursion():
