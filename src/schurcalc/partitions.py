@@ -14,7 +14,6 @@ schubert.py.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
 
 FAMILY_C = "c"
 FAMILY_CPRIME = "c'"
@@ -146,24 +145,15 @@ def conjugate(lam: Partition) -> Partition:
 
 # The largest output a command builds: p(40) terms, the Schur expansion of
 # certify "c1^40" (5-6 s); a larger degree is rejected before evaluation.
+# TERM_DEGREE = 40 is the highest degree within it, since p(41) = 44583.
 TERM_BUDGET = 37338
+TERM_DEGREE = 40
 
 
-@lru_cache(maxsize=None)
-def partition_count(d: int) -> int:
-    """p(d), the number of partitions of d; 0 for negative d."""
-    counts = [1] + [0] * d
-    for part in range(1, d + 1):
-        for n in range(part, d + 1):
-            counts[n] += counts[n - part]
-    return counts[d] if d >= 0 else 0
-
-
-@lru_cache(maxsize=None)
 def check_term_budget(d: int | None) -> None:
     """Reject a degree whose p(d) terms exceed TERM_BUDGET; None passes.
-    p increases, so a huge d costs no more than the first degree past it."""
-    if d is not None and any(partition_count(k) > TERM_BUDGET for k in range(d + 1)):
+    p increases, so that is every degree above TERM_DEGREE."""
+    if d is not None and d > TERM_DEGREE:
         d = number_text(d, "the degree")
         raise ValueError(f"degree {d} exceeds the output budget: "
                          f"p({d}) > {TERM_BUDGET} terms")

@@ -43,8 +43,9 @@ class Expansion:
     key type is Partition for the Schur basis and StrictPartition for the
     Q-tilde basis, and every key is checked against it, once per distinct
     key through basis_key; trusted builds an expansion on keys its caller
-    has already checked.  The degree is kept explicitly so the zero
-    expansion of a known degree integrates and serializes unambiguously.
+    has already checked, and copy shares them.  The degree is kept
+    explicitly so the zero expansion of a known degree integrates and
+    serializes unambiguously.
     """
 
     def __init__(self, coefficients: dict, degree: int | None = None,
@@ -64,13 +65,18 @@ class Expansion:
 
     @classmethod
     def trusted(cls, coefficients, degree, key) -> Expansion:
-        """The expansion of coefficients whose keys the caller built as
-        checked instances of key, all of weight degree, so none is checked
-        again; zero coefficients are dropped."""
+        """The expansion on the dict coefficients itself, whose keys the
+        caller built as checked instances of key, all of weight degree, and
+        whose coefficients are nonzero, so nothing is checked or copied."""
         x = object.__new__(cls)
-        x.coefficients = {lam: c for lam, c in coefficients.items() if c}
-        x.degree, x.key = degree, key
+        x.coefficients, x.degree, x.key = coefficients, degree, key
         return x
+
+    def copy(self) -> Expansion:
+        """This expansion on a new dict: dict() keeps the stored hashes of the
+        keys, so none is hashed or checked again, and a change to the copy
+        leaves this expansion as it was."""
+        return self.trusted(dict(self.coefficients), self.degree, self.key)
 
     def items(self) -> list[tuple[Partition, int]]:
         return sorted(self.coefficients.items(), key=lambda kv: kv[0].sort_key())

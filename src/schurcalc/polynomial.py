@@ -214,6 +214,28 @@ class CPolynomial:
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return sorted(self.terms.items(), key=lambda item: monomial_key(item[0]))
 
+    def truncated(self, family: str, rank: int) -> "CPolynomial":
+        """Set every generator of the family with index above rank to zero.
+
+        This is the rank specialization c_k -> 0 for k > rank, applied as an
+        explicit separate step so universal computations stay universal.
+        One pass keeps the other monomials, canonical already, as they are.
+        """
+        terms = {}
+        for mono, coeff in self.terms.items():
+            # generators sort by family, then index, so the last generator
+            # of the family in a monomial has its highest index
+            for (name, k), _ in reversed(mono):
+                if name == family:
+                    if k <= rank:
+                        terms[mono] = coeff
+                    break
+            else:
+                terms[mono] = coeff
+        out = CPolynomial.__new__(CPolynomial)
+        out.terms = terms
+        return out
+
     def __repr__(self) -> str:
         return f"CPolynomial({self})"
 
@@ -253,15 +275,5 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def truncate_family(p: CPolynomial, family: str, rank: int) -> CPolynomial:
-    """Set every generator of the family with index above rank to zero.
-
-    This is the rank specialization c_k -> 0 for k > rank, applied as an
-    explicit separate step so universal computations stay universal.
-    """
-    terms = {
-        mono: coeff
-        for mono, coeff in p.terms.items()
-        if all(g[0] != family or g[1] <= rank for g, _ in mono)
-    }
-    return CPolynomial(terms)
+# the rank specialization as a function of p, family and rank
+truncate_family = CPolynomial.truncated

@@ -20,15 +20,21 @@ Every step is a product of basis classes in the ring, so the bound is exact.
 A ring reduces a c-polynomial monomial by monomial, and folds each
 c-monomial from 1 (pieri.monomial_fold) once: its degree and class go into
 the ring's table, monomial_classes, from which every later reduce reads it.
+Likewise basis_product keeps each product of two basis classes in the
+ring's table basis_products, and a repeated product is one lookup there.
+A whole-ring pairing meets each product once, so it builds them with
+build_product and keeps none.
 
 The labels, the duals, the Q-tilde step and the restriction to LG(n) need
 no ring and live in schubert.py, so the dual and restrict commands do not
-load this module; LagrangianRing.restrict is schubert.restrict itself.
-Reduction, products and pairings read only the Pieri core.  The polynomial,
-Q-tilde and Schur-function layers are imported by the methods that build
-c-polynomials (reduce_tautological, basis_polynomial) when they run, so a
-pairing command never loads them, and no warm call of reduce, integrate,
-basis_product or restrict runs an import statement.
+load this module; LagrangianRing.restrict is schubert.restrict itself, and
+its memo of restrictions is shared by every LG(n) of one n.  Reduction,
+products and pairings read only the Pieri core.  The Q-tilde and
+Schur-function layers are imported by basis_polynomial when it runs, so a
+pairing command never loads them or the polynomial layer, and no warm call
+of reduce, reduce_tautological, integrate, basis_product or restrict runs
+an import statement.  Every ring call returns a new expansion, which its
+caller may change.
 """
 
 from __future__ import annotations
@@ -155,12 +161,14 @@ class SchubertRing:
 
         c_k with k above the rank is zero there; when that kills p, the zero
         class keeps the degree p had.  degree is the degree of a zero p.
+        One pass of CPolynomial.truncated drops those monomials, and reduce
+        reads the degrees of the rest, so p's own degrees are read only when
+        none is left.
         """
-        from .polynomial import truncate_family
-
-        if not p.is_zero():
+        q = p.truncated(FAMILY_C, self.rank)
+        if p.terms and not q.terms:
             degree = p.homogeneous_degree() if p.is_homogeneous() else None
-        return self.reduce(truncate_family(p, FAMILY_C, self.rank), degree=degree)
+        return self.reduce(q, degree=degree)
 
     def reduce(self, p: CPolynomial, degree: int | None = None) -> Expansion:
         """Basis expansion of the class of p, by the Pieri build of its
@@ -186,7 +194,7 @@ class SchubertRing:
                 total[lam] = total.get(lam, 0) + coeff * c
         if d is None:  # p is zero
             d = self.check_degree(degree)
-        return Expansion.trusted(total, d, self.key)
+        return Expansion.trusted({lam: c for lam, c in total.items() if c}, d, self.key)
 
     def integrate(self, x: Expansion) -> int:
         """Coefficient of the point class; defined only in the top degree."""
@@ -207,7 +215,25 @@ class SchubertRing:
         return next((w - 1 for w, size in enumerate(sizes) if size > TERM_BUDGET),
                     len(sizes) - 1)
 
+    @cached_property
+    def basis_products(self) -> dict:
+        """The table of basis_product: each pair of index tuples (lam, mu)
+        the ring has multiplied, mapped to their product.  A pair enters
+        only after build_product has checked it, and lasts as long as the
+        ring; the table is unbounded, like monomial_classes."""
+        return {}
+
     def basis_product(self, lam: Partition, mu: Partition) -> Expansion:
+        """Product of two Schubert classes, read from basis_products; a new
+        pair is built by build_product first, so a bad one fails as on a
+        fresh ring.  The result is a copy, which its caller may change."""
+        table, key = self.basis_products, (tuple(lam), tuple(mu))
+        x = table.get(key)
+        if x is None:
+            x = table[key] = self.build_product(lam, mu)
+        return x.copy()
+
+    def build_product(self, lam: Partition, mu: Partition) -> Expansion:
         """Product of two Schubert classes, zero above the top degree: the lighter
         class, its weight held to product_weight_bound, is built on the heavier."""
         lam, mu = basis_key(self.key, tuple(lam)), basis_key(self.key, tuple(mu))
@@ -223,7 +249,9 @@ class SchubertRing:
         return Expansion(coeffs, degree=d, key=self.key)
 
     def pairing(self, lam: Partition, mu: Partition) -> int:
-        return self.integrate(self.basis_product(lam, mu))
+        """The Poincare pairing, by build_product: a whole-ring pairing meets
+        each product once, so it keeps none in basis_products."""
+        return self.integrate(self.build_product(lam, mu))
 
     def pairing_matrix(self, d: int):
         rows = self.basis(d)
@@ -284,10 +312,9 @@ class GrassmannianRing(SchubertRing):
 
     def basis_polynomial(self, lam: Partition) -> CPolynomial:
         """The Giambelli representative: the Schur polynomial in c_1..c_r."""
-        from .polynomial import truncate_family
         from .schur import schur_dual_jt
 
-        return truncate_family(schur_dual_jt(self.basis_index(lam)), FAMILY_C, self.r)
+        return schur_dual_jt(self.basis_index(lam)).truncated(FAMILY_C, self.r)
 
     def dual(self, lam: Partition) -> Partition:
         return rectangle_dual(lam, self.r, self.n)
@@ -346,10 +373,9 @@ class LagrangianRing(SchubertRing):
 
     def basis_polynomial(self, mu: StrictPartition) -> CPolynomial:
         """Q_mu truncated to c_1..c_n, the Giambelli representative of Y^mu."""
-        from .polynomial import truncate_family
         from .qtilde import qtilde
 
-        return truncate_family(qtilde(self.basis_index(mu)), FAMILY_C, self.n)
+        return qtilde(self.basis_index(mu)).truncated(FAMILY_C, self.n)
 
     def dual(self, mu: StrictPartition) -> StrictPartition:
         return strict_complement(mu, self.n)

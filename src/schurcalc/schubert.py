@@ -6,7 +6,9 @@ rings.py builds its rings on these.  The gr/lg dual and lg restrict
 commands read only this module and the Pieri core, so they compile no ring
 class.  restrict is a function of n and lam: LagrangianRing binds it as its
 restrict method, and the restrict command calls it on its arguments, which
-name n as a ring does.
+name n as a ring does.  Both read the memo of restriction, keyed by
+(n, lam): a repeated restriction is one lookup and returns a copy, and a
+bad index fails each time, since only a checked one enters the memo.
 """
 
 from __future__ import annotations
@@ -95,13 +97,20 @@ def row_peel(mu: tuple[int, ...], bound: tuple[int]) -> tuple:
 def restrict(lg, lam: Partition) -> Expansion:
     """Pullback of the ambient Schubert class X^lam along LG(V) in G_n(V),
     where lg names n: a LagrangianRing, or the lg command's arguments.
+    The result is a copy of the class in restriction's memo."""
+    return restriction(lg.n, tuple(lam)).copy()
+
+
+@lru_cache(maxsize=None)
+def restriction(n: int, lam: tuple[int, ...]) -> Expansion:
+    """The pullback of X^lam to LG(n), memoized on (n, lam) once its checks
+    have passed, for as long as the process runs; the memo is unbounded.
 
     The tautological subbundles agree under the inclusion, so the class
     is s_lam, built from 1 by column peels within the output budget; above
     the top degree the cohomology vanishes and it is the zero expansion.
     """
-    n = lg.n
-    lam = basis_key(Partition, tuple(lam))
+    lam = basis_key(Partition, lam)
     if not lam.fits_rectangle(n, n):
         raise ValueError(f"{lam!r} is not a Schubert index of G_{n}(V)")
     if lam.weight > n * (n + 1) // 2:

@@ -58,6 +58,16 @@ from schurcalc.schur import schur_dual_jt, to_schur
 # -- partitions and expressions -----------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def partition_count(d: int) -> int:
+    """p(d), the number of partitions of d; 0 for negative d."""
+    counts = [1] + [0] * d
+    for part in range(1, d + 1):
+        for n in range(part, d + 1):
+            counts[n] += counts[n - part]
+    return counts[d] if d >= 0 else 0
+
+
 def partitions_up_to(d: int) -> list[Partition]:
     """All partitions of weight at most d in the global order."""
     out: list[Partition] = []

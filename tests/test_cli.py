@@ -274,12 +274,32 @@ _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, t
              tokenize.ENCODING, tokenize.ENDMARKER}
 
 
-def _code_tokens(path):
-    """The code tokens of a source file: its tokens less comments, line
+# From Python 3.12 an f-string is FSTRING_START, its pieces and the tokens
+# of its expressions, and FSTRING_END (PEP 701); before, it is one STRING
+_FSTRING_START = getattr(tokenize, "FSTRING_START", None)
+_FSTRING_END = getattr(tokenize, "FSTRING_END", None)
+
+
+def _count_code_tokens(readline):
+    """The code tokens that readline yields: its tokens less comments, line
     breaks, indentation and the encoding and end markers.  A docstring is
-    one token."""
+    one token, and so is an f-string on every Python version."""
+    count = depth = 0
+    for token in tokenize.tokenize(readline):
+        if token.type == _FSTRING_START:
+            count += not depth
+            depth += 1
+        elif token.type == _FSTRING_END:
+            depth -= 1
+        elif not depth:
+            count += token.type not in _NOT_CODE
+    return count
+
+
+def _code_tokens(path):
+    """The code tokens of a source file (see _count_code_tokens)."""
     with open(path, "rb") as handle:
-        return sum(token.type not in _NOT_CODE for token in tokenize.tokenize(handle.readline))
+        return _count_code_tokens(handle.readline)
 
 
 def _cold_tokens(*argv):
@@ -382,6 +402,14 @@ def test_the_token_gauge_counts_code_only():
     tokens = tokenize.tokenize(io.BytesIO(source.encode()).readline)
     assert [t.string for t in tokens if t.type not in _NOT_CODE] == \
         ['"""doc"""', "if", "x", ":", "y", "=", "1"]
+    assert _count_code_tokens(io.BytesIO(source.encode()).readline) == 7
+
+
+def test_the_token_gauge_counts_an_f_string_as_one_token():
+    # as tokenize does before Python 3.12, nested f-strings and format specs
+    # included; a plain string beside an f-string stays a token of its own
+    source = 'x = f"{a!r:>{w}} {f\'{b}\'}" "tail" + f"{c}"\n'
+    assert _count_code_tokens(io.BytesIO(source.encode()).readline) == 6
 
 
 def test_the_pieri_layer_loads_no_polynomial_code():
@@ -399,13 +427,14 @@ def test_the_pieri_layer_loads_no_polynomial_code():
 
 
 def test_only_the_c_polynomial_builders_import_when_called():
-    # so no warm reduce, integrate, basis_product or restrict runs an import
-    # statement, which costs about 2 us, an eighth of a warm reduce
+    # so no warm reduce, reduce_tautological, integrate, basis_product or
+    # restrict runs an import statement, which costs about 2 us, an eighth
+    # of a warm reduce
     # (positivity.table_payload loads the Legendrian tables for thom-verify)
     from schurcalc import parsing, pieri, positivity, rings, schubert, schur, schureval
 
     builders = {schur: {"schur_dual_jt", "from_schur"},
-                rings: {"reduce_tautological", "basis_polynomial"},
+                rings: {"basis_polynomial"},
                 parsing: {"_polynomial_atom"},
                 schureval: {"_schur_atom"},
                 positivity: {"_entry_polynomial", "table_payload"},

@@ -8,16 +8,16 @@ from schurcalc.partitions import (
     Partition,
     StrictPartition,
     TERM_BUDGET,
+    TERM_DEGREE,
     check_term_budget,
     conjugate,
     parse_partition_arg,
-    partition_count,
 )
 from schurcalc.positivity import hook_contains
 from schurcalc.rings import enumerate_partitions, enumerate_strict_partitions
 from schurcalc.schubert import rectangle_dual, staircase, strict_complement
 
-from oracles import partitions_up_to
+from oracles import partition_count, partitions_up_to
 
 
 def test_construction_strips_zeros_and_validates():
@@ -110,9 +110,12 @@ def test_partition_count_and_the_term_budget():
     assert [partition_count(d) for d in range(-1, 23)] == \
         [0] + [len(enumerate_partitions(d)) for d in range(23)]
     assert partition_count(60) == 966467
-    # the budget is p(40), the size of certify "c1^40"
+    # the budget is p(40), the size of certify "c1^40", and TERM_DEGREE the
+    # highest degree within it
     assert TERM_BUDGET == partition_count(40) == 37338
-    for d in (None, 0, 1, 40):
+    assert TERM_DEGREE == 40
+    assert partition_count(TERM_DEGREE) <= TERM_BUDGET < partition_count(TERM_DEGREE + 1)
+    for d in (None, -1, 0, 1, 40):
         check_term_budget(d)
     for d in (41, 400, 10 ** 9):
         with pytest.raises(ValueError, match=f"degree {d} exceeds the output budget: "

@@ -140,6 +140,22 @@ def test_truncate_family():
     assert truncate_family(p, FAMILY_CPRIME, 1) == p
 
 
+def test_truncation_keeps_exactly_the_monomials_within_the_rank():
+    # the one-pass truncation against the monomial-wise definition, on
+    # polynomials that mix every family, and its result stays canonical
+    rng = random.Random(7)
+    families = (FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2)
+    for _ in range(300):
+        p = random_poly(rng, families=families, max_terms=8)
+        for family in (FAMILY_C, FAMILY_CPRIME):
+            for rank in range(6):
+                kept = {mono: coeff for mono, coeff in p.terms.items()
+                        if all(g[0] != family or g[1] <= rank for g, _ in mono)}
+                q = p.truncated(family, rank)
+                assert q.terms == kept and q == CPolynomial(kept), (p, family, rank)
+                assert truncate_family(p, family, rank) == q
+
+
 def test_monomials_of_degree_matches_partitions():
     for d in range(7):
         monos = monomials_of_degree(d, FAMILY_C)

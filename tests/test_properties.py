@@ -144,10 +144,14 @@ WARM_RINGS = [("gr", r, n) for n in range(2, 8) for r in range(1, n)] + \
 
 
 def clear_memos():
+    """Empty every lru_cache of the memo modules, the restriction memo
+    (schubert.restriction) among them; the tables of monomial classes and
+    of basis products belong to a ring, and each example makes new rings."""
     for module in MEMO_MODULES:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+    assert schubert.restriction.cache_info().currsize == 0
 
 
 def make_ring(spec):

@@ -1,3 +1,4 @@
+from argparse import Namespace
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
@@ -8,6 +9,7 @@ from schurcalc.partitions import Partition, StrictPartition
 from schurcalc.pieri import Expansion
 from schurcalc.polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial, truncate_family
 from schurcalc.rings import PAIRING_BUDGET, GrassmannianRing, LagrangianRing, enumerate_partitions
+from schurcalc.schubert import restrict, restriction
 from schurcalc.schur import schur_dual_jt
 
 from oracles import (
@@ -165,6 +167,120 @@ def test_basis_product_matches_the_reduced_product():
         GrassmannianRing(2, 4).basis_product(Partition([1]), Partition([1, 1, 1]))
     with pytest.raises(ValueError, match="not inside the staircase of 2"):
         LagrangianRing(2).basis_product(StrictPartition([3]), StrictPartition())
+
+
+def _warm_table_rings():
+    return [(lambda r=r, n=n: GrassmannianRing(r, n)) for n in range(2, 8) for r in range(1, n)] + \
+        [(lambda n=n: LagrangianRing(n)) for n in range(1, 6)]
+
+
+def test_warm_products_and_restrictions_equal_fresh_ones():
+    # every product of Gr(r, n), n <= 7, and LG(n), n <= 5, read from a full
+    # product table equals the product on a fresh ring; likewise every
+    # restriction to LG(n), n <= 5, read from the memo equals one built
+    # after the memo is cleared
+    for make in _warm_table_rings():
+        warm = make()
+        basis = all_basis(warm)
+        pairs = [(lam, mu) for lam in basis for mu in basis]
+        first = [warm.basis_product(lam, mu) for lam, mu in pairs]
+        assert len(warm.basis_products) == len(pairs)
+        for (lam, mu), x in zip(pairs, first):
+            again = warm.basis_product(lam, mu)
+            assert again == x == make().basis_product(lam, mu), (warm, lam, mu)
+            # tuples and lists of parts read the same table entry
+            assert warm.basis_product(list(lam), tuple(mu)) == x
+    for n in range(1, 6):
+        indices = [lam for d in range(n * n + 1)
+                   for lam in enumerate_partitions(d, max_part=n, max_length=n)]
+        warm = LagrangianRing(n)
+        first = [warm.restrict(lam) for lam in indices]
+        assert [warm.restrict(lam) for lam in indices] == first
+        assert [LagrangianRing(n).restrict(lam) for lam in indices] == first
+        restriction.cache_clear()
+        assert [restrict(warm, lam) for lam in indices] == first
+
+
+def test_a_changed_result_leaves_the_tables_as_they_were():
+    gr, lg = GrassmannianRing(2, 4), LagrangianRing(3)
+    calls = [lambda: gr.basis_product(Partition([1]), Partition([1])),
+             lambda: lg.basis_product(StrictPartition([2]), StrictPartition([1])),
+             lambda: lg.restrict(Partition([2, 1])),
+             lambda: restrict(lg, Partition([2, 1]))]
+    for call in calls:
+        expected = call()
+        expected_items = expected.items()
+        for change in (lambda x: x.coefficients.clear(),
+                       lambda x: x.coefficients.update({lam: 7 for lam in x.coefficients}),
+                       lambda x: x.coefficients.update({x.key([x.degree]): -1})):
+            change(call())
+            assert call() == expected and call().items() == expected_items
+
+
+def test_whole_ring_pairings_keep_no_products():
+    # pairing_is_dual_permutation builds the pairing matrix of every degree
+    for ring in (GrassmannianRing(2, 5), GrassmannianRing(3, 6), LagrangianRing(3)):
+        assert pairing_is_dual_permutation(ring)
+        assert ring.pairing(ring.point_class, ring.dual(ring.point_class)) == 1
+        assert ring.basis_products == {}
+
+
+def test_product_and_restriction_checks_fail_in_their_order_on_warm_tables():
+    # each input fails every check from its own on, and the first check
+    # decides; a ring whose product table, and a memo whose restrictions,
+    # already hold the good inputs near the bad ones fail as fresh ones do,
+    # and a bad input never enters them
+    budget = "a factor of weight {} exceeds the product budget of Gr(1,1000000000): " \
+             "weights up to 400"
+    product_cases = [
+        # a product above the top degree is zero before its factors are
+        # held to the rectangle
+        (lambda: GrassmannianRing(2, 4), [([2, 1], [1]), ([1], [2]), ([3], [1, 1, 1])], [
+            (([1, 2], [3]), "partition parts must be weakly decreasing: (1, 2)"),
+            (([3], [1]), "Partition([3]) is not in the 2x2 rectangle"),
+            (([1], [1, 1, 1]), "Partition([1, 1, 1]) is not in the 2x2 rectangle")]),
+        (lambda: LagrangianRing(2), [([2], [1]), ([1], [2]), ([3], [1]), ([2, 1], [])], [
+            (([1, 1], [3]), "parts must be strictly decreasing: (1, 1)"),
+            (([3], []), "StrictPartition([3]) is not inside the staircase of 2"),
+            (([], [3]), "StrictPartition([3]) is not inside the staircase of 2")]),
+        (lambda: GrassmannianRing(1, 10 ** 9), [([400], [401]), ([10 ** 6], [400])], [
+            (([401], [2, 1]), "Partition([2, 1]) is not in the 1x999999999 rectangle"),
+            (([401], [401]), budget.format(401)),
+            (([402], [500]), budget.format(402))]),
+    ]
+    for make, good, cases in product_cases:
+        primed = make()
+        for lam, mu in good:
+            primed.basis_product(lam, mu)
+        assert len(primed.basis_products) == len(good)
+        table = dict(primed.basis_products)
+        for ring in (make(), primed):
+            for (lam, mu), message in cases:
+                for _ in range(2):
+                    with pytest.raises(ValueError) as info:
+                        ring.basis_product(lam, mu)
+                    assert str(info.value) == message, (ring, lam, mu)
+        assert primed.basis_products == table
+    restrict_cases = [
+        ([1, 2], "partition parts must be weakly decreasing: (1, 2)"),
+        ([3], "Partition([3]) is not a Schubert index of G_2(V)"),
+        ([1, 1, 1], "Partition([1, 1, 1]) is not a Schubert index of G_2(V)")]
+    big = [10, 10, 10, 10, 1]
+    for primed in (False, True):
+        restriction.cache_clear()
+        if primed:
+            for lam in ([2], [1, 1], [2, 2], [2, 1]):
+                LagrangianRing(2).restrict(lam)
+        size = restriction.cache_info().currsize
+        for ring in (LagrangianRing(2), Namespace(n=2)):
+            for lam, message in restrict_cases:
+                with pytest.raises(ValueError) as info:
+                    restrict(ring, lam)
+                assert str(info.value) == message, (ring, lam)
+        # weight 41 lies within the top degree 55 of LG(10), past the output budget
+        with pytest.raises(ValueError, match=r"^degree 41 exceeds the output budget: "):
+            LagrangianRing(10).restrict(big)
+        assert restriction.cache_info().currsize == size
 
 
 def test_gr_basis_round_trip():
@@ -430,6 +546,37 @@ def test_zero_class_keeps_its_degree():
         assert ring.reduce(CPolynomial.zero()).degree is None
     with pytest.raises(ValueError, match="exceeds the top degree"):
         LagrangianRing(2).reduce_tautological(c(3) * c(1))
+
+
+def test_tautological_reduction_equals_truncating_first():
+    # the one-pass truncation, with the degree of p read only when nothing
+    # is left, against truncating monomial by monomial and reading p's
+    # degree first: the same class, or the same message, on every sum of up
+    # to three monomials of the pool, for each stated degree of a zero p
+    cp1, v1 = CPolynomial.gen(FAMILY_CPRIME, 1), CPolynomial.gen("v1")
+    pool = [c(1), c(2), c(3), c(1) ** 2, c(3) * c(1), c(4), c(2) ** 2, c(5) * c(1), cp1,
+            cp1 * c(3), v1 * c(3), v1 * c(1), -c(3) * c(1) ** 2]
+
+    def outcome(call):
+        try:
+            return call()
+        except ValueError as exc:
+            return str(exc)
+
+    def truncating_first(ring, p, degree):
+        if not p.is_zero():
+            degree = p.homogeneous_degree() if p.is_homogeneous() else None
+        kept = {mono: coeff for mono, coeff in p.terms.items()
+                if all(g[0] != FAMILY_C or g[1] <= ring.rank for g, _ in mono)}
+        return ring.reduce(CPolynomial(kept), degree=degree)
+
+    for ring in (GrassmannianRing(2, 4), LagrangianRing(2), GrassmannianRing(3, 6)):
+        for size in range(4):
+            for terms in combinations(pool, size):
+                p = sum(terms, CPolynomial.zero())
+                for degree in (None, 2, ring.top_degree + 1):
+                    assert outcome(lambda: ring.reduce_tautological(p, degree)) == \
+                        outcome(lambda: truncating_first(ring, p, degree)), (ring, p, degree)
 
 
 def test_pairing_check_is_per_degree():
