@@ -2,14 +2,16 @@
 
 A LegendrianClass is an expansion container: the basis classes are opaque
 (no product is defined on them), v1 and v2 are honest degree-1 generators,
-and the Lagrangian part is the v -> 0 slice.  The built-in corpus stores
-the published table entries verbatim as expression strings.
+and the Lagrangian part is the v -> 0 slice.  An expression evaluates
+straight to integer coefficients on the keys (mu, a, b) of that basis, with
+the empty mu for the terms that hold no basis class, so no c-polynomial or
+Schur class is built.  The built-in corpus stores the published table
+entries verbatim as expression strings.
 """
 
 from __future__ import annotations
 
-from .partitions import StrictPartition, number_text
-from .polynomial import FAMILY_V1, FAMILY_V2, CPolynomial, degree_list
+from .partitions import FAMILY_V1, FAMILY_V2, StrictPartition, degree_list, number_text
 from .positivity import VERDICT_NONNEGATIVE, PositivityReport, positivity_report
 from .records import FrozenRecord, Record
 from .pieri import Expansion
@@ -40,53 +42,40 @@ class LegendrianClass(Record):
                 for (mu, a, b), c in (self.items() if items is None else items)]
 
 
-def _vpoly_degree_terms(p: CPolynomial):
-    """Split a v-only polynomial into ((a, b), coeff) pairs."""
-    for mono, coeff in p.terms.items():
-        a = b = 0
-        for g, e in mono:
-            if g[0] == FAMILY_V1:
-                a = e
-            elif g[0] == FAMILY_V2:
-                b = e
-            else:
-                raise ValueError(f"unexpected generator {g} in a v-polynomial")
-        yield (a, b), coeff
+# the keys of the terms 1, v1 and v2, whose basis class is the empty one
+_ONE = (StrictPartition(), 0, 0)
+_V_KEYS = {FAMILY_V1: (StrictPartition(), 1, 0), FAMILY_V2: (StrictPartition(), 0, 1)}
 
 
-class _LegendrianValue:
-    """Evaluator value: map from strict index (or None) to a v-polynomial.
+def _collect(terms) -> _LegendrianValue:
+    """Sum (key, coefficient) pairs into the nonzero coefficients, the keys of
+    one basis class together and the classes in the order they first occur:
+    a class keeps its place while any of its terms is nonzero, and that
+    order decides which class outside the staircase legendrian_parse names."""
+    classes: dict[StrictPartition, dict] = {}
+    for (mu, a, b), c in terms:
+        exponents = classes.setdefault(mu, {})
+        exponents[a, b] = exponents.get((a, b), 0) + c
+    return _LegendrianValue({(mu, a, b): c for mu, exponents in classes.items()
+                             for (a, b), c in exponents.items() if c})
 
-    The None key carries the pure scalar/v part; products are defined only
-    when at most one operand has basis content, since the basis classes
-    have no ring structure.
+
+class _LegendrianValue(dict):
+    """Evaluator value: the nonzero integer coefficients of a combination of
+    Y^mu v1^a v2^b, keyed by (mu, a, b).
+
+    Products are defined only when at most one operand has basis content,
+    since the basis classes have no ring structure.
     """
 
-    def __init__(self, parts: dict):
-        self.parts = {k: v for k, v in parts.items() if not v.is_zero()}
-
-    @staticmethod
-    def scalar(p: CPolynomial) -> "_LegendrianValue":
-        return _LegendrianValue({None: p})
-
-    @staticmethod
-    def basis(mu: StrictPartition) -> "_LegendrianValue":
-        return _LegendrianValue({mu: CPolynomial.one()})
-
     def is_scalar(self) -> bool:
-        return set(self.parts) <= {None}
+        return all(not mu.parts for mu, _, _ in self)
 
     def __add__(self, other):
-        merged = dict(self.parts)
-        for k, v in other.parts.items():
-            merged[k] = merged.get(k, CPolynomial.zero()) + v
-        return _LegendrianValue(merged)
+        return _collect([*self.items(), *other.items()])
 
     def __sub__(self, other):
-        merged = dict(self.parts)
-        for k, v in other.parts.items():
-            merged[k] = merged.get(k, CPolynomial.zero()) - v
-        return _LegendrianValue(merged)
+        return _collect([*self.items(), *((key, -c) for key, c in other.items())])
 
     def __mul__(self, other):
         if not other.is_scalar():
@@ -94,27 +83,34 @@ class _LegendrianValue:
                 raise ValueError("products of Q-basis classes are not defined "
                                  "in a Legendrian expression")
             self, other = other, self
-        scale = other.parts.get(None, CPolynomial.zero())
-        return _LegendrianValue({k: v * scale for k, v in self.parts.items()})
+        return _collect(((mu, a + a2, b + b2), c * c2) for (mu, a, b), c in self.items()
+                        for (_, a2, b2), c2 in other.items())
 
     def __pow__(self, e: int):
         if not self.is_scalar():
             raise ValueError("powers of Q-basis classes are not defined "
                              "in a Legendrian expression")
-        return _LegendrianValue.scalar(self.parts.get(None, CPolynomial.zero()) ** e)
+        result, base = _LegendrianValue({_ONE: 1}), self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
 
 
 def _atom(expr) -> _LegendrianValue:
     if isinstance(expr, parsing.Num):
-        return _LegendrianValue.scalar(CPolynomial.constant(expr.value))
+        return _LegendrianValue({_ONE: expr.value} if expr.value else {})
     if isinstance(expr, parsing.Gen):
-        if expr.family not in (FAMILY_V1, FAMILY_V2):
+        if expr.family not in _V_KEYS:
             raise ValueError("only v1, v2 and q-basis atoms may appear in a "
                              "Legendrian expression")
-        return _LegendrianValue.scalar(CPolynomial.gen(expr.family))
+        return _LegendrianValue({_V_KEYS[expr.family]: 1})
     if expr.kind != "q":
         raise ValueError("Legendrian expressions use the q basis only")
-    return _LegendrianValue.basis(StrictPartition(expr.parts))
+    return _LegendrianValue({(StrictPartition(expr.parts), 0, 0): 1})
 
 
 def legendrian_parse(text: str, n: int) -> LegendrianClass:
@@ -123,18 +119,12 @@ def legendrian_parse(text: str, n: int) -> LegendrianClass:
     Q-indices must already be strict basis labels inside the staircase of n;
     the whole expression must be homogeneous in |mu| + a + b.
     """
-    value = parsing.evaluate(parsing.parse(text), _atom)
-    coefficients: dict[tuple[StrictPartition, int, int], int] = {}
+    coefficients = dict(parsing.evaluate(parsing.parse(text), _atom))
     degrees = set()
-    for key, vpoly in value.parts.items():
-        mu = key if key is not None else StrictPartition()
+    for mu, a, b in coefficients:
         if mu.parts and mu.parts[0] > n:
             raise ValueError(f"{mu!r} is not inside the staircase of {n}")
-        for (a, b), coeff in _vpoly_degree_terms(vpoly):
-            degrees.add(mu.weight + a + b)
-            slot = (mu, a, b)
-            coefficients[slot] = coefficients.get(slot, 0) + coeff
-    coefficients = {k: v for k, v in coefficients.items() if v}
+        degrees.add(mu.weight + a + b)
     if len(degrees) > 1:
         raise ValueError(f"expression is inhomogeneous: degrees {degree_list(degrees)}")
     degree = degrees.pop() if degrees else None

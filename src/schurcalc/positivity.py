@@ -6,7 +6,9 @@ nonnegative coefficients; certify() decides that criterion exactly.  The
 built-in corpus stores the classical singularity-class polynomials verbatim
 as expression strings (data, not code) so they can be audited line by line.
 Schur-bundle classes, which no certification needs, are in bundles.py.
-table_payload is what thom-verify prints.
+table_payload is what thom-verify prints.  The Schur layer is imported by
+certify when it runs, so the Legendrian and Lagrangian tables, whose
+classes are given in their own basis, load no Schur or polynomial code.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from functools import lru_cache
 
 from .partitions import Partition, number_text
 from .records import FrozenRecord, Record
-from .schur import to_schur
 
 VERDICT_POSITIVE = "POSITIVE"
 VERDICT_NONNEGATIVE = "NONNEGATIVE"
@@ -67,6 +68,8 @@ def schur_positivity(expansion: Expansion, polynomial: CPolynomial | None = None
 def certify(p: CPolynomial, length_bound: int | None = None,
             name: str | None = None) -> PositivityReport:
     """Decide positivity: nonzero with a nonnegative Schur expansion."""
+    from .schur import to_schur
+
     return schur_positivity(to_schur(p, length_bound=length_bound), p, name)
 
 

@@ -234,13 +234,13 @@ class SchubertRing:
         return x.copy()
 
     def build_product(self, lam: Partition, mu: Partition) -> Expansion:
-        """Product of two Schubert classes, zero above the top degree: the lighter
+        """Product of two basis classes, zero above the top degree: the lighter
         class, its weight held to product_weight_bound, is built on the heavier."""
         lam, mu = basis_key(self.key, tuple(lam)), basis_key(self.key, tuple(mu))
+        lam, mu = self.basis_index(lam), self.basis_index(mu)
         d = lam.weight + mu.weight
         if d > self.top_degree:
             return Expansion({}, degree=d, key=self.key)
-        lam, mu = self.basis_index(lam), self.basis_index(mu)
         lam, mu = (mu, lam) if mu.weight > lam.weight else (lam, mu)
         if mu.weight > self.product_weight_bound:
             raise ValueError(f"a factor of weight {mu.weight} exceeds the product budget "

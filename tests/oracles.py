@@ -25,17 +25,21 @@ reference identity that no schurcalc command needs.
 * Whole-ring and whole-expansion checks that no command runs: a ring's
   whole basis, the whole-ring pairing check, and nonnegativity of an
   expansion.
+* Legendrian expressions read through v-polynomials: each basis class
+  carries a CPolynomial in v1 and v2, split into exponents at the end.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from schurcalc import parsing
 from schurcalc.bundles import (XPoly, peel_schur, schur_monomials, ssyt_weights, xp_accumulate,
                                xp_mul)
+from schurcalc.legendrian import LegendrianClass
 from schurcalc.linalg import matrix_rank, solve_exact
 from schurcalc.parsing import Basis, Expression, Gen, Num, Pow, Prod, Sum
-from schurcalc.partitions import Partition
+from schurcalc.partitions import Partition, StrictPartition, degree_list
 from schurcalc.pieri import Expansion
 from schurcalc.polynomial import (
     FAMILY_C,
@@ -554,3 +558,104 @@ def pairing_is_dual_permutation(ring) -> bool:
 def is_nonnegative(x: Expansion) -> bool:
     """Whether no coefficient of x is negative."""
     return all(c >= 0 for c in x.coefficients.values())
+
+
+# -- Legendrian expressions through v-polynomials ------------------------------------
+
+
+def _vpoly_degree_terms(p: CPolynomial):
+    """Split a v-only polynomial into ((a, b), coeff) pairs."""
+    for mono, coeff in p.terms.items():
+        a = b = 0
+        for g, e in mono:
+            if g[0] == FAMILY_V1:
+                a = e
+            elif g[0] == FAMILY_V2:
+                b = e
+            else:
+                raise ValueError(f"unexpected generator {g} in a v-polynomial")
+        yield (a, b), coeff
+
+
+class _LegendrianValue:
+    """Evaluator value: map from strict index (or None) to a v-polynomial.
+
+    The None key carries the pure scalar/v part; products are defined only
+    when at most one operand has basis content, since the basis classes
+    have no ring structure.
+    """
+
+    def __init__(self, parts: dict):
+        self.parts = {k: v for k, v in parts.items() if not v.is_zero()}
+
+    @staticmethod
+    def scalar(p: CPolynomial) -> "_LegendrianValue":
+        return _LegendrianValue({None: p})
+
+    @staticmethod
+    def basis(mu: StrictPartition) -> "_LegendrianValue":
+        return _LegendrianValue({mu: CPolynomial.one()})
+
+    def is_scalar(self) -> bool:
+        return set(self.parts) <= {None}
+
+    def __add__(self, other):
+        merged = dict(self.parts)
+        for k, v in other.parts.items():
+            merged[k] = merged.get(k, CPolynomial.zero()) + v
+        return _LegendrianValue(merged)
+
+    def __sub__(self, other):
+        merged = dict(self.parts)
+        for k, v in other.parts.items():
+            merged[k] = merged.get(k, CPolynomial.zero()) - v
+        return _LegendrianValue(merged)
+
+    def __mul__(self, other):
+        if not other.is_scalar():
+            if not self.is_scalar():
+                raise ValueError("products of Q-basis classes are not defined "
+                                 "in a Legendrian expression")
+            self, other = other, self
+        scale = other.parts.get(None, CPolynomial.zero())
+        return _LegendrianValue({k: v * scale for k, v in self.parts.items()})
+
+    def __pow__(self, e: int):
+        if not self.is_scalar():
+            raise ValueError("powers of Q-basis classes are not defined "
+                             "in a Legendrian expression")
+        return _LegendrianValue.scalar(self.parts.get(None, CPolynomial.zero()) ** e)
+
+
+def _legendrian_atom(expr) -> _LegendrianValue:
+    if isinstance(expr, parsing.Num):
+        return _LegendrianValue.scalar(CPolynomial.constant(expr.value))
+    if isinstance(expr, parsing.Gen):
+        if expr.family not in (FAMILY_V1, FAMILY_V2):
+            raise ValueError("only v1, v2 and q-basis atoms may appear in a "
+                             "Legendrian expression")
+        return _LegendrianValue.scalar(CPolynomial.gen(expr.family))
+    if expr.kind != "q":
+        raise ValueError("Legendrian expressions use the q basis only")
+    return _LegendrianValue.basis(StrictPartition(expr.parts))
+
+
+def legendrian_parse_by_vpolynomials(text: str, n: int) -> LegendrianClass:
+    """schurcalc.legendrian.legendrian_parse, with each basis class carrying
+    its v-part as a CPolynomial until the end."""
+    value = parsing.evaluate(parsing.parse(text), _legendrian_atom)
+    coefficients: dict[tuple[StrictPartition, int, int], int] = {}
+    degrees = set()
+    for key, vpoly in value.parts.items():
+        mu = key if key is not None else StrictPartition()
+        if mu.parts and mu.parts[0] > n:
+            raise ValueError(f"{mu!r} is not inside the staircase of {n}")
+        for (a, b), coeff in _vpoly_degree_terms(vpoly):
+            degrees.add(mu.weight + a + b)
+            slot = (mu, a, b)
+            coefficients[slot] = coefficients.get(slot, 0) + coeff
+    coefficients = {k: v for k, v in coefficients.items() if v}
+    if len(degrees) > 1:
+        raise ValueError(f"expression is inhomogeneous: degrees {degree_list(degrees)}")
+    degree = degrees.pop() if degrees else None
+    return LegendrianClass(coefficients, n=n, degree=degree)

@@ -328,9 +328,9 @@ _POSITIVITY = {"positivity", "records"} | _COMMAND
 # tokens they may hold (see _cold_tokens): the grammar only where an
 # expression is read, schureval only for to-schur and certify, legendrian
 # only for the Legendrian tables, the polynomial layer only where a
-# c-polynomial is built (a ring reduction, a table, a q atom, a sum whose
-# terms differ in degree) and qtilde only for q, schur only where Schur
-# functions are computed, plaintext only for help, --pretty and argv
+# c-polynomial is built (a ring reduction, the classical table, a q atom,
+# a sum whose terms differ in degree) and qtilde only for q, schur only where
+# Schur functions are computed, plaintext only for help, --pretty and argv
 # outside the canonical form, ringcommands and rings only for the gr/lg
 # commands that build a ring, schubert only for gr and lg, bundles only
 # for schur-bundle
@@ -360,10 +360,8 @@ _COLD_LOADS = [
      _RING | _GRAMMAR | {"polynomial", "qtilde"}, 10600),
     (("thom-verify", "--table", "classical"),
      {"polynomial", "schur"} | _POSITIVITY | _GRAMMAR, 9300),
-    (("thom-verify", "--table", "lagrangian"),
-     {"legendrian", "polynomial", "schur"} | _POSITIVITY | _GRAMMAR, 10500),
-    (("thom-verify", "--table", "legendrian"),
-     {"legendrian", "polynomial", "schur"} | _POSITIVITY | _GRAMMAR, 10500),
+    (("thom-verify", "--table", "lagrangian"), {"legendrian"} | _POSITIVITY | _GRAMMAR, 8100),
+    (("thom-verify", "--table", "legendrian"), {"legendrian"} | _POSITIVITY | _GRAMMAR, 8100),
 ]
 
 
@@ -430,14 +428,15 @@ def test_only_the_c_polynomial_builders_import_when_called():
     # so no warm reduce, reduce_tautological, integrate, basis_product or
     # restrict runs an import statement, which costs about 2 us, an eighth
     # of a warm reduce
-    # (positivity.table_payload loads the Legendrian tables for thom-verify)
+    # (positivity.certify loads the Schur layer, and table_payload the
+    # Legendrian tables, for thom-verify)
     from schurcalc import parsing, pieri, positivity, rings, schubert, schur, schureval
 
     builders = {schur: {"schur_dual_jt", "from_schur"},
                 rings: {"basis_polynomial"},
                 parsing: {"_polynomial_atom"},
                 schureval: {"_schur_atom"},
-                positivity: {"_entry_polynomial", "table_payload"},
+                positivity: {"certify", "_entry_polynomial", "table_payload"},
                 pieri: set(), schubert: set()}
     for module, names in builders.items():
         tree = ast.parse(Path(module.__file__).read_text())

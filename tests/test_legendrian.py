@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schurcalc.legendrian import (
     LEGENDRIAN_RANK,
@@ -14,6 +16,8 @@ from schurcalc.legendrian import (
 )
 from schurcalc.partitions import StrictPartition
 from schurcalc.positivity import PositivityReport, positivity_report
+
+from oracles import legendrian_parse_by_vpolynomials
 
 
 def key(parts, a=0, b=0):
@@ -126,3 +130,52 @@ def test_class_equality_compares_rank_and_degree():
     assert parsed == legendrian_parse("q[1]", 2)
     assert parsed != legendrian_parse("q[1]", 3)
     assert parsed != LegendrianClass(dict(parsed.coefficients), n=2, degree=None)
+
+
+# -- the evaluator on basis keys equals the one through v-polynomials ---------
+
+# q indices up to 5 against staircases of 1 to 4, so some fall outside; c1
+# and s[1] are atoms that no Legendrian expression may hold; v1 and v2 are
+# drawn twice as often as the other atoms
+LEGENDRIAN_ATOMS = ["0", "1", "2", "7", "v1", "v2", "v1", "v2", "q[1]", "q[2]", "q[2,1]",
+                    "q[3]", "q[3,1]", "q[5]", "q[5,2]", "c1", "s[1]"]
+
+
+@st.composite
+def legendrian_text(draw, depth=0):
+    kinds = ["atom"] if depth == 3 else ["atom", "atom", "sum", "product", "power", "cancel"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "atom":
+        return draw(st.sampled_from(LEGENDRIAN_ATOMS))
+    first = draw(legendrian_text(depth + 1))
+    if kind == "power":
+        return f"({first})^{draw(st.integers(0, 3))}"
+    second = draw(legendrian_text(depth + 1))
+    if kind == "sum":
+        return f"{first} {draw(st.sampled_from(['+', '-']))} {second}"
+    if kind == "product":
+        return f"({first})*({second})"
+    # a term that is added and taken away again
+    return f"{first} + ({second}) - ({second})"
+
+
+def _parse_outcome(parse, text, n):
+    try:
+        parsed = parse(text, n)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return parsed, parsed.to_json()
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(legendrian_text(), st.integers(1, 4))
+@example("(q[1]-q[1])*q[2]", 2)
+@example("0^0", 1)
+@example("(q[1]-q[1])^0 + (q[2]-q[2])*(q[1]-q[1])", 1)
+# of two classes outside the staircase, the one named is the one whose
+# coefficients have been nonzero since earlier in the evaluation
+@example("v1*q[5] + v1*q[3,1] + v2*q[5] - v1*q[5]", 2)
+@example("q[5] - q[5] + q[3,1] + q[5]", 2)
+def test_basis_key_evaluation_equals_the_v_polynomial_path(text, n):
+    assert _parse_outcome(legendrian_parse, text, n) == \
+        _parse_outcome(legendrian_parse_by_vpolynomials, text, n), text

@@ -233,16 +233,18 @@ def test_product_and_restriction_checks_fail_in_their_order_on_warm_tables():
     budget = "a factor of weight {} exceeds the product budget of Gr(1,1000000000): " \
              "weights up to 400"
     product_cases = [
-        # a product above the top degree is zero before its factors are
-        # held to the rectangle
-        (lambda: GrassmannianRing(2, 4), [([2, 1], [1]), ([1], [2]), ([3], [1, 1, 1])], [
+        # both factors are held to the rectangle before a product above the
+        # top degree is zero
+        (lambda: GrassmannianRing(2, 4), [([2, 1], [1]), ([1], [2])], [
             (([1, 2], [3]), "partition parts must be weakly decreasing: (1, 2)"),
             (([3], [1]), "Partition([3]) is not in the 2x2 rectangle"),
-            (([1], [1, 1, 1]), "Partition([1, 1, 1]) is not in the 2x2 rectangle")]),
-        (lambda: LagrangianRing(2), [([2], [1]), ([1], [2]), ([3], [1]), ([2, 1], [])], [
+            (([1], [1, 1, 1]), "Partition([1, 1, 1]) is not in the 2x2 rectangle"),
+            (([3], [1, 1, 1]), "Partition([3]) is not in the 2x2 rectangle")]),
+        (lambda: LagrangianRing(2), [([2], [1]), ([1], [2]), ([2, 1], [])], [
             (([1, 1], [3]), "parts must be strictly decreasing: (1, 1)"),
             (([3], []), "StrictPartition([3]) is not inside the staircase of 2"),
-            (([], [3]), "StrictPartition([3]) is not inside the staircase of 2")]),
+            (([], [3]), "StrictPartition([3]) is not inside the staircase of 2"),
+            (([3], [1]), "StrictPartition([3]) is not inside the staircase of 2")]),
         (lambda: GrassmannianRing(1, 10 ** 9), [([400], [401]), ([10 ** 6], [400])], [
             (([401], [2, 1]), "Partition([2, 1]) is not in the 1x999999999 rectangle"),
             (([401], [401]), budget.format(401)),
@@ -588,3 +590,30 @@ def test_pairing_check_is_per_degree():
         assert ring.is_dual_permutation(rows, cols, matrix)
         broken = [[1 - v for v in row] for row in matrix]
         assert not ring.is_dual_permutation(rows, cols, broken)
+
+
+def test_schubert_structure_constants_are_nonnegative_and_triple_numbers_symmetric():
+    # Schubert calculus is positive: every product of two Schubert classes
+    # has nonnegative coefficients, here on all of Gr(r, n) for n <= 9, the
+    # tall r > n/2 included, and of LG(n) for n <= 7.  The triple number
+    # of lam, mu and nu is the coefficient of the dual of nu in the product
+    # of lam and mu; build_product builds the lighter factor on the heavier,
+    # so its symmetry in all three is a check on the build, not a
+    # restatement of it
+    rings = [GrassmannianRing(r, n) for n in range(2, 10) for r in range(1, n)]
+    rings += [LagrangianRing(n) for n in range(1, 8)]
+    for ring in rings:
+        basis = all_basis(ring)
+        duals = {nu: ring.dual(nu) for nu in basis}
+        triples = {}
+        for lam in basis:
+            for mu in basis:
+                product = ring.build_product(lam, mu)
+                assert is_nonnegative(product), (ring.label, lam, mu)
+                for nu in basis:
+                    if product.degree + nu.weight == ring.top_degree:
+                        triples[lam, mu, nu] = product.get(duals[nu])
+        for (lam, mu, nu), number in triples.items():
+            assert triples[mu, lam, nu] == triples[lam, nu, mu] == number, \
+                (ring.label, lam, mu, nu)
+        assert sum(triples.values()) > 0, ring.label
