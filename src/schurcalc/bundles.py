@@ -7,8 +7,6 @@ reads off its Schur coefficients.  Only the schur-bundle command loads this
 module.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import comb
 
@@ -29,9 +27,9 @@ def ssyt_weights(shape: Partition, n: int) -> tuple[tuple[int, ...], ...]:
     shape = Partition(shape)
     if len(shape) > n:
         return ()
-    heights = shape.conjugate().parts
-    cells = [(i, j) for i, p in enumerate(shape.parts) for j in range(p)]
-    grid = [[0] * p for p in shape.parts]
+    heights = shape.conjugate()
+    cells = [(i, j) for i, p in enumerate(shape) for j in range(p)]
+    grid = [[0] * p for p in shape]
     counts = [0] * n
     out: list[tuple[int, ...]] = []
 
@@ -124,11 +122,11 @@ def _weyl_dimension(lam: Partition, n: int) -> int | None:
     the bound, and is not computed."""
     if min(n, lam.weight) > MAX_BUNDLE_ROOTS:
         return None
-    parts, rows = lam.parts, len(lam)
+    rows = len(lam)
     num = den = 1
-    for i, a in enumerate(parts):
+    for i, a in enumerate(lam):
         for j in range(i + 1, rows):
-            num *= a - parts[j] + j - i
+            num *= a - lam[j] + j - i
             den *= j - i
         num *= comb(a + n - 1 - i, a)
         den *= comb(a + rows - 1 - i, a)
@@ -150,7 +148,7 @@ def schur_bundle_class(lam: Partition, mu: Partition, n: int) -> Expansion:
     # S^lam(E) = det(E)^shift (x) S^rest(E) when lam has n rows; it is zero
     # when lam has more
     shift = lam.part(n) if len(lam) == n else 0
-    rest = Partition(p - shift for p in lam.parts)
+    rest = Partition(p - shift for p in lam)
     count = _weyl_dimension(rest, n) if len(lam) <= n else 0
     if count is None or count > MAX_BUNDLE_ROOTS:
         shown = f"more than {MAX_BUNDLE_ROOTS}" if count is None else count
@@ -161,7 +159,7 @@ def schur_bundle_class(lam: Partition, mu: Partition, n: int) -> Expansion:
     # i > m loses no term; a nonempty rest has n <= MAX_BUNDLE_ROOTS, and
     # the empty shape has the one zero weight in any number of variables
     m = min(n, mu.weight)
-    weights = ssyt_weights(rest, n) if rest.parts else ((0,) * m,)
+    weights = ssyt_weights(rest, n) if rest else ((0,) * m,)
     # e_k of the roots for k <= |mu|, the coefficients of prod (1 + r t);
     # s_mu is a polynomial in these through c_k = e_k
     elementary: list[XPoly] = [{(0,) * m: 1}] + [{} for _ in range(mu.weight)]

@@ -211,7 +211,9 @@ def main(argv=None) -> int:
         # a ParseError can only come from a loaded grammar
         parsing = sys.modules.get(f"{__package__}.parsing")
         kind = "parse error" if parsing and isinstance(exc, parsing.ParseError) else "error"
-        sys.stderr.write(f"{kind}: {exc}\n")
+        from .plaintext import shown_message
+
+        sys.stderr.write(f"{kind}: {shown_message(str(exc))}\n")
         return 2
 
 

@@ -45,7 +45,7 @@ def run(args, pretty: bool) -> int:
 
         mu = parse_partition_arg(args.mu)
         poly = qtilde(mu)
-        emit({"partition": list(mu.parts), "degree": mu.weight,
+        emit({"partition": list(mu), "degree": mu.weight,
                "polynomial": str(poly)}, pretty)
         return 0
 
@@ -72,10 +72,10 @@ def run(args, pretty: bool) -> int:
              pretty)
     elif gr:
         lam = rectangle_dual(parse_partition_arg(args.arg), args.r, args.n)
-        emit({"partition": list(lam.parts)}, pretty)
+        emit({"partition": list(lam)}, pretty)
     else:
         mu = strict_complement(parse_partition_arg(args.arg, strict=True), args.n)
-        emit({"strict_partition": list(mu.parts)}, pretty)
+        emit({"strict_partition": list(mu)}, pretty)
     return 0
 
 

@@ -9,8 +9,6 @@ Schur class is built.  The built-in corpus stores the published table
 entries verbatim as expression strings.
 """
 
-from __future__ import annotations
-
 from .partitions import FAMILY_V1, FAMILY_V2, StrictPartition, degree_list, number_text
 from .positivity import VERDICT_NONNEGATIVE, PositivityReport, positivity_report
 from .records import FrozenRecord, Record
@@ -29,7 +27,7 @@ class LegendrianClass(Record):
         # printed-table order: largest Q-index first, then v1 before v2 powers
         def order(kv):
             (mu, a, b), _ = kv
-            return (-mu.weight, tuple(-p for p in mu.parts), -a, -b)
+            return (-mu.weight, tuple(-p for p in mu), -a, -b)
 
         return sorted(self.coefficients.items(), key=order)
 
@@ -37,7 +35,7 @@ class LegendrianClass(Record):
         return self.coefficients.get((StrictPartition(mu), a, b), 0)
 
     def to_json(self, items=None) -> list:
-        return [{"strict_partition": list(mu.parts), "a": a, "b": b,
+        return [{"strict_partition": list(mu), "a": a, "b": b,
                  "coeff": number_text(c)}
                 for (mu, a, b), c in (self.items() if items is None else items)]
 
@@ -47,7 +45,7 @@ _ONE = (StrictPartition(), 0, 0)
 _V_KEYS = {FAMILY_V1: (StrictPartition(), 1, 0), FAMILY_V2: (StrictPartition(), 0, 1)}
 
 
-def _collect(terms) -> _LegendrianValue:
+def _collect(terms) -> "_LegendrianValue":
     """Sum (key, coefficient) pairs into the nonzero coefficients, the keys of
     one basis class together and the classes in the order they first occur:
     a class keeps its place while any of its terms is nonzero, and that
@@ -69,7 +67,7 @@ class _LegendrianValue(dict):
     """
 
     def is_scalar(self) -> bool:
-        return all(not mu.parts for mu, _, _ in self)
+        return all(not mu for mu, _, _ in self)
 
     def __add__(self, other):
         return _collect([*self.items(), *other.items()])
@@ -100,7 +98,7 @@ class _LegendrianValue(dict):
         return result
 
 
-def _atom(expr) -> _LegendrianValue:
+def _atom(expr) -> "_LegendrianValue":
     if isinstance(expr, parsing.Num):
         return _LegendrianValue({_ONE: expr.value} if expr.value else {})
     if isinstance(expr, parsing.Gen):
@@ -122,7 +120,7 @@ def legendrian_parse(text: str, n: int) -> LegendrianClass:
     coefficients = dict(parsing.evaluate(parsing.parse(text), _atom))
     degrees = set()
     for mu, a, b in coefficients:
-        if mu.parts and mu.parts[0] > n:
+        if mu and mu[0] > n:
             raise ValueError(f"{mu!r} is not inside the staircase of {n}")
         degrees.add(mu.weight + a + b)
     if len(degrees) > 1:

@@ -8,8 +8,6 @@ the benchmark's tracer still reads rref and solve_exact by name, so it
 stays in the package until the benchmark drops its linalg.* metrics.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from fractions import Fraction
 

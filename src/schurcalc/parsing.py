@@ -18,8 +18,6 @@ and families that the tree alone shows.  The Schur-basis evaluation of
 to-schur and certify is in schureval.py.
 """
 
-from __future__ import annotations
-
 import sys
 
 from .partitions import FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, Partition
@@ -231,7 +229,7 @@ def parse(text: str) -> Expression:
 # -- evaluation -------------------------------------------------------------
 
 
-def _polynomial_atom(expr: Num | Gen | Basis) -> CPolynomial:
+def _polynomial_atom(expr: Num | Gen | Basis) -> "CPolynomial":
     """A leaf as a polynomial; s and q atoms expand to their defining
     c-polynomials (s by the dual Pieri rule, q via Q-tilde), whose builders
     check their weight against the output budget.  The polynomial layer is
@@ -273,7 +271,7 @@ def evaluate(expr: Expression, atom=_polynomial_atom):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def evaluate_text(text: str) -> CPolynomial:
+def evaluate_text(text: str) -> "CPolynomial":
     return evaluate(parse(text))
 
 

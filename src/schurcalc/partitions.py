@@ -11,8 +11,6 @@ enumerators are in rings.py, the Poincare duals and the staircase in
 schubert.py.
 """
 
-from __future__ import annotations
-
 import sys
 
 FAMILY_C = "c"
@@ -21,22 +19,23 @@ FAMILY_V1 = "v1"
 FAMILY_V2 = "v2"
 
 
-class Partition:
-    """A weakly decreasing sequence of positive integers.
+class Partition(tuple):
+    """A weakly decreasing sequence of positive integers: the tuple of its parts.
 
     Zero parts are stripped at construction so every partition has a unique
-    canonical form; equality and hashing are on that form.  Increasing input
-    is rejected rather than sorted.
+    canonical form; equality and hashing are those of that tuple, in C, so a
+    partition equals and hashes as the plain tuple of its parts, and + and *
+    return plain tuples.  Increasing input is rejected rather than sorted.
+    < and > follow sort_key; <= and >= are not defined.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
     json_key = "partition"
 
-    def __init__(self, parts=()):
-        if isinstance(parts, Partition):
-            self.parts = parts.parts  # canonical already
-            return
-        cleaned = tuple(int(p) for p in parts)
+    def __new__(cls, parts=()):
+        if isinstance(parts, Partition):  # canonical already
+            return parts if type(parts) is cls else tuple.__new__(cls, parts)
+        cleaned = tuple(map(int, parts))
         while cleaned and cleaned[-1] == 0:
             cleaned = cleaned[:-1]
         for i, p in enumerate(cleaned):
@@ -44,56 +43,58 @@ class Partition:
                 raise ValueError(f"partition parts must be positive: {cleaned}")
             if i > 0 and cleaned[i - 1] < p:
                 raise ValueError(f"partition parts must be weakly decreasing: {cleaned}")
-        self.parts = cleaned
+        return tuple.__new__(cls, cleaned)
+
+    @property
+    def parts(self) -> tuple:
+        """The parts as a plain tuple, a copy."""
+        return tuple(self)
 
     @property
     def weight(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
+        return sum(self)
 
     def part(self, i: int) -> int:
         """1-based part access with zero padding beyond the length."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
+        return self[i - 1] if 1 <= i <= len(self) else 0
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""
-        if not self.parts:
+        if not self:
             return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
+        cols = [0] * self[0]
+        for p in self:
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
 
     def fits_rectangle(self, rows: int, cols: int) -> bool:
-        return len(self.parts) <= rows and (not self.parts or self.parts[0] <= cols)
+        return len(self) <= rows and (not self or self[0] <= cols)
 
     def sort_key(self):
         """Global partition order: by weight, then reverse lexicographic."""
-        return (self.weight, tuple(-p for p in self.parts))
+        return (sum(self), tuple(-p for p in self))
 
     def to_json(self) -> list:
-        return list(self.parts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+        return list(self)
 
     def __lt__(self, other: "Partition") -> bool:
         return self.sort_key() < other.sort_key()
 
+    def __gt__(self, other: "Partition") -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __le__(self, other):
+        """<= and >= raise TypeError, also against a plain tuple, which
+        would compare lexicographically."""
+        if isinstance(other, Partition):
+            return NotImplemented
+        raise TypeError(f"partitions are not ordered by <= or >=; got {type(other).__name__}")
+
+    __ge__ = __le__
+
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
+        return f"{type(self).__name__}({list(self)})"
 
 
 class StrictPartition(Partition):
@@ -102,14 +103,11 @@ class StrictPartition(Partition):
     __slots__ = ()
     json_key = "strict_partition"
 
-    def __init__(self, parts=()):
-        super().__init__(parts)
-        for i in range(1, len(self.parts)):
-            if self.parts[i - 1] <= self.parts[i]:
-                raise ValueError(f"parts must be strictly decreasing: {self.parts}")
-
-    def __repr__(self) -> str:
-        return f"StrictPartition({list(self.parts)})"
+    def __new__(cls, parts=()):
+        self = Partition.__new__(cls, parts)
+        if len(set(self)) < len(self):  # a repeated part, since self decreases weakly
+            raise ValueError(f"parts must be strictly decreasing: {tuple(self)}")
+        return self
 
 
 def parse_partition_arg(text: str, strict: bool = False) -> Partition:

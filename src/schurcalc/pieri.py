@@ -13,8 +13,6 @@ the Expansion type, the steps, the peels and the build.  It works on tuples
 of parts and reads only partitions.py.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .partitions import Partition, number_text
@@ -64,7 +62,7 @@ class Expansion:
         self.key = key
 
     @classmethod
-    def trusted(cls, coefficients, degree, key) -> Expansion:
+    def trusted(cls, coefficients, degree, key) -> "Expansion":
         """The expansion on the dict coefficients itself, whose keys the
         caller built as checked instances of key, all of weight degree, and
         whose coefficients are nonzero, so nothing is checked or copied."""
@@ -72,7 +70,7 @@ class Expansion:
         x.coefficients, x.degree, x.key = coefficients, degree, key
         return x
 
-    def copy(self) -> Expansion:
+    def copy(self) -> "Expansion":
         """This expansion on a new dict: dict() keeps the stored hashes of the
         keys, so none is hashed or checked again, and a change to the copy
         leaves this expansion as it was."""
@@ -100,11 +98,11 @@ class Expansion:
         return bool(self.coefficients)
 
     def to_json(self, items=None) -> list:
-        return [{self.key.json_key: list(lam.parts), "coeff": number_text(c)}
+        return [{self.key.json_key: list(lam), "coeff": number_text(c)}
                 for lam, c in (self.items() if items is None else items)]
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{tuple(lam.parts)}: {c}" for lam, c in self.items())
+        body = ", ".join(f"{tuple(lam)}: {c}" for lam, c in self.items())
         return f"Expansion({{{body}}}, degree={self.degree}, key={self.key.__name__})"
 
 

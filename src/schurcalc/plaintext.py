@@ -1,5 +1,6 @@
 """The command line's plain-text side: the argparse parser, the --pretty
-renderer and the JSON escapes of text that is not printable ASCII.
+renderer, the JSON escapes of text that is not printable ASCII and the
+error messages that would echo a huge number.
 
 cli.py reads the canonical argv from its command table and writes JSON
 itself.  Only help, usage errors and the other spellings that read_argv
@@ -29,6 +30,21 @@ def _integer(text: str) -> int:
         else:
             message = f"invalid int value: {text!r}"
         raise argparse.ArgumentTypeError(message) from None
+
+
+# An error message writes a number of more than SHOWN_DIGITS digits, such as
+# a huge --r or --n repeated in a ring label, by its digit count.
+SHOWN_DIGITS = 40
+
+
+def shown_message(message: str) -> str:
+    """message with each run of more than SHOWN_DIGITS digits written as
+    <k digits>; a message without one is returned as it is."""
+    from itertools import groupby
+
+    runs = ["".join(run) for _, run in groupby(message, str.isdecimal)]
+    return "".join(f"<{len(run)} digits>" if len(run) > SHOWN_DIGITS and run.isdecimal()
+                   else run for run in runs)
 
 
 def build_parser():

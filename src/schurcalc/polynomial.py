@@ -6,8 +6,6 @@ ordered degree-first, then reverse lexicographically, so every serialization
 is reproducible.
 """
 
-from __future__ import annotations
-
 # the family names and degree_list live in the base module, which the
 # Pieri layer and the grammar read without loading this one
 from .partitions import FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, degree_list, number_text

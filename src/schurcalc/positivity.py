@@ -11,8 +11,6 @@ certify when it runs, so the Legendrian and Lagrangian tables, whose
 classes are given in their own basis, load no Schur or polynomial code.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .partitions import Partition, number_text
@@ -47,7 +45,7 @@ class PositivityReport(Record):
         return out
 
 
-def positivity_report(expansion, verdict: str, polynomial: CPolynomial | None = None,
+def positivity_report(expansion, verdict: str, polynomial: "CPolynomial | None" = None,
                       name: str | None = None) -> PositivityReport:
     """The report on an expansion: NOT_NONNEGATIVE with its negative terms
     as witnesses, else the given verdict."""
@@ -57,7 +55,7 @@ def positivity_report(expansion, verdict: str, polynomial: CPolynomial | None = 
                             witnesses, name=name)
 
 
-def schur_positivity(expansion: Expansion, polynomial: CPolynomial | None = None,
+def schur_positivity(expansion: "Expansion", polynomial: "CPolynomial | None" = None,
                      name: str | None = None) -> PositivityReport:
     """The verdict on a Schur expansion: POSITIVE when it is nonzero and
     nonnegative, ZERO when it is zero, else NOT_NONNEGATIVE."""
@@ -65,7 +63,7 @@ def schur_positivity(expansion: Expansion, polynomial: CPolynomial | None = None
     return positivity_report(expansion, verdict, polynomial, name)
 
 
-def certify(p: CPolynomial, length_bound: int | None = None,
+def certify(p: "CPolynomial", length_bound: int | None = None,
             name: str | None = None) -> PositivityReport:
     """Decide positivity: nonzero with a nonnegative Schur expansion."""
     from .schur import to_schur
@@ -79,12 +77,12 @@ class ThomTableEntry(FrozenRecord):
     __slots__ = ("name", "expression", "codimension")
 
     @property
-    def polynomial(self) -> CPolynomial:
+    def polynomial(self) -> "CPolynomial":
         return _entry_polynomial(self.expression)
 
 
 @lru_cache(maxsize=None)
-def _entry_polynomial(expression: str) -> CPolynomial:
+def _entry_polynomial(expression: str) -> "CPolynomial":
     from .parsing import evaluate_text
 
     return evaluate_text(expression)
@@ -120,7 +118,7 @@ def hook_contains(lam: Partition, n: int, m: int) -> bool:
     return lam.part(n + 1) <= m
 
 
-def minimal_hook_rank(expansion: Expansion) -> int:
+def minimal_hook_rank(expansion: "Expansion") -> int:
     """Smallest k with every expansion index inside the (k, k)-hook.
 
     Diagnostic only: for the equal-dimension corpus the expansion support

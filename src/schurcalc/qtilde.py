@@ -7,8 +7,6 @@ decreasing indices (its minors hold pairs with repeated parts); removal is
 positional, which keeps the index sorted.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .partitions import Partition, check_term_budget
@@ -47,7 +45,7 @@ def qtilde(mu: Partition) -> CPolynomial:
     """
     mu = Partition(mu)
     check_term_budget(mu.weight)
-    parts = mu.parts + (0,) * (len(mu.parts) % 2)
+    parts = mu.parts + (0,) * (len(mu) % 2)
     if not parts:
         return CPolynomial.one()
     total = CPolynomial.zero()

@@ -7,8 +7,6 @@ without the import cost of dataclasses (which loads inspect and ast and
 generates code for each class).
 """
 
-from __future__ import annotations
-
 
 class Record:
     """A record whose fields are its __slots__, in order.

@@ -14,8 +14,8 @@ def _pairing_payload(ring) -> dict:
         rows, cols, matrix = ring.pairing_matrix(d)
         degrees.append({
             "degree": d,
-            "rows": [list(p.parts) for p in rows],
-            "cols": [list(p.parts) for p in cols],
+            "rows": [list(p) for p in rows],
+            "cols": [list(p) for p in cols],
             "matrix": matrix,
             "is_dual_permutation": ring.is_dual_permutation(rows, cols, matrix),
         })

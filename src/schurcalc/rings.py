@@ -37,8 +37,6 @@ an import statement.  Every ring call returns a new expansion, which its
 caller may change.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 
 from .partitions import FAMILY_C, TERM_BUDGET, Partition, StrictPartition, degree_list, number_text
@@ -120,7 +118,7 @@ class SchubertRing:
         unbounded, like the Pieri memos."""
         return {}
 
-    def _degree(self, p: CPolynomial, degree: int | None) -> int | None:
+    def _degree(self, p: "CPolynomial", degree: int | None) -> int | None:
         """Check that p is a class of the ring and return its degree.
 
         One pass over the terms gathers what the checks read; they fail in
@@ -156,7 +154,7 @@ class SchubertRing:
                              f"of {self.label}")
         return d
 
-    def reduce_tautological(self, p: CPolynomial, degree: int | None = None) -> Expansion:
+    def reduce_tautological(self, p: "CPolynomial", degree: int | None = None) -> Expansion:
         """Reduce p read in the Chern classes of the tautological subbundle.
 
         c_k with k above the rank is zero there; when that kills p, the zero
@@ -170,7 +168,7 @@ class SchubertRing:
             degree = p.homogeneous_degree() if p.is_homogeneous() else None
         return self.reduce(q, degree=degree)
 
-    def reduce(self, p: CPolynomial, degree: int | None = None) -> Expansion:
+    def reduce(self, p: "CPolynomial", degree: int | None = None) -> Expansion:
         """Basis expansion of the class of p, by the Pieri build of its
         monomials from 1.  degree is the degree of a zero p.
 
@@ -217,20 +215,24 @@ class SchubertRing:
 
     @cached_property
     def basis_products(self) -> dict:
-        """The table of basis_product: each pair of index tuples (lam, mu)
-        the ring has multiplied, mapped to their product.  A pair enters
-        only after build_product has checked it, and lasts as long as the
-        ring; the table is unbounded, like monomial_classes."""
+        """The table of basis_product: each pair of indices (lam, mu) the
+        ring has multiplied, mapped to their product; a Partition and the
+        tuple of its parts are one key.  A pair enters only after
+        build_product has checked it, and lasts as long as the ring; the
+        table is unbounded, like monomial_classes."""
         return {}
 
     def basis_product(self, lam: Partition, mu: Partition) -> Expansion:
         """Product of two Schubert classes, read from basis_products; a new
         pair is built by build_product first, so a bad one fails as on a
-        fresh ring.  The result is a copy, which its caller may change."""
-        table, key = self.basis_products, (tuple(lam), tuple(mu))
-        x = table.get(key)
+        fresh ring.  The result is a copy, which its caller may change.  An
+        index that is not a tuple, a list of parts say, is read as its tuple."""
+        if not (isinstance(lam, tuple) and isinstance(mu, tuple)):
+            lam, mu = tuple(lam), tuple(mu)
+        table = self.basis_products
+        x = table.get((lam, mu))
         if x is None:
-            x = table[key] = self.build_product(lam, mu)
+            x = table[lam, mu] = self.build_product(lam, mu)
         return x.copy()
 
     def build_product(self, lam: Partition, mu: Partition) -> Expansion:
@@ -245,7 +247,7 @@ class SchubertRing:
         if mu.weight > self.product_weight_bound:
             raise ValueError(f"a factor of weight {mu.weight} exceeds the product budget "
                              f"of {self.label}: weights up to {self.product_weight_bound}")
-        coeffs = pieri_build(lam.parts, mu.parts, self.step, self.bound, self.peel, self.bound)
+        coeffs = pieri_build(lam, mu, self.step, self.bound, self.peel, self.bound)
         return Expansion(coeffs, degree=d, key=self.key)
 
     def pairing(self, lam: Partition, mu: Partition) -> int:
@@ -310,7 +312,7 @@ class GrassmannianRing(SchubertRing):
             raise ValueError(f"{lam!r} is not in the {self.r}x{self.cols} rectangle")
         return lam
 
-    def basis_polynomial(self, lam: Partition) -> CPolynomial:
+    def basis_polynomial(self, lam: Partition) -> "CPolynomial":
         """The Giambelli representative: the Schur polynomial in c_1..c_r."""
         from .schur import schur_dual_jt
 
@@ -367,11 +369,11 @@ class LagrangianRing(SchubertRing):
     def basis_index(self, mu: StrictPartition) -> StrictPartition:
         """mu as an index of the basis; raises outside the staircase."""
         mu = basis_key(StrictPartition, tuple(mu))
-        if mu.parts and mu.parts[0] > self.n:
+        if mu and mu[0] > self.n:
             raise ValueError(f"{mu!r} is not inside the staircase of {self.n}")
         return mu
 
-    def basis_polynomial(self, mu: StrictPartition) -> CPolynomial:
+    def basis_polynomial(self, mu: StrictPartition) -> "CPolynomial":
         """Q_mu truncated to c_1..c_n, the Giambelli representative of Y^mu."""
         from .qtilde import qtilde
 

@@ -11,8 +11,6 @@ name n as a ring does.  Both read the memo of restriction, keyed by
 bad index fails each time, since only a checked one enters the memo.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .partitions import TERM_BUDGET, Partition, StrictPartition, check_term_budget
@@ -53,17 +51,17 @@ def rectangle_dual(lam: Partition, r: int, n: int) -> Partition:
     cols = n - r
     if not lam.fits_rectangle(r, cols):
         raise ValueError(f"{lam!r} does not fit in the {r}x{cols} rectangle")
-    check_part_budget(r - lam.parts.count(cols))
+    check_part_budget(r - lam.count(cols))
     return Partition(cols - lam.part(r - i) for i in range(r))
 
 
 def strict_complement(mu: StrictPartition, n: int) -> StrictPartition:
     """Poincare dual index on LG(n): complement the parts of mu in {1..n}."""
     mu = StrictPartition(mu)
-    if mu.parts and mu.parts[0] > n:
+    if mu and mu[0] > n:
         raise ValueError(f"{mu!r} is not contained in the staircase of {n}")
     check_part_budget(n - len(mu))
-    present = set(mu.parts)
+    present = set(mu)
     return StrictPartition([k for k in range(n, 0, -1) if k not in present])
 
 
@@ -97,8 +95,9 @@ def row_peel(mu: tuple[int, ...], bound: tuple[int]) -> tuple:
 def restrict(lg, lam: Partition) -> Expansion:
     """Pullback of the ambient Schubert class X^lam along LG(V) in G_n(V),
     where lg names n: a LagrangianRing, or the lg command's arguments.
-    The result is a copy of the class in restriction's memo."""
-    return restriction(lg.n, tuple(lam)).copy()
+    The result is a copy of the class in restriction's memo, where a
+    Partition and the tuple of its parts are one key."""
+    return restriction(lg.n, lam if isinstance(lam, tuple) else tuple(lam)).copy()
 
 
 @lru_cache(maxsize=None)
@@ -116,5 +115,5 @@ def restriction(n: int, lam: tuple[int, ...]) -> Expansion:
     if lam.weight > n * (n + 1) // 2:
         return Expansion({}, degree=lam.weight, key=StrictPartition)
     check_term_budget(lam.weight)
-    return Expansion(pieri_build((), lam.parts, qtilde_pieri_step, (n,), column_peel, (n, n)),
+    return Expansion(pieri_build((), lam, qtilde_pieri_step, (n,), column_peel, (n, n)),
                      degree=lam.weight, key=StrictPartition)

@@ -13,8 +13,6 @@ The polynomial layer is imported by the functions that build c-polynomials
 loads it.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .partitions import FAMILY_C, FAMILY_CPRIME, Partition, check_term_budget, degree_list
@@ -23,14 +21,14 @@ from .pieri import (OPEN, Expansion, column_peel, monomial_fold, pieri_build,
 
 
 @lru_cache(maxsize=None)
-def schur_dual_jt(lam: Partition, family: str = FAMILY_C) -> CPolynomial:
+def schur_dual_jt(lam: Partition, family: str = FAMILY_C) -> "CPolynomial":
     """s_lambda in raw c-generators, built on c-monomials by column peels; no
     rank bound.  A weight past the output budget is rejected."""
     from .polynomial import CPolynomial
 
-    parts = Partition(lam).parts
-    check_term_budget(sum(parts))
-    built = pieri_build((), parts, monomial_step, None, column_peel, OPEN)
+    lam = Partition(lam)
+    check_term_budget(lam.weight)
+    built = pieri_build((), lam, monomial_step, None, column_peel, OPEN)
     return CPolynomial({tuple(((family, i), 1) for i in m): c for m, c in built.items()})
 
 
@@ -39,7 +37,7 @@ def monomial_step(lam: tuple[int, ...], k: int, bound) -> tuple:
     return ((tuple(sorted(lam + (k,))), 1),)
 
 
-def to_schur(p: CPolynomial, length_bound: int | None = None) -> Expansion:
+def to_schur(p: "CPolynomial", length_bound: int | None = None) -> Expansion:
     """Expand a homogeneous single-family polynomial over the Schur basis.
 
     Each monomial is built by the dual Pieri rule, so the work follows
@@ -102,7 +100,7 @@ def pair_product(lam: tuple[int, ...], mu: tuple[int, ...]):
     return pieri_build(lam, mu, vertical_strip_step, OPEN, column_peel, OPEN).items()
 
 
-def from_schur(x: Expansion, family: str = FAMILY_C) -> CPolynomial:
+def from_schur(x: Expansion, family: str = FAMILY_C) -> "CPolynomial":
     """Inverse of to_schur: substitute the defining polynomials and expand."""
     from .polynomial import CPolynomial
 
@@ -117,4 +115,4 @@ def lr_multiply(lam: Partition, mu: Partition) -> Expansion:
     to the output budget, built on the heavier."""
     lam, mu = Partition(lam), Partition(mu)
     check_term_budget(min(lam.weight, mu.weight))
-    return Expansion(dict(pair_product(lam.parts, mu.parts)), degree=lam.weight + mu.weight)
+    return Expansion(dict(pair_product(lam, mu)), degree=lam.weight + mu.weight)

@@ -7,8 +7,6 @@ certify load this module; the ring commands read their expressions as
 c-polynomials through parsing.evaluate_text.
 """
 
-from __future__ import annotations
-
 from .partitions import Partition, check_term_budget
 from .parsing import Gen, Num, evaluate, expression_reading, parse
 from .schur import check_schur_families, pair_product, schur_expansion, to_schur
@@ -69,7 +67,7 @@ class _SchurValue:
         return out
 
 
-def _schur_atom(expr: Num | Gen | Basis) -> _SchurValue:
+def _schur_atom(expr: "Num | Gen | Basis") -> _SchurValue:
     """c_k and c'_k are s_(1^k) and s[lam] is s_lam; q[mu] is the Schur
     expansion of its Q-tilde polynomial, so only an expression with a q atom
     loads the polynomial layer.  The families are checked before evaluation,
@@ -86,7 +84,7 @@ def _schur_atom(expr: Num | Gen | Basis) -> _SchurValue:
     return _SchurValue({lam.parts: c for lam, c in expansion.items()})
 
 
-def evaluate_schur(text: str, length_bound: int | None = None) -> Expansion:
+def evaluate_schur(text: str, length_bound: int | None = None) -> "Expansion":
     """The Schur expansion of an expression, with the messages of to_schur.
 
     The syntax tree is read first: the highest degree of the expression,

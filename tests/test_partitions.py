@@ -178,3 +178,102 @@ def test_hook_contains():
 def test_partition_json():
     assert Partition([3, 1]).to_json() == [3, 1]
     assert Partition(Partition([3, 1]).to_json()) == Partition([3, 1])
+
+
+def test_partitions_hash_and_compare_as_the_tuple_of_their_parts():
+    # hashing and equality are tuple's own, in C; a Python-level override
+    # would make every Expansion key a Python call again
+    for cls in (Partition, StrictPartition):
+        assert cls.__hash__ is tuple.__hash__
+        assert cls.__eq__ is tuple.__eq__
+        assert cls.__ne__ is tuple.__ne__
+    assert Partition([2, 1]) == (2, 1) == StrictPartition([2, 1])
+    assert hash(Partition([2, 1])) == hash((2, 1)) == hash(StrictPartition([2, 1]))
+    assert Partition([3, 1, 0]) == (3, 1) and Partition() == ()
+    assert {(2, 1): "x"}[Partition([2, 1])] == "x"
+    assert isinstance(Partition([2, 1]), tuple)
+    assert type(Partition([2, 1]).parts) is tuple
+    # + and * are tuple's, and return plain tuples
+    assert Partition([2, 1]) + Partition([1]) == (2, 1, 1)
+    assert type(Partition([2, 1]) + (1,)) is tuple
+    assert type(Partition([1]) * 2) is tuple and Partition([1]) * 2 == (1, 1)
+    # a partition of the wanted type is returned as it is
+    lam = Partition([2, 1])
+    assert Partition(lam) is lam
+    assert type(StrictPartition(lam)) is StrictPartition
+    assert type(Partition(StrictPartition(lam))) is Partition
+
+
+def test_partition_order_is_sort_key_and_lt_gt_only():
+    one_one, two = Partition([1, 1]), Partition([2])
+    # by weight, then reverse lexicographic: (2) comes before (1, 1)
+    assert two < one_one and one_one > two
+    assert not one_one < two and not two > one_one
+    assert Partition([3]) > one_one
+    assert max(one_one, two) == one_one and min(one_one, two) == two
+    for a, b in ((one_one, two), (Partition([1]), StrictPartition([2]))):
+        for op in ("<=", ">="):
+            with pytest.raises(TypeError) as info:
+                eval(f"a {op} b")
+            assert str(info.value) == (f"'{op}' not supported between instances of "
+                                       f"'{type(a).__name__}' and '{type(b).__name__}'")
+    # no lexicographic order against a plain tuple either
+    for compare in (lambda: one_one <= (2,), lambda: one_one >= (2,),
+                    lambda: (2,) <= one_one, lambda: (2,) >= one_one):
+        with pytest.raises(TypeError):
+            compare()
+
+
+def test_bad_partition_input_messages_are_unchanged():
+    cases = [
+        (Partition, [2, -1], "partition parts must be positive: (2, -1)"),
+        (Partition, [0, 1], "partition parts must be positive: (0, 1)"),
+        (Partition, [3, 0, 1], "partition parts must be positive: (3, 0, 1)"),
+        (Partition, [1, 2, 0], "partition parts must be weakly decreasing: (1, 2)"),
+        (Partition, ["a"], "invalid literal for int() with base 10: 'a'"),
+        (StrictPartition, [1, 2], "partition parts must be weakly decreasing: (1, 2)"),
+        (StrictPartition, [2, 2, -1], "partition parts must be positive: (2, 2, -1)"),
+        (StrictPartition, [2, 2], "parts must be strictly decreasing: (2, 2)"),
+        (StrictPartition, [3, 1, 1, 0], "parts must be strictly decreasing: (3, 1, 1)"),
+        (StrictPartition, Partition([2, 2]), "parts must be strictly decreasing: (2, 2)"),
+    ]
+    for cls, parts, message in cases:
+        with pytest.raises(ValueError) as info:
+            cls(parts)
+        assert str(info.value) == message, (cls, parts)
+    with pytest.raises(TypeError, match="'int' object is not iterable"):
+        Partition(5)
+    assert repr(Partition([2, 1])) == "Partition([2, 1])"
+    assert repr(StrictPartition()) == "StrictPartition([])"
+
+
+def test_json_writer_refuses_a_bare_partition():
+    from schurcalc.cli import to_json
+
+    # to_json takes values of exactly its types, so a Partition, a tuple
+    # subtype, is refused; commands write list(lam)
+    for value in (Partition([2, 1]), StrictPartition([2, 1]), {"p": Partition([1])}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            to_json(value)
+    assert to_json({"partition": list(Partition([2, 1]))}) == '{"partition":[2,1]}'
+
+
+def test_a_tuple_and_a_partition_read_one_basis_product_entry():
+    from schurcalc.rings import GrassmannianRing, LagrangianRing
+
+    for ring, lam, mu in ((GrassmannianRing(2, 5), Partition([2, 1]), Partition([1])),
+                          (LagrangianRing(3), StrictPartition([2]), StrictPartition([1]))):
+        first = ring.basis_product(tuple(lam), tuple(mu))
+        assert len(ring.basis_products) == 1
+        again = ring.basis_product(lam, mu)
+        assert len(ring.basis_products) == 1
+        assert again == first and again is not first
+        assert again.coefficients is not first.coefficients
+        assert ring.basis_product(list(lam), mu) == first
+        assert len(ring.basis_products) == 1
+        # a one-shot iterable is read once, as its tuple: the product is
+        # right and enters under the index itself
+        assert ring.basis_product(iter(lam), iter(mu)) == first
+        assert len(ring.basis_products) == 1
+    assert GrassmannianRing(2, 4).basis_product(iter([1]), iter([1])) == \
+        GrassmannianRing(2, 4).basis_product(Partition([1]), Partition([1]))
