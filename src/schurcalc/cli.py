@@ -15,20 +15,18 @@ computing command loads neither argparse nor json.  Every other argv (help,
 abbreviations, `--opt=value`, `--`, usage errors) goes to the argparse
 parser that plaintext.build_parser makes from the same table, so help texts
 and usage errors stay argparse's own; plaintext also holds the --pretty
-renderer, and no other command loads it.  _run_command hands the gr and lg
-commands that build a ring (pairing, reduce, integrate) to ringcommands.py
-and every other command to commands.py, so each compiles only its side.
+renderer, and no other command loads it.  _run_command hands the expression
+commands (to-schur, certify, gr/lg reduce and integrate) to schureval.run,
+gr/lg pairing to rings.run and every other command to commands.py.
 
 The Pieri core (partitions, pieri), the Schur functions (schur), the
 rings and the grammar import the polynomial and Q-tilde layers only in the
-functions that build c-polynomials.  to-schur and certify evaluate their
-expression in the Schur basis, so lr loads cli, commands, partitions, pieri
-and schur, and to-schur and certify the grammar and schureval besides.
-gr/lg dual and lg restrict load schubert on the Pieri core and no ring
-class; pairing loads ringcommands, schubert and the rings instead of
-commands; only a q atom, a sum of terms of different degrees, a ring
-reduction or a table loads the polynomial layer.  README.md lists what
-every command loads.
+functions that build c-polynomials.  lr loads cli, commands, partitions,
+pieri and schur; to-schur and certify cli, the grammar, schureval and schur;
+gr/lg dual and lg restrict schubert on the Pieri core, pairing the rings too,
+and reduce and integrate ringcommands, the grammar and schureval besides.
+Only a q atom, input of mixed degrees or a table loads the polynomial layer.
+README.md lists what every command loads.
 
 run(), the entry point of `python -m schurcalc` and of the console script,
 ends the process with os._exit once main() has returned and stdout and
@@ -156,7 +154,7 @@ def to_json(value) -> str:
         return _json_string(value)
     if kind is dict:
         return "{" + ",".join([f"{_json_key(k)}:{to_json(v)}" for k, v in value.items()]) + "}"
-    if kind is list or kind is tuple:
+    if kind in (list, tuple):
         if all(type(v) is int for v in value):  # partitions and matrix rows
             return "[" + ",".join(map(repr, value)) + "]"
         return "[" + ",".join(map(to_json, value)) + "]"
@@ -189,9 +187,12 @@ def expansion_payload(expansion) -> dict:
     return {"degree": expansion.degree, "expansion": expansion.to_json()}
 
 
-def _run_command(args) -> int:
-    if args.command in ("gr", "lg") and args.action in ("pairing", "reduce", "integrate"):
-        from .ringcommands import run
+def _run_command(args):
+    action = getattr(args, "action", args.command)  # only gr and lg have actions
+    if action == "pairing":
+        from .rings import run
+    elif action in ("to-schur", "certify", "reduce", "integrate"):
+        from .schureval import run
     else:
         from .commands import run
     return run(args, args.pretty)

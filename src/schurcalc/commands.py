@@ -1,10 +1,12 @@
-"""The commands of the command line that build no ring.
+"""The commands of the command line that neither build a ring nor read an
+expression: lr, qtilde, schur-bundle, thom-verify, gr/lg dual and lg
+restrict.
 
-cli.py reads every command's argv and writes its JSON.  It hands the gr and
-lg commands that build a ring (pairing, reduce, integrate) to
-ringcommands.run and every other command to run here, so the ring commands
-compile none of this, and dual and restrict, which read only schubert.py,
-compile no ring class.
+cli.py reads every command's argv and writes its JSON.  It hands the
+expression commands (to-schur, certify, gr/lg reduce and integrate) to
+schureval.run, gr/lg pairing to rings.run, and every other command to run
+here, so none of those compiles this, and dual and restrict, which read
+only schubert.py, compile no ring class.
 """
 
 from .cli import emit, expansion_payload
@@ -12,17 +14,6 @@ from .cli import emit, expansion_payload
 
 def run(args, pretty: bool) -> int:
     command = args.command
-    if command == "to-schur":
-        emit(expansion_payload(_schur_input(args)), pretty)
-        return 0
-
-    if command == "certify":
-        from .positivity import schur_positivity
-
-        report = schur_positivity(_schur_input(args))
-        emit(report.to_json(), pretty)
-        return 0 if report.nonnegative else 1
-
     if command == "thom-verify":
         from .positivity import table_payload
 
@@ -78,14 +69,3 @@ def run(args, pretty: bool) -> int:
         emit({"strict_partition": list(mu)}, pretty)
     return 0
 
-
-def _schur_input(args):
-    """The Schur expansion of the expression of to-schur or certify, once its
-    length bound passes; evaluate_schur checks the expression's degrees
-    against the output budget before it evaluates."""
-    from .parsing import expression_text
-    from .schureval import evaluate_schur
-
-    if args.length_bound is not None and args.length_bound < 0:
-        raise ValueError(f"length bound must be nonnegative, got {args.length_bound}")
-    return evaluate_schur(expression_text(args, args.expr), args.length_bound)

@@ -14,8 +14,10 @@ position in the input.
 
 evaluate folds a syntax tree with the values an atom function gives its
 leaves: evaluate_text reads a c-polynomial, expression_reading the degrees
-and families that the tree alone shows.  The Schur-basis evaluation of
-to-schur and certify is in schureval.py.
+and families that the tree alone shows, which the commands check before
+they evaluate.  The evaluation on a basis, the Schur basis of to-schur and
+certify and the Schubert basis of a ring for gr/lg reduce and integrate, is
+in schureval.py.
 """
 
 import sys
@@ -316,10 +318,3 @@ def expression_reading(expr: Expression) -> _Reading:
     degree 0, c_k and c'_k degree k, v1 and v2 degree 1, s[lam] and q[mu]
     their weight."""
     return evaluate(expr, _reading_atom)
-
-
-def expression_degree(expr: Expression) -> int | None:
-    """Degree of the value of expr, from its syntax tree alone; None when
-    unknown.  A known degree is that of every term of the value."""
-    reading = expression_reading(expr)
-    return reading.lo if reading.lo == reading.hi else None

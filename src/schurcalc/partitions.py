@@ -79,17 +79,19 @@ class Partition(tuple):
         return list(self)
 
     def __lt__(self, other: "Partition") -> bool:
+        self.__le__(other)  # a TypeError unless other is a partition
         return self.sort_key() < other.sort_key()
 
     def __gt__(self, other: "Partition") -> bool:
+        self.__le__(other)
         return self.sort_key() > other.sort_key()
 
     def __le__(self, other):
-        """<= and >= raise TypeError, also against a plain tuple, which
-        would compare lexicographically."""
+        """<= and >= raise TypeError, and so do < and > against a plain tuple,
+        which would compare lexicographically, or anything but a partition."""
         if isinstance(other, Partition):
             return NotImplemented
-        raise TypeError(f"partitions are not ordered by <= or >=; got {type(other).__name__}")
+        raise TypeError(f"partitions compare only with partitions; got {type(other).__name__}")
 
     __ge__ = __le__
 

@@ -1,47 +1,66 @@
-"""The gr and lg commands that build a ring: pairing, reduce and integrate.
+"""gr/lg reduce and integrate: an expression evaluated in a ring.
 
-Only these commands load this module; cli.py hands every other command,
-gr/lg dual and lg restrict among them, to commands.run.
+Input homogeneous in the c family is evaluated on the ring's Schubert basis,
+with the atoms that README.md tabulates; any other as a c-polynomial.
 """
 
 from .cli import emit, expansion_payload
+from .parsing import Basis, Gen, Num, evaluate, expression_reading, expression_text, parse
+from .partitions import FAMILY_C, Partition, number_text
+from .pieri import Expansion
+from .rings import GrassmannianRing, LagrangianRing
+from .schureval import BasisValue, basis_atom
 
 
-def _pairing_payload(ring) -> dict:
-    ring.check_pairing_budget()
-    degrees = []
-    for d in range(ring.top_degree + 1):
-        rows, cols, matrix = ring.pairing_matrix(d)
-        degrees.append({
-            "degree": d,
-            "rows": [list(p) for p in rows],
-            "cols": [list(p) for p in cols],
-            "matrix": matrix,
-            "is_dual_permutation": ring.is_dual_permutation(rows, cols, matrix),
-        })
-    ok = all(block["is_dual_permutation"] for block in degrees)
-    return {"ring": ring.label, "degrees": degrees, "is_dual_permutation": ok}
+def _column(leaf: Gen | Basis) -> int:
+    """k when leaf is c_k, s[1^k] or q[k], which are one class; else 0."""
+    if isinstance(leaf, Gen):
+        return leaf.index
+    if leaf.kind == "s":
+        return len(leaf.parts) if leaf.parts[0] == 1 else 0
+    return leaf.parts[0] if len(leaf.parts) == 1 else 0
+
+
+def _ring_atom(ring, basis: tuple):
+    gr = isinstance(ring, GrassmannianRing)
+
+    def atom(leaf):
+        k = 0 if isinstance(leaf, Num) else _column(leaf)
+        if k or isinstance(leaf, Num) or gr and leaf.kind == "q":
+            # a number, c_k, or the c-monomials of Q-tilde, which Gr's fold cuts
+            return basis_atom(Gen(FAMILY_C, k) if k else leaf, basis) if k <= ring.rank \
+                else BasisValue({}, basis)
+        parts = leaf.parts
+        if leaf.kind == "q":
+            terms = {parts: 1} if parts[0] <= ring.n else {}
+        elif not Partition(parts).fits_rectangle(*(ring.bound if gr else (ring.n, ring.n))):
+            terms = {}
+        else:
+            terms = {parts: 1} if gr else ring.restrict(parts).coefficients
+        return BasisValue({(lam, ()): c for lam, c in terms.items()}, basis)
+
+    return atom
 
 
 def run(args, pretty: bool) -> int:
-    from .rings import GrassmannianRing, LagrangianRing
-
     ring = GrassmannianRing(args.r, args.n) if args.command == "gr" else LagrangianRing(args.n)
-    if args.action == "pairing":
-        emit(_pairing_payload(ring), pretty)
-        return 0
-    # the degree read from the syntax tree rejects a class above the top
-    # degree before any evaluation, and is the degree of a zero value;
-    # evaluate_text parses again (linear in the text) so that evaluation
-    # stays one function for schurbench's tracer
-    from .parsing import evaluate_text, expression_degree, expression_text, parse
-
-    text = expression_text(args, args.arg)
-    degree = ring.check_degree(expression_degree(parse(text)))
-    expansion = ring.reduce_tautological(evaluate_text(text), degree)
+    expr = parse(expression_text(args, args.arg))
+    reading = expression_reading(expr)
+    # the degree read from the syntax tree is also the degree of a zero value
+    degree = ring.check_degree(reading.lo if reading.lo == reading.hi else None)
+    if degree is not None and reading.families <= {FAMILY_C}:
+        # products are table reads of basis_product, and none with 1
+        basis = (ring.step, ring.bound, lambda lam, mu: ((lam or mu, 1),) if not (lam and mu)
+                 else ring.basis_product(lam, mu).coefficients.items())
+        expansion = Expansion(evaluate(expr, _ring_atom(ring, basis)).expanded(), degree, ring.key)
+    else:
+        # c_k above the rank is 0 in the ring; a p that this kills keeps its degree
+        p = evaluate(expr)
+        q = p.truncated(FAMILY_C, ring.rank)
+        if p.terms and not q.terms:
+            degree = p.homogeneous_degree() if p.is_homogeneous() else None
+        expansion = ring.reduce(q, degree)
     if args.action == "integrate":
-        from .partitions import number_text
-
         emit({"ring": ring.label, "value": number_text(ring.integrate(expansion))}, pretty)
     else:
         emit({"ring": ring.label, **expansion_payload(expansion)}, pretty)

@@ -32,9 +32,9 @@ its memo of restrictions is shared by every LG(n) of one n.  Reduction,
 products and pairings read only the Pieri core.  The Q-tilde and
 Schur-function layers are imported by basis_polynomial when it runs, so a
 pairing command never loads them or the polynomial layer, and no warm call
-of reduce, reduce_tautological, integrate, basis_product or restrict runs
-an import statement.  Every ring call returns a new expansion, which its
-caller may change.
+of reduce, integrate, basis_product or restrict runs an import statement.
+Every ring call returns a new expansion, which its caller may change.  run
+is the pairing command, so that it compiles no expression code.
 """
 
 from functools import cached_property
@@ -153,20 +153,6 @@ class SchubertRing:
             raise ValueError(f"degree {d} exceeds the top degree {self.top_degree} "
                              f"of {self.label}")
         return d
-
-    def reduce_tautological(self, p: "CPolynomial", degree: int | None = None) -> Expansion:
-        """Reduce p read in the Chern classes of the tautological subbundle.
-
-        c_k with k above the rank is zero there; when that kills p, the zero
-        class keeps the degree p had.  degree is the degree of a zero p.
-        One pass of CPolynomial.truncated drops those monomials, and reduce
-        reads the degrees of the rest, so p's own degrees are read only when
-        none is left.
-        """
-        q = p.truncated(FAMILY_C, self.rank)
-        if p.terms and not q.terms:
-            degree = p.homogeneous_degree() if p.is_homogeneous() else None
-        return self.reduce(q, degree=degree)
 
     def reduce(self, p: "CPolynomial", degree: int | None = None) -> Expansion:
         """Basis expansion of the class of p, by the Pieri build of its
@@ -398,3 +384,20 @@ class LagrangianRing(SchubertRing):
 
     # the pullback of X^lam along LG(V) in G_n(V)
     restrict = restrict
+
+
+def run(args, pretty: bool) -> int:
+    """gr/lg pairing: each degree's matrix, and whether it is the duality."""
+    from .cli import emit
+
+    ring = GrassmannianRing(args.r, args.n) if args.command == "gr" else LagrangianRing(args.n)
+    ring.check_pairing_budget()
+    degrees = []
+    for d in range(ring.top_degree + 1):
+        rows, cols, matrix = ring.pairing_matrix(d)
+        degrees.append({"degree": d, "rows": [list(p) for p in rows],
+                        "cols": [list(p) for p in cols], "matrix": matrix,
+                        "is_dual_permutation": ring.is_dual_permutation(rows, cols, matrix)})
+    ok = all(block["is_dual_permutation"] for block in degrees)
+    emit({"ring": ring.label, "degrees": degrees, "is_dual_permutation": ok}, pretty)
+    return 0

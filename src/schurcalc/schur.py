@@ -5,8 +5,8 @@ Everything here runs on the Pieri core of pieri.py.  With the dual Pieri
 step (c_k = s_(1^k) adds vertical k-strips), to_schur folds each c-monomial
 from 1 and schur_dual_jt builds s_lam on c-monomials by column peels.
 pair_product multiplies two Schur classes, for lr_multiply and for the
-Schur-basis evaluation of schureval.py.  The ring commands need none of
-this, so they do not load it.
+Schur-basis evaluation of schureval.py.  A ring command loads this module
+only for an s atom that it reads as a c-polynomial.
 
 The polynomial layer is imported by the functions that build c-polynomials
 (schur_dual_jt, from_schur) when they run, so lr, which builds none, never

@@ -1,101 +1,108 @@
-"""Expressions evaluated in the Schur basis: the input of to-schur and certify.
+"""Expressions evaluated on a basis: the syntax tree folded with BasisValue.
 
-The grammar's syntax tree is folded with Schur expansions as its values,
-and every product is a Pieri build, so no c-polynomial is built unless the
-expression has a q atom or terms of different degrees.  Only to-schur and
-certify load this module; the ring commands read their expressions as
-c-polynomials through parsing.evaluate_text.
+A basis is (step, bound, product): its Pieri step c_k . b_lam, that step's
+bound, and the product of two classes as (kappa, m) pairs; to-schur and
+certify use the Schur basis, gr/lg reduce and integrate a ring's.  Only a q
+atom or mixed degrees build a c-polynomial, and only evaluate_schur imports
+the Schur functions.
 """
 
-from .partitions import Partition, check_term_budget
-from .parsing import Gen, Num, evaluate, expression_reading, parse
-from .schur import check_schur_families, pair_product, schur_expansion, to_schur
+from .parsing import Gen, Num, evaluate, expression_reading, expression_text, parse
+from .partitions import TERM_DEGREE, check_term_budget
+from .pieri import OPEN, monomial_fold, vertical_strips
 
 
-def schur_product(a: dict[tuple[int, ...], int],
-                  b: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """Coefficients of (sum a_lam s_lam) . (sum b_mu s_mu) on tuples of parts."""
-    out: dict[tuple[int, ...], int] = {}
-    for lam, x in a.items():
-        for mu, y in b.items():
-            for kappa, m in pair_product(lam, mu):
-                out[kappa] = out.get(kappa, 0) + x * y * m
-    return {kappa: c for kappa, c in out.items() if c}
+class BasisValue:
+    """Evaluator value: terms maps (lam, mono) to nonzero ints, for b_lam times
+    the c-monomial mono (((family, k), e) pairs as in a CPolynomial), folded
+    only at the end, so sums cancel and powers of c-monomials stay exponents."""
 
+    __slots__ = ("terms", "basis")
 
-class _SchurValue:
-    """Evaluator value in the Schur basis: terms maps tuples of parts to
-    nonzero ints, and columns holds the indices k of c_k factors not yet
-    applied.  A product with c-monomials only joins their columns; a sum and
-    the end of the evaluation apply them, each as one vertical strip step
-    per term."""
-
-    __slots__ = ("terms", "columns")
-
-    def __init__(self, terms: dict, columns: tuple = ()):
+    def __init__(self, terms: dict, basis: tuple):
         self.terms = terms
-        self.columns = columns if terms else ()
+        self.basis = basis
 
     def expanded(self) -> dict:
-        terms = self.terms
-        for k in self.columns:
-            terms = schur_product(terms, {(1,) * k: 1})
-        return terms
+        """Each c-monomial folded from 1, and a Pieri step a factor on its classes."""
+        step, bound, _ = self.basis
+        scaled = []
+        for mono in {mono for _, mono in self.terms}:
+            terms = {lam: c for (lam, m), c in self.terms.items() if m == mono}
+            scaled.append((terms.pop((), 0), monomial_fold(mono, step, bound).items()))
+            for g, e in mono:
+                for _ in range(e):
+                    terms = _sum((c, step(lam, g[1], bound)) for lam, c in terms.items())
+            scaled.append((1, terms.items()))
+        return _sum(scaled)
 
-    def __add__(self, other: "_SchurValue") -> "_SchurValue":
-        terms = dict(self.expanded())
-        for lam, c in other.expanded().items():
-            terms[lam] = terms.get(lam, 0) + c
-        return _SchurValue({lam: c for lam, c in terms.items() if c})
+    def __add__(self, other: "BasisValue", sign: int = 1) -> "BasisValue":
+        return BasisValue(_sum(((1, self.terms.items()), (sign, other.terms.items()))), self.basis)
 
-    def __sub__(self, other: "_SchurValue") -> "_SchurValue":
-        return self + _SchurValue({(): -1}) * other
+    def __sub__(self, other: "BasisValue") -> "BasisValue":
+        return self.__add__(other, -1)
 
-    def __mul__(self, other: "_SchurValue") -> "_SchurValue":
-        return _SchurValue(schur_product(self.terms, other.terms), self.columns + other.columns)
+    def __mul__(self, other: "BasisValue") -> "BasisValue":
+        product, out = self.basis[2], {}
+        for (lam, a), x in self.terms.items():
+            for (mu, b), y in other.terms.items():
+                mono = tuple(sorted(_sum(((1, a), (1, b))).items())) if a and b else a or b
+                for kappa, m in product(lam, mu):
+                    key = kappa, mono
+                    out[key] = out.get(key, 0) + x * y * m
+        return BasisValue({key: c for key, c in out.items() if c}, self.basis)
 
-    def __pow__(self, e: int) -> "_SchurValue":
-        if not self.columns and set(self.terms) <= {()}:
-            # a scalar, whose exponent the budget does not bound: one integer power
-            scalar = self.terms.get((), 0) ** e
-            return _SchurValue({(): scalar} if scalar else {})
-        # the highest degree of every subexpression is within the budget, so
-        # a value of positive degree has e <= 40
-        out = _SchurValue({(): 1})
+    def __pow__(self, e: int) -> "BasisValue":
+        (lam, mono), c = next(iter(self.terms.items()), (((), ()), 0))
+        if e and not lam and len(self.terms) == 1:  # c times a c-monomial
+            return BasisValue({((), tuple((g, n * e) for g, n in mono)): c ** e}, self.basis)
+        # e products: by its classes if its degree is within the output budget
+        base = self
+        if e and sum(lam) + sum(g[1] * n for g, n in mono) <= TERM_DEGREE:
+            base = BasisValue({(k, ()): c for k, c in self.expanded().items()}, self.basis)
+        out = BasisValue({((), ()): 1}, self.basis)
         for _ in range(e):
-            out = out * self
+            out = out * base
+            if not out.terms:
+                break
         return out
 
 
-def _schur_atom(expr: "Num | Gen | Basis") -> _SchurValue:
-    """c_k and c'_k are s_(1^k) and s[lam] is s_lam; q[mu] is the Schur
-    expansion of its Q-tilde polynomial, so only an expression with a q atom
-    loads the polynomial layer.  The families are checked before evaluation,
-    so no v atom comes here."""
+def _sum(scaled) -> dict:
+    """sum c . m . key over (c, pairs) in scaled and (key, m) in pairs, but 0."""
+    out = {}
+    for c, pairs in scaled:
+        for key, m in pairs:
+            out[key] = out.get(key, 0) + c * m
+    return {key: c for key, c in out.items() if c}
+
+
+def basis_atom(expr: "Num | Gen | Basis", basis: tuple) -> BasisValue:
+    """A leaf as a class: s[lam] is s_lam, c_k and c'_k c-monomials, and q[mu]
+    those of its Q-tilde polynomial, which loads the polynomial layer.  The
+    families are checked before evaluation, so no v atom comes here."""
     if isinstance(expr, Num):
-        return _SchurValue({(): expr.value} if expr.value else {})
+        return BasisValue({((), ()): expr.value} if expr.value else {}, basis)
     if isinstance(expr, Gen):
-        return _SchurValue({(): 1}, (expr.index,))
+        return BasisValue({((), (((expr.family, expr.index), 1),)): 1}, basis)
     if expr.kind == "s":
-        return _SchurValue({expr.parts: 1})
+        return BasisValue({(expr.parts, ()): 1}, basis)
     from .qtilde import qtilde
 
-    expansion = to_schur(qtilde(Partition(expr.parts)))
-    return _SchurValue({lam.parts: c for lam, c in expansion.items()})
+    return BasisValue({((), mono): c for mono, c in qtilde(expr.parts).terms.items()}, basis)
 
 
 def evaluate_schur(text: str, length_bound: int | None = None) -> "Expansion":
     """The Schur expansion of an expression, with the messages of to_schur.
 
-    The syntax tree is read first: the highest degree of the expression,
-    then that of every subexpression, must pass the output budget, and the
-    generator families it names must be one c-type family.  An expression
-    whose terms all have one degree is evaluated in the Schur basis.  One
-    whose terms differ in degree may be inhomogeneous, which its
-    c-polynomial shows before any expansion, so it is folded from that as
-    to_schur does.  The value must lie on partitions of at most length_bound
-    parts, when one is given.
+    The syntax tree's highest degree, then that of every subexpression, must
+    pass the output budget, and it must name one c-type family.  Terms of one
+    degree are evaluated in the Schur basis, others as a c-polynomial, which
+    shows an inhomogeneous value at once; the value must lie on partitions of
+    at most length_bound parts, when one is given.
     """
+    from .schur import check_schur_families, pair_product, schur_expansion, to_schur
+
     expr = parse(text)
     reading = expression_reading(expr)
     check_term_budget(reading.hi)
@@ -103,4 +110,27 @@ def evaluate_schur(text: str, length_bound: int | None = None) -> "Expansion":
     check_schur_families(reading.families)
     if reading.lo != reading.hi:
         return to_schur(evaluate(expr), length_bound)
-    return schur_expansion(evaluate(expr, _schur_atom).expanded(), length_bound)
+    basis = (vertical_strips, OPEN, pair_product)
+    return schur_expansion(evaluate(expr, lambda leaf: basis_atom(leaf, basis)).expanded(),
+                           length_bound)
+
+
+def run(args, pretty: bool) -> int:
+    """to-schur, certify (exit 1 unless nonnegative), gr/lg reduce, integrate."""
+    if args.command in ("gr", "lg"):
+        from .ringcommands import run as ring_run
+
+        return ring_run(args, pretty)
+    from .cli import emit, expansion_payload
+
+    if args.length_bound is not None and args.length_bound < 0:
+        raise ValueError(f"length bound must be nonnegative, got {args.length_bound}")
+    expansion = evaluate_schur(expression_text(args, args.expr), args.length_bound)
+    if args.command == "to-schur":
+        emit(expansion_payload(expansion), pretty)
+        return 0
+    from .positivity import schur_positivity
+
+    report = schur_positivity(expansion)
+    emit(report.to_json(), pretty)
+    return 0 if report.nonnegative else 1

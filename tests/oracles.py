@@ -22,6 +22,10 @@ reference identity that no schurcalc command needs.
 * H*(LG(n)) reduction by solving the degree slice of the presentation
   exactly with schurcalc.linalg, and the degreewise dimension identity
   that certifies the presentation.
+* Ring expressions by the c-polynomial route: the expression's
+  c-polynomial truncated to the rank and reduced by the ring, which the
+  gr/lg reduce and integrate commands took before they evaluated
+  homogeneous input on the ring's Schubert basis.
 * Whole-ring and whole-expansion checks that no command runs: a ring's
   whole basis, the whole-ring pairing check, and nonnegativity of an
   expansion.
@@ -538,6 +542,30 @@ def dimension_identity(ring: LagrangianRing, d: int) -> dict[str, int]:
     else:
         rank = 0
     return {"monomials": len(monos), "basis": len(ring.basis(d)), "ideal_rank": rank}
+
+
+# -- ring expressions by the c-polynomial route ---------------------------------
+
+
+def reduce_tautological(ring, p: CPolynomial, degree: int | None = None) -> Expansion:
+    """p read in the Chern classes of the tautological subbundle, reduced by
+    the ring: c_k above the rank is zero there, so p is truncated first, and
+    when that kills p the zero class keeps the degree p had.  degree is the
+    degree of a zero p."""
+    q = truncate_family(p, FAMILY_C, ring.rank)
+    if p.terms and not q.terms:
+        degree = p.homogeneous_degree() if p.is_homogeneous() else None
+    return ring.reduce(q, degree=degree)
+
+
+def ring_expression_oracle(ring, text: str) -> Expansion:
+    """The class of an expression in the ring by the c-polynomial route: the
+    degree the syntax tree shows (none for terms of different degrees) is
+    checked against the top degree first, and is the degree of a zero
+    value; then the expression's c-polynomial goes to reduce_tautological."""
+    reading = parsing.expression_reading(parsing.parse(text))
+    degree = ring.check_degree(reading.lo if reading.lo == reading.hi else None)
+    return reduce_tautological(ring, parsing.evaluate_text(text), degree)
 
 
 # -- whole-ring and whole-expansion checks ---------------------------------------

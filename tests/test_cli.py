@@ -316,52 +316,58 @@ def _cold_tokens(*argv):
 # the Pieri core: partitions, expansions, steps, peels and the build
 _PIERI = {"partitions", "pieri"}
 _BUILD = {"polynomial"} | _PIERI
-# the commands that build no ring, and those that do
+# the commands that neither build a ring nor read an expression, the
+# pairing, which reads nothing but its ring, and the expression commands,
+# which schureval runs: to-schur and certify on the Schur basis, gr/lg
+# reduce and integrate on the ring's basis through ringcommands
 _COMMAND = {"cli", "commands"}
-_RING = {"cli", "ringcommands", "rings", "schubert"} | _PIERI
+_RING = {"cli", "rings", "schubert"} | _PIERI
 # records holds the base of the syntax-tree nodes and of the reports
 _GRAMMAR = {"parsing", "records"} | _PIERI
-_SCHUR_INPUT = {"schur", "schureval"} | _COMMAND | _GRAMMAR
+_RING_INPUT = {"ringcommands", "schureval"} | _RING | _GRAMMAR
+_SCHUR_INPUT = {"cli", "schur", "schureval"} | _GRAMMAR
 _POSITIVITY = {"positivity", "records"} | _COMMAND
 
 # per command, exactly the schurcalc submodules it loads and the most code
-# tokens they may hold (see _cold_tokens): the grammar only where an
-# expression is read, schureval only for to-schur and certify, legendrian
-# only for the Legendrian tables, the polynomial layer only where a
-# c-polynomial is built (a ring reduction, the classical table, a q atom,
-# a sum whose terms differ in degree) and qtilde only for q, schur only where
-# Schur functions are computed, plaintext only for help, --pretty and argv
-# outside the canonical form, ringcommands and rings only for the gr/lg
-# commands that build a ring, schubert only for gr and lg, bundles only
-# for schur-bundle
+# tokens they may hold (see _cold_tokens): the grammar and the basis
+# evaluator schureval only where an expression is read, legendrian only for
+# the Legendrian tables, the polynomial layer only where a c-polynomial is
+# built (the classical table, a q atom outside LG(n), a sum whose terms
+# differ in degree) and qtilde only for q, schur only where Schur functions
+# are computed, plaintext only for help, --pretty and argv outside the
+# canonical form, commands only for the commands that read no expression
+# and build no ring, rings only for the gr/lg commands that build a ring
+# and ringcommands only for reduce and integrate, schubert only for gr and
+# lg, bundles only for schur-bundle
 _COLD_LOADS = [
     ((), set(), 400),
     (("--help",), {"cli", "plaintext"}, 2200),
     (("lr", "2,1", "1"), {"schur"} | _COMMAND | _PIERI, 4700),
-    (("--pretty", "lr", "2,1", "1"), {"plaintext", "schur"} | _COMMAND | _PIERI, 5400),
-    (("lr", "--", "2,1", "1"), {"plaintext", "schur"} | _COMMAND | _PIERI, 5400),
-    (("qtilde", "2,1"), {"partitions", "polynomial", "qtilde"} | _COMMAND, 4600),
+    (("--pretty", "lr", "2,1", "1"), {"plaintext", "schur"} | _COMMAND | _PIERI, 5300),
+    (("lr", "--", "2,1", "1"), {"plaintext", "schur"} | _COMMAND | _PIERI, 5300),
+    (("qtilde", "2,1"), {"partitions", "polynomial", "qtilde"} | _COMMAND, 4500),
     (("schur-bundle", "--rank", "2", "--functor", "1", "--class", "1"),
-     {"bundles", "schur"} | _COMMAND | _BUILD, 7400),
-    (("to-schur", "c1^2"), _SCHUR_INPUT, 7500),
-    (("to-schur", "s[3,1]*c2 - 2*c1^6"), _SCHUR_INPUT, 7500),
+     {"bundles", "schur"} | _COMMAND | _BUILD, 7300),
+    (("to-schur", "c1^2"), _SCHUR_INPUT, 7400),
+    (("to-schur", "s[3,1]*c2 - 2*c1^6"), _SCHUR_INPUT, 7400),
     (("to-schur", "q[2,1]*c1"), {"polynomial", "qtilde"} | _SCHUR_INPUT, 9200),
-    (("certify", "c1^2"), _POSITIVITY | _SCHUR_INPUT, 8200),
-    (("certify", "c1 - c1 + c2"), _POSITIVITY | _SCHUR_INPUT | {"polynomial"}, 9700),
-    (("gr", "--r", "2", "--n", "4", "pairing"), _RING, 6700),
-    (("lg", "--n", "3", "pairing"), _RING, 6700),
+    (("certify", "c1^2"), {"positivity"} | _SCHUR_INPUT, 8200),
+    (("certify", "c1 - c1 + c2"), {"positivity", "polynomial"} | _SCHUR_INPUT, 9600),
+    (("gr", "--r", "2", "--n", "4", "pairing"), _RING, 6600),
+    (("lg", "--n", "3", "pairing"), _RING, 6600),
     (("gr", "--r", "2", "--n", "4", "dual", "1"), {"schubert"} | _COMMAND | _PIERI, 4700),
     (("lg", "--n", "3", "dual", "1"), {"schubert"} | _COMMAND | _PIERI, 4700),
     (("lg", "--n", "5", "restrict", "3,2,1"), {"schubert"} | _COMMAND | _PIERI, 4700),
-    (("gr", "--r", "2", "--n", "4", "reduce", "c1^2"), _RING | _GRAMMAR | {"polynomial"}, 10300),
-    (("gr", "--r", "2", "--n", "7", "integrate", "s[5,4]*s[1]"),
-     _RING | _GRAMMAR | {"polynomial", "schur"}, 10900),
-    (("lg", "--n", "3", "integrate", "q[2,1]*c3"),
-     _RING | _GRAMMAR | {"polynomial", "qtilde"}, 10600),
+    (("gr", "--r", "2", "--n", "4", "reduce", "c1^2"), _RING_INPUT, 10300),
+    (("gr", "--r", "2", "--n", "7", "integrate", "s[5,4]*s[1]"), _RING_INPUT, 10300),
+    (("lg", "--n", "3", "integrate", "q[2,1]*c3"), _RING_INPUT, 10300),
+    (("gr", "--r", "2", "--n", "4", "integrate", "q[2,1]*c1"),
+     _RING_INPUT | {"polynomial", "qtilde"}, 12100),
+    (("gr", "--r", "2", "--n", "4", "reduce", "c1 + c2 - c2"), _RING_INPUT | {"polynomial"}, 11800),
     (("thom-verify", "--table", "classical"),
-     {"polynomial", "schur"} | _POSITIVITY | _GRAMMAR, 9000),
-    (("thom-verify", "--table", "lagrangian"), {"legendrian"} | _POSITIVITY | _GRAMMAR, 8000),
-    (("thom-verify", "--table", "legendrian"), {"legendrian"} | _POSITIVITY | _GRAMMAR, 8000),
+     {"polynomial", "schur"} | _POSITIVITY | _GRAMMAR, 8900),
+    (("thom-verify", "--table", "lagrangian"), {"legendrian"} | _POSITIVITY | _GRAMMAR, 7900),
+    (("thom-verify", "--table", "legendrian"), {"legendrian"} | _POSITIVITY | _GRAMMAR, 7900),
 ]
 
 
@@ -420,24 +426,25 @@ def test_the_pieri_layer_loads_no_polynomial_code():
     assert {"schurcalc.rings", "schurcalc.schubert", "schurcalc.pieri",
             "schurcalc.partitions"} <= loaded
     assert not {"schurcalc.polynomial", "schurcalc.qtilde", "schurcalc.schur"} & loaded
+    # the basis evaluator imports the Schur functions only where they run
     loaded = _python_s_imports("-c", "import schurcalc.rings, schurcalc.schureval, "
                                      "schurcalc.positivity")
-    assert {"schurcalc.schur", "schurcalc.parsing", "schurcalc.positivity"} <= loaded
-    assert not {"schurcalc.polynomial", "schurcalc.qtilde"} & loaded
+    assert {"schurcalc.schureval", "schurcalc.parsing", "schurcalc.positivity"} <= loaded
+    assert not {"schurcalc.polynomial", "schurcalc.qtilde", "schurcalc.schur"} & loaded
 
 
 def test_only_the_c_polynomial_builders_import_when_called():
-    # so no warm reduce, reduce_tautological, integrate, basis_product or
-    # restrict runs an import statement, which costs about 2 us, an eighth
-    # of a warm reduce
+    # so no warm reduce, integrate, basis_product or restrict runs an import
+    # statement, which costs about 2 us, an eighth of a warm reduce
     # (positivity.certify loads the Schur layer, and table_payload the
-    # Legendrian tables, for thom-verify)
+    # Legendrian tables, for thom-verify; evaluate_schur the Schur layer, and
+    # the commands schureval.run and rings.run, the pairing, what they run)
     from schurcalc import parsing, pieri, positivity, rings, schubert, schur, schureval
 
     builders = {schur: {"schur_dual_jt", "from_schur"},
-                rings: {"basis_polynomial"},
+                rings: {"basis_polynomial", "run"},
                 parsing: {"_polynomial_atom"},
-                schureval: {"_schur_atom"},
+                schureval: {"basis_atom", "evaluate_schur", "run"},
                 positivity: {"certify", "_entry_polynomial", "table_payload"},
                 pieri: set(), schubert: set()}
     for module, names in builders.items():
@@ -566,9 +573,14 @@ def test_degree_above_top_fails_before_evaluation(capsys):
     assert (code, payload) == (0, {"ring": "Gr(2,4)", "degree": 2, "expansion": []})
     code, payload = run_json(capsys, "gr", "--r", "2", "--n", "4", "integrate", "c1^4-c1^4")
     assert (code, payload) == (0, {"ring": "Gr(2,4)", "value": "0"})
-    # an unknown degree still takes the evaluated polynomial's checks
+    # an unknown degree still takes the evaluated polynomial's checks, and a
+    # polynomial that c_k above the rank kills keeps its own degree
     code, out, err = run_cli("gr", "--r", "2", "--n", "4", "reduce", "c1 + c2")
     assert (code, err) == (2, b"error: polynomial is not homogeneous (degrees [1, 2])\n")
+    code, out, err = run_cli("gr", "--r", "2", "--n", "4", "integrate", "c1^5+c1^4")
+    assert (code, err) == (2, b"error: polynomial is not homogeneous (degrees [4, 5])\n")
+    code, payload = run_json(capsys, "gr", "--r", "2", "--n", "4", "reduce", "c3+c1-c1")
+    assert (code, payload) == (0, {"ring": "Gr(2,4)", "degree": 3, "expansion": []})
 
 
 def test_deep_nesting_is_a_parse_error():
@@ -652,7 +664,8 @@ def test_output_budget_rejects_before_evaluation(capsys):
     # p(60) = 966467 terms: c1^60 grew to gigabytes before the budget
     for argv, degree in ((["to-schur", "c1^60"], 60), (["certify", "c1^100000000"], 100000000),
                          (["to-schur", "s[400]"], 400), (["to-schur", "q[400]"], 400),
-                         (["gr", "--r", "20", "--n", "40", "reduce", "s[400]"], 400),
+                         # restrict builds s[lam] of LG(n) within the budget
+                         (["lg", "--n", "10", "reduce", "s[10,10,10,10,10]"], 50),
                          # the builders of s_lam and Q_mu check their own weight
                          (["lr", "41", "41"], 41),
                          (["qtilde", "12,11,10,9,8,7,6,5,4,3,2,1"], 78),
@@ -668,6 +681,26 @@ def test_output_budget_rejects_before_evaluation(capsys):
     code, payload = run_json(capsys, "gr", "--r", "6", "--n", "14", "integrate", "c1^48")
     hooks = prod(13 - i - j for i in range(6) for j in range(8))
     assert (code, payload) == (0, {"ring": "Gr(6,14)", "value": str(factorial(48) // hooks)})
+
+
+def test_ring_commands_read_basis_atoms_as_schubert_classes(capsys):
+    # an s or q atom is a Schubert class of the ring, not a c-polynomial of
+    # p(d) terms: point classes and products of heavy classes past the
+    # output budget print their value, and s[2]^3000 is 3000 products of
+    # one class
+    for argv in (["gr", "--r", "2", "--n", "30", "integrate", "s[28]*s[28]"],
+                 ["gr", "--r", "2", "--n", "24", "integrate", "s[22,22]"],
+                 ["gr", "--r", "5", "--n", "14", "integrate", "s[9,9,9,9,9]"],
+                 ["gr", "--r", "1", "--n", "50", "integrate", "s[49]"],
+                 ["lg", "--n", "9", "integrate", "q[9,8,7,6,5,4,3,2,1]"],
+                 ["gr", "--r", "1", "--n", "6001", "integrate", "s[2]^3000"]):
+        code, payload = run_json(capsys, *argv)
+        assert (code, payload["value"]) == (0, "1"), argv
+    # a class outside its box is 0, and keeps its degree
+    code, payload = run_json(capsys, "gr", "--r", "20", "--n", "40", "reduce", "s[400]")
+    assert (code, payload) == (0, {"ring": "Gr(20,40)", "degree": 400, "expansion": []})
+    code, payload = run_json(capsys, "lg", "--n", "3", "reduce", "s[4]*c1 + q[4,1]")
+    assert (code, payload) == (0, {"ring": "LG(3)", "degree": 5, "expansion": []})
 
 
 def _limit_address_space():
@@ -724,6 +757,10 @@ def test_fold_budget_rejects_huge_exponents_at_once():
                               timeout=30, preexec_fn=_limit_address_space)
         err = f"error: a monomial of {factors} factors exceeds the fold budget of 5000 factors\n"
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err.encode()), argv
+    # a power of c_k keeps its exponent until the fold, so a zero multiple
+    # of one is never folded
+    code, out, err = run_cli("gr", "--r", "2", "--n", "100000000", "integrate", "0*c1^199999996")
+    assert (code, out, err) == (0, b'{"ring":"Gr(2,100000000)","value":"0"}\n', b"")
     # the budget itself is admitted: c1^5000 in P^5000 folds in about 0.6 s
     code, out, err = run_cli("gr", "--r", "1", "--n", "5001", "integrate", "c1^5000")
     assert (code, out, err) == (0, b'{"ring":"Gr(1,5001)","value":"1"}\n', b"")

@@ -11,7 +11,7 @@ from schurcalc.parsing import (
     Prod,
     Sum,
     evaluate_text,
-    expression_degree,
+    expression_reading,
     parse,
 )
 from schurcalc.partitions import Partition
@@ -103,22 +103,25 @@ def test_nesting_limit():
 
 
 def test_expression_degree():
+    # the degrees the syntax tree shows: lo == hi is the degree of every
+    # term of the value, which a ring command reads before evaluation
     known = {"7": 0, "c3": 3, "s[2,1]": 3, "q[3,1]": 4, "c1^4 - c2*c1^2": 4,
-             "2*(c1 + c2 - c2)^3": None, "c1^0": 0, "0*s[25]": 25,
-             "(c1^2 + c2)*s[1]*q[2]": 5, "c1^2 - c1^2": 2,
+             "c1^0": 0, "0*s[25]": 25, "(c1^2 + c2)*s[1]*q[2]": 5, "c1^2 - c1^2": 2,
              "c'1": 1, "v1*q[1]": 2, "v2^0": 0, "c1*c'1^2": 3,
              # any base to the power 0 is 1, of degree 0
              "(c1 + 1)^0": 0, "2*(c1 + c2)^0*c3": 3}
-    unknown = ["c1 + c2", "1 + c1"]
+    spread = {"c1 + c2": (1, 2), "1 + c1": (0, 1), "2*(c1 + c2 - c2)^3": (3, 6)}
     for text, degree in known.items():
-        assert expression_degree(parse(text)) == degree, text
-    for text in unknown:
-        assert expression_degree(parse(text)) is None, text
+        reading = expression_reading(parse(text))
+        assert (reading.lo, reading.hi) == (degree, degree), text
+    for text, degrees in spread.items():
+        reading = expression_reading(parse(text))
+        assert (reading.lo, reading.hi) == degrees, text
     # a known degree is the degree of every term of the value
     for text in ["c1^4 - c2*c1^2", "(c1^2 + c2)*s[1]*q[2]", "3*s[3,1] - q[2,1]*c1",
                  "c1*c'1^2 - c'3", "v1*v2 + v1^2"]:
         value = evaluate_text(text)
-        assert value.homogeneous_degree() == expression_degree(parse(text)), text
+        assert value.homogeneous_degree() == expression_reading(parse(text)).hi, text
 
 
 def test_basis_atoms_are_held_to_the_output_budget():

@@ -217,10 +217,14 @@ def test_partition_order_is_sort_key_and_lt_gt_only():
                 eval(f"a {op} b")
             assert str(info.value) == (f"'{op}' not supported between instances of "
                                        f"'{type(a).__name__}' and '{type(b).__name__}'")
-    # no lexicographic order against a plain tuple either
+    # no lexicographic order against a plain tuple either, by any of the four
     for compare in (lambda: one_one <= (2,), lambda: one_one >= (2,),
-                    lambda: (2,) <= one_one, lambda: (2,) >= one_one):
-        with pytest.raises(TypeError):
+                    lambda: (2,) <= one_one, lambda: (2,) >= one_one,
+                    lambda: sorted([Partition([3]), (2, 1)]), lambda: Partition([3]) < (2, 1),
+                    lambda: (2, 1) < Partition([3]), lambda: Partition([3]) > (2, 1),
+                    lambda: (2, 1) > Partition([3])):
+        with pytest.raises(TypeError, match="^partitions compare only with partitions; "
+                                            "got tuple$"):
             compare()
 
 

@@ -4,11 +4,15 @@ random expressions of the grammar.
 Examples are derandomized, so every run checks the same inputs.
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurcalc import partitions, pieri, rings, schubert, schur
 from schurcalc import qtilde as qtilde_module
+from schurcalc.cli import expansion_payload, main, to_json
 from schurcalc.parsing import evaluate_text
 from schurcalc.partitions import StrictPartition
 from schurcalc.pieri import Expansion
@@ -18,7 +22,8 @@ from schurcalc.rings import (GrassmannianRing, LagrangianRing, enumerate_partiti
 from schurcalc.schur import from_schur, to_schur
 from schurcalc.schureval import evaluate_schur
 
-from oracles import lg_reduce_by_solve, qtilde_two_rules, schur_jt_dual_form, to_schur_oracle
+from oracles import (lg_reduce_by_solve, qtilde_two_rules, ring_expression_oracle,
+                     schur_jt_dual_form, to_schur_oracle)
 
 MAX_DEGREE = 12
 RINGS = [(r, n) for n in range(2, 9) for r in range(1, n)]
@@ -134,6 +139,84 @@ def _outcome(evaluate, *args):
 def test_the_schur_evaluation_equals_the_polynomial_path(text, length_bound):
     expected = _outcome(lambda: to_schur(evaluate_text(text), length_bound=length_bound))
     assert _outcome(evaluate_schur, text, length_bound) == expected, text
+
+
+# -- ring commands equal the c-polynomial route --------------------------------
+
+EXPRESSION_RINGS = [("gr", r, n) for n in range(2, 9) for r in range(1, n)] + \
+    [("lg", n) for n in range(1, 6)]
+
+
+@st.composite
+def ring_expression(draw):
+    """A ring and an expression of degree at most EXPRESSION_DEGREE, or one
+    past the top degree; s atoms range over all partitions of their weight
+    and q atoms over all strict ones, so many lie outside the ring's box,
+    and a quarter of them add and take away a term of another degree."""
+    spec = draw(st.sampled_from(EXPRESSION_RINGS))
+    top = make_ring(spec).top_degree
+    text = draw(homogeneous_text(FAMILY_C, draw(st.integers(0, min(EXPRESSION_DEGREE, top + 1)))))
+    if draw(st.integers(0, 3)) == 0:
+        other = draw(homogeneous_text(FAMILY_C, draw(st.integers(0, EXPRESSION_DEGREE))))
+        text = f"{text} + ({other}) - ({other})"
+    return spec, text
+
+
+def assert_reduce_is_the_oracle(spec, text):
+    """gr/lg reduce prints the class of ring_expression_oracle, or its message."""
+    ring = make_ring(spec)
+    argv = [spec[0]] + (["--r", str(spec[1]), "--n", str(spec[2])] if spec[0] == "gr"
+                        else ["--n", str(spec[1])]) + ["reduce", text]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    try:
+        x = ring_expression_oracle(ring, text)
+    except ValueError as exc:
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {exc}\n"), argv
+    else:
+        expected = to_json({"ring": ring.label, **expansion_payload(x)}) + "\n"
+        assert (code, out.getvalue(), err.getvalue()) == (0, expected, ""), argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(ring_expression())
+def test_ring_reduce_equals_the_c_polynomial_route(case):
+    assert_reduce_is_the_oracle(*case)
+
+
+def test_every_small_basis_atom_is_its_class_in_the_ring():
+    # each s and q atom of weight up to 7, on every ring of the property:
+    # the boxes' edges are met exactly, which random draws can miss
+    atoms = [f"s[{_parts(lam)}]" for d in range(1, 8) for lam in enumerate_partitions(d)]
+    atoms += [f"q[{_parts(mu)}]" for d in range(1, 8) for mu in enumerate_strict_partitions(d, d)]
+    for spec in EXPRESSION_RINGS:
+        if spec[-1] <= 6:
+            for text in atoms:
+                assert_reduce_is_the_oracle(spec, text)
+
+
+@st.composite
+def mirror_products(draw):
+    """Gr(r, n) with n <= 9, tall rings included, and two of its classes."""
+    n = draw(st.integers(2, 9))
+    ring = GrassmannianRing(draw(st.integers(1, n - 1)), n)
+    lam, mu = (draw(st.sampled_from(ring.basis(draw(st.integers(0, ring.top_degree)))))
+               for _ in range(2))
+    return ring, lam, mu
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(mirror_products())
+def test_gr_products_are_the_conjugates_of_the_mirror_ring(case):
+    # c^nu_{lam mu} = c^{nu'}_{lam' mu'}: Gr(r, n) and Gr(n - r, n) multiply
+    # conjugate classes alike, so a tall ring checks its short mirror
+    ring, lam, mu = case
+    mirror = GrassmannianRing(ring.n - ring.r, ring.n)
+    product = ring.basis_product(lam, mu)
+    conjugated = {kappa.conjugate(): c for kappa, c in product.coefficients.items()}
+    assert mirror.basis_product(lam.conjugate(), mu.conjugate()) == \
+        Expansion(conjugated, degree=product.degree)
 
 
 # -- warm ring calls equal cold calls and the oracles --------------------------
