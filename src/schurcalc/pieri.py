@@ -1,26 +1,26 @@
-"""The Pieri core: expansions over a basis, and one memoized build on them.
+"""The Pieri core: expansions over a basis, a memoized build on them, and
+the fold of a c-monomial.
 
 pieri_build builds b_start . X_mu with a Pieri step c_k . b_lam, peeling
 X_mu as c_k . X_nu less its other strips.  With the dual Pieri step
 (c_k = s_(1^k) adds vertical k-strips) it works in the Schur basis and, in
 an r x (n-r) box, reduces in H*(Gr(r, n)); with the Q-tilde step of
-schubert.py it works in H*(LG(n)).  monomial_fold builds a c-monomial from
-1 with it: to_schur folds each monomial of a c-polynomial through it, and a
-ring folds each monomial once, into its table of monomial classes.
+schubert.py it works in H*(LG(n)).  monomial_fold multiplies classes by a
+c-monomial, one step per factor: to_schur folds each monomial of a
+c-polynomial from 1, the basis evaluation each pending monomial on its
+classes, and a ring each monomial once, into its table of monomial classes.
 
 Every command that computes in a basis loads this module, so it holds only
-the Expansion type, the steps, the peels and the build.  It works on tuples
-of parts and reads only partitions.py.
+the Expansion type, the steps, the peels, the build and the fold.  It works
+on tuples of parts and reads only partitions.py.
 """
 
 from functools import lru_cache
 
 from .partitions import Partition, number_text
 
-# The most factors a c-monomial folds.  Its index tuple and the memo of its
-# prefixes grow with the factor count, the memo as its square: a cold
-# `gr --r 1 --n 3001 integrate c1^3000` takes 0.3 s and 51 MB, c1^5000 in
-# Gr(1, 5001) 0.6 s and 114 MB (2 cores, Python 3.11).
+# The most factors a c-monomial folds, so the most Pieri steps one fold
+# takes; each step's work follows the classes it multiplies.
 FOLD_FACTOR_BUDGET = 5000
 
 # the bound of a step or peel with both sides of the box open
@@ -167,14 +167,9 @@ def column_peel(mu: tuple[int, ...], bound: tuple) -> tuple:
     return len(mu), nu, vertical_strip_step(nu, len(mu), bound)
 
 
-def index_peel(mu: tuple[int, ...], bound) -> tuple:
-    """A c-monomial (indices ascending) is its last index times the rest."""
-    return mu[-1], mu[:-1], ((mu, 1),)
-
-
 @lru_cache(maxsize=None)
 def pieri_build(start: tuple[int, ...], mu: tuple[int, ...], step, bound: tuple | None,
-                peel, peel_bound: tuple | None) -> dict[tuple[int, ...], int]:
+                peel, peel_bound: tuple) -> dict[tuple[int, ...], int]:
     """Coefficients of b_start . X_mu on the basis that step multiplies, in bound.
 
     peel(mu, peel_bound) is (k, nu, strips) with c_k . X_nu = sum m . X_kappa
@@ -195,19 +190,21 @@ def pieri_build(start: tuple[int, ...], mu: tuple[int, ...], step, bound: tuple 
     return {lam: coeff for lam, coeff in out.items() if coeff}
 
 
-def monomial_fold(mono, step, bound: tuple) -> dict[tuple[int, ...], int]:
-    """Coefficients of the c-monomial mono on the basis of step, in bound: the
-    dict of pieri_build's memo itself, shared, so it is never changed.  A
-    monomial of more than FOLD_FACTOR_BUDGET factors is rejected before its
-    indices are listed.  It keeps no memo of its own: pieri_build's holds
-    the fold, and a ring keeps each monomial's class in its table."""
+def monomial_fold(mono, step, bound: tuple, classes: dict | None = None) -> dict:
+    """Coefficients of classes times the c-monomial mono on the basis of step,
+    in bound, one step per factor; classes is the class 1 when None and is
+    left as it was.  A monomial of more than FOLD_FACTOR_BUDGET factors is
+    rejected before any step."""
     factors = sum(e for _, e in mono)
     if factors > FOLD_FACTOR_BUDGET:
         raise ValueError(f"a monomial of {factors} factors exceeds the fold budget "
                          f"of {FOLD_FACTOR_BUDGET} factors")
-    indices = tuple(g[1] for g, e in mono for _ in range(e))
-    # warm every 200th prefix so the build's recursion stays shallow
-    for stop in range(200, len(indices), 200):
-        pieri_build((), indices[:stop], step, bound, index_peel, None)
-    return pieri_build((), indices, step, bound, index_peel, None)
-
+    out = {(): 1} if classes is None else classes
+    for g, e in mono:
+        for _ in range(e):
+            folded = {}
+            for lam, c in out.items():
+                for kappa, m in step(lam, g[1], bound):
+                    folded[kappa] = folded.get(kappa, 0) + c * m
+            out = folded
+    return {lam: c for lam, c in out.items() if c}

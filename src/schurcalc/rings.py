@@ -3,8 +3,9 @@
 Both rings are finite graded quotients of a polynomial ring in Chern
 generators with a self-dual Schubert basis, a point class in the top degree
 and a Poincare pairing; SchubertRing holds what they share.  Each ring names
-a Pieri step c_k . b_lam, a bound and a peel; pieri.pieri_build builds on
-them each c-monomial from 1 and the lighter of two classes on the heavier:
+a Pieri step c_k . b_lam, a bound and a peel: pieri.monomial_fold steps
+each c-monomial from 1, and pieri.pieri_build builds the lighter of two
+classes on the heavier by peels:
 
 * Gr(r, n): generators c_1..c_r, relations h_k = 0 for n-r < k <= n, basis
   the Schur classes of partitions in the r x (n-r) rectangle.  The step is
@@ -29,10 +30,9 @@ The labels, the duals, the Q-tilde step and the restriction to LG(n) need
 no ring and live in schubert.py, so the dual and restrict commands do not
 load this module; LagrangianRing.restrict is schubert.restrict itself, and
 its memo of restrictions is shared by every LG(n) of one n.  Reduction,
-products and pairings read only the Pieri core.  The Q-tilde and
-Schur-function layers are imported by basis_polynomial when it runs, so a
-pairing command never loads them or the polynomial layer, and no warm call
-of reduce, integrate, basis_product or restrict runs an import statement.
+products and pairings read only the Pieri core, so a pairing command never
+loads the Q-tilde, Schur-function or polynomial layers, and no warm call of
+reduce, integrate, basis_product or restrict runs an import statement.
 Every ring call returns a new expansion, which its caller may change.  run
 is the pairing command, so that it compiles no expression code.
 """
@@ -101,9 +101,9 @@ class SchubertRing:
 
     Subclasses set key (the type of the basis indices), label, rank (the
     generators are c_1..c_rank), top_degree, step, bound and peel, and
-    define point_class, basis, basis_index, basis_polynomial, dual,
-    classes_exceed and basis_sizes.  The point class has as many parts as
-    the rank, so it is built on first use: only integrate reads it.
+    define point_class, basis, basis_index, dual, classes_exceed and
+    basis_sizes.  The point class has as many parts as the rank, so it is
+    built on first use: only integrate reads it.
     """
 
     def __repr__(self) -> str:
@@ -155,7 +155,7 @@ class SchubertRing:
         return d
 
     def reduce(self, p: "CPolynomial", degree: int | None = None) -> Expansion:
-        """Basis expansion of the class of p, by the Pieri build of its
+        """Basis expansion of the class of p, by the Pieri fold of its
         monomials from 1.  degree is the degree of a zero p.
 
         One pass sums the classes of p's monomials from monomial_classes.  A
@@ -298,12 +298,6 @@ class GrassmannianRing(SchubertRing):
             raise ValueError(f"{lam!r} is not in the {self.r}x{self.cols} rectangle")
         return lam
 
-    def basis_polynomial(self, lam: Partition) -> "CPolynomial":
-        """The Giambelli representative: the Schur polynomial in c_1..c_r."""
-        from .schur import schur_dual_jt
-
-        return schur_dual_jt(self.basis_index(lam)).truncated(FAMILY_C, self.r)
-
     def dual(self, lam: Partition) -> Partition:
         return rectangle_dual(lam, self.r, self.n)
 
@@ -358,12 +352,6 @@ class LagrangianRing(SchubertRing):
         if mu and mu[0] > self.n:
             raise ValueError(f"{mu!r} is not inside the staircase of {self.n}")
         return mu
-
-    def basis_polynomial(self, mu: StrictPartition) -> "CPolynomial":
-        """Q_mu truncated to c_1..c_n, the Giambelli representative of Y^mu."""
-        from .qtilde import qtilde
-
-        return qtilde(self.basis_index(mu)).truncated(FAMILY_C, self.n)
 
     def dual(self, mu: StrictPartition) -> StrictPartition:
         return strict_complement(mu, self.n)

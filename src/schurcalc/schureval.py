@@ -2,9 +2,10 @@
 
 A basis is (step, bound, product): its Pieri step c_k . b_lam, that step's
 bound, and the product of two classes as (kappa, m) pairs; to-schur and
-certify use the Schur basis, gr/lg reduce and integrate a ring's.  Only a q
-atom or mixed degrees build a c-polynomial, and only evaluate_schur imports
-the Schur functions.
+certify use the Schur basis, gr/lg reduce and integrate a ring's.  The c_k
+factors stay c-monomials until the end, where pieri.monomial_fold folds each
+on the classes it multiplies.  Only a q atom or mixed degrees build a
+c-polynomial, and only evaluate_schur imports the Schur functions.
 """
 
 from .parsing import Gen, Num, evaluate, expression_reading, expression_text, parse
@@ -24,17 +25,13 @@ class BasisValue:
         self.basis = basis
 
     def expanded(self) -> dict:
-        """Each c-monomial folded from 1, and a Pieri step a factor on its classes."""
+        """The classes of each c-monomial folded with it, and summed."""
         step, bound, _ = self.basis
-        scaled = []
-        for mono in {mono for _, mono in self.terms}:
-            terms = {lam: c for (lam, m), c in self.terms.items() if m == mono}
-            scaled.append((terms.pop((), 0), monomial_fold(mono, step, bound).items()))
-            for g, e in mono:
-                for _ in range(e):
-                    terms = _sum((c, step(lam, g[1], bound)) for lam, c in terms.items())
-            scaled.append((1, terms.items()))
-        return _sum(scaled)
+        pending = {}
+        for (lam, mono), c in self.terms.items():
+            pending.setdefault(mono, {})[lam] = c
+        return _sum((1, monomial_fold(mono, step, bound, classes).items())
+                    for mono, classes in pending.items())
 
     def __add__(self, other: "BasisValue", sign: int = 1) -> "BasisValue":
         return BasisValue(_sum(((1, self.terms.items()), (sign, other.terms.items()))), self.basis)

@@ -17,6 +17,10 @@ reference identity that no schurcalc command needs.
 * Both Jacobi-Trudi determinants of s_lambda(E - F), expanded by
   memoized minors: the h-form |s_{lambda_i - i + j}(E - F)| and the dual
   form in the elementary-type classes of the conjugate.
+* c-monomials folded by pieri_build's memo of their prefixes, peeled
+  index by index, as monomial_fold did before it took one step per factor.
+* The Giambelli representatives of Schubert classes, basis_polynomial,
+  which no command builds.
 * Q-tilde polynomials by the odd/even length recurrences, the two rules
   that the one Pfaffian expansion of schurcalc.qtilde replaced.
 * H*(LG(n)) reduction by solving the degree slice of the presentation
@@ -44,7 +48,7 @@ from schurcalc.legendrian import LegendrianClass
 from schurcalc.linalg import matrix_rank, solve_exact
 from schurcalc.parsing import Basis, Expression, Gen, Num, Pow, Prod, Sum
 from schurcalc.partitions import Partition, StrictPartition, degree_list
-from schurcalc.pieri import Expansion
+from schurcalc.pieri import FOLD_FACTOR_BUDGET, Expansion, pieri_build
 from schurcalc.polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
@@ -58,9 +62,9 @@ from schurcalc.polynomial import (
     monomial_key,
     truncate_family,
 )
-from schurcalc.qtilde import _q_single, qtilde_pair
+from schurcalc.qtilde import _q_single, qtilde, qtilde_pair
 from schurcalc.records import FrozenRecord
-from schurcalc.rings import LagrangianRing, enumerate_partitions
+from schurcalc.rings import GrassmannianRing, LagrangianRing, enumerate_partitions
 from schurcalc.schur import schur_dual_jt, to_schur
 
 # -- partitions and expressions -----------------------------------------------
@@ -408,6 +412,30 @@ def vertical_strip_rows(lam: tuple[int, ...], k: int,
     return tuple(out)
 
 
+def index_peel(mu: tuple[int, ...], bound) -> tuple:
+    """A c-monomial (indices ascending) is its last index times the rest."""
+    return mu[-1], mu[:-1], ((mu, 1),)
+
+
+def prefix_memo_fold(mono, step, bound: tuple) -> dict[tuple[int, ...], int]:
+    """The fold of monomial_fold before it took one step per factor.
+
+    Coefficients of the c-monomial mono on the basis of step, in bound: the
+    dict of pieri_build's memo itself, shared, so it is never changed.  A
+    monomial of more than FOLD_FACTOR_BUDGET factors is rejected before its
+    indices are listed.  It keeps no memo of its own: pieri_build's holds
+    the fold, and a ring keeps each monomial's class in its table."""
+    factors = sum(e for _, e in mono)
+    if factors > FOLD_FACTOR_BUDGET:
+        raise ValueError(f"a monomial of {factors} factors exceeds the fold budget "
+                         f"of {FOLD_FACTOR_BUDGET} factors")
+    indices = tuple(g[1] for g, e in mono for _ in range(e))
+    # warm every 200th prefix so the build's recursion stays shallow
+    for stop in range(200, len(indices), 200):
+        pieri_build((), indices[:stop], step, bound, index_peel, None)
+    return pieri_build((), indices, step, bound, index_peel, None)
+
+
 def elementary_xpoly(i: int, n: int) -> XPoly:
     """e_i(x_1..x_n); zero when i > n."""
     if i == 0:
@@ -490,6 +518,15 @@ def qtilde_two_rules(mu: Partition) -> CPolynomial:
 # -- H*(LG(n)) by linear solves -------------------------------------------------
 
 
+def basis_polynomial(ring, index) -> CPolynomial:
+    """The Giambelli representative of a Schubert class of ring: s_lam in
+    c_1..c_r in Gr(r, n), Q_mu truncated to c_1..c_n in LG(n)."""
+    index = ring.basis_index(index)
+    if isinstance(ring, GrassmannianRing):
+        return schur_dual_jt(index).truncated(FAMILY_C, ring.r)
+    return qtilde(index).truncated(FAMILY_C, ring.n)
+
+
 def ideal_generator(ring: LagrangianRing, i: int) -> CPolynomial:
     """The relation Q_{i,i} of LG(n) truncated to c_1..c_n."""
     if not 1 <= i <= ring.n:
@@ -521,7 +558,7 @@ def lg_reduce_by_solve(ring: LagrangianRing, p: CPolynomial,
     if p.is_zero():
         return Expansion({}, degree=d, key=ring.key)
     basis = ring.basis(d)
-    all_cols = [ring.basis_polynomial(mu) for mu in basis] + _ideal_columns(ring, d)
+    all_cols = [basis_polynomial(ring, mu) for mu in basis] + _ideal_columns(ring, d)
     monos = monomials_of_degree(d, FAMILY_C, max_index=ring.n)
     matrix = [[col.coefficient(mono) for col in all_cols] for mono in monos]
     rhs = [p.coefficient(mono) for mono in monos]

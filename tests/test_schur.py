@@ -3,6 +3,8 @@ from collections import Counter
 from math import comb, factorial, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schurcalc.partitions import Partition, StrictPartition
 from schurcalc.pieri import (
@@ -10,13 +12,11 @@ from schurcalc.pieri import (
     Expansion,
     OPEN,
     basis_key,
-    index_peel,
     monomial_fold,
-    pieri_build,
     vertical_strip_step,
 )
 from schurcalc.positivity import VERDICT_POSITIVE, hook_contains, positivity_report
-from schurcalc.rings import GrassmannianRing, enumerate_partitions
+from schurcalc.rings import GrassmannianRing, LagrangianRing, enumerate_partitions
 from schurcalc.polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
@@ -25,6 +25,7 @@ from schurcalc.polynomial import (
 from schurcalc.schur import (
     from_schur,
     lr_multiply,
+    pair_product,
     schur_dual_jt,
     to_schur,
     vertical_strips,
@@ -38,6 +39,7 @@ from oracles import (
     lr_oracle,
     monomials_of_degree,
     partitions_up_to,
+    prefix_memo_fold,
     schur_jt,
     schur_jt_dual_form,
     schur_jt_h_form,
@@ -366,21 +368,62 @@ def test_expansion_keys_are_checked_once_and_shared():
             Expansion({(2, 2): 1}, key=StrictPartition)
 
 
-def test_monomial_fold_returns_the_pieri_build_dict_itself():
-    # a fold is no copy of what pieri_build memoizes, also past the
-    # 200-factor warm-up of long monomials
-    for mono, indices, bound in (
-            ((((FAMILY_C, 1), 2), ((FAMILY_C, 2), 1)), (1, 1, 2), (2, 2)),
-            ((((FAMILY_C, 1), 450),), (1,) * 450, (1, 450))):
-        folded = monomial_fold(mono, vertical_strip_step, bound)
-        assert folded is pieri_build((), indices, vertical_strip_step, bound, index_peel, None)
-        assert monomial_fold(mono, vertical_strip_step, bound) is folded
-    # expanding a polynomial leaves the shared dict as it was
-    p = 3 * c(1) ** 2 * c(2)
-    before = dict(monomial_fold(next(iter(p.terms)), vertical_strip_step, OPEN))
-    assert to_schur(p).coefficients == \
-        {Partition(lam): 3 * coeff for lam, coeff in before.items()}
-    assert monomial_fold(next(iter(p.terms)), vertical_strip_step, OPEN) == before
+def _fold_case(kind, shape, exponents, weight, picks):
+    """A c-monomial with exponents {k: e}, the step, bound and product of
+    two classes of one basis, and the classes picks[i] = (i, coeff) of
+    weight on it, or None for the class 1."""
+    if kind == "schur":
+        step, bound, product = vertical_strip_step, OPEN, pair_product
+        basis = enumerate_partitions(weight)
+    else:
+        ring = GrassmannianRing(*shape) if kind == "gr" else LagrangianRing(shape)
+        step, bound, basis = ring.step, ring.bound, ring.basis(weight)
+
+        def product(lam, mu):
+            return ring.basis_product(lam, mu).coefficients.items()
+    mono = tuple(((FAMILY_C, k), e) for k, e in sorted(exponents.items()) if e)
+    classes = None if picks is None else \
+        {tuple(basis[i % len(basis)]): coeff for i, coeff in picks} if basis else {}
+    return mono, step, bound, product, classes
+
+
+@st.composite
+def fold_cases(draw):
+    kind = draw(st.sampled_from(["schur", "gr", "lg"]))
+    if kind == "schur":
+        shape, rank, top = None, 4, 6
+    elif kind == "gr":
+        shape = draw(st.sampled_from([(r, n) for n in range(2, 8) for r in range(1, n)]))
+        rank, top = shape[0], shape[0] * (shape[1] - shape[0])
+    else:
+        shape = draw(st.integers(1, 4))
+        rank, top = shape, shape * (shape + 1) // 2
+    exponents = draw(st.dictionaries(st.integers(1, rank), st.integers(0, 4), max_size=3))
+    weight = draw(st.integers(0, top))
+    picks = draw(st.none() | st.lists(st.tuples(st.integers(0, 50), st.integers(-3, 3)),
+                                      max_size=4))
+    return _fold_case(kind, shape, exponents, weight, picks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(fold_cases())
+@example(_fold_case("gr", (1, 452), {1: 450}, 1, [(0, 2)]))
+@example(_fold_case("lg", 3, {1: 2, 3: 1}, 2, [(0, 1), (1, -1)]))
+def test_monomial_fold_is_the_prefix_memo_fold_times_its_classes(case):
+    # one step per factor, on the classes given, against the build of the
+    # monomial from 1 by its prefixes times those classes by basis products
+    mono, step, bound, product, classes = case
+    before = None if classes is None else dict(classes)
+    expected = {}
+    for lam, a in prefix_memo_fold(mono, step, bound).items():
+        for mu, b in ({(): 1} if classes is None else classes).items():
+            for kappa, m in product(lam, mu):
+                expected[kappa] = expected.get(kappa, 0) + a * b * m
+    folded = monomial_fold(mono, step, bound, classes)
+    assert folded == {kappa: c for kappa, c in expected.items() if c}
+    assert 0 not in folded.values()
+    # the classes passed in are left as they were
+    assert classes == before
 
 
 def test_fold_budget_rejects_a_long_monomial_before_listing_its_factors():
