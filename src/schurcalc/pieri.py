@@ -9,13 +9,15 @@ schubert.py it works in H*(LG(n)).  monomial_fold multiplies classes by a
 c-monomial, one step per factor: to_schur folds each monomial of a
 c-polynomial from 1, the basis evaluation each pending monomial on its
 classes, and a ring each monomial once, into its table of monomial classes.
+A fold calls plain steps, since it meets each (lam, k) once; pieri_build
+memoizes the steps it takes, which its peels meet again and again.
 
 Every command that computes in a basis loads this module, so it holds only
 the Expansion type, the steps, the peels, the build and the fold.  It works
 on tuples of parts and reads only partitions.py.
 """
 
-from functools import lru_cache
+from functools import cache
 
 from .partitions import Partition, number_text
 
@@ -27,7 +29,7 @@ FOLD_FACTOR_BUDGET = 5000
 OPEN = (None, None)
 
 
-@lru_cache(maxsize=None)
+@cache
 def basis_key(key: type[Partition], index) -> Partition:
     """key(index), built and checked once per distinct index and then shared;
     index is a tuple of parts or a Partition."""
@@ -153,35 +155,34 @@ def vertical_strips(lam: tuple[int, ...], k: int,
                  if not left or room is None or left <= room)
 
 
-# The step of the builds and the rings, memoized on whole calls: a ring's
-# products and reductions meet the same (lam, k) again and again, where one
-# Schur evaluation meets each about once and calls vertical_strips itself.
-vertical_strip_step = lru_cache(maxsize=None)(vertical_strips)
-
-
-@lru_cache(maxsize=None)
+@cache
 def column_peel(mu: tuple[int, ...], bound: tuple) -> tuple:
     """k = l(mu) and nu = mu less its first column: c_k . s_nu sums s_kappa over
     the vertical k-strips kappa / nu, the others below mu in dominance."""
     nu = tuple(p - 1 for p in mu if p > 1)
-    return len(mu), nu, vertical_strip_step(nu, len(mu), bound)
+    return len(mu), nu, vertical_strips(nu, len(mu), bound)
 
 
-@lru_cache(maxsize=None)
+@cache
+def built_step(step, lam: tuple[int, ...], k: int, bound: tuple) -> tuple:
+    return step(lam, k, bound)
+
+
+@cache
 def pieri_build(start: tuple[int, ...], mu: tuple[int, ...], step, bound: tuple | None,
                 peel, peel_bound: tuple) -> dict[tuple[int, ...], int]:
     """Coefficients of b_start . X_mu on the basis that step multiplies, in bound.
 
     peel(mu, peel_bound) is (k, nu, strips) with c_k . X_nu = sum m . X_kappa
-    over the strips, X_mu among them with m = 1.  The memo is keyed on
-    module-level functions and bound tuples, so rings of one shape share it.
+    over the strips, X_mu among them with m = 1.  It and built_step memoize
+    on module-level functions and bounds, so rings of one shape share them.
     """
     if not mu:
         return {start: 1}
     k, nu, strips = peel(mu, peel_bound)
     out: dict[tuple[int, ...], int] = {}
     for lam, coeff in pieri_build(start, nu, step, bound, peel, peel_bound).items():
-        for kappa, mult in step(lam, k, bound):
+        for kappa, mult in built_step(step, lam, k, bound):
             out[kappa] = out.get(kappa, 0) + coeff * mult
     for kappa, mult in strips:
         if kappa != mu:

@@ -18,9 +18,8 @@ classes on the heavier by peels:
   bounded by mu_1 <= n, and a class is peeled by its first row.
 
 Every step is a product of basis classes in the ring, so the bound is exact.
-A ring reduces a c-polynomial monomial by monomial, and folds each
-c-monomial from 1 (pieri.monomial_fold) once: its degree and class go into
-the ring's table, monomial_classes, from which every later reduce reads it.
+A ring folds each c-monomial once: its degree and class go into the
+ring's table, monomial_classes, from which every later reduce reads it.
 Likewise basis_product keeps each product of two basis classes in the
 ring's table basis_products, and a repeated product is one lookup there.
 A whole-ring pairing meets each product once, so it builds them with
@@ -40,8 +39,7 @@ is the pairing command, so that it compiles no expression code.
 from functools import cached_property
 
 from .partitions import FAMILY_C, TERM_BUDGET, Partition, StrictPartition, degree_list, number_text
-from .pieri import (Expansion, basis_key, column_peel, monomial_fold, pieri_build,
-                    vertical_strip_step)
+from .pieri import Expansion, basis_key, column_peel, monomial_fold, pieri_build, vertical_strips
 from .schubert import (grassmannian_label, lagrangian_label, qtilde_pieri_step, rectangle_dual,
                        restrict, row_peel, staircase, strict_complement)
 
@@ -280,7 +278,7 @@ class GrassmannianRing(SchubertRing):
         self.cols = n - r
         self.rank = r
         self.top_degree = r * self.cols
-        self.step = vertical_strip_step
+        self.step = vertical_strips
         self.bound = (r, self.cols)
         self.peel = column_peel
 

@@ -11,7 +11,7 @@ name n as a ring does.  Both read the memo of restriction, keyed by
 bad index fails each time, since only a checked one enters the memo.
 """
 
-from functools import lru_cache
+from functools import cache
 
 from .partitions import TERM_BUDGET, Partition, StrictPartition, check_term_budget
 from .pieri import Expansion, basis_key, column_peel, pieri_build
@@ -65,15 +65,14 @@ def strict_complement(mu: StrictPartition, n: int) -> StrictPartition:
     return StrictPartition([k for k in range(n, 0, -1) if k not in present])
 
 
-@lru_cache(maxsize=None)
 def qtilde_pieri_step(lam: tuple[int, ...], k: int, bound: tuple[int]) -> tuple:
     """(mu, 2^e) for c_k . Q_lam = sum 2^e Q_mu in H*(LG(n)), with bound (n,).
 
     The Pieri rule of Pragacz-Ratajski: mu runs over the strict partitions
     with mu_1 <= n and |mu| = |lam| + k such that mu/lam is a horizontal
     strip of the ordinary (unshifted) diagram, and e counts the j with
-    mu_{j+1} < lam_j < mu_j.  The recursion drops the first row and passes
-    the cap of the next row as its bound.
+    mu_{j+1} < lam_j < mu_j.  Its recursion drops the first row, capping the
+    next by it, and calls the memo _qtilde_tails of its tails, as row_peel does.
     """
     (cap,) = bound
     if not lam:
@@ -81,15 +80,18 @@ def qtilde_pieri_step(lam: tuple[int, ...], k: int, bound: tuple[int]) -> tuple:
     head, tail = lam[0], lam[1:]
     out = []
     for a in range(min(k, cap - head) + 1):
-        for mu, mult in qtilde_pieri_step(tail, k - a, (head if a else head - 1,)):
+        for mu, mult in _qtilde_tails(tail, k - a, (head if a else head - 1,)):
             split = a and (mu[0] if mu else 0) < head
             out.append(((head + a,) + mu, 2 * mult if split else mult))
     return tuple(out)
 
 
+_qtilde_tails = cache(qtilde_pieri_step)
+
+
 def row_peel(mu: tuple[int, ...], bound: tuple[int]) -> tuple:
     """k = mu_1, nu = mu less it: c_k . Q_nu has Q_mu once, other kappa_1 > k."""
-    return mu[0], mu[1:], qtilde_pieri_step(mu[1:], mu[0], bound)
+    return mu[0], mu[1:], _qtilde_tails(mu[1:], mu[0], bound)
 
 
 def restrict(lg, lam: Partition) -> Expansion:
@@ -100,7 +102,7 @@ def restrict(lg, lam: Partition) -> Expansion:
     return restriction(lg.n, lam if isinstance(lam, tuple) else tuple(lam)).copy()
 
 
-@lru_cache(maxsize=None)
+@cache
 def restriction(n: int, lam: tuple[int, ...]) -> Expansion:
     """The pullback of X^lam to LG(n), memoized on (n, lam) once its checks
     have passed, for as long as the process runs; the memo is unbounded.

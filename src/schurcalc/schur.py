@@ -16,8 +16,7 @@ loads it.
 from functools import lru_cache
 
 from .partitions import FAMILY_C, FAMILY_CPRIME, Partition, check_term_budget, degree_list
-from .pieri import (OPEN, Expansion, column_peel, monomial_fold, pieri_build,
-                    vertical_strip_step, vertical_strips)
+from .pieri import OPEN, Expansion, column_peel, monomial_fold, pieri_build, vertical_strips
 
 
 @lru_cache(maxsize=None)
@@ -49,7 +48,7 @@ def to_schur(p: "CPolynomial", length_bound: int | None = None) -> Expansion:
     p.homogeneous_degree()  # raises on an inhomogeneous p
     coeffs = {}
     for mono, coeff in p.terms.items():
-        for lam, c in monomial_fold(mono, vertical_strip_step, OPEN).items():
+        for lam, c in monomial_fold(mono, vertical_strips, OPEN).items():
             coeffs[lam] = coeffs.get(lam, 0) + coeff * c
     return schur_expansion(coeffs, length_bound)
 
@@ -97,7 +96,7 @@ def pair_product(lam: tuple[int, ...], mu: tuple[int, ...]):
         return vertical_strips(lam, len(mu), OPEN)
     if lam[0] == 1:
         return vertical_strips(mu, len(lam), OPEN)
-    return pieri_build(lam, mu, vertical_strip_step, OPEN, column_peel, OPEN).items()
+    return pieri_build(lam, mu, vertical_strips, OPEN, column_peel, OPEN).items()
 
 
 def from_schur(x: Expansion, family: str = FAMILY_C) -> "CPolynomial":

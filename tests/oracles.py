@@ -31,15 +31,19 @@ reference identity that no schurcalc command needs.
   gr/lg reduce and integrate commands took before they evaluated
   homogeneous input on the ring's Schubert basis.
 * Whole-ring and whole-expansion checks that no command runs: a ring's
-  whole basis, the whole-ring pairing check, and nonnegativity of an
-  expansion.
+  whole basis, the whole-ring pairing check, nonnegativity of an
+  expansion, and Schur's count of shifted standard tableaux, which gives
+  the degree of LG(n).
 * Legendrian expressions read through v-polynomials: each basis class
   carries a CPolynomial in v1 and v2, split into exponents at the end.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import factorial, prod
 
 from schurcalc import parsing
 from schurcalc.bundles import (XPoly, peel_schur, schur_monomials, ssyt_weights, xp_accumulate,
@@ -394,7 +398,7 @@ def lr_oracle(lam: Partition, mu: Partition, bound: int = 8) -> Expansion:
 @lru_cache(maxsize=None)
 def vertical_strip_rows(lam: tuple[int, ...], k: int,
                         bound: tuple[int | None, int | None]) -> tuple:
-    """schur.vertical_strip_step by a recursion once per row: the first row
+    """pieri.vertical_strips by a recursion once per row: the first row
     takes no box or one (if below the cols side), and the rest of lam is a
     strip problem in one row fewer, capped by that row when it took none.
     Its depth grows with the length of lam."""
@@ -623,6 +627,15 @@ def pairing_is_dual_permutation(ring) -> bool:
 def is_nonnegative(x: Expansion) -> bool:
     """Whether no coefficient of x is negative."""
     return all(c >= 0 for c in x.coefficients.values())
+
+
+def shifted_tableaux_count(lam):
+    """g(lam) by Schur's formula: |lam|!/prod lam_i! * prod_{i<j} (lam_i-lam_j)/(lam_i+lam_j)."""
+    value = Fraction(factorial(sum(lam)), prod(factorial(part) for part in lam))
+    for a, b in combinations(lam, 2):
+        value *= Fraction(a - b, a + b)
+    assert value.denominator == 1
+    return value.numerator
 
 
 # -- Legendrian expressions through v-polynomials ------------------------------------

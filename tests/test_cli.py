@@ -9,9 +9,10 @@ import subprocess
 import sys
 import tokenize
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -787,15 +788,22 @@ print(repr((proc.returncode, out, err, usage.ru_maxrss)))
 """
 
 
-def test_a_fold_at_the_budget_keeps_no_prefixes():
-    # the budget itself is admitted, one Pieri step per factor: c1^5000 in
-    # P^5000 peaks near 16 MB, where a memo of its prefixes took 112 MB
-    argv = ["gr", "--r", "1", "--n", "5001", "integrate", "c1^5000"]
+# a fold keeps neither its prefixes nor its steps: c1^5000 in P^5000, the
+# budget itself, peaks near 16 MB, where a memo of its prefixes took 112 MB;
+# c1^800 in Gr(2,402) near 15 MB and c1^136 in LG(16) near 90 MB, where a
+# memo of every step the fold took held 48 and 144 MB
+@pytest.mark.parametrize("command, ring, value, megabytes", [
+    ("gr --r 1 --n 5001 integrate c1^5000", "Gr(1,5001)", 1, 40),
+    ("gr --r 2 --n 402 integrate c1^800", "Gr(2,402)", comb(800, 400) // 401, 30),
+    ("lg --n 16 integrate c1^136", "LG(16)",
+     2 ** 120 * oracles.shifted_tableaux_count(tuple(range(16, 0, -1))), 120),
+], ids=["Gr(1,5001)", "Gr(2,402)", "LG(16)"])
+def test_a_long_fold_keeps_a_small_peak(command, ring, value, megabytes):
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "schurcalc",
-                           *argv], capture_output=True, check=True, timeout=60)
+                           *command.split()], capture_output=True, check=True, timeout=60)
     code, out, err, peak = ast.literal_eval(proc.stdout.decode())
-    assert (code, out, err) == (0, b'{"ring":"Gr(1,5001)","value":"1"}\n', b"")
-    assert peak < 40 * 1024  # kilobytes on Linux
+    assert (code, out, err) == (0, f'{{"ring":"{ring}","value":"{value}"}}\n'.encode(), b"")
+    assert peak < megabytes * 1024  # kilobytes on Linux
 
 
 def test_readme_library_quick_start():

@@ -1,5 +1,4 @@
 from argparse import Namespace
-from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
 
@@ -24,6 +23,7 @@ from oracles import (
     monomials_of_degree,
     pairing_is_dual_permutation,
     reduce_tautological,
+    shifted_tableaux_count,
     to_schur_oracle,
 )
 
@@ -355,15 +355,6 @@ def test_lg_reduce_examples():
         for mu in all_basis(ring):
             assert ring.reduce(basis_polynomial(ring, mu)).coefficients == \
                 ({mu: 1} if mu.parts else {StrictPartition(): 1})
-
-
-def shifted_tableaux_count(lam):
-    """g(lam) by Schur's formula: |lam|!/prod lam_i! * prod_{i<j} (lam_i-lam_j)/(lam_i+lam_j)."""
-    value = Fraction(factorial(sum(lam)), prod(factorial(part) for part in lam))
-    for a, b in combinations(lam, 2):
-        value *= Fraction(a - b, a + b)
-    assert value.denominator == 1
-    return value.numerator
 
 
 def test_lg_c1_top_power_counts_shifted_tableaux():

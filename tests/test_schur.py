@@ -12,11 +12,14 @@ from schurcalc.pieri import (
     Expansion,
     OPEN,
     basis_key,
+    built_step,
+    column_peel,
     monomial_fold,
-    vertical_strip_step,
+    pieri_build,
 )
 from schurcalc.positivity import VERDICT_POSITIVE, hook_contains, positivity_report
 from schurcalc.rings import GrassmannianRing, LagrangianRing, enumerate_partitions
+from schurcalc.schubert import _qtilde_tails
 from schurcalc.polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
@@ -373,7 +376,7 @@ def _fold_case(kind, shape, exponents, weight, picks):
     two classes of one basis, and the classes picks[i] = (i, coeff) of
     weight on it, or None for the class 1."""
     if kind == "schur":
-        step, bound, product = vertical_strip_step, OPEN, pair_product
+        step, bound, product = vertical_strips, OPEN, pair_product
         basis = enumerate_partitions(weight)
     else:
         ring = GrassmannianRing(*shape) if kind == "gr" else LagrangianRing(shape)
@@ -445,8 +448,22 @@ def test_the_strip_step_equals_the_row_recursion():
         for k in range(6):
             for bound in [(rows, cols) for rows in sides for cols in sides]:
                 strips = vertical_strip_rows(lam.parts, k, bound)
-                assert vertical_strip_step(lam.parts, k, bound) == strips, (lam, k, bound)
                 assert vertical_strips(lam.parts, k, bound) == strips, (lam, k, bound)
+
+
+def test_a_fold_fills_no_step_memo_and_a_build_memoizes_its_steps():
+    for memo in (pieri_build, built_step, column_peel, _qtilde_tails):
+        memo.cache_clear()
+    to_schur(c(1) ** 6 * c(2))
+    GrassmannianRing(2, 8).reduce(c(1) ** 12)
+    assert built_step.cache_info().currsize == column_peel.cache_info().currsize == 0
+    # c1^2 in LG(4) steps Q_1 by c_1, whose recursion keeps its two tails
+    # of () under the caps 0 and 1, but neither whole step
+    LagrangianRing(4).reduce(c(1) ** 2)
+    assert _qtilde_tails.cache_info().currsize == 2
+    assert built_step.cache_info().currsize == 0
+    lr_multiply(Partition([2, 1]), Partition([3, 2]))
+    assert built_step.cache_info().currsize > 0
 
 
 def test_the_strip_step_walks_blocks_of_equal_parts():
