@@ -7,7 +7,7 @@ reads off its Schur coefficients.  Only the schur-bundle command loads this
 module.
 """
 
-from functools import lru_cache
+from functools import cache
 from math import comb
 
 from .partitions import Partition
@@ -15,7 +15,7 @@ from .pieri import Expansion
 from .schur import schur_dual_jt
 
 
-@lru_cache(maxsize=None)
+@cache
 def ssyt_weights(shape: Partition, n: int) -> tuple[tuple[int, ...], ...]:
     """Weights of the semistandard tableaux of the shape with entries in
     1..n, cached; the GL(n) character support.
@@ -55,7 +55,7 @@ def ssyt_weights(shape: Partition, n: int) -> tuple[tuple[int, ...], ...]:
 XPoly = dict[tuple[int, ...], int]
 
 
-@lru_cache(maxsize=None)
+@cache
 def schur_monomials(lam: Partition, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The Schur polynomial of lam in n variables as (exponent, coeff) pairs."""
     counts: dict[tuple[int, ...], int] = {}

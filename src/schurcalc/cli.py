@@ -15,8 +15,8 @@ computing command loads neither argparse nor json.  Every other argv (help,
 abbreviations, `--opt=value`, `--`, usage errors) goes to the argparse
 parser that plaintext.build_parser makes from the same table, so help texts
 and usage errors stay argparse's own; plaintext also holds the --pretty
-renderer, and no other command loads it.  _run_command hands the expression
-commands (to-schur, certify, gr/lg reduce and integrate) to schureval.run,
+renderer, and no other command loads it.  _run_command hands to-schur and
+certify to schureval.run, gr/lg reduce and integrate to ringcommands.run,
 gr/lg pairing to rings.run and every other command to commands.py.
 
 The Pieri core (partitions, pieri), the Schur functions (schur), the
@@ -175,12 +175,12 @@ def _json_key(key) -> str:
 
 def _json_string(text: str) -> str:
     """text as json's ensure_ascii writes it.  Computed output is printable
-    ASCII; other text takes plaintext.json_escaped."""
+    ASCII; other text is written by json.dumps."""
     if text.isascii() and text.isprintable():
         return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    from .plaintext import json_escaped
+    import json
 
-    return json_escaped(text)
+    return json.dumps(text)
 
 
 def expansion_payload(expansion) -> dict:
@@ -191,7 +191,9 @@ def _run_command(args):
     action = getattr(args, "action", args.command)  # only gr and lg have actions
     if action == "pairing":
         from .rings import run
-    elif action in ("to-schur", "certify", "reduce", "integrate"):
+    elif action in ("reduce", "integrate"):
+        from .ringcommands import run
+    elif action in ("to-schur", "certify"):
         from .schureval import run
     else:
         from .commands import run

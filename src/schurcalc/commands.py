@@ -2,9 +2,9 @@
 expression: lr, qtilde, schur-bundle, thom-verify, gr/lg dual and lg
 restrict.
 
-cli.py reads every command's argv and writes its JSON.  It hands the
-expression commands (to-schur, certify, gr/lg reduce and integrate) to
-schureval.run, gr/lg pairing to rings.run, and every other command to run
+cli.py reads every command's argv and writes its JSON.  It hands to-schur
+and certify to schureval.run, gr/lg reduce and integrate to
+ringcommands.run, gr/lg pairing to rings.run, and every other command to run
 here, so none of those compiles this, and dual and restrict, which read
 only schubert.py, compile no ring class.
 """

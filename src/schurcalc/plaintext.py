@@ -1,13 +1,11 @@
 """The command line's plain-text side: the argparse parser, the --pretty
-renderer, the JSON escapes of text that is not printable ASCII and the
-error messages that would echo a huge number.
+renderer and the error messages that would echo a huge number.
 
 cli.py reads the canonical argv from its command table and writes JSON
 itself.  Only help, usage errors and the other spellings that read_argv
-does not take build the argparse parser, only --pretty renders plain
-text, and no computed output holds a character that JSON escapes, so
-every other command neither loads nor compiles this module, and --pretty
-does not load argparse.
+does not take build the argparse parser, and only --pretty renders plain
+text, so every other command neither loads nor compiles this module, and
+--pretty does not load argparse.
 """
 
 import sys
@@ -107,24 +105,3 @@ def _render_scalar(value) -> str:
         return "[]"
     return str(value)
 
-
-_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-                 "\b": "\\b", "\f": "\\f"}
-
-
-def json_escaped(text: str) -> str:
-    """text as json's ensure_ascii writes it: short escapes, \\u00XX for the
-    other controls and DEL, \\uXXXX past ASCII, surrogate pairs past the BMP."""
-    out = []
-    for ch in text:
-        code = ord(ch)
-        if ch in _JSON_ESCAPES:
-            out.append(_JSON_ESCAPES[ch])
-        elif 0x20 <= code < 0x7F:
-            out.append(ch)
-        elif code < 0x10000:
-            out.append(f"\\u{code:04x}")
-        else:
-            code -= 0x10000
-            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
-    return '"' + "".join(out) + '"'

@@ -11,7 +11,7 @@ certify when it runs, so the Legendrian and Lagrangian tables, whose
 classes are given in their own basis, load no Schur or polynomial code.
 """
 
-from functools import lru_cache
+from functools import cache
 
 from .partitions import Partition, number_text
 from .records import FrozenRecord, Record
@@ -81,7 +81,7 @@ class ThomTableEntry(FrozenRecord):
         return _entry_polynomial(self.expression)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _entry_polynomial(expression: str) -> "CPolynomial":
     from .parsing import evaluate_text
 

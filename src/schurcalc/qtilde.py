@@ -7,13 +7,13 @@ decreasing indices (its minors hold pairs with repeated parts); removal is
 positional, which keeps the index sorted.
 """
 
-from functools import lru_cache
+from functools import cache
 
 from .partitions import Partition, check_term_budget
 from .polynomial import CPolynomial
 
 
-@lru_cache(maxsize=None)
+@cache
 def _q_single(i: int) -> CPolynomial:
     if i < 0:
         return CPolynomial.zero()
@@ -22,7 +22,7 @@ def _q_single(i: int) -> CPolynomial:
     return CPolynomial.gen("c", i)
 
 
-@lru_cache(maxsize=None)
+@cache
 def qtilde_pair(i: int, j: int) -> CPolynomial:
     """Q_{i,j} = Q_i Q_j + 2 sum_{p=1..j} (-1)^p Q_{i+p} Q_{j-p}, for i >= j >= 0."""
     if i < j:
@@ -34,7 +34,7 @@ def qtilde_pair(i: int, j: int) -> CPolynomial:
     return total
 
 
-@lru_cache(maxsize=None)
+@cache
 def qtilde(mu: Partition) -> CPolynomial:
     """Q_mu as an explicit polynomial in c_1, c_2, ...
 

@@ -20,6 +20,8 @@ classes on the heavier by peels:
 Every step is a product of basis classes in the ring, so the bound is exact.
 A ring folds each c-monomial once: its degree and class go into the
 ring's table, monomial_classes, from which every later reduce reads it.
+A monomial missing there, or a second degree, makes reduce check the
+whole polynomial by its own families, generators and homogeneous degree.
 Likewise basis_product keeps each product of two basis classes in the
 ring's table basis_products, and a repeated product is one lookup there.
 A whole-ring pairing meets each product once, so it builds them with
@@ -38,7 +40,7 @@ is the pairing command, so that it compiles no expression code.
 
 from functools import cached_property
 
-from .partitions import FAMILY_C, TERM_BUDGET, Partition, StrictPartition, degree_list, number_text
+from .partitions import FAMILY_C, TERM_BUDGET, Partition, StrictPartition, number_text
 from .pieri import Expansion, basis_key, column_peel, monomial_fold, pieri_build, vertical_strips
 from .schubert import (grassmannian_label, lagrangian_label, qtilde_pieri_step, rectangle_dual,
                        restrict, row_peel, staircase, strict_complement)
@@ -119,30 +121,18 @@ class SchubertRing:
     def _degree(self, p: "CPolynomial", degree: int | None) -> int | None:
         """Check that p is a class of the ring and return its degree.
 
-        One pass over the terms gathers what the checks read; they fail in
-        the order: a family other than c, then c_k above the rank, then mixed
-        degrees, then a degree above the top degree.  A zero p takes the
-        given degree, which is how a class that vanished before reduction
-        keeps the degree it had.
+        The checks fail in the order: a family other than c, then c_k above
+        the rank, then mixed degrees, then a degree above the top degree.  A
+        zero p takes the given degree, which is how a class that vanished
+        before reduction keeps the degree it had.
         """
-        rank, foreign, above, degrees = self.rank, False, set(), set()
-        for mono in p.terms:
-            d = 0
-            for (family, k), e in mono:
-                if family != FAMILY_C:
-                    foreign = True
-                elif k > rank:
-                    above.add(k)
-                d += k * e
-            degrees.add(d)
-        if foreign:
+        if p.families() - {FAMILY_C}:
             raise ValueError(f"{self.label} expects a polynomial in the c family only")
+        above = sorted(k for _, k in p.generators() if k > self.rank)
         if above:
-            raise ValueError(f"{self.label} expects generators c_1..c_{rank}; "
-                             f"got {sorted(above)}")
-        if len(degrees) > 1:
-            raise ValueError(f"polynomial is not homogeneous (degrees {degree_list(degrees)})")
-        return self.check_degree(degrees.pop() if degrees else degree)
+            raise ValueError(f"{self.label} expects generators c_1..c_{self.rank}; got {above}")
+        d = p.homogeneous_degree()
+        return self.check_degree(degree if d is None else d)
 
     def check_degree(self, d: int | None) -> int | None:
         """Reject a degree above the top degree; None (unknown) passes."""

@@ -13,13 +13,13 @@ The polynomial layer is imported by the functions that build c-polynomials
 loads it.
 """
 
-from functools import lru_cache
+from functools import cache
 
 from .partitions import FAMILY_C, FAMILY_CPRIME, Partition, check_term_budget, degree_list
 from .pieri import OPEN, Expansion, column_peel, monomial_fold, pieri_build, vertical_strips
 
 
-@lru_cache(maxsize=None)
+@cache
 def schur_dual_jt(lam: Partition, family: str = FAMILY_C) -> "CPolynomial":
     """s_lambda in raw c-generators, built on c-monomials by column peels; no
     rank bound.  A weight past the output budget is rejected."""

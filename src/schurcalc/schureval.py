@@ -5,7 +5,9 @@ bound, and the product of two classes as (kappa, m) pairs; to-schur and
 certify use the Schur basis, gr/lg reduce and integrate a ring's.  The c_k
 factors stay c-monomials until the end, where pieri.monomial_fold folds each
 on the classes it multiplies.  Only a q atom or mixed degrees build a
-c-polynomial, and only evaluate_schur imports the Schur functions.
+c-polynomial, and only evaluate_schur imports the Schur functions.  run is
+the to-schur and certify command; gr/lg reduce and integrate are
+ringcommands.run, which evaluates on a ring's basis with BasisValue.
 """
 
 from .parsing import Gen, Num, evaluate, expression_reading, expression_text, parse
@@ -113,11 +115,7 @@ def evaluate_schur(text: str, length_bound: int | None = None) -> "Expansion":
 
 
 def run(args, pretty: bool) -> int:
-    """to-schur, certify (exit 1 unless nonnegative), gr/lg reduce, integrate."""
-    if args.command in ("gr", "lg"):
-        from .ringcommands import run as ring_run
-
-        return ring_run(args, pretty)
+    """to-schur and certify (exit 1 unless nonnegative)."""
     from .cli import emit, expansion_payload
 
     if args.length_bound is not None and args.length_bound < 0:

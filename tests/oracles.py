@@ -19,6 +19,9 @@ reference identity that no schurcalc command needs.
   form in the elementary-type classes of the conjugate.
 * c-monomials folded by pieri_build's memo of their prefixes, peeled
   index by index, as monomial_fold did before it took one step per factor.
+* The ring input check by one pass over a polynomial's terms, as
+  SchubertRing._degree made it before it read the polynomial's own
+  families, generators and homogeneous degree.
 * The Giambelli representatives of Schubert classes, basis_polynomial,
   which no command builds.
 * Q-tilde polynomials by the odd/even length recurrences, the two rules
@@ -438,6 +441,35 @@ def prefix_memo_fold(mono, step, bound: tuple) -> dict[tuple[int, ...], int]:
     for stop in range(200, len(indices), 200):
         pieri_build((), indices[:stop], step, bound, index_peel, None)
     return pieri_build((), indices, step, bound, index_peel, None)
+
+
+def one_pass_degree(ring, p: CPolynomial, degree: int | None) -> int | None:
+    """SchubertRing._degree before it read the polynomial's own families,
+    generators and homogeneous degree.
+
+    One pass over the terms gathers what the checks read; they fail in
+    the order: a family other than c, then c_k above the rank, then mixed
+    degrees, then a degree above the top degree.  A zero p takes the
+    given degree.
+    """
+    rank, foreign, above, degrees = ring.rank, False, set(), set()
+    for mono in p.terms:
+        d = 0
+        for (family, k), e in mono:
+            if family != FAMILY_C:
+                foreign = True
+            elif k > rank:
+                above.add(k)
+            d += k * e
+        degrees.add(d)
+    if foreign:
+        raise ValueError(f"{ring.label} expects a polynomial in the c family only")
+    if above:
+        raise ValueError(f"{ring.label} expects generators c_1..c_{rank}; "
+                         f"got {sorted(above)}")
+    if len(degrees) > 1:
+        raise ValueError(f"polynomial is not homogeneous (degrees {degree_list(degrees)})")
+    return ring.check_degree(degrees.pop() if degrees else degree)
 
 
 def elementary_xpoly(i: int, n: int) -> XPoly:

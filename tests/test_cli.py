@@ -318,9 +318,10 @@ def _cold_tokens(*argv):
 _PIERI = {"partitions", "pieri"}
 _BUILD = {"polynomial"} | _PIERI
 # the commands that neither build a ring nor read an expression, the
-# pairing, which reads nothing but its ring, and the expression commands,
-# which schureval runs: to-schur and certify on the Schur basis, gr/lg
-# reduce and integrate on the ring's basis through ringcommands
+# pairing, which reads nothing but its ring, and the expression commands:
+# to-schur and certify, which schureval runs on the Schur basis, and gr/lg
+# reduce and integrate, which ringcommands runs on the ring's basis with
+# schureval's evaluator
 _COMMAND = {"cli", "commands"}
 _RING = {"cli", "rings", "schubert"} | _PIERI
 # records holds the base of the syntax-tree nodes and of the reports
@@ -342,20 +343,20 @@ _POSITIVITY = {"positivity", "records"} | _COMMAND
 # lg, bundles only for schur-bundle
 _COLD_LOADS = [
     ((), set(), 400),
-    (("--help",), {"cli", "plaintext"}, 2200),
+    (("--help",), {"cli", "plaintext"}, 2100),
     (("lr", "2,1", "1"), {"schur"} | _COMMAND | _PIERI, 4600),
-    (("--pretty", "lr", "2,1", "1"), {"plaintext", "schur"} | _COMMAND | _PIERI, 5300),
-    (("lr", "--", "2,1", "1"), {"plaintext", "schur"} | _COMMAND | _PIERI, 5300),
+    (("--pretty", "lr", "2,1", "1"), {"plaintext", "schur"} | _COMMAND | _PIERI, 5200),
+    (("lr", "--", "2,1", "1"), {"plaintext", "schur"} | _COMMAND | _PIERI, 5200),
     (("qtilde", "2,1"), {"partitions", "polynomial", "qtilde"} | _COMMAND, 4500),
     (("schur-bundle", "--rank", "2", "--functor", "1", "--class", "1"),
      {"bundles", "schur"} | _COMMAND | _BUILD, 7300),
     (("to-schur", "c1^2"), _SCHUR_INPUT, 7300),
     (("to-schur", "s[3,1]*c2 - 2*c1^6"), _SCHUR_INPUT, 7300),
     (("to-schur", "q[2,1]*c1"), {"polynomial", "qtilde"} | _SCHUR_INPUT, 9100),
-    (("certify", "c1^2"), {"positivity"} | _SCHUR_INPUT, 8100),
-    (("certify", "c1 - c1 + c2"), {"positivity", "polynomial"} | _SCHUR_INPUT, 9600),
-    (("gr", "--r", "2", "--n", "4", "pairing"), _RING, 6500),
-    (("lg", "--n", "3", "pairing"), _RING, 6500),
+    (("certify", "c1^2"), {"positivity"} | _SCHUR_INPUT, 8000),
+    (("certify", "c1 - c1 + c2"), {"positivity", "polynomial"} | _SCHUR_INPUT, 9500),
+    (("gr", "--r", "2", "--n", "4", "pairing"), _RING, 6400),
+    (("lg", "--n", "3", "pairing"), _RING, 6400),
     (("gr", "--r", "2", "--n", "4", "dual", "1"), {"schubert"} | _COMMAND | _PIERI, 4600),
     (("lg", "--n", "3", "dual", "1"), {"schubert"} | _COMMAND | _PIERI, 4600),
     (("lg", "--n", "5", "restrict", "3,2,1"), {"schubert"} | _COMMAND | _PIERI, 4600),
@@ -363,8 +364,8 @@ _COLD_LOADS = [
     (("gr", "--r", "2", "--n", "7", "integrate", "s[5,4]*s[1]"), _RING_INPUT, 10100),
     (("lg", "--n", "3", "integrate", "q[2,1]*c3"), _RING_INPUT, 10100),
     (("gr", "--r", "2", "--n", "4", "integrate", "q[2,1]*c1"),
-     _RING_INPUT | {"polynomial", "qtilde"}, 11900),
-    (("gr", "--r", "2", "--n", "4", "reduce", "c1 + c2 - c2"), _RING_INPUT | {"polynomial"}, 11600),
+     _RING_INPUT | {"polynomial", "qtilde"}, 11800),
+    (("gr", "--r", "2", "--n", "4", "reduce", "c1 + c2 - c2"), _RING_INPUT | {"polynomial"}, 11500),
     (("thom-verify", "--table", "classical"),
      {"polynomial", "schur"} | _POSITIVITY | _GRAMMAR, 8900),
     (("thom-verify", "--table", "lagrangian"), {"legendrian"} | _POSITIVITY | _GRAMMAR, 7900),
@@ -439,7 +440,8 @@ def test_only_the_c_polynomial_builders_import_when_called():
     # statement, which costs about 2 us, an eighth of a warm reduce
     # (positivity.certify loads the Schur layer, and table_payload the
     # Legendrian tables, for thom-verify; evaluate_schur the Schur layer, and
-    # the commands schureval.run and rings.run, the pairing, what they run)
+    # the commands schureval.run, to-schur and certify, and rings.run, the
+    # pairing, what they run)
     from schurcalc import parsing, pieri, positivity, rings, schubert, schur, schureval
 
     builders = {schur: {"schur_dual_jt", "from_schur"},

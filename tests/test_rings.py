@@ -1,12 +1,16 @@
 from argparse import Namespace
+from functools import partial
 from itertools import combinations
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurcalc.partitions import Partition, StrictPartition
 from schurcalc.pieri import Expansion
-from schurcalc.polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial, truncate_family
+from schurcalc.polynomial import (FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, CPolynomial,
+                                  truncate_family)
 from schurcalc.rings import PAIRING_BUDGET, GrassmannianRing, LagrangianRing, enumerate_partitions
 from schurcalc.schubert import restrict, restriction
 from schurcalc.schur import schur_dual_jt
@@ -21,6 +25,7 @@ from oracles import (
     is_nonnegative,
     lg_reduce_by_solve,
     monomials_of_degree,
+    one_pass_degree,
     pairing_is_dual_permutation,
     reduce_tautological,
     shifted_tableaux_count,
@@ -100,6 +105,63 @@ def test_input_checks_fail_in_their_order():
                     Expansion({}, degree=d, key=ring.key)
             with pytest.raises(ValueError, match="exceeds the top degree"):
                 ring.reduce(CPolynomial.zero(), degree=ring.top_degree + 1)
+
+
+@st.composite
+def _ring_inputs(draw):
+    """A maker of a ring, Gr(r,n) with n <= 7 or LG(n) with n <= 4, a
+    polynomial and a stated degree.  The polynomial mixes c, c' and v
+    generators, c_k above the rank, several degrees and degrees above the
+    top degree, or else is one of c_k alone, up to two above the rank, in
+    one degree up to past the top."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 7))
+        make = partial(GrassmannianRing, draw(st.integers(1, n - 1)), n)
+    else:
+        make = partial(LagrangianRing, draw(st.integers(1, 4)))
+    ring = make()
+    p = CPolynomial.zero()
+    if draw(st.booleans()):
+        gens = st.integers(1, ring.rank + 2).map(c)
+        if draw(st.booleans()):
+            gens |= st.sampled_from([CPolynomial.gen(FAMILY_CPRIME, 1),
+                                     CPolynomial.gen(FAMILY_V1), CPolynomial.gen(FAMILY_V2)])
+        for _ in range(draw(st.integers(1, 4))):
+            p += draw(st.sampled_from([-2, -1, 1, 2])) * prod(draw(st.lists(gens, max_size=4)),
+                                                              start=CPolynomial.one())
+    else:
+        d = draw(st.integers(0, ring.top_degree + 2))
+        for _ in range(draw(st.integers(0, 3))):
+            term, left = CPolynomial.one(), d
+            while left:
+                k = draw(st.integers(1, min(left, ring.rank + 2)))
+                term, left = term * c(k), left - k
+            p += draw(st.sampled_from([-2, -1, 1, 2])) * term
+    return make, p, draw(st.none() | st.integers(0, ring.top_degree + 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_ring_inputs())
+def test_input_checks_match_the_one_pass_oracle(case):
+    # on a fresh ring and on one whose table holds each monomial of p that
+    # is a class on its own
+    make, p, degree = case
+    fresh, primed = make(), make()
+    for mono in p.terms:
+        try:
+            primed.reduce(CPolynomial({mono: 1}))
+        except ValueError:
+            pass
+    try:
+        expected = one_pass_degree(fresh, p, degree)
+    except ValueError as exc:
+        for ring in (fresh, primed):
+            with pytest.raises(ValueError) as info:
+                ring.reduce(p, degree)
+            assert str(info.value) == str(exc)
+    else:
+        for ring in (fresh, primed):
+            assert ring.reduce(p, degree).degree == expected
 
 
 def test_gr_integrate():
