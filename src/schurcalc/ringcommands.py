@@ -1,7 +1,8 @@
 """gr/lg reduce and integrate: an expression evaluated in a ring.
 
 Input homogeneous in the c family is evaluated on the ring's Schubert basis,
-with the atoms that README.md tabulates; any other as a c-polynomial.
+with the atoms that README.md tabulates; any other as a c-polynomial, its
+atoms cut to the ring's rank before they multiply.
 """
 
 from .cli import emit, expansion_payload
@@ -25,9 +26,11 @@ def _ring_atom(ring, basis: tuple):
     gr = isinstance(ring, GrassmannianRing)
 
     def atom(leaf):
-        k = 0 if isinstance(leaf, Num) else _column(leaf)
-        if k or isinstance(leaf, Num) or gr and leaf.kind == "q":
-            # a number, c_k, or the c-monomials of Q-tilde, which Gr's fold cuts
+        if isinstance(leaf, Num):
+            return basis_atom(leaf, basis)
+        k = _column(leaf)
+        if k or gr and leaf.kind == "q":
+            # c_k, or the c-monomials of Q-tilde, which Gr's fold cuts
             return basis_atom(Gen(FAMILY_C, k) if k else leaf, basis) if k <= ring.rank \
                 else BasisValue({}, basis)
         parts = leaf.parts
@@ -54,14 +57,13 @@ def run(args, pretty: bool) -> int:
                  else ring.basis_product(lam, mu).coefficients.items())
         expansion = Expansion(evaluate(expr, _ring_atom(ring, basis)).expanded(), degree, ring.key)
     else:
-        # c_k above the rank is 0 in the ring; a p that this kills keeps its degree
-        p = evaluate(expr)
-        q = p.truncated(FAMILY_C, ring.rank)
-        if p.terms and not q.terms:
+        # c_k above the rank is 0 in the ring; a value that this kills keeps its degree
+        q = evaluate(expr, lambda leaf: evaluate(leaf).truncated(FAMILY_C, ring.rank))
+        p = q or evaluate(expr)
+        if p and not q:
             degree = p.homogeneous_degree() if p.is_homogeneous() else None
         expansion = ring.reduce(q, degree)
-    if args.action == "integrate":
-        emit({"ring": ring.label, "value": number_text(ring.integrate(expansion))}, pretty)
-    else:
-        emit({"ring": ring.label, **expansion_payload(expansion)}, pretty)
+    payload = {"value": number_text(ring.integrate(expansion))} if args.action == "integrate" \
+        else expansion_payload(expansion)
+    emit({"ring": ring.label, **payload}, pretty)
     return 0

@@ -15,7 +15,7 @@ loads it.
 
 from functools import cache
 
-from .partitions import FAMILY_C, FAMILY_CPRIME, Partition, check_term_budget, degree_list
+from .partitions import FAMILY_C, FAMILY_CPRIME, Partition, check_term_budget
 from .pieri import OPEN, Expansion, column_peel, monomial_fold, pieri_build, vertical_strips
 
 
@@ -64,13 +64,9 @@ def check_schur_families(families: set[str]) -> None:
 
 def schur_expansion(coeffs: dict[tuple[int, ...], int],
                     length_bound: int | None = None) -> Expansion:
-    """The Expansion of Schur coefficients on tuples of parts.  Nonzero terms
-    of more than one weight are an inhomogeneous input, zero has no degree,
-    and with a length bound, support on longer partitions makes the input
-    inexpressible; both raise."""
-    degrees = {sum(lam) for lam, c in coeffs.items() if c}
-    if len(degrees) > 1:
-        raise ValueError(f"polynomial is not homogeneous (degrees {degree_list(degrees)})")
+    """The Expansion of Schur coefficients on tuples of parts, of one weight
+    since both callers check homogeneity first.  With a length bound, support
+    on longer partitions makes the input inexpressible and raises."""
     if length_bound is not None:
         long = [lam for lam, c in coeffs.items() if c and len(lam) > length_bound]
         if long:
@@ -78,7 +74,7 @@ def schur_expansion(coeffs: dict[tuple[int, ...], int],
                 f"not expressible with length bound {length_bound}: "
                 f"support on {sorted(long)}"
             )
-    return Expansion(coeffs, degree=degrees.pop() if degrees else None)
+    return Expansion(coeffs)
 
 
 def pair_product(lam: tuple[int, ...], mu: tuple[int, ...]):

@@ -4,10 +4,10 @@ A basis is (step, bound, product): its Pieri step c_k . b_lam, that step's
 bound, and the product of two classes as (kappa, m) pairs; to-schur and
 certify use the Schur basis, gr/lg reduce and integrate a ring's.  The c_k
 factors stay c-monomials until the end, where pieri.monomial_fold folds each
-on the classes it multiplies.  Only a q atom or mixed degrees build a
-c-polynomial, and only evaluate_schur imports the Schur functions.  run is
-the to-schur and certify command; gr/lg reduce and integrate are
-ringcommands.run, which evaluates on a ring's basis with BasisValue.
+on the classes it multiplies.  Only a q atom builds a c-polynomial to
+evaluate, terms of different degrees one to check, and only evaluate_schur
+imports the Schur functions.  run is the to-schur and certify command;
+gr/lg reduce and integrate are ringcommands.run, on a ring's basis.
 """
 
 from .parsing import Gen, Num, evaluate, expression_reading, expression_text, parse
@@ -52,12 +52,14 @@ class BasisValue:
         return BasisValue({key: c for key, c in out.items() if c}, self.basis)
 
     def __pow__(self, e: int) -> "BasisValue":
-        (lam, mono), c = next(iter(self.terms.items()), (((), ()), 0))
-        if e and not lam and len(self.terms) == 1:  # c times a c-monomial
-            return BasisValue({((), tuple((g, n * e) for g, n in mono)): c ** e}, self.basis)
-        # e products: by its classes if its degree is within the output budget
+        if e and len(self.terms) == 1:
+            [((lam, mono), c)] = self.terms.items()
+            if not lam:  # c times a c-monomial
+                return BasisValue({((), tuple((g, n * e) for g, n in mono)): c ** e}, self.basis)
+        # e products: by its classes if its terms share a degree within the output budget
+        degrees = {sum(lam) + sum(g[1] * n for g, n in mono) for lam, mono in self.terms}
         base = self
-        if e and sum(lam) + sum(g[1] * n for g, n in mono) <= TERM_DEGREE:
+        if e and len(degrees) == 1 and max(degrees) <= TERM_DEGREE:
             base = BasisValue({(k, ()): c for k, c in self.expanded().items()}, self.basis)
         out = BasisValue({((), ()): 1}, self.basis)
         for _ in range(e):
@@ -95,12 +97,12 @@ def evaluate_schur(text: str, length_bound: int | None = None) -> "Expansion":
     """The Schur expansion of an expression, with the messages of to_schur.
 
     The syntax tree's highest degree, then that of every subexpression, must
-    pass the output budget, and it must name one c-type family.  Terms of one
-    degree are evaluated in the Schur basis, others as a c-polynomial, which
-    shows an inhomogeneous value at once; the value must lie on partitions of
-    at most length_bound parts, when one is given.
+    pass the output budget, and it must name one c-type family.  Terms of
+    different degrees build the c-polynomial only to check that the value is
+    homogeneous.  Every expression is evaluated in the Schur basis; the value
+    must lie on partitions of at most length_bound parts, when one is given.
     """
-    from .schur import check_schur_families, pair_product, schur_expansion, to_schur
+    from .schur import check_schur_families, pair_product, schur_expansion
 
     expr = parse(text)
     reading = expression_reading(expr)
@@ -108,7 +110,7 @@ def evaluate_schur(text: str, length_bound: int | None = None) -> "Expansion":
     check_term_budget(reading.peak)
     check_schur_families(reading.families)
     if reading.lo != reading.hi:
-        return to_schur(evaluate(expr), length_bound)
+        evaluate(expr).homogeneous_degree()  # raises on an inhomogeneous value
     basis = (vertical_strips, OPEN, pair_product)
     return schur_expansion(evaluate(expr, lambda leaf: basis_atom(leaf, basis)).expanded(),
                            length_bound)

@@ -115,16 +115,37 @@ def homogeneous_text(draw, family, d, depth=0):
 
 
 @st.composite
+def mixed_degrees(draw, family, text, d):
+    """text, of degree d, with terms of other degrees up to EXPRESSION_DEGREE
+    in about half of the cases: a term added and taken away, a term of
+    another degree added, which makes an inhomogeneous sum unless a side is
+    zero, or a power (X + Y)^e of a base whose terms differ in degree, added
+    and taken away."""
+    kind = draw(st.sampled_from(["none", "none", "none", "cancel", "sum", "power"]))
+    if kind == "power":
+        e = draw(st.integers(1, 3))
+        a, b = draw(st.lists(st.integers(0, EXPRESSION_DEGREE // e), min_size=2, max_size=2,
+                             unique=True))
+        # X and Y drawn one level from the atoms, so that the power stays small
+        base = f"(({draw(homogeneous_text(family, a, 2))}) + " \
+               f"({draw(homogeneous_text(family, b, 2))}))^{e}"
+        return f"{base} - {base} + {text}"
+    if kind == "sum":
+        other = draw(st.integers(0, EXPRESSION_DEGREE).filter(lambda k: k != d))
+        return f"{text} + ({draw(homogeneous_text(family, other))})"
+    if kind == "cancel":
+        other = draw(homogeneous_text(family, draw(st.integers(0, EXPRESSION_DEGREE))))
+        return f"{text} + ({other}) - ({other})"
+    return text
+
+
+@st.composite
 def expression_text(draw):
-    """A single-family expression of highest degree at most EXPRESSION_DEGREE;
-    a quarter of them add and take away a term of another degree."""
+    """A single-family expression of highest degree at most EXPRESSION_DEGREE,
+    about half of them with terms of other degrees (see mixed_degrees)."""
     family = draw(st.sampled_from([FAMILY_C, FAMILY_CPRIME]))
     d = draw(st.integers(0, EXPRESSION_DEGREE))
-    text = draw(homogeneous_text(family, d))
-    if draw(st.integers(0, 3)) == 0:
-        other = draw(homogeneous_text(family, draw(st.integers(0, EXPRESSION_DEGREE))))
-        text = f"{text} + ({other}) - ({other})"
-    return text
+    return draw(mixed_degrees(family, draw(homogeneous_text(family, d)), d))
 
 
 def _outcome(evaluate, *args):
@@ -152,14 +173,11 @@ def ring_expression(draw):
     """A ring and an expression of degree at most EXPRESSION_DEGREE, or one
     past the top degree; s atoms range over all partitions of their weight
     and q atoms over all strict ones, so many lie outside the ring's box,
-    and a quarter of them add and take away a term of another degree."""
+    and about half of them hold terms of other degrees (see mixed_degrees)."""
     spec = draw(st.sampled_from(EXPRESSION_RINGS))
     top = make_ring(spec).top_degree
-    text = draw(homogeneous_text(FAMILY_C, draw(st.integers(0, min(EXPRESSION_DEGREE, top + 1)))))
-    if draw(st.integers(0, 3)) == 0:
-        other = draw(homogeneous_text(FAMILY_C, draw(st.integers(0, EXPRESSION_DEGREE))))
-        text = f"{text} + ({other}) - ({other})"
-    return spec, text
+    d = draw(st.integers(0, min(EXPRESSION_DEGREE, top + 1)))
+    return spec, draw(mixed_degrees(FAMILY_C, draw(homogeneous_text(FAMILY_C, d)), d))
 
 
 def assert_reduce_is_the_oracle(spec, text):
