@@ -11,8 +11,8 @@ from functools import cache
 from math import comb
 
 from .partitions import Partition
-from .pieri import Expansion
-from .schur import schur_dual_jt
+from .pieri import OPEN, Expansion, column_peel, pieri_build
+from .schur import monomial_step
 
 
 @cache
@@ -169,11 +169,12 @@ def schur_bundle_class(lam: Partition, mu: Partition, n: int) -> Expansion:
                 for i in range(m) if w[i] + shift}
         for k in range(mu.weight, 0, -1):
             xp_accumulate(elementary[k], xp_mul(elementary[k - 1], root))
+    # s_mu on c-monomials, each an ascending tuple of indices, by the dual
+    # Jacobi-Trudi build that schur_dual_jt wraps
     acc: XPoly = {}
-    for mono, coeff in schur_dual_jt(mu).terms.items():
+    for mono, coeff in pieri_build((), mu, monomial_step, None, column_peel, OPEN).items():
         term: XPoly = {(0,) * m: 1}
-        for (_, k), e in mono:
-            for _ in range(e):
-                term = xp_mul(term, elementary[k])
+        for k in mono:
+            term = xp_mul(term, elementary[k])
         xp_accumulate(acc, term, coeff)
     return Expansion(peel_schur(acc, m), degree=mu.weight)

@@ -6,9 +6,11 @@ nonnegative coefficients; certify() decides that criterion exactly.  The
 built-in corpus stores the classical singularity-class polynomials verbatim
 as expression strings (data, not code) so they can be audited line by line.
 Schur-bundle classes, which no certification needs, are in bundles.py.
-table_payload is what thom-verify prints.  The Schur layer is imported by
-certify when it runs, so the Legendrian and Lagrangian tables, whose
-classes are given in their own basis, load no Schur or polynomial code.
+table_payload is what thom-verify prints; the classical table certifies each
+expression as the certify command does, by its Schur-basis evaluation, so it
+builds no c-polynomial.  The Schur layer is imported by certify and
+verify_thom_table when they run, so the Legendrian and Lagrangian tables,
+whose classes are given in their own basis, load no Schur or polynomial code.
 """
 
 from functools import cache
@@ -72,7 +74,8 @@ def certify(p: "CPolynomial", length_bound: int | None = None,
 
 
 class ThomTableEntry(FrozenRecord):
-    """One classical singularity class: name, printed polynomial, codimension."""
+    """One classical singularity class: name, printed polynomial, codimension.
+    Its polynomial is the parsed c-polynomial, for library callers."""
 
     __slots__ = ("name", "expression", "codimension")
 
@@ -132,8 +135,11 @@ def minimal_hook_rank(expansion: "Expansion") -> int:
 
 
 def verify_thom_table() -> list[PositivityReport]:
-    """Certify every built-in classical entry; all must come out POSITIVE."""
-    return [certify(entry.polynomial, name=entry.name)
+    """Certify every built-in classical entry as certify EXPR does, its
+    expression evaluated on the Schur basis; all must come out POSITIVE."""
+    from .schureval import evaluate_schur
+
+    return [schur_positivity(evaluate_schur(entry.expression), name=entry.name)
             for entry in CLASSICAL_THOM_TABLE]
 
 

@@ -3,14 +3,15 @@ the Schur basis.
 
 Everything here runs on the Pieri core of pieri.py.  With the dual Pieri
 step (c_k = s_(1^k) adds vertical k-strips), to_schur folds each c-monomial
-from 1 and schur_dual_jt builds s_lam on c-monomials by column peels.
+from 1 and schur_dual_jt builds s_lam on c-monomials by column peels,
+pieri_build with monomial_step, which bundles.py reads as index tuples.
 pair_product multiplies two Schur classes, for lr_multiply and for the
 Schur-basis evaluation of schureval.py.  A ring command loads this module
 only for an s atom that it reads as a c-polynomial.
 
 The polynomial layer is imported by the functions that build c-polynomials
-(schur_dual_jt, from_schur) when they run, so lr, which builds none, never
-loads it.
+(schur_dual_jt, from_schur) when they run, so lr and schur-bundle, which
+build none, never load it.
 """
 
 from functools import cache

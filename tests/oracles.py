@@ -11,9 +11,10 @@ reference identity that no schurcalc command needs.
   products s_alpha(E) . s_beta(F*).  Without F it only re-derives plain
   classes: schur_jt(lam) is schur_dual_jt(lam), complete_from_elementary(k)
   is schur_dual_jt((k,)) and elementary_super(k) is c_k.
-* The Schur expansion, Littlewood-Richardson products and Schur-bundle
-  classes by brute-force monomial expansion in formal variables, with
-  greedy peeling.
+* The Schur expansion and Littlewood-Richardson products by brute-force
+  monomial expansion in formal variables, and Schur-bundle classes by the
+  Jacobi-Trudi determinant in the complete symmetric functions of the
+  bundle's roots, all with greedy peeling.
 * Both Jacobi-Trudi determinants of s_lambda(E - F), expanded by
   memoized minors: the h-form |s_{lambda_i - i + j}(E - F)| and the dual
   form in the elementary-type classes of the conjugate.
@@ -39,13 +40,16 @@ reference identity that no schurcalc command needs.
   the degree of LG(n).
 * Legendrian expressions read through v-polynomials: each basis class
   carries a CPolynomial in v1 and v2, split into exponents at the end.
+* The Thom polynomials of the Morin classes A_d between equal dimensions,
+  solved from Rimanyi's restriction equations, and the restriction of a
+  c-polynomial to a singularity that those equations read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial, prod
 
 from schurcalc import parsing
@@ -504,18 +508,25 @@ def to_schur_oracle(p: CPolynomial, nvars: int | None = None) -> Expansion:
 
 
 def schur_bundle_oracle(lam: Partition, mu: Partition, n: int) -> Expansion:
-    """s_mu(S^lam E) for E of rank n, in all n variables: s_mu of the linear
-    forms sum_i w_i x_i, one per tableau weight w of lam, peeled."""
+    """s_mu(S^lam E) for E of rank n, in all n variables: the Jacobi-Trudi
+    determinant det(h_{mu_i - i + j}) of the linear forms sum_i w_i x_i, one
+    per tableau weight w of lam, peeled.  The h_k are the coefficients of
+    prod 1/(1 - r t) over the roots r."""
     lam, mu = Partition(lam), Partition(mu)
-    roots = [{tuple(int(j == i) for j in range(n)): wi for i, wi in enumerate(w) if wi}
-             for w in ssyt_weights(lam, n)]
+    complete: list[XPoly] = [{(0,) * n: 1}] + [{} for _ in range(mu.weight)]
+    for w in ssyt_weights(lam, n):
+        root = {tuple(int(j == i) for j in range(n)): wi for i, wi in enumerate(w) if wi}
+        for k in range(1, mu.weight + 1):
+            xp_accumulate(complete[k], xp_mul(complete[k - 1], root))
+    rows = len(mu)
     acc: XPoly = {}
-    for exponents, coeff in schur_monomials(mu, len(roots)):
+    for perm in permutations(range(rows)):
         term: XPoly = {(0,) * n: 1}
-        for var, e in enumerate(exponents):
-            for _ in range(e):
-                term = xp_mul(term, roots[var])
-        xp_accumulate(acc, term, coeff)
+        for i, j in enumerate(perm):
+            k = mu[i] - i + j
+            term = xp_mul(term, complete[k] if k >= 0 else {})
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        xp_accumulate(acc, term, -1 if inversions % 2 else 1)
     return Expansion(peel_schur(acc, n), degree=mu.weight)
 
 
@@ -769,3 +780,72 @@ def legendrian_parse_by_vpolynomials(text: str, n: int) -> LegendrianClass:
         raise ValueError(f"expression is inhomogeneous: degrees {degree_list(degrees)}")
     degree = degrees.pop() if degrees else None
     return LegendrianClass(coefficients, n=n, degree=degree)
+
+
+# -- Morin classes by Rimanyi's restriction equations --------------------------
+#
+# A singularity is (source, target), the torus weights of its germ, each an
+# (a, b) pair for the character a*alpha + b*beta; at it c(f*TY - TX)
+# restricts to prod (1 + t) / prod (1 + s).  A class in alpha and beta is an
+# XPoly on exponent pairs.
+
+
+def morin_germ(j: int) -> tuple:
+    """A_j between equal dimensions: x -> x^(j+1) on a line of weight alpha,
+    so c restricts to (1 + (j+1) alpha) / (1 + alpha); the unfolding
+    parameters' weights cancel."""
+    return ((1, 0),), ((j + 1, 0),)
+
+
+# I_2,2: (x, y) -> (x^2, y^2) with weights alpha and beta, and unfolding
+# weights 2 alpha - beta and 2 beta - alpha on both sides
+I22_GERM = (((1, 0), (0, 1), (2, -1), (-1, 2)), ((2, 0), (0, 2), (2, -1), (-1, 2)))
+
+
+def restriction(p: CPolynomial, germ: tuple) -> dict:
+    """The homogeneous c-polynomial p restricted to a singularity: c_k read as
+    the degree-k part of prod (1 + t) / prod (1 + s) over its target and
+    source weights, 1 / (1 + s) as the series sum_k (-s)^k cut at deg p."""
+    d = p.homogeneous_degree() or 0
+    source, target = germ
+    total: XPoly = {(0, 0): 1}
+    for weights, sign, terms in ((target, 1, 1), (source, -1, d)):
+        for a, b in weights:
+            form = {key: sign * v for key, v in (((1, 0), a), ((0, 1), b)) if v}
+            factor, power = {(0, 0): 1}, {(0, 0): 1}
+            for _ in range(terms):
+                power = xp_mul(power, form)
+                xp_accumulate(factor, power)
+            total = xp_mul(total, factor)
+    chern = [{key: v for key, v in total.items() if sum(key) == k} for k in range(d + 1)]
+    out: XPoly = {}
+    for mono, coeff in p.terms.items():
+        term = {(0, 0): coeff}
+        for (_, k), e in mono:
+            for _ in range(e):
+                term = xp_mul(term, chern[k])
+        xp_accumulate(out, term)
+    return out
+
+
+def morin_thom_polynomial(d: int) -> CPolynomial:
+    """The Thom polynomial of A_d between equal dimensions, 1 <= d <= 4, as
+    the unique solution of Rimanyi's restriction equations on the p(d)
+    c-monomials of degree d: it vanishes at A_1 .. A_(d-1), and at I_2,2
+    when d = 4, and is the normal Euler class d! alpha^d at A_d.  These are
+    all the singularities of codimension at most 4."""
+    if not 1 <= d <= 4:
+        raise ValueError(f"the restriction equations here reach codimension 4, not {d}")
+    monomials = monomials_of_degree(d, FAMILY_C)
+    conditions = [(morin_germ(j), {}) for j in range(1, d)]
+    if d == 4:
+        conditions.append((I22_GERM, {}))
+    conditions.append((morin_germ(d), {(d, 0): factorial(d)}))
+    matrix, rhs = [], []
+    for germ, value in conditions:
+        columns = [restriction(CPolynomial({mono: 1}), germ) for mono in monomials]
+        for a in range(d + 1):
+            matrix.append([column.get((a, d - a), 0) for column in columns])
+            rhs.append(value.get((a, d - a), 0))
+    solution = solve_exact(matrix, rhs, unique_block=(0, len(monomials)))
+    return CPolynomial(dict(zip(monomials, solution.as_integers())))

@@ -166,6 +166,17 @@ def test_schur_bundle(capsys):
     ]
 
 
+def test_tables_and_bundle_classes_print_their_pinned_bytes(capsysbinary):
+    # the three tables, as JSON and with --pretty, and the classes (1), (2),
+    # (1,1) and (2,1) of the eleven (functor, rank) pairs of the benchmark's
+    # bundles, byte for byte as the c-polynomial routes printed them
+    pinned = json.loads((Path(__file__).parent / "pinned_stdout.json").read_text())
+    assert len(pinned) == 6 + 11 * 4
+    for argv, stdout in pinned:
+        assert main(argv) == 0, argv
+        assert capsysbinary.readouterr() == (stdout.encode("ascii"), b""), argv
+
+
 def test_input_file(tmp_path, capsys):
     path = tmp_path / "expr.txt"
     path.write_text("c2^2 - c1*c3\n")
@@ -317,7 +328,6 @@ def _cold_tokens(*argv):
 
 # the Pieri core: partitions, expansions, steps, peels and the build
 _PIERI = {"partitions", "pieri"}
-_BUILD = {"polynomial"} | _PIERI
 # the commands that neither build a ring nor read an expression, the
 # pairing, which reads nothing but its ring, and the expression commands:
 # to-schur and certify, which schureval runs on the Schur basis, and gr/lg
@@ -333,15 +343,15 @@ _POSITIVITY = {"positivity", "records"} | _COMMAND
 
 # per command, exactly the schurcalc submodules it loads and the most code
 # tokens they may hold (see _cold_tokens): the grammar and the basis
-# evaluator schureval only where an expression is read, legendrian only for
-# the Legendrian tables, the polynomial layer only where a c-polynomial is
-# built (the classical table, a q atom outside LG(n), a sum whose terms
-# differ in degree) and qtilde only for q, schur only where Schur functions
-# are computed, plaintext only for help, --pretty and argv outside the
-# canonical form, commands only for the commands that read no expression
-# and build no ring, rings only for the gr/lg commands that build a ring
-# and ringcommands only for reduce and integrate, schubert only for gr and
-# lg, bundles only for schur-bundle
+# evaluator schureval only where an expression is read (the classical table
+# reads its entries), legendrian only for the Legendrian tables, the
+# polynomial layer only where a c-polynomial is built (a q atom outside
+# LG(n), a sum whose terms differ in degree) and qtilde only for q, schur
+# only where Schur functions are computed, plaintext only for help, --pretty
+# and argv outside the canonical form, commands only for the commands that
+# read no expression and build no ring, rings only for the gr/lg commands
+# that build a ring and ringcommands only for reduce and integrate,
+# schubert only for gr and lg, bundles only for schur-bundle
 _COLD_LOADS = [
     ((), set(), 400),
     (("--help",), {"cli", "plaintext"}, 2100),
@@ -350,7 +360,7 @@ _COLD_LOADS = [
     (("lr", "--", "2,1", "1"), {"plaintext", "schur"} | _COMMAND | _PIERI, 5100),
     (("qtilde", "2,1"), {"partitions", "polynomial", "qtilde"} | _COMMAND, 4500),
     (("schur-bundle", "--rank", "2", "--functor", "1", "--class", "1"),
-     {"bundles", "schur"} | _COMMAND | _BUILD, 7200),
+     {"bundles", "schur"} | _COMMAND | _PIERI, 5700),
     (("to-schur", "c1^2"), _SCHUR_INPUT, 7300),
     (("to-schur", "s[3,1]*c2 - 2*c1^6"), _SCHUR_INPUT, 7300),
     (("to-schur", "q[2,1]*c1"), {"polynomial", "qtilde"} | _SCHUR_INPUT, 9000),
@@ -368,7 +378,7 @@ _COLD_LOADS = [
      _RING_INPUT | {"polynomial", "qtilde"}, 11800),
     (("gr", "--r", "2", "--n", "4", "reduce", "c1 + c2 - c2"), _RING_INPUT | {"polynomial"}, 11500),
     (("thom-verify", "--table", "classical"),
-     {"polynomial", "schur"} | _POSITIVITY | _GRAMMAR, 8800),
+     {"schur", "schureval"} | _POSITIVITY | _GRAMMAR, 8400),
     (("thom-verify", "--table", "lagrangian"), {"legendrian"} | _POSITIVITY | _GRAMMAR, 7900),
     (("thom-verify", "--table", "legendrian"), {"legendrian"} | _POSITIVITY | _GRAMMAR, 7900),
 ]
@@ -439,17 +449,19 @@ def test_the_pieri_layer_loads_no_polynomial_code():
 def test_only_the_c_polynomial_builders_import_when_called():
     # so no warm reduce, integrate, basis_product or restrict runs an import
     # statement, which costs about 2 us, an eighth of a warm reduce
-    # (positivity.certify loads the Schur layer, and table_payload the
-    # Legendrian tables, for thom-verify; evaluate_schur the Schur layer, and
-    # the commands schureval.run, to-schur and certify, and rings.run, the
-    # pairing, what they run)
+    # (positivity.certify loads the Schur layer, verify_thom_table the
+    # Schur-basis evaluation and table_payload the Legendrian tables, for
+    # thom-verify; evaluate_schur the Schur layer, and the commands
+    # schureval.run, to-schur and certify, and rings.run, the pairing, what
+    # they run)
     from schurcalc import parsing, pieri, positivity, rings, schubert, schur, schureval
 
     builders = {schur: {"schur_dual_jt", "from_schur"},
                 rings: {"run"},
                 parsing: {"_polynomial_atom"},
                 schureval: {"basis_atom", "evaluate_schur", "run"},
-                positivity: {"certify", "_entry_polynomial", "table_payload"},
+                positivity: {"certify", "_entry_polynomial", "verify_thom_table",
+                             "table_payload"},
                 pieri: set(), schubert: set()}
     for module, names in builders.items():
         tree = ast.parse(Path(module.__file__).read_text())

@@ -16,7 +16,8 @@ from schurcalc.positivity import (
 from schurcalc.rings import enumerate_partitions
 from schurcalc.schur import schur_dual_jt
 
-from oracles import is_nonnegative, partitions_up_to, schur_bundle_oracle, to_schur_oracle
+from oracles import (I22_GERM, is_nonnegative, morin_germ, morin_thom_polynomial, partitions_up_to,
+                     restriction, schur_bundle_oracle, to_schur_oracle)
 
 
 def c(i):
@@ -63,9 +64,34 @@ def test_corpus_certifies_positive():
 
 
 def test_corpus_expansions_match_oracle():
-    for entry in CLASSICAL_THOM_TABLE:
-        expansion = certify(entry.polynomial).expansion
-        assert to_schur_oracle(entry.polynomial) == expansion, entry.name
+    for entry, report in zip(CLASSICAL_THOM_TABLE, verify_thom_table()):
+        assert to_schur_oracle(entry.polynomial) == report.expansion, entry.name
+
+
+def test_the_table_certifies_each_entry_as_certify_does_its_polynomial():
+    # verify_thom_table evaluates each expression on the Schur basis, as the
+    # certify command does; certify folds the entry's c-polynomial
+    for entry, report in zip(CLASSICAL_THOM_TABLE, verify_thom_table()):
+        by_polynomial = certify(entry.polynomial, name=entry.name)
+        assert (report.name, report.verdict, report.expansion, report.witnesses) == \
+            (by_polynomial.name, by_polynomial.verdict, by_polynomial.expansion,
+             by_polynomial.witnesses)
+        assert report.polynomial is None
+
+
+def test_the_morin_classes_solve_rimanyis_restriction_equations():
+    # the unique solutions on the c-monomials of each degree: Porteous's c1,
+    # Ronga's c1^2 + c2, and the table's A_3 and A_4
+    table = {entry.name: entry.polynomial for entry in CLASSICAL_THOM_TABLE}
+    assert morin_thom_polynomial(1) == c(1)
+    assert morin_thom_polynomial(2) == c(1) ** 2 + c(2)
+    assert morin_thom_polynomial(3) == table["A_3"]
+    assert morin_thom_polynomial(4) == table["A_4"]
+    # the printed I_2,2 vanishes on every Morin class of codimension at most
+    # its own, and at its own germ it is alpha beta (2 alpha - beta) (2 beta - alpha)
+    for j in range(1, 5):
+        assert restriction(table["I_2,2"], morin_germ(j)) == {}, j
+    assert restriction(table["I_2,2"], I22_GERM) == {(3, 1): -2, (2, 2): 5, (1, 3): -2}
 
 
 def test_hook_rank_diagnostic():
