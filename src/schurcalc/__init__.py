@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = (
     ("partitions", ("Partition", "StrictPartition", "conjugate")),
     ("schubert", ("rectangle_dual", "strict_complement", "staircase")),
-    ("rings", ("enumerate_partitions", "enumerate_strict_partitions")),
+    ("pairing", ("enumerate_partitions", "enumerate_strict_partitions")),
     ("positivity", ("hook_contains",)),
     ("polynomial", (
         "CPolynomial", "truncate_family",

@@ -17,14 +17,17 @@ parser that plaintext.build_parser makes from the same table, so help texts
 and usage errors stay argparse's own; plaintext also holds the --pretty
 renderer, and no other command loads it.  _run_command hands to-schur and
 certify to schureval.run, gr/lg reduce and integrate to ringcommands.run,
-gr/lg pairing to rings.run and every other command to commands.py.
+gr/lg pairing to pairing.run and every other command to commands.py.
 
 The Pieri core (partitions, pieri), the Schur functions (schur), the
 rings and the grammar import the polynomial and Q-tilde layers only in the
 functions that build c-polynomials.  lr loads cli, commands, partitions,
 pieri and schur; to-schur and certify cli, the grammar, schureval and schur;
-gr/lg dual and lg restrict schubert on the Pieri core, pairing the rings too,
-and reduce and integrate ringcommands, the grammar and schureval besides.
+gr/lg dual and lg restrict schubert on the Pieri core, pairing the rings and
+pairing.py too, and reduce and integrate the rings, ringcommands, the
+grammar and schureval.  The tree reading lives in schureval and the
+partition arguments are read in commands, so neither the grammar nor
+partitions, which a library process loads, holds command-line code.
 Only a q atom, input of mixed degrees or a table loads the polynomial layer.
 README.md lists what every command loads.
 
@@ -190,7 +193,7 @@ def expansion_payload(expansion) -> dict:
 def _run_command(args):
     action = getattr(args, "action", args.command)  # only gr and lg have actions
     if action == "pairing":
-        from .rings import run
+        from .pairing import run
     elif action in ("reduce", "integrate"):
         from .ringcommands import run
     elif action in ("to-schur", "certify"):

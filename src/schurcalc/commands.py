@@ -4,12 +4,44 @@ restrict.
 
 cli.py reads every command's argv and writes its JSON.  It hands to-schur
 and certify to schureval.run, gr/lg reduce and integrate to
-ringcommands.run, gr/lg pairing to rings.run, and every other command to run
-here, so none of those compiles this, and dual and restrict, which read
-only schubert.py, compile no ring class.
+ringcommands.run, gr/lg pairing to pairing.run, and every other command to
+run here, so none of those compiles this, and dual and restrict, which read
+only schubert.py, compile no ring class.  Only these commands read
+partition arguments, so parse_partition_arg is here and not in
+partitions.py, which every library process compiles.
 """
 
+import sys
+
 from .cli import emit, expansion_payload
+from .partitions import Partition, StrictPartition
+
+
+def parse_partition_arg(text: str, strict: bool = False) -> Partition:
+    """Partitions on the command line: comma-separated parts, e.g. '3,1'.
+
+    '0', '[]' and the empty string all denote the empty partition.
+    """
+    kind = StrictPartition if strict else Partition
+    cleaned = text.strip()
+    if cleaned in ("", "0", "[]"):
+        return kind()
+    if cleaned.startswith("[") and cleaned.endswith("]"):
+        cleaned = cleaned[1:-1]
+    pieces = cleaned.split(",")
+    limit = sys.get_int_max_str_digits()
+    for piece in pieces:
+        # int() of a part past the digit limit raises with Python's advice;
+        # name the limit instead, and do not echo the argument
+        if len(piece) > limit:
+            digits = sum(ch.isdecimal() for ch in piece)
+            if digits > limit:
+                raise ValueError(f"bad partition argument: a part of {digits} digits "
+                                 f"exceeds the limit of {limit} digits")
+    try:
+        return kind([int(p) for p in pieces])
+    except ValueError as exc:
+        raise ValueError(f"bad partition argument {text!r}: {exc}") from exc
 
 
 def run(args, pretty: bool) -> int:
@@ -20,8 +52,6 @@ def run(args, pretty: bool) -> int:
         payload = table_payload(args.table)
         emit(payload, pretty)
         return 0 if payload["all_nonnegative"] else 1
-
-    from .partitions import parse_partition_arg
 
     if command == "lr":
         from .schur import lr_multiply

@@ -13,11 +13,12 @@ decreasing, of q[...] strictly decreasing.  Errors carry the offending
 position in the input.
 
 evaluate folds a syntax tree with the values an atom function gives its
-leaves: evaluate_text reads a c-polynomial, expression_reading the degrees
-and families that the tree alone shows, which the commands check before
-they evaluate.  The evaluation on a basis, the Schur basis of to-schur and
-certify and the Schubert basis of a ring for gr/lg reduce and integrate, is
-in schureval.py.
+leaves: evaluate_text reads a c-polynomial.  The reading of the degrees and
+families that the tree alone shows, which the expression commands check
+before they evaluate, and the evaluation on a basis, the Schur basis of
+to-schur and certify and the Schubert basis of a ring for gr/lg reduce and
+integrate, are in schureval.py, so a library process that evaluates a
+c-polynomial compiles neither.
 """
 
 import sys
@@ -213,16 +214,6 @@ class _Parser:
         return value
 
 
-def expression_text(args, value: str | None) -> str:
-    """The expression of a command: value, else the text of --input FILE."""
-    if value is not None:
-        return value
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            return handle.read().strip()
-    raise ValueError("an expression is required (positional or via --input)")
-
-
 def parse(text: str) -> Expression:
     """Parse an expression; raises ParseError with a position on bad input."""
     return _Parser(text).parse()
@@ -275,46 +266,3 @@ def evaluate(expr: Expression, atom=_polynomial_atom):
 
 def evaluate_text(text: str) -> "CPolynomial":
     return evaluate(parse(text))
-
-
-class _Reading:
-    """Evaluator value for what the syntax tree alone says of an expression:
-    lo and hi bound the degrees of the value's terms, peak is the highest
-    degree of any subexpression (more than hi only under a power 0), and
-    families holds the generator families it names, c for s and q atoms."""
-
-    __slots__ = ("lo", "hi", "peak", "families")
-
-    def __init__(self, lo: int, hi: int, peak: int, families: frozenset):
-        self.lo, self.hi, self.peak, self.families = lo, hi, peak, families
-
-    def __add__(self, other: "_Reading") -> "_Reading":
-        return _Reading(min(self.lo, other.lo), max(self.hi, other.hi),
-                        max(self.peak, other.peak), self.families | other.families)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "_Reading") -> "_Reading":
-        hi = self.hi + other.hi
-        return _Reading(self.lo + other.lo, hi, max(self.peak, other.peak, hi),
-                        self.families | other.families)
-
-    def __pow__(self, e: int) -> "_Reading":
-        return _Reading(self.lo * e, self.hi * e, max(self.peak, self.hi * e), self.families)
-
-
-def _reading_atom(expr: Num | Gen | Basis) -> _Reading:
-    if isinstance(expr, Num):
-        return _Reading(0, 0, 0, frozenset())
-    if isinstance(expr, Gen):
-        d = expr.index or 1  # v1 and v2 have index 0 and degree 1
-        return _Reading(d, d, d, frozenset((expr.family,)))
-    d = sum(expr.parts)
-    return _Reading(d, d, d, frozenset((FAMILY_C,)))
-
-
-def expression_reading(expr: Expression) -> _Reading:
-    """What the syntax tree alone says of the value of expr: numbers have
-    degree 0, c_k and c'_k degree k, v1 and v2 degree 1, s[lam] and q[mu]
-    their weight."""
-    return evaluate(expr, _reading_atom)

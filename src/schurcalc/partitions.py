@@ -6,9 +6,10 @@ construction and safe to share.  It is also the base that every layer
 imports: the generator family names, the output budget and the text of
 numbers and degree lists in messages live here, so the Pieri layer reads
 them without loading the polynomial layer.  Every command that reads a
-partition or a budget compiles this module, so it holds nothing more: the
-enumerators are in rings.py, the Poincare duals and the staircase in
-schubert.py.
+partition or a budget compiles this module, and so does every library
+process, so it holds nothing more: the enumerators are in pairing.py, the
+Poincare duals and the staircase in schubert.py, and the reading of a
+partition argument in commands.py.
 """
 
 import sys
@@ -110,33 +111,6 @@ class StrictPartition(Partition):
         if len(set(self)) < len(self):  # a repeated part, since self decreases weakly
             raise ValueError(f"parts must be strictly decreasing: {tuple(self)}")
         return self
-
-
-def parse_partition_arg(text: str, strict: bool = False) -> Partition:
-    """Partitions on the command line: comma-separated parts, e.g. '3,1'.
-
-    '0', '[]' and the empty string all denote the empty partition.
-    """
-    cleaned = text.strip()
-    if cleaned in ("", "0", "[]"):
-        return StrictPartition() if strict else Partition()
-    if cleaned.startswith("[") and cleaned.endswith("]"):
-        cleaned = cleaned[1:-1]
-    pieces = cleaned.split(",")
-    limit = sys.get_int_max_str_digits()
-    for piece in pieces:
-        # int() of a part past the digit limit raises with Python's advice;
-        # name the limit instead, and do not echo the argument
-        if len(piece) > limit:
-            digits = sum(ch.isdecimal() for ch in piece)
-            if digits > limit:
-                raise ValueError(f"bad partition argument: a part of {digits} digits "
-                                 f"exceeds the limit of {limit} digits")
-    try:
-        parts = [int(p) for p in pieces]
-        return StrictPartition(parts) if strict else Partition(parts)
-    except ValueError as exc:
-        raise ValueError(f"bad partition argument {text!r}: {exc}") from exc
 
 
 def conjugate(lam: Partition) -> Partition:

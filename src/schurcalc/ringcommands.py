@@ -1,16 +1,17 @@
 """gr/lg reduce and integrate: an expression evaluated in a ring.
 
-Input homogeneous in the c family is evaluated on the ring's Schubert basis,
-with the atoms that README.md tabulates; any other as a c-polynomial, its
-atoms cut to the ring's rank before they multiply.
+Input homogeneous in the c family, terms with a literal 0 factor aside, is
+evaluated on the ring's Schubert basis, with the atoms that README.md
+tabulates; any other as a c-polynomial, its atoms cut to the ring's rank
+before they multiply.
 """
 
 from .cli import emit, expansion_payload
-from .parsing import Basis, Gen, Num, evaluate, expression_reading, expression_text, parse
+from .parsing import Basis, Gen, Num, evaluate, parse
 from .partitions import FAMILY_C, Partition, number_text
 from .pieri import Expansion
 from .rings import GrassmannianRing, LagrangianRing
-from .schureval import BasisValue, basis_atom
+from .schureval import BasisValue, basis_atom, expression_reading, expression_text
 
 
 def _column(leaf: Gen | Basis) -> int:
@@ -28,6 +29,9 @@ def _ring_atom(ring, basis: tuple):
     def atom(leaf):
         if isinstance(leaf, Num):
             return basis_atom(leaf, basis)
+        if isinstance(leaf, Gen) and leaf.family != FAMILY_C:
+            # only under a literal 0, whose product is 0 in any ring
+            return BasisValue({}, basis)
         k = _column(leaf)
         if k or gr and leaf.kind == "q":
             # c_k, or the c-monomials of Q-tilde, which Gr's fold cuts

@@ -34,8 +34,10 @@ its memo of restrictions is shared by every LG(n) of one n.  Reduction,
 products and pairings read only the Pieri core, so a pairing command never
 loads the Q-tilde, Schur-function or polynomial layers, and no warm call of
 reduce, integrate, basis_product or restrict runs an import statement.
-Every ring call returns a new expansion, which its caller may change.  run
-is the pairing command, so that it compiles no expression code.
+Every ring call returns a new expansion, which its caller may change.  The
+pairing command, its budget and the basis enumerators are in pairing.py,
+which basis imports when it runs, so a library process that never lists a
+whole degree compiles none of them.
 """
 
 from functools import cached_property
@@ -45,55 +47,10 @@ from .pieri import Expansion, basis_key, column_peel, monomial_fold, pieri_build
 from .schubert import (grassmannian_label, lagrangian_label, qtilde_pieri_step, rectangle_dual,
                        restrict, row_peel, staircase, strict_complement)
 
-# The most pairing-matrix cells a whole-ring pairing builds, summed over the
-# degrees; a larger ring is rejected before any basis is enumerated.
-PAIRING_BUDGET = 75000
-
 # The heaviest class basis_product builds on another.  The build recurses
 # once per peel, and a class of weight w in Gr(1, n) takes w peels, so this
 # keeps the recursion far inside Python's stack.
 PRODUCT_WEIGHT_BUDGET = 400
-
-
-def enumerate_partitions(d: int, max_part: int | None = None,
-                         max_length: int | None = None) -> list[Partition]:
-    """All partitions of weight d within the bounds, largest-first.
-
-    The order is reverse lexicographic, the fixed global order used for
-    every transition matrix and serialization.
-    """
-    if d < 0:
-        raise ValueError("weight must be nonnegative")
-    first = d if max_part is None else min(d, max_part)
-    length = d if max_length is None else max_length
-
-    def build(remaining: int, cap: int, slots: int, prefix: list[int]):
-        if remaining == 0:
-            yield Partition(prefix)
-            return
-        if slots == 0:
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            yield from build(remaining - p, p, slots - 1, prefix)
-            prefix.pop()
-
-    return list(build(d, first, length, []))
-
-
-def enumerate_strict_partitions(d: int, max_part: int) -> list[StrictPartition]:
-    """All strict partitions of weight d with parts at most max_part, largest-first."""
-
-    def build(remaining: int, cap: int, prefix: list[int]):
-        if remaining == 0:
-            yield StrictPartition(prefix)
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            yield from build(remaining - p, p - 1, prefix)
-            prefix.pop()
-
-    return list(build(d, max_part, []))
 
 
 class SchubertRing:
@@ -101,9 +58,9 @@ class SchubertRing:
 
     Subclasses set key (the type of the basis indices), label, rank (the
     generators are c_1..c_rank), top_degree, step, bound and peel, and
-    define point_class, basis, basis_index, dual, classes_exceed and
-    basis_sizes.  The point class has as many parts as the rank, so it is
-    built on first use: only integrate reads it.
+    define point_class, basis, basis_index, dual and basis_sizes.  The
+    point class has as many parts as the rank, so it is built on first
+    use: only integrate reads it.
     """
 
     def __repr__(self) -> str:
@@ -235,26 +192,6 @@ class SchubertRing:
         matrix = [[self.pairing(lam, mu) for mu in cols] for lam in rows]
         return rows, cols, matrix
 
-    def is_dual_permutation(self, rows, cols, matrix) -> bool:
-        """Whether a pairing matrix pairs each row with its dual and nothing else."""
-        for lam, values in zip(rows, matrix):
-            partner = self.dual(lam)
-            if any(value != int(mu == partner) for mu, value in zip(cols, values)):
-                return False
-        return True
-
-    def check_pairing_budget(self) -> None:
-        """Reject a ring whose pairing matrices hold more than PAIRING_BUDGET
-        cells, sum_d |B_d| |B_top-d|, before any basis is enumerated.  That
-        sum is sum_d |B_d|^2, at least the number of classes, which is
-        checked first so that a huge ring is rejected at once."""
-        if not self.classes_exceed(PAIRING_BUDGET):
-            sizes = self.basis_sizes()
-            if sum(a * b for a, b in zip(sizes, reversed(sizes))) <= PAIRING_BUDGET:
-                return
-        raise ValueError(f"{self.label} exceeds the pairing budget: "
-                         f"more than {PAIRING_BUDGET} matrix cells")
-
 
 class GrassmannianRing(SchubertRing):
     """H*(Gr(r, n)) with the Schur/Schubert basis of the r x (n-r) rectangle."""
@@ -277,6 +214,8 @@ class GrassmannianRing(SchubertRing):
         return Partition((self.cols,) * self.r)
 
     def basis(self, d: int) -> list[Partition]:
+        from .pairing import enumerate_partitions
+
         return enumerate_partitions(d, max_part=self.cols, max_length=self.r)
 
     def basis_index(self, lam: Partition) -> Partition:
@@ -288,16 +227,6 @@ class GrassmannianRing(SchubertRing):
 
     def dual(self, lam: Partition) -> Partition:
         return rectangle_dual(lam, self.r, self.n)
-
-    def classes_exceed(self, budget: int) -> bool:
-        """Whether C(n, r) > budget, read off C(n, i) for i up to min(r, n-r),
-        which increase."""
-        count = 1
-        for i in range(min(self.r, self.cols)):
-            count = count * (self.n - i) // (i + 1)
-            if count > budget:
-                return True
-        return False
 
     def basis_sizes(self, degree: int | None = None) -> list[int]:
         """|B_d| for d = 0..top, or up to degree when it is lower: the
@@ -332,6 +261,8 @@ class LagrangianRing(SchubertRing):
         return staircase(self.n)
 
     def basis(self, d: int) -> list[StrictPartition]:
+        from .pairing import enumerate_strict_partitions
+
         return enumerate_strict_partitions(d, self.n)
 
     def basis_index(self, mu: StrictPartition) -> StrictPartition:
@@ -343,10 +274,6 @@ class LagrangianRing(SchubertRing):
 
     def dual(self, mu: StrictPartition) -> StrictPartition:
         return strict_complement(mu, self.n)
-
-    def classes_exceed(self, budget: int) -> bool:
-        """Whether 2^n > budget; n is capped so a huge n builds no huge number."""
-        return 2 ** min(self.n, budget.bit_length()) > budget
 
     def basis_sizes(self, degree: int | None = None) -> list[int]:
         """|B_d| for d = 0..top, or up to degree when it is lower: the
@@ -361,19 +288,3 @@ class LagrangianRing(SchubertRing):
     # the pullback of X^lam along LG(V) in G_n(V)
     restrict = restrict
 
-
-def run(args, pretty: bool) -> int:
-    """gr/lg pairing: each degree's matrix, and whether it is the duality."""
-    from .cli import emit
-
-    ring = GrassmannianRing(args.r, args.n) if args.command == "gr" else LagrangianRing(args.n)
-    ring.check_pairing_budget()
-    degrees = []
-    for d in range(ring.top_degree + 1):
-        rows, cols, matrix = ring.pairing_matrix(d)
-        degrees.append({"degree": d, "rows": [list(p) for p in rows],
-                        "cols": [list(p) for p in cols], "matrix": matrix,
-                        "is_dual_permutation": ring.is_dual_permutation(rows, cols, matrix)})
-    ok = all(block["is_dual_permutation"] for block in degrees)
-    emit({"ring": ring.label, "degrees": degrees, "is_dual_permutation": ok}, pretty)
-    return 0

@@ -8,11 +8,77 @@ on the classes it multiplies.  Only a q atom builds a c-polynomial to
 evaluate, terms of different degrees one to check, and only evaluate_schur
 imports the Schur functions.  run is the to-schur and certify command;
 gr/lg reduce and integrate are ringcommands.run, on a ring's basis.
+
+Both read the expression's text here (expression_text) and the syntax tree
+before they evaluate it (expression_reading): the degrees and families the
+tree alone shows, in which a literal 0 makes a term zero.
 """
 
-from .parsing import Gen, Num, evaluate, expression_reading, expression_text, parse
-from .partitions import TERM_DEGREE, check_term_budget
+from .parsing import Gen, Num, evaluate, parse
+from .partitions import FAMILY_C, TERM_DEGREE, check_term_budget
 from .pieri import OPEN, monomial_fold, vertical_strips
+
+
+def expression_text(args, value: str | None) -> str:
+    """The expression of a command: value, else the text of --input FILE."""
+    if value is not None:
+        return value
+    if args.input:
+        with open(args.input, "r", encoding="utf-8") as handle:
+            return handle.read().strip()
+    raise ValueError("an expression is required (positional or via --input)")
+
+
+class _Reading:
+    """Evaluator value for what the syntax tree alone says of an expression:
+    lo and hi bound the degrees of the value's terms, peak is the highest
+    degree of any subexpression (more than hi only under a power 0 or a zero
+    term), and families holds the generator families it names, c for s and
+    q atoms.  zero marks a value that a literal 0 makes zero: 0 itself, a
+    product with a zero factor and a positive power of one.  A sum reads lo,
+    hi and families from its nonzero terms, or from all of them when each
+    is zero."""
+
+    __slots__ = ("lo", "hi", "peak", "families", "zero")
+
+    def __init__(self, lo: int, hi: int, peak: int, families: frozenset, zero: bool = False):
+        self.lo, self.hi, self.peak, self.families, self.zero = lo, hi, peak, families, zero
+
+    def __add__(self, other: "_Reading") -> "_Reading":
+        peak = max(self.peak, other.peak)
+        if self.zero != other.zero:
+            kept = other if self.zero else self
+            return _Reading(kept.lo, kept.hi, peak, kept.families)
+        return _Reading(min(self.lo, other.lo), max(self.hi, other.hi), peak,
+                        self.families | other.families, self.zero)
+
+    __sub__ = __add__
+
+    def __mul__(self, other: "_Reading") -> "_Reading":
+        hi = self.hi + other.hi
+        return _Reading(self.lo + other.lo, hi, max(self.peak, other.peak, hi),
+                        self.families | other.families, self.zero or other.zero)
+
+    def __pow__(self, e: int) -> "_Reading":
+        return _Reading(self.lo * e, self.hi * e, max(self.peak, self.hi * e), self.families,
+                        self.zero and e > 0)
+
+
+def _reading_atom(expr: "Num | Gen | Basis") -> _Reading:
+    if isinstance(expr, Num):
+        return _Reading(0, 0, 0, frozenset(), expr.value == 0)
+    if isinstance(expr, Gen):
+        d = expr.index or 1  # v1 and v2 have index 0 and degree 1
+        return _Reading(d, d, d, frozenset((expr.family,)))
+    d = sum(expr.parts)
+    return _Reading(d, d, d, frozenset((FAMILY_C,)))
+
+
+def expression_reading(expr) -> _Reading:
+    """What the syntax tree alone says of the value of expr: numbers have
+    degree 0, c_k and c'_k degree k, v1 and v2 degree 1, s[lam] and q[mu]
+    their weight."""
+    return evaluate(expr, _reading_atom)
 
 
 class BasisValue:
@@ -81,7 +147,8 @@ def _sum(scaled) -> dict:
 def basis_atom(expr: "Num | Gen | Basis", basis: tuple) -> BasisValue:
     """A leaf as a class: s[lam] is s_lam, c_k and c'_k c-monomials, and q[mu]
     those of its Q-tilde polynomial, which loads the polynomial layer.  The
-    families are checked before evaluation, so no v atom comes here."""
+    families are checked before evaluation, so a v atom comes here only
+    under a literal 0, and that product drops it."""
     if isinstance(expr, Num):
         return BasisValue({((), ()): expr.value} if expr.value else {}, basis)
     if isinstance(expr, Gen):

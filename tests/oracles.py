@@ -75,8 +75,10 @@ from schurcalc.polynomial import (
 )
 from schurcalc.qtilde import _q_single, qtilde, qtilde_pair
 from schurcalc.records import FrozenRecord
-from schurcalc.rings import GrassmannianRing, LagrangianRing, enumerate_partitions
+from schurcalc.pairing import check_pairing_budget, enumerate_partitions, is_dual_permutation
+from schurcalc.rings import GrassmannianRing, LagrangianRing
 from schurcalc.schur import schur_dual_jt, to_schur
+from schurcalc.schureval import expression_reading
 
 # -- partitions and expressions -----------------------------------------------
 
@@ -647,7 +649,7 @@ def ring_expression_oracle(ring, text: str) -> Expansion:
     degree the syntax tree shows (none for terms of different degrees) is
     checked against the top degree first, and is the degree of a zero
     value; then the expression's c-polynomial goes to reduce_tautological."""
-    reading = parsing.expression_reading(parsing.parse(text))
+    reading = expression_reading(parsing.parse(text))
     degree = ring.check_degree(reading.lo if reading.lo == reading.hi else None)
     return reduce_tautological(ring, parsing.evaluate_text(text), degree)
 
@@ -662,8 +664,8 @@ def all_basis(ring) -> list[Partition]:
 
 def pairing_is_dual_permutation(ring) -> bool:
     """Whole-ring check that every pairing matrix realizes the duality."""
-    ring.check_pairing_budget()
-    return all(ring.is_dual_permutation(*ring.pairing_matrix(d))
+    check_pairing_budget(ring)
+    return all(is_dual_permutation(ring, *ring.pairing_matrix(d))
                for d in range(ring.top_degree + 1))
 
 

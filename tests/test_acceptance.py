@@ -24,7 +24,8 @@ from schurcalc.polynomial import (
     CPolynomial,
 )
 from schurcalc.positivity import CLASSICAL_THOM_TABLE, certify, hook_contains, verify_thom_table
-from schurcalc.rings import GrassmannianRing, LagrangianRing, enumerate_partitions
+from schurcalc.pairing import enumerate_partitions
+from schurcalc.rings import GrassmannianRing, LagrangianRing
 from schurcalc.schur import lr_multiply, schur_dual_jt, to_schur
 from schurcalc.bundles import schur_bundle_class
 

@@ -319,8 +319,13 @@ def _cold_tokens(*argv):
     """The code tokens of every schurcalc module that a fresh
     `python -S -m schurcalc ARGV` loads, the package itself included: the
     volume of source the command compiles when no bytecode exists."""
+    return _package_tokens(_cold_imports(*argv))
+
+
+def _package_tokens(modules):
+    """The code tokens of the schurcalc modules among the module names."""
     package = Path(schurcalc.__file__).parent
-    names = [name.partition(".")[2] for name in _cold_imports(*argv)
+    names = [name.partition(".")[2] for name in modules
              if name == "schurcalc" or name.startswith("schurcalc.")]
     return sum(_code_tokens(package / (f"{name}.py" if name else "__init__.py"))
                for name in names)
@@ -329,7 +334,8 @@ def _cold_tokens(*argv):
 # the Pieri core: partitions, expansions, steps, peels and the build
 _PIERI = {"partitions", "pieri"}
 # the commands that neither build a ring nor read an expression, the
-# pairing, which reads nothing but its ring, and the expression commands:
+# pairing, which reads nothing but its ring and pairing.py, and the
+# expression commands:
 # to-schur and certify, which schureval runs on the Schur basis, and gr/lg
 # reduce and integrate, which ringcommands runs on the ring's basis with
 # schureval's evaluator
@@ -350,7 +356,8 @@ _POSITIVITY = {"positivity", "records"} | _COMMAND
 # only where Schur functions are computed, plaintext only for help, --pretty
 # and argv outside the canonical form, commands only for the commands that
 # read no expression and build no ring, rings only for the gr/lg commands
-# that build a ring and ringcommands only for reduce and integrate,
+# that build a ring, pairing only for the pairing and ringcommands only for
+# reduce and integrate,
 # schubert only for gr and lg, bundles only for schur-bundle
 _COLD_LOADS = [
     ((), set(), 400),
@@ -361,27 +368,59 @@ _COLD_LOADS = [
     (("qtilde", "2,1"), {"partitions", "polynomial", "qtilde"} | _COMMAND, 4500),
     (("schur-bundle", "--rank", "2", "--functor", "1", "--class", "1"),
      {"bundles", "schur"} | _COMMAND | _PIERI, 5700),
-    (("to-schur", "c1^2"), _SCHUR_INPUT, 7300),
-    (("to-schur", "s[3,1]*c2 - 2*c1^6"), _SCHUR_INPUT, 7300),
-    (("to-schur", "q[2,1]*c1"), {"polynomial", "qtilde"} | _SCHUR_INPUT, 9000),
-    (("certify", "c1^2"), {"positivity"} | _SCHUR_INPUT, 8000),
-    (("certify", "c1 - c1 + c2"), {"positivity", "polynomial"} | _SCHUR_INPUT, 9500),
-    (("gr", "--r", "2", "--n", "4", "pairing"), _RING, 6400),
-    (("lg", "--n", "3", "pairing"), _RING, 6400),
+    (("to-schur", "c1^2"), _SCHUR_INPUT, 7200),
+    (("to-schur", "s[3,1]*c2 - 2*c1^6"), _SCHUR_INPUT, 7200),
+    (("to-schur", "q[2,1]*c1"), {"polynomial", "qtilde"} | _SCHUR_INPUT, 8900),
+    (("certify", "c1^2"), {"positivity"} | _SCHUR_INPUT, 7900),
+    (("certify", "c1 - c1 + c2"), {"positivity", "polynomial"} | _SCHUR_INPUT, 9400),
+    (("gr", "--r", "2", "--n", "4", "pairing"), {"pairing"} | _RING, 6300),
+    (("lg", "--n", "3", "pairing"), {"pairing"} | _RING, 6300),
     (("gr", "--r", "2", "--n", "4", "dual", "1"), {"schubert"} | _COMMAND | _PIERI, 4600),
     (("lg", "--n", "3", "dual", "1"), {"schubert"} | _COMMAND | _PIERI, 4600),
     (("lg", "--n", "5", "restrict", "3,2,1"), {"schubert"} | _COMMAND | _PIERI, 4600),
-    (("gr", "--r", "2", "--n", "4", "reduce", "c1^2"), _RING_INPUT, 10100),
-    (("gr", "--r", "2", "--n", "7", "integrate", "s[5,4]*s[1]"), _RING_INPUT, 10100),
-    (("lg", "--n", "3", "integrate", "q[2,1]*c3"), _RING_INPUT, 10100),
+    (("gr", "--r", "2", "--n", "4", "reduce", "c1^2"), _RING_INPUT, 9400),
+    (("gr", "--r", "2", "--n", "7", "integrate", "s[5,4]*s[1]"), _RING_INPUT, 9400),
+    (("lg", "--n", "3", "integrate", "q[2,1]*c3"), _RING_INPUT, 9400),
     (("gr", "--r", "2", "--n", "4", "integrate", "q[2,1]*c1"),
-     _RING_INPUT | {"polynomial", "qtilde"}, 11800),
-    (("gr", "--r", "2", "--n", "4", "reduce", "c1 + c2 - c2"), _RING_INPUT | {"polynomial"}, 11500),
+     _RING_INPUT | {"polynomial", "qtilde"}, 11100),
+    (("gr", "--r", "2", "--n", "4", "reduce", "c1 + c2 - c2"), _RING_INPUT | {"polynomial"}, 10800),
     (("thom-verify", "--table", "classical"),
      {"schur", "schureval"} | _POSITIVITY | _GRAMMAR, 8400),
-    (("thom-verify", "--table", "lagrangian"), {"legendrian"} | _POSITIVITY | _GRAMMAR, 7900),
-    (("thom-verify", "--table", "legendrian"), {"legendrian"} | _POSITIVITY | _GRAMMAR, 7900),
+    (("thom-verify", "--table", "lagrangian"), {"legendrian"} | _POSITIVITY | _GRAMMAR, 7500),
+    (("thom-verify", "--table", "legendrian"), {"legendrian"} | _POSITIVITY | _GRAMMAR, 7500),
 ]
+
+# a library process, as the rings_warm worker starts: it reduces a truncated
+# c-polynomial on a Grassmannian and on a Lagrangian Grassmannian, and
+# compiles neither the tree reading, the basis evaluator, the pairing nor
+# the command line
+_LIBRARY = """import schurcalc
+for ring in (schurcalc.GrassmannianRing(2, 4), schurcalc.LagrangianRing(3)):
+    p = schurcalc.truncate_family(schurcalc.evaluate_text("c1^2"), schurcalc.FAMILY_C, ring.rank)
+    ring.reduce(p)
+"""
+_LIBRARY_LOAD = ({"rings", "schubert", "parsing", "records", "polynomial"} | _PIERI, 7500)
+
+
+def _library_imports():
+    """Every module loaded once _LIBRARY has run in a fresh `python -S`;
+    the package loads its submodules with importlib, which -X importtime
+    does not list, so they are read from sys.modules."""
+    src = str(Path(schurcalc.__file__).parent.parent)
+    code = _LIBRARY + "import sys\nprint(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60,
+                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_a_library_process_compiles_only_the_ring_layers():
+    loaded = _library_imports()
+    expected, ceiling = _LIBRARY_LOAD
+    assert {name.partition(".")[2] for name in loaded if name.startswith("schurcalc.")} == \
+        expected
+    assert _package_tokens(loaded) <= ceiling
 
 
 def test_cli_import_path_is_free_of_heavy_modules():
@@ -439,6 +478,13 @@ def test_the_pieri_layer_loads_no_polynomial_code():
     assert {"schurcalc.rings", "schurcalc.schubert", "schurcalc.pieri",
             "schurcalc.partitions"} <= loaded
     assert not {"schurcalc.polynomial", "schurcalc.qtilde", "schurcalc.schur"} & loaded
+    # nor do the rings and the grammar load the pairing, the tree reading or
+    # the command line, which a library process never runs
+    for module in ("rings", "parsing"):
+        loaded = _python_s_imports("-c", f"import schurcalc.{module}")
+        assert f"schurcalc.{module}" in loaded
+        assert not {"schurcalc.pairing", "schurcalc.schureval", "schurcalc.cli",
+                    "schurcalc.commands"} & loaded, module
     # the basis evaluator imports the Schur functions only where they run
     loaded = _python_s_imports("-c", "import schurcalc.rings, schurcalc.schureval, "
                                      "schurcalc.positivity")
@@ -452,12 +498,14 @@ def test_only_the_c_polynomial_builders_import_when_called():
     # (positivity.certify loads the Schur layer, verify_thom_table the
     # Schur-basis evaluation and table_payload the Legendrian tables, for
     # thom-verify; evaluate_schur the Schur layer, and the commands
-    # schureval.run, to-schur and certify, and rings.run, the pairing, what
-    # they run)
-    from schurcalc import parsing, pieri, positivity, rings, schubert, schur, schureval
+    # schureval.run, to-schur and certify, and pairing.run, the pairing, what
+    # they run; the rings' basis lists a whole degree with pairing.py's
+    # enumerators, which only a pairing and the tests run)
+    from schurcalc import pairing, parsing, pieri, positivity, rings, schubert, schur, schureval
 
     builders = {schur: {"schur_dual_jt", "from_schur"},
-                rings: {"run"},
+                rings: {"basis"},
+                pairing: {"run"},
                 parsing: {"_polynomial_atom"},
                 schureval: {"basis_atom", "evaluate_schur", "run"},
                 positivity: {"certify", "_entry_polynomial", "verify_thom_table",
@@ -527,6 +575,35 @@ def test_terms_of_other_degrees_cost_only_their_c_polynomial():
     ]
     for argv, code, out, err in cases:
         assert run_cli(*argv, timeout=10) == (code, out, err), argv
+
+
+def test_a_literal_zero_is_the_zero_value():
+    # a term with a literal 0 factor is no term of the value: the other terms
+    # give its degrees and families, and the highest degree of every
+    # subexpression still meets the output budget
+    s1 = b'{"degree":1,"expansion":[{"partition":[1],"coeff":"1"}]}\n'
+    cases = [
+        (["lg", "--n", "5", "integrate", "c6*c5*0 + s[6,5,5,3,2,1]^2*c3*q[4,3,1]^4"], 2,
+         b"", b"error: degree 79 exceeds the top degree 15 of LG(5)\n"),
+        (["to-schur", "c'1*0 + c1"], 0, s1, b""),
+        (["certify", "v1*0 + c1"], 0,
+         b'{"verdict":"POSITIVE","expansion":[{"partition":[1],"coeff":"1"}]}\n', b""),
+        (["gr", "--r", "2", "--n", "4", "reduce", "v2*0 + c1"], 0,
+         b'{"ring":"Gr(2,4)","degree":1,"expansion":[{"partition":[1],"coeff":"1"}]}\n', b""),
+        (["gr", "--r", "2", "--n", "4", "reduce", "c1*0 + c2 - c2"], 0,
+         b'{"ring":"Gr(2,4)","degree":2,"expansion":[]}\n', b""),
+        # a value whose terms are all zero reads as before
+        (["to-schur", "0*c1^40"], 0, b'{"degree":null,"expansion":[]}\n', b""),
+        (["gr", "--r", "2", "--n", "100000000", "integrate", "0*c1^199999996"], 0,
+         b'{"ring":"Gr(2,100000000)","value":"0"}\n', b""),
+        (["certify", "c1^41*0 + c1"], 2,
+         b"", b"error: degree 41 exceeds the output budget: p(41) > 37338 terms\n"),
+    ]
+    for argv, code, out, err in cases:
+        assert run_cli(*argv, timeout=10) == (code, out, err), argv
+    # c1^40 is a term of the value, so the sum fails on homogeneity at once
+    assert run_cli("certify", "c1^40 + c1", timeout=2) == \
+        (2, b"", b"error: polynomial is not homogeneous (degrees [1, 40])\n")
 
 
 def test_schur_input_errors_by_class():

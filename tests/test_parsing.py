@@ -11,7 +11,6 @@ from schurcalc.parsing import (
     Prod,
     Sum,
     evaluate_text,
-    expression_reading,
     parse,
 )
 from schurcalc.partitions import Partition
@@ -19,6 +18,7 @@ from schurcalc.polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial
 from schurcalc.positivity import CLASSICAL_THOM_TABLE
 from schurcalc.qtilde import qtilde
 from schurcalc.schur import schur_dual_jt
+from schurcalc.schureval import expression_reading
 
 from oracles import to_text
 
@@ -122,6 +122,25 @@ def test_expression_degree():
                  "c1*c'1^2 - c'3", "v1*v2 + v1^2"]:
         value = evaluate_text(text)
         assert value.homogeneous_degree() == expression_reading(parse(text)).hi, text
+
+
+def test_a_literal_zero_drops_its_term_from_the_reading():
+    # 0 is the zero value, and so are a product with a zero factor and a
+    # positive power of zero; a sum reads its degrees and families from its
+    # nonzero terms, or from all when each is zero, and peak from them all
+    cases = {"c6*c5*0 + s[3]": (3, 3, 11, {"c"}), "0 - c2": (2, 2, 2, {"c"}),
+             "c'1*0 + c1": (1, 1, 1, {"c"}), "(v1 + c'2)*0^2 + q[2,1]": (3, 3, 3, {"c"}),
+             "c1^41*0 + c1": (1, 1, 41, {"c"}), "(c1*0)^0 + c2": (0, 2, 2, {"c"}),
+             "0^0 + c'1": (0, 1, 1, {"c'"}), "0*c1 + 0*c'2": (1, 2, 2, {"c", "c'"}),
+             "0*s[25]": (25, 25, 25, {"c"}), "0": (0, 0, 0, set())}
+    for text, (lo, hi, peak, families) in cases.items():
+        reading = expression_reading(parse(text))
+        assert (reading.lo, reading.hi, reading.peak, reading.families) == \
+            (lo, hi, peak, families), text
+    zero = {"0": True, "2*0": True, "0^3": True, "0^0": False, "0*c1 + 0": True,
+            "0*c1 + c2": False, "c1 - c1": False}
+    for text, is_zero in zero.items():
+        assert expression_reading(parse(text)).zero is is_zero, text
 
 
 def test_basis_atoms_are_held_to_the_output_budget():

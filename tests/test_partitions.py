@@ -4,6 +4,7 @@ from math import prod
 import pytest
 
 from schurcalc.bundles import ssyt_weights
+from schurcalc.commands import parse_partition_arg
 from schurcalc.partitions import (
     Partition,
     StrictPartition,
@@ -11,10 +12,9 @@ from schurcalc.partitions import (
     TERM_DEGREE,
     check_term_budget,
     conjugate,
-    parse_partition_arg,
 )
 from schurcalc.positivity import hook_contains
-from schurcalc.rings import enumerate_partitions, enumerate_strict_partitions
+from schurcalc.pairing import enumerate_partitions, enumerate_strict_partitions
 from schurcalc.schubert import rectangle_dual, staircase, strict_complement
 
 from oracles import partition_count, partitions_up_to

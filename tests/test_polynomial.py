@@ -11,7 +11,7 @@ from schurcalc.polynomial import (
     truncate_family,
 )
 from schurcalc.partitions import Partition
-from schurcalc.rings import enumerate_partitions
+from schurcalc.pairing import enumerate_partitions
 from schurcalc.qtilde import qtilde
 
 from oracles import monomials_of_degree, poly_det, specialize

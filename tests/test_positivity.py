@@ -13,7 +13,7 @@ from schurcalc.positivity import (
     minimal_hook_rank,
     verify_thom_table,
 )
-from schurcalc.rings import enumerate_partitions
+from schurcalc.pairing import enumerate_partitions
 from schurcalc.schur import schur_dual_jt
 
 from oracles import (I22_GERM, is_nonnegative, morin_germ, morin_thom_polynomial, partitions_up_to,

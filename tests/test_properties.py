@@ -17,8 +17,8 @@ from schurcalc.parsing import evaluate_text
 from schurcalc.partitions import StrictPartition
 from schurcalc.pieri import Expansion
 from schurcalc.polynomial import FAMILY_C, FAMILY_CPRIME, CPolynomial, truncate_family
-from schurcalc.rings import (GrassmannianRing, LagrangianRing, enumerate_partitions,
-                             enumerate_strict_partitions)
+from schurcalc.pairing import enumerate_partitions, enumerate_strict_partitions
+from schurcalc.rings import GrassmannianRing, LagrangianRing
 from schurcalc.schur import from_schur, to_schur
 from schurcalc.schureval import evaluate_schur
 
@@ -117,11 +117,17 @@ def homogeneous_text(draw, family, d, depth=0):
 @st.composite
 def mixed_degrees(draw, family, text, d):
     """text, of degree d, with terms of other degrees up to EXPRESSION_DEGREE
-    in about half of the cases: a term added and taken away, a term of
-    another degree added, which makes an inhomogeneous sum unless a side is
-    zero, or a power (X + Y)^e of a base whose terms differ in degree, added
-    and taken away."""
-    kind = draw(st.sampled_from(["none", "none", "none", "cancel", "sum", "power"]))
+    in four cases of seven: a term added and taken away, a term of another
+    degree added, which makes an inhomogeneous sum unless a side is zero, a
+    power (X + Y)^e of a base whose terms differ in degree, added and taken
+    away, or a term of any degree with a literal 0 factor, which is no term
+    of the value."""
+    kind = draw(st.sampled_from(["none", "none", "none", "cancel", "sum", "power", "zero"]))
+    if kind == "zero":
+        other = draw(homogeneous_text(family, draw(st.integers(0, EXPRESSION_DEGREE))))
+        zero = draw(st.sampled_from(["0", "0^2", "(0 - 0)", "2*0"]))
+        return draw(st.sampled_from([f"{zero}*({other}) + {text}",
+                                     f"{text} - ({other})*{zero}"]))
     if kind == "power":
         e = draw(st.integers(1, 3))
         a, b = draw(st.lists(st.integers(0, EXPRESSION_DEGREE // e), min_size=2, max_size=2,

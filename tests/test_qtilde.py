@@ -4,7 +4,8 @@ from schurcalc.partitions import Partition, StrictPartition
 from schurcalc.pieri import Expansion
 from schurcalc.polynomial import FAMILY_C, CPolynomial
 from schurcalc.qtilde import qtilde, qtilde_pair
-from schurcalc.rings import LagrangianRing, enumerate_strict_partitions
+from schurcalc.pairing import enumerate_strict_partitions
+from schurcalc.rings import LagrangianRing
 
 from oracles import basis_polynomial, ideal_generator, partitions_up_to, qtilde_two_rules
 

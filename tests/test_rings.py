@@ -11,7 +11,9 @@ from schurcalc.partitions import Partition, StrictPartition
 from schurcalc.pieri import Expansion
 from schurcalc.polynomial import (FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, CPolynomial,
                                   truncate_family)
-from schurcalc.rings import PAIRING_BUDGET, GrassmannianRing, LagrangianRing, enumerate_partitions
+from schurcalc.pairing import (PAIRING_BUDGET, check_pairing_budget, enumerate_partitions,
+                               is_dual_permutation)
+from schurcalc.rings import GrassmannianRing, LagrangianRing
 from schurcalc.schubert import restrict, restriction
 from schurcalc.schur import schur_dual_jt
 
@@ -535,11 +537,11 @@ def test_pairing_budget_counts_cells_before_enumerating():
             [LagrangianRing(n) for n in range(1, 9)]:
         assert ring.basis_sizes() == [len(ring.basis(d)) for d in range(ring.top_degree + 1)]
         assert cells(ring) <= PAIRING_BUDGET
-        ring.check_pairing_budget()
+        check_pairing_budget(ring)
     # the largest admitted rings of each family, and the first rejected ones
     for ring in (GrassmannianRing(3, 22), GrassmannianRing(19, 22), GrassmannianRing(4, 15),
                  LagrangianRing(10)):
-        ring.check_pairing_budget()
+        check_pairing_budget(ring)
     for ring in (GrassmannianRing(3, 23), GrassmannianRing(20, 23), GrassmannianRing(4, 16),
                  GrassmannianRing(6, 13), LagrangianRing(11), GrassmannianRing(1, 75001)):
         with pytest.raises(ValueError) as info:
@@ -644,9 +646,9 @@ def test_pairing_check_is_per_degree():
     for ring in rings:
         assert pairing_is_dual_permutation(ring), ring
         rows, cols, matrix = ring.pairing_matrix(1)
-        assert ring.is_dual_permutation(rows, cols, matrix)
+        assert is_dual_permutation(ring, rows, cols, matrix)
         broken = [[1 - v for v in row] for row in matrix]
-        assert not ring.is_dual_permutation(rows, cols, broken)
+        assert not is_dual_permutation(ring, rows, cols, broken)
 
 
 def test_schubert_structure_constants_are_nonnegative_and_triple_numbers_symmetric():

@@ -18,7 +18,8 @@ from schurcalc.pieri import (
     pieri_build,
 )
 from schurcalc.positivity import VERDICT_POSITIVE, hook_contains, positivity_report
-from schurcalc.rings import GrassmannianRing, LagrangianRing, enumerate_partitions
+from schurcalc.pairing import enumerate_partitions
+from schurcalc.rings import GrassmannianRing, LagrangianRing
 from schurcalc.schubert import _qtilde_tails
 from schurcalc.polynomial import (
     FAMILY_C,
