@@ -198,8 +198,8 @@ def monomial_fold(mono, step, bound: tuple, classes: dict | None = None) -> dict
     rejected before any step."""
     factors = sum(e for _, e in mono)
     if factors > FOLD_FACTOR_BUDGET:
-        raise ValueError(f"a monomial of {factors} factors exceeds the fold budget "
-                         f"of {FOLD_FACTOR_BUDGET} factors")
+        raise ValueError(f"a monomial of {number_text(factors, 'the factor count')} factors "
+                         f"exceeds the fold budget of {FOLD_FACTOR_BUDGET} factors")
     out = {(): 1} if classes is None else classes
     for g, e in mono:
         for _ in range(e):

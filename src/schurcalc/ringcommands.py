@@ -1,9 +1,11 @@
 """gr/lg reduce and integrate: an expression evaluated in a ring.
 
-Input homogeneous in the c family, terms with a literal 0 factor aside, is
-evaluated on the ring's Schubert basis, with the atoms that README.md
-tabulates; any other as a c-polynomial, its atoms cut to the ring's rank
-before they multiply.
+Every expression is evaluated on the ring's Schubert basis, with the atoms
+that README.md tabulates.  The syntax tree gives the degree and the
+families, terms with a literal 0 factor aside, and a family other than c is
+rejected at once.  Terms of different degrees build the c-polynomial, its
+atoms cut to the ring's rank before they multiply, only to check that the
+value is homogeneous and to find its degree.
 """
 
 from .cli import emit, expansion_payload
@@ -55,18 +57,18 @@ def run(args, pretty: bool) -> int:
     reading = expression_reading(expr)
     # the degree read from the syntax tree is also the degree of a zero value
     degree = ring.check_degree(reading.lo if reading.lo == reading.hi else None)
-    if degree is not None and reading.families <= {FAMILY_C}:
-        # products are table reads of basis_product, and none with 1
-        basis = (ring.step, ring.bound, lambda lam, mu: ((lam or mu, 1),) if not (lam and mu)
-                 else ring.basis_product(lam, mu).coefficients.items())
-        expansion = Expansion(evaluate(expr, _ring_atom(ring, basis)).expanded(), degree, ring.key)
-    else:
-        # c_k above the rank is 0 in the ring; a value that this kills keeps its degree
+    ring.check_families(reading.families)
+    if degree is None:
+        # terms of different degrees: the c-polynomial, c_k above the rank 0 as in
+        # the ring, only checks homogeneity and gives the degree; a value that
+        # this truncation kills keeps the degree of the whole one
         q = evaluate(expr, lambda leaf: evaluate(leaf).truncated(FAMILY_C, ring.rank))
         p = q or evaluate(expr)
-        if p and not q:
-            degree = p.homogeneous_degree() if p.is_homogeneous() else None
-        expansion = ring.reduce(q, degree)
+        degree = ring.check_degree(p.homogeneous_degree() if q or p.is_homogeneous() else None)
+    # products are table reads of basis_product, and none with 1
+    basis = (ring.step, ring.bound, lambda lam, mu: ((lam or mu, 1),) if not (lam and mu)
+             else ring.basis_product(lam, mu).coefficients.items())
+    expansion = Expansion(evaluate(expr, _ring_atom(ring, basis)).expanded(), degree, ring.key)
     payload = {"value": number_text(ring.integrate(expansion))} if args.action == "integrate" \
         else expansion_payload(expansion)
     emit({"ring": ring.label, **payload}, pretty)

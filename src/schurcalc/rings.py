@@ -75,21 +75,23 @@ class SchubertRing:
         unbounded, like the Pieri memos."""
         return {}
 
-    def _degree(self, p: "CPolynomial", degree: int | None) -> int | None:
-        """Check that p is a class of the ring and return its degree.
+    def _degree(self, p: "CPolynomial") -> int | None:
+        """Check that p is a class of the ring and return its degree, None
+        for a zero p.
 
         The checks fail in the order: a family other than c, then c_k above
-        the rank, then mixed degrees, then a degree above the top degree.  A
-        zero p takes the given degree, which is how a class that vanished
-        before reduction keeps the degree it had.
+        the rank, then mixed degrees, then a degree above the top degree.
         """
-        if p.families() - {FAMILY_C}:
-            raise ValueError(f"{self.label} expects a polynomial in the c family only")
+        self.check_families(p.families())
         above = sorted(k for _, k in p.generators() if k > self.rank)
         if above:
             raise ValueError(f"{self.label} expects generators c_1..c_{self.rank}; got {above}")
-        d = p.homogeneous_degree()
-        return self.check_degree(degree if d is None else d)
+        return self.check_degree(p.homogeneous_degree())
+
+    def check_families(self, families) -> None:
+        """Reject a generator family other than c."""
+        if families - {FAMILY_C}:
+            raise ValueError(f"{self.label} expects a polynomial in the c family only")
 
     def check_degree(self, d: int | None) -> int | None:
         """Reject a degree above the top degree; None (unknown) passes."""
@@ -99,9 +101,9 @@ class SchubertRing:
                              f"of {self.label}")
         return d
 
-    def reduce(self, p: "CPolynomial", degree: int | None = None) -> Expansion:
+    def reduce(self, p: "CPolynomial") -> Expansion:
         """Basis expansion of the class of p, by the Pieri fold of its
-        monomials from 1.  degree is the degree of a zero p.
+        monomials from 1; a zero p has the degree None.
 
         One pass sums the classes of p's monomials from monomial_classes.  A
         monomial missing there, or a second degree, sends p whole through
@@ -112,7 +114,7 @@ class SchubertRing:
         for mono, coeff in p.terms.items():
             x = table.get(mono)
             if x is None or d is not None and x.degree != d:
-                d = self._degree(p, degree)
+                d = self._degree(p)
                 for new in p.terms:
                     if new not in table:
                         table[new] = Expansion(monomial_fold(new, self.step, self.bound), d,
@@ -121,8 +123,6 @@ class SchubertRing:
             d = x.degree
             for lam, c in x.coefficients.items():
                 total[lam] = total.get(lam, 0) + coeff * c
-        if d is None:  # p is zero
-            d = self.check_degree(degree)
         return Expansion.trusted({lam: c for lam, c in total.items() if c}, d, self.key)
 
     def integrate(self, x: Expansion) -> int:

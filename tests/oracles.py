@@ -449,14 +449,14 @@ def prefix_memo_fold(mono, step, bound: tuple) -> dict[tuple[int, ...], int]:
     return pieri_build((), indices, step, bound, index_peel, None)
 
 
-def one_pass_degree(ring, p: CPolynomial, degree: int | None) -> int | None:
+def one_pass_degree(ring, p: CPolynomial) -> int | None:
     """SchubertRing._degree before it read the polynomial's own families,
     generators and homogeneous degree.
 
     One pass over the terms gathers what the checks read; they fail in
     the order: a family other than c, then c_k above the rank, then mixed
-    degrees, then a degree above the top degree.  A zero p takes the
-    given degree.
+    degrees, then a degree above the top degree.  A zero p has the degree
+    None.
     """
     rank, foreign, above, degrees = ring.rank, False, set(), set()
     for mono in p.terms:
@@ -475,7 +475,7 @@ def one_pass_degree(ring, p: CPolynomial, degree: int | None) -> int | None:
                          f"got {sorted(above)}")
     if len(degrees) > 1:
         raise ValueError(f"polynomial is not homogeneous (degrees {degree_list(degrees)})")
-    return ring.check_degree(degrees.pop() if degrees else degree)
+    return ring.check_degree(degrees.pop() if degrees else None)
 
 
 def elementary_xpoly(i: int, n: int) -> XPoly:
@@ -603,9 +603,9 @@ def lg_reduce_by_solve(ring: LagrangianRing, p: CPolynomial,
     Solves p = sum a_mu Q_mu + (ideal slice) exactly; the a_mu block must
     be unique and integral.  degree is the degree of a zero p.
     """
-    d = ring._degree(p, degree)
     if p.is_zero():
-        return Expansion({}, degree=d, key=ring.key)
+        return Expansion({}, degree=ring.check_degree(degree), key=ring.key)
+    d = ring._degree(p)
     basis = ring.basis(d)
     all_cols = [basis_polynomial(ring, mu) for mu in basis] + _ideal_columns(ring, d)
     monos = monomials_of_degree(d, FAMILY_C, max_index=ring.n)
@@ -639,18 +639,24 @@ def reduce_tautological(ring, p: CPolynomial, degree: int | None = None) -> Expa
     when that kills p the zero class keeps the degree p had.  degree is the
     degree of a zero p."""
     q = truncate_family(p, FAMILY_C, ring.rank)
-    if p.terms and not q.terms:
+    if q.terms:
+        return ring.reduce(q)
+    if p.terms:
         degree = p.homogeneous_degree() if p.is_homogeneous() else None
-    return ring.reduce(q, degree=degree)
+    return Expansion({}, degree=ring.check_degree(degree), key=ring.key)
 
 
 def ring_expression_oracle(ring, text: str) -> Expansion:
     """The class of an expression in the ring by the c-polynomial route: the
     degree the syntax tree shows (none for terms of different degrees) is
     checked against the top degree first, and is the degree of a zero
-    value; then the expression's c-polynomial goes to reduce_tautological."""
+    value; a family other than c in a term without a literal 0 factor is
+    rejected next; then the expression's c-polynomial goes to
+    reduce_tautological."""
     reading = expression_reading(parsing.parse(text))
     degree = ring.check_degree(reading.lo if reading.lo == reading.hi else None)
+    if reading.families - {FAMILY_C}:
+        raise ValueError(f"{ring.label} expects a polynomial in the c family only")
     return reduce_tautological(ring, parsing.evaluate_text(text), degree)
 
 

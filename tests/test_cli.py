@@ -378,9 +378,9 @@ _COLD_LOADS = [
     (("gr", "--r", "2", "--n", "4", "dual", "1"), {"schubert"} | _COMMAND | _PIERI, 4600),
     (("lg", "--n", "3", "dual", "1"), {"schubert"} | _COMMAND | _PIERI, 4600),
     (("lg", "--n", "5", "restrict", "3,2,1"), {"schubert"} | _COMMAND | _PIERI, 4600),
-    (("gr", "--r", "2", "--n", "4", "reduce", "c1^2"), _RING_INPUT, 9400),
-    (("gr", "--r", "2", "--n", "7", "integrate", "s[5,4]*s[1]"), _RING_INPUT, 9400),
-    (("lg", "--n", "3", "integrate", "q[2,1]*c3"), _RING_INPUT, 9400),
+    (("gr", "--r", "2", "--n", "4", "reduce", "c1^2"), _RING_INPUT, 9300),
+    (("gr", "--r", "2", "--n", "7", "integrate", "s[5,4]*s[1]"), _RING_INPUT, 9300),
+    (("lg", "--n", "3", "integrate", "q[2,1]*c3"), _RING_INPUT, 9300),
     (("gr", "--r", "2", "--n", "4", "integrate", "q[2,1]*c1"),
      _RING_INPUT | {"polynomial", "qtilde"}, 11100),
     (("gr", "--r", "2", "--n", "4", "reduce", "c1 + c2 - c2"), _RING_INPUT | {"polynomial"}, 10800),
@@ -604,6 +604,28 @@ def test_a_literal_zero_is_the_zero_value():
     # c1^40 is a term of the value, so the sum fails on homogeneity at once
     assert run_cli("certify", "c1^40 + c1", timeout=2) == \
         (2, b"", b"error: polynomial is not homogeneous (degrees [1, 40])\n")
+
+
+def test_ring_input_reads_its_families_from_the_syntax_tree():
+    # a c', v1 or v2 in a term without a literal 0 factor is the ring's
+    # family error, even when it cancels or a c_k above the rank kills it;
+    # a term of other degrees is evaluated on the basis too, where a long
+    # c-monomial is held to the fold budget although the c-polynomial
+    # cancels it
+    family = b"error: Gr(2,4) expects a polynomial in the c family only\n"
+    s1 = b'{"ring":"Gr(2,4)","degree":1,"expansion":[{"partition":[1],"coeff":"1"}]}\n'
+    cases = [
+        (["--r", "2", "--n", "4", "reduce", "c'1 - c'1 + c1"], 2, b"", family),
+        (["--r", "2", "--n", "4", "integrate", "c'1 - c'1 + c1"], 2, b"", family),
+        (["--r", "2", "--n", "4", "reduce", "c'1^2 - c'1^2"], 2, b"", family),
+        (["--r", "1", "--n", "8", "reduce", "(3*c3)*(2*c'1)"], 2, b"",
+         b"error: Gr(1,8) expects a polynomial in the c family only\n"),
+        (["--r", "2", "--n", "4", "reduce", "v2*0 + c1"], 0, s1, b""),
+        (["--r", "2", "--n", "4", "reduce", "s[2]*c1^5000 - (c1^2 - c2)*c1^5000 + c1"], 2, b"",
+         b"error: a monomial of 5002 factors exceeds the fold budget of 5000 factors\n"),
+    ]
+    for args, code, out, err in cases:
+        assert run_cli("gr", *args, timeout=10) == (code, out, err), args
 
 
 def test_schur_input_errors_by_class():
@@ -974,12 +996,12 @@ def test_graded_leaves_are_held_to_the_budgets(capsys):
         proc = subprocess.run([sys.executable, "-m", "schurcalc", *argv], capture_output=True,
                               timeout=30, preexec_fn=_limit_address_space)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err.encode()), argv
-    # a c' or v class that cancels to zero keeps its degree, as a c class does
-    code, payload = run_json(capsys, "gr", "--r", "2", "--n", "4", "reduce", "c'1^2 - c'1^2")
-    assert (code, payload) == (0, {"ring": "Gr(2,4)", "degree": 2, "expansion": []})
-    # within the top degree a c' input still gets the family message
-    code, out, err = run_cli("gr", "--r", "2", "--n", "4", "reduce", "c'1")
-    assert (code, out, err) == (2, b"", b"error: Gr(2,4) expects a polynomial in the c family only\n")
+    # within the top degree a c' input gets the family message, even when
+    # it cancels to zero
+    for text in ("c'1", "c'1^2 - c'1^2"):
+        code, out, err = run_cli("gr", "--r", "2", "--n", "4", "reduce", text)
+        assert (code, out, err) == \
+            (2, b"", b"error: Gr(2,4) expects a polynomial in the c family only\n"), text
 
 
 def test_integers_past_the_digit_limit_are_budget_errors():
@@ -1017,6 +1039,14 @@ def test_degrees_and_parts_past_the_digit_limit_are_not_echoed():
     assert run_cli("gr", "--r", r, "--n", m, "integrate", "c1") == \
         (2, b"", f"error: the top degree exceeds the output budget: "
                  f"more than {limit} digits\n".encode())
+    # a monomial of more factors than the limit writes fails the fold budget
+    # without writing its count: (c1^e)^e has a degree of about 8000 digits,
+    # below the top degree 2 . 10^(2 (limit - 10)) of this ring
+    zeros, e = "0" * (limit - 10), "9" * 4000
+    code, out, err = run_cli("gr", "--r", "1" + zeros, "--n", "3" + zeros, "reduce",
+                             f"(c1^{e})^{e}")
+    assert (code, out) == (2, b"")
+    assert len(err) < 300 and b"set_int_max_str_digits" not in err
     ones = "1" * (limit + 100)
     for argv in (["lr", ones, "1"], ["gr", "--r", "2", "--n", "4", "dual", ones],
                  ["lg", "--n", "3", "dual", f"2,{ones}"]):

@@ -101,21 +101,17 @@ def test_input_checks_fail_in_their_order():
                 with pytest.raises(ValueError) as info:
                     ring.reduce(p)
                 assert str(info.value) == message
-            # a zero class takes the stated degree, still held to the top degree
-            for d in (None, 0, ring.top_degree):
-                assert ring.reduce(CPolynomial.zero(), degree=d) == \
-                    Expansion({}, degree=d, key=ring.key)
-            with pytest.raises(ValueError, match="exceeds the top degree"):
-                ring.reduce(CPolynomial.zero(), degree=ring.top_degree + 1)
+            # a zero class has no degree
+            assert ring.reduce(CPolynomial.zero()) == Expansion({}, degree=None, key=ring.key)
 
 
 @st.composite
 def _ring_inputs(draw):
-    """A maker of a ring, Gr(r,n) with n <= 7 or LG(n) with n <= 4, a
-    polynomial and a stated degree.  The polynomial mixes c, c' and v
-    generators, c_k above the rank, several degrees and degrees above the
-    top degree, or else is one of c_k alone, up to two above the rank, in
-    one degree up to past the top."""
+    """A maker of a ring, Gr(r,n) with n <= 7 or LG(n) with n <= 4, and a
+    polynomial.  The polynomial mixes c, c' and v generators, c_k above the
+    rank, several degrees and degrees above the top degree, or else is one
+    of c_k alone, up to two above the rank, in one degree up to past the
+    top."""
     if draw(st.booleans()):
         n = draw(st.integers(2, 7))
         make = partial(GrassmannianRing, draw(st.integers(1, n - 1)), n)
@@ -139,7 +135,7 @@ def _ring_inputs(draw):
                 k = draw(st.integers(1, min(left, ring.rank + 2)))
                 term, left = term * c(k), left - k
             p += draw(st.sampled_from([-2, -1, 1, 2])) * term
-    return make, p, draw(st.none() | st.integers(0, ring.top_degree + 1))
+    return make, p
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
@@ -147,7 +143,7 @@ def _ring_inputs(draw):
 def test_input_checks_match_the_one_pass_oracle(case):
     # on a fresh ring and on one whose table holds each monomial of p that
     # is a class on its own
-    make, p, degree = case
+    make, p = case
     fresh, primed = make(), make()
     for mono in p.terms:
         try:
@@ -155,15 +151,15 @@ def test_input_checks_match_the_one_pass_oracle(case):
         except ValueError:
             pass
     try:
-        expected = one_pass_degree(fresh, p, degree)
+        expected = one_pass_degree(fresh, p)
     except ValueError as exc:
         for ring in (fresh, primed):
             with pytest.raises(ValueError) as info:
-                ring.reduce(p, degree)
+                ring.reduce(p)
             assert str(info.value) == str(exc)
     else:
         for ring in (fresh, primed):
-            assert ring.reduce(p, degree).degree == expected
+            assert ring.reduce(p).degree == expected
 
 
 def test_gr_integrate():
@@ -599,21 +595,17 @@ def test_zero_class_keeps_its_degree():
                             (LagrangianRing(2), c(3))]:
         d = ring.top_degree
         x = reduce_tautological(ring, vanishing)
-        assert x.is_zero() and x.degree == d
+        assert x == Expansion({}, degree=d, key=ring.key)
         assert ring.integrate(x) == 0
-        assert ring.reduce(CPolynomial.zero(), degree=d) == x
-        assert ring.reduce(CPolynomial.zero()).degree is None
     with pytest.raises(ValueError, match="exceeds the top degree"):
         reduce_tautological(LagrangianRing(2), c(3) * c(1))
 
 
 def test_tautological_reduction_equals_truncating_first():
-    # the oracle's one-pass truncation, the route that the ring commands
-    # take for input of mixed degrees or other families, with the degree of
-    # p read only when nothing is left, against truncating monomial by
-    # monomial and reading p's
-    # degree first: the same class, or the same message, on every sum of up
-    # to three monomials of the pool, for each stated degree of a zero p
+    # the oracle's one-pass truncation, with the degree of p read only when
+    # nothing is left, against truncating monomial by monomial and reading
+    # p's degree first: the same class, or the same message, on every sum of
+    # up to three monomials of the pool
     cp1, v1 = CPolynomial.gen(FAMILY_CPRIME, 1), CPolynomial.gen("v1")
     pool = [c(1), c(2), c(3), c(1) ** 2, c(3) * c(1), c(4), c(2) ** 2, c(5) * c(1), cp1,
             cp1 * c(3), v1 * c(3), v1 * c(1), -c(3) * c(1) ** 2]
@@ -624,20 +616,20 @@ def test_tautological_reduction_equals_truncating_first():
         except ValueError as exc:
             return str(exc)
 
-    def truncating_first(ring, p, degree):
-        if not p.is_zero():
-            degree = p.homogeneous_degree() if p.is_homogeneous() else None
-        kept = {mono: coeff for mono, coeff in p.terms.items()
-                if all(g[0] != FAMILY_C or g[1] <= ring.rank for g, _ in mono)}
-        return ring.reduce(CPolynomial(kept), degree=degree)
+    def truncating_first(ring, p):
+        degree = p.homogeneous_degree() if p.is_homogeneous() else None
+        kept = CPolynomial({mono: coeff for mono, coeff in p.terms.items()
+                            if all(g[0] != FAMILY_C or g[1] <= ring.rank for g, _ in mono)})
+        if kept.is_zero():
+            return Expansion({}, degree=ring.check_degree(degree), key=ring.key)
+        return ring.reduce(kept)
 
     for ring in (GrassmannianRing(2, 4), LagrangianRing(2), GrassmannianRing(3, 6)):
         for size in range(4):
             for terms in combinations(pool, size):
                 p = sum(terms, CPolynomial.zero())
-                for degree in (None, 2, ring.top_degree + 1):
-                    assert outcome(lambda: reduce_tautological(ring, p, degree)) == \
-                        outcome(lambda: truncating_first(ring, p, degree)), (ring, p, degree)
+                assert outcome(lambda: reduce_tautological(ring, p)) == \
+                    outcome(lambda: truncating_first(ring, p)), (ring, p)
 
 
 def test_pairing_check_is_per_degree():
