@@ -19,9 +19,12 @@ classes on the heavier by peels:
 
 Every step is a product of basis classes in the ring, so the bound is exact.
 A ring folds each c-monomial once: its degree and class go into the
-ring's table, monomial_classes, from which every later reduce reads it.
-A monomial missing there, or a second degree, makes reduce check the
-whole polynomial by its own families, generators and homogeneous degree.
+ring's table, monomial_classes, from which every later reduce reads it;
+a reduce of one monomial with coefficient 1, such as c1^d, is one dict
+copy of its class, and only a sum of two or more classes drops the zeros
+of classes that cancel.  A monomial missing from the table, or a second
+degree, makes reduce check the whole polynomial by its own families,
+generators and homogeneous degree.
 Likewise basis_product keeps each product of two basis classes in the
 ring's table basis_products, and a repeated product is one lookup there.
 A whole-ring pairing meets each product once, so it builds them with
@@ -108,7 +111,10 @@ class SchubertRing:
         One pass sums the classes of p's monomials from monomial_classes.  A
         monomial missing there, or a second degree, sends p whole through
         _degree first, so a bad p fails as on a fresh ring; p's new
-        monomials are then folded into the table and the pass goes on.
+        monomials are then folded into the table and the pass goes on.  A
+        sum whose first coefficient is 1 starts as a copy of that class, and
+        only a sum of two or more classes can cancel, so only such a sum
+        drops zeros; the result never shares the table's dict.
         """
         table, total, d = self.monomial_classes, {}, None
         for mono, coeff in p.terms.items():
@@ -121,9 +127,13 @@ class SchubertRing:
                                                self.key)
                 x = table[mono]
             d = x.degree
+            if not total and coeff == 1:
+                total = dict(x.coefficients)
+                continue
             for lam, c in x.coefficients.items():
                 total[lam] = total.get(lam, 0) + coeff * c
-        return Expansion.trusted({lam: c for lam, c in total.items() if c}, d, self.key)
+        return Expansion.trusted({lam: c for lam, c in total.items() if c}
+                                 if len(p.terms) > 1 else total, d, self.key)
 
     def integrate(self, x: Expansion) -> int:
         """Coefficient of the point class; defined only in the top degree."""

@@ -4,11 +4,11 @@ from itertools import combinations
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurcalc.partitions import Partition, StrictPartition
-from schurcalc.pieri import Expansion
+from schurcalc.pieri import Expansion, monomial_fold
 from schurcalc.polynomial import (FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, CPolynomial,
                                   truncate_family)
 from schurcalc.pairing import (PAIRING_BUDGET, check_pairing_budget, enumerate_partitions,
@@ -140,9 +140,18 @@ def _ring_inputs(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(_ring_inputs())
+# classes that cancel across monomials: sigma_11 in Gr(2,4), in a sum that
+# starts with coefficient 1, one that reaches it later and one without it,
+# and the whole of LG(2)'s degree 2
+@example((partial(GrassmannianRing, 2, 4), c(1) ** 2 - c(2)))
+@example((partial(GrassmannianRing, 2, 4), -c(2) + c(1) ** 2))
+@example((partial(GrassmannianRing, 2, 4), 2 * c(1) ** 2 - 2 * c(2)))
+@example((partial(LagrangianRing, 2), c(1) ** 2 - 2 * c(2)))
 def test_input_checks_match_the_one_pass_oracle(case):
     # on a fresh ring and on one whose table holds each monomial of p that
-    # is a class on its own
+    # is a class on its own; a good p reduces, twice on each ring, to the
+    # sum of its monomials' folds, summed here, with the zeros of a
+    # cancelling sum dropped and the common degree kept
     make, p = case
     fresh, primed = make(), make()
     for mono in p.terms:
@@ -158,8 +167,15 @@ def test_input_checks_match_the_one_pass_oracle(case):
                 ring.reduce(p)
             assert str(info.value) == str(exc)
     else:
-        for ring in (fresh, primed):
-            assert ring.reduce(p).degree == expected
+        total = {}
+        for mono, coeff in p.terms.items():
+            for lam, c in monomial_fold(mono, fresh.step, fresh.bound).items():
+                total[lam] = total.get(lam, 0) + coeff * c
+        total = {lam: c for lam, c in total.items() if c}
+        for ring in (fresh, primed, fresh, primed):
+            x = ring.reduce(p)
+            assert (x.degree, x.key, x.coefficients) == (expected, ring.key, total)
+            assert all(type(lam) is ring.key for lam in x.coefficients)
 
 
 def test_gr_integrate():
@@ -268,14 +284,26 @@ def test_a_changed_result_leaves_the_tables_as_they_were():
     calls = [lambda: gr.basis_product(Partition([1]), Partition([1])),
              lambda: lg.basis_product(StrictPartition([2]), StrictPartition([1])),
              lambda: lg.restrict(Partition([2, 1])),
-             lambda: restrict(lg, Partition([2, 1]))]
+             lambda: restrict(lg, Partition([2, 1])),
+             # a reduce of one class with coefficient 1 starts from a copy of
+             # it, one with another coefficient or of a sum builds a new dict
+             lambda: gr.reduce(c(1) ** 2),
+             lambda: lg.reduce(c(1) ** 3),
+             lambda: gr.reduce(2 * c(1) ** 2),
+             lambda: gr.reduce(c(1) ** 2 + c(2))]
+
+    def tables():
+        return [{key: (x.degree, dict(x.coefficients)) for key, x in table.items()}
+                for ring in (gr, lg) for table in (ring.monomial_classes, ring.basis_products)]
+
     for call in calls:
         expected = call()
-        expected_items = expected.items()
+        expected_items, expected_tables = expected.items(), tables()
         for change in (lambda x: x.coefficients.clear(),
                        lambda x: x.coefficients.update({lam: 7 for lam in x.coefficients}),
                        lambda x: x.coefficients.update({x.key([x.degree]): -1})):
             change(call())
+            assert tables() == expected_tables
             assert call() == expected and call().items() == expected_items
 
 
