@@ -40,6 +40,7 @@ itself returns its exit code and never exits, so it can be called in-process.
 
 import os
 import sys
+from types import SimpleNamespace
 
 # The command line, described once.  command -> (help, options, positionals);
 # an option is (flag, dest, type, choices, required, metavar) and a positional
@@ -71,14 +72,7 @@ COMMANDS = {
 }
 
 
-class Arguments:
-    """The namespace read_argv returns; its vars() equal argparse's."""
-
-    def __init__(self, values: dict):
-        self.__dict__.update(values)
-
-
-def read_argv(argv) -> Arguments | None:
+def read_argv(argv) -> SimpleNamespace | None:
     """argparse's namespace for argv in the canonical form
     `[--pretty] [--input FILE] COMMAND [--opt VALUE ...] [POSITIONAL ...]`,
     each value checked as argparse checks it; None for any other argv (help,
@@ -133,7 +127,7 @@ def read_argv(argv) -> Arguments | None:
         values[dest] = value
     if rest:
         return None
-    return Arguments(values)
+    return SimpleNamespace(**values)
 
 
 def emit(payload, pretty: bool) -> None:

@@ -9,19 +9,20 @@ Schur class is built.  The built-in corpus stores the published table
 entries verbatim as expression strings.
 """
 
+from collections import namedtuple
+
 from .partitions import FAMILY_V1, FAMILY_V2, StrictPartition, degree_list, number_text
 from .positivity import VERDICT_NONNEGATIVE, PositivityReport, positivity_report
-from .records import FrozenRecord, Record
 from .pieri import Expansion
 from . import parsing
 
 
-class LegendrianClass(Record):
+class LegendrianClass(namedtuple("LegendrianClass", "coefficients n degree")):
     """Integer expansion over (strict partition, v1-exponent, v2-exponent):
     coefficients maps those keys to ints; n is the staircase and degree the
     common degree (None when empty)."""
 
-    __slots__ = ("coefficients", "n", "degree")
+    __slots__ = ()
 
     def items(self):
         # printed-table order: largest Q-index first, then v1 before v2 powers
@@ -140,10 +141,11 @@ def legendrian_positivity(x: LegendrianClass, name: str | None = None) -> Positi
     return positivity_report(x, VERDICT_NONNEGATIVE, name=name)
 
 
-class LegendrianTableEntry(FrozenRecord):
+class LegendrianTableEntry(namedtuple("LegendrianTableEntry",
+                                      "name expression lagrangian_expression codimension")):
     """A published Legendrian class with its bold Lagrangian sub-expression."""
 
-    __slots__ = ("name", "expression", "lagrangian_expression", "codimension")
+    __slots__ = ()
 
 
 # The worked table of Legendrian classes; bold parts are the Lagrangian

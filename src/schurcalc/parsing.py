@@ -22,9 +22,9 @@ c-polynomial compiles neither.
 """
 
 import sys
+from collections import namedtuple
 
 from .partitions import FAMILY_C, FAMILY_CPRIME, FAMILY_V1, FAMILY_V2, Partition
-from .records import FrozenRecord
 
 
 # Deepest parenthesis nesting the parser accepts; the recursive descent and
@@ -41,29 +41,12 @@ class ParseError(ValueError):
 # -- AST --------------------------------------------------------------------
 
 
-class Num(FrozenRecord):
-    __slots__ = ("value",)
-
-
-class Gen(FrozenRecord):
-    __slots__ = ("family", "index")
-    defaults = {"index": 0}
-
-
-class Basis(FrozenRecord):
-    __slots__ = ("kind", "parts")  # 's' or 'q'; a tuple of ints
-
-
-class Pow(FrozenRecord):
-    __slots__ = ("base", "exponent")
-
-
-class Prod(FrozenRecord):
-    __slots__ = ("factors",)  # a tuple of expressions
-
-
-class Sum(FrozenRecord):
-    __slots__ = ("first", "rest")  # rest: a tuple of ('+' | '-', term) pairs
+Num = namedtuple("Num", "value")
+Gen = namedtuple("Gen", "family index", defaults=(0,))
+Basis = namedtuple("Basis", "kind parts")  # 's' or 'q'; a tuple of ints
+Pow = namedtuple("Pow", "base exponent")
+Prod = namedtuple("Prod", "factors")  # a tuple of expressions
+Sum = namedtuple("Sum", "first rest")  # rest: a tuple of ('+' | '-', term) pairs
 
 
 Expression = Num | Gen | Basis | Pow | Prod | Sum

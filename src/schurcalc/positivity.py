@@ -13,10 +13,10 @@ verify_thom_table when they run, so the Legendrian and Lagrangian tables,
 whose classes are given in their own basis, load no Schur or polynomial code.
 """
 
+from collections import namedtuple
 from functools import cache
 
 from .partitions import Partition, number_text
-from .records import FrozenRecord, Record
 
 VERDICT_POSITIVE = "POSITIVE"
 VERDICT_NONNEGATIVE = "NONNEGATIVE"
@@ -24,13 +24,14 @@ VERDICT_ZERO = "ZERO"
 VERDICT_NOT_NONNEGATIVE = "NOT_NONNEGATIVE"
 
 
-class PositivityReport(Record):
+class PositivityReport(namedtuple("PositivityReport",
+                                  "polynomial expansion verdict witnesses name",
+                                  defaults=((), None))):
     """Outcome of a positivity check: the polynomial (None for a class given
     in its basis), its Expansion or LegendrianClass, the verdict, the negative
     terms as (key, coefficient) witnesses, and an optional name."""
 
-    __slots__ = ("polynomial", "expansion", "verdict", "witnesses", "name")
-    defaults = {"witnesses": list, "name": None}
+    __slots__ = ()
 
     @property
     def nonnegative(self) -> bool:
@@ -73,11 +74,11 @@ def certify(p: "CPolynomial", length_bound: int | None = None,
     return schur_positivity(to_schur(p, length_bound=length_bound), p, name)
 
 
-class ThomTableEntry(FrozenRecord):
+class ThomTableEntry(namedtuple("ThomTableEntry", "name expression codimension")):
     """One classical singularity class: name, printed polynomial, codimension.
     Its polynomial is the parsed c-polynomial, for library callers."""
 
-    __slots__ = ("name", "expression", "codimension")
+    __slots__ = ()
 
     @property
     def polynomial(self) -> "CPolynomial":

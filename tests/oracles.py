@@ -47,6 +47,7 @@ reference identity that no schurcalc command needs.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -74,7 +75,6 @@ from schurcalc.polynomial import (
     truncate_family,
 )
 from schurcalc.qtilde import _q_single, qtilde, qtilde_pair
-from schurcalc.records import FrozenRecord
 from schurcalc.pairing import check_pairing_budget, enumerate_partitions, is_dual_permutation
 from schurcalc.rings import GrassmannianRing, LagrangianRing
 from schurcalc.schur import schur_dual_jt, to_schur
@@ -186,18 +186,16 @@ def specialize(p: CPolynomial, assignment: dict[Generator, CPolynomial]) -> CPol
 # -- the supersymmetric layer: s_lambda(E - F) --------------------------------
 
 
-class BundleSymbol(FrozenRecord):
+class BundleSymbol(namedtuple("BundleSymbol", "family rank", defaults=(FAMILY_C, None))):
     """An abstract vector bundle: a generator family plus an optional rank.
 
     rank None means unbounded (the universal, stable case); a finite rank
     forces c_k = 0 for k above it.
     """
 
-    __slots__ = ("family", "rank")
-    defaults = {"family": FAMILY_C, "rank": None}
+    __slots__ = ()
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
         if self.family not in (FAMILY_C, FAMILY_CPRIME):
             raise ValueError(f"bundle family must be c or c', got {self.family!r}")
         if self.rank is not None and self.rank < 0:

@@ -109,9 +109,10 @@ def test_input_checks_fail_in_their_order():
 def _ring_inputs(draw):
     """A maker of a ring, Gr(r,n) with n <= 7 or LG(n) with n <= 4, and a
     polynomial.  The polynomial mixes c, c' and v generators, c_k above the
-    rank, several degrees and degrees above the top degree, or else is one
-    of c_k alone, up to two above the rank, in one degree up to past the
-    top."""
+    rank, several degrees and degrees above the top degree; or is one of c_k
+    alone, up to two above the rank, in one degree up to past the top; or is
+    an integer sum of the c-polynomials of basis classes of one degree, whose
+    monomials cancel in their classes."""
     if draw(st.booleans()):
         n = draw(st.integers(2, 7))
         make = partial(GrassmannianRing, draw(st.integers(1, n - 1)), n)
@@ -119,7 +120,8 @@ def _ring_inputs(draw):
         make = partial(LagrangianRing, draw(st.integers(1, 4)))
     ring = make()
     p = CPolynomial.zero()
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["mixed", "one degree", "basis classes"]))
+    if kind == "mixed":
         gens = st.integers(1, ring.rank + 2).map(c)
         if draw(st.booleans()):
             gens |= st.sampled_from([CPolynomial.gen(FAMILY_CPRIME, 1),
@@ -127,7 +129,7 @@ def _ring_inputs(draw):
         for _ in range(draw(st.integers(1, 4))):
             p += draw(st.sampled_from([-2, -1, 1, 2])) * prod(draw(st.lists(gens, max_size=4)),
                                                               start=CPolynomial.one())
-    else:
+    elif kind == "one degree":
         d = draw(st.integers(0, ring.top_degree + 2))
         for _ in range(draw(st.integers(0, 3))):
             term, left = CPolynomial.one(), d
@@ -135,6 +137,11 @@ def _ring_inputs(draw):
                 k = draw(st.integers(1, min(left, ring.rank + 2)))
                 term, left = term * c(k), left - k
             p += draw(st.sampled_from([-2, -1, 1, 2])) * term
+    else:
+        top = ring.top_degree
+        classes = ring.basis(draw(st.integers(min(2, top), top)))
+        for index in draw(st.lists(st.sampled_from(classes), min_size=1, max_size=3)):
+            p += draw(st.sampled_from([-2, -1, 1, 2])) * basis_polynomial(ring, index)
     return make, p
 
 
