@@ -56,46 +56,36 @@ def run(args, pretty: bool) -> int:
     if command == "lr":
         from .schur import lr_multiply
 
-        lam = parse_partition_arg(args.lam)
-        mu = parse_partition_arg(args.mu)
-        emit(expansion_payload(lr_multiply(lam, mu)), pretty)
-        return 0
-
-    if command == "qtilde":
+        payload = expansion_payload(lr_multiply(parse_partition_arg(args.lam),
+                                                parse_partition_arg(args.mu)))
+    elif command == "qtilde":
         from .qtilde import qtilde
 
         mu = parse_partition_arg(args.mu)
-        poly = qtilde(mu)
-        emit({"partition": list(mu), "degree": mu.weight,
-               "polynomial": str(poly)}, pretty)
-        return 0
-
-    if command == "schur-bundle":
+        payload = {"partition": list(mu), "degree": mu.weight, "polynomial": str(qtilde(mu))}
+    elif command == "schur-bundle":
         from .bundles import schur_bundle_class
 
-        lam = parse_partition_arg(args.functor)
-        mu = parse_partition_arg(args.class_)
-        expansion = schur_bundle_class(lam, mu, args.rank)
-        emit(expansion_payload(expansion), pretty)
-        return 0
-
-    # gr/lg dual and lg restrict; the labels check the ring as its class does
-    from .schubert import (grassmannian_label, lagrangian_label, rectangle_dual, restrict,
-                           strict_complement)
-
-    gr = command == "gr"
-    label = grassmannian_label(args.r, args.n) if gr else lagrangian_label(args.n)
-    if args.arg is None:
-        raise ValueError(f"{command} {args.action} needs a partition argument "
-                         "(\"\", 0 or [] for the empty partition)")
-    if args.action == "restrict":
-        emit({"ring": label, **expansion_payload(restrict(args, parse_partition_arg(args.arg)))},
-             pretty)
-    elif gr:
-        lam = rectangle_dual(parse_partition_arg(args.arg), args.r, args.n)
-        emit({"partition": list(lam)}, pretty)
+        payload = expansion_payload(schur_bundle_class(parse_partition_arg(args.functor),
+                                                       parse_partition_arg(args.class_),
+                                                       args.rank))
     else:
-        mu = strict_complement(parse_partition_arg(args.arg, strict=True), args.n)
-        emit({"strict_partition": list(mu)}, pretty)
-    return 0
+        # gr/lg dual and lg restrict; the labels check the ring as its class does
+        from .schubert import (grassmannian_label, lagrangian_label, rectangle_dual, restrict,
+                               strict_complement)
 
+        gr = command == "gr"
+        label = grassmannian_label(args.r, args.n) if gr else lagrangian_label(args.n)
+        if args.arg is None:
+            raise ValueError(f"{command} {args.action} needs a partition argument "
+                             "(\"\", 0 or [] for the empty partition)")
+        # only an lg dual reads a strict partition
+        lam = parse_partition_arg(args.arg, strict=not gr and args.action == "dual")
+        if args.action == "restrict":
+            payload = {"ring": label, **expansion_payload(restrict(args, lam))}
+        elif gr:
+            payload = {"partition": list(rectangle_dual(lam, args.r, args.n))}
+        else:
+            payload = {"strict_partition": list(strict_complement(lam, args.n))}
+    emit(payload, pretty)
+    return 0

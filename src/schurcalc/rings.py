@@ -199,8 +199,7 @@ class SchubertRing:
     def pairing_matrix(self, d: int):
         rows = self.basis(d)
         cols = self.basis(self.top_degree - d)
-        matrix = [[self.pairing(lam, mu) for mu in cols] for lam in rows]
-        return rows, cols, matrix
+        return rows, cols, [[self.pairing(lam, mu) for mu in cols] for lam in rows]
 
 
 class GrassmannianRing(SchubertRing):

@@ -14,7 +14,7 @@ bad index fails each time, since only a checked one enters the memo.
 from functools import cache
 
 from .partitions import TERM_BUDGET, Partition, StrictPartition, check_term_budget
-from .pieri import Expansion, basis_key, column_peel, pieri_build
+from .pieri import Expansion, basis_key, built_step, column_peel, pieri_build
 
 
 def grassmannian_label(r: int, n: int) -> str:
@@ -71,27 +71,48 @@ def qtilde_pieri_step(lam: tuple[int, ...], k: int, bound: tuple[int]) -> tuple:
     The Pieri rule of Pragacz-Ratajski: mu runs over the strict partitions
     with mu_1 <= n and |mu| = |lam| + k such that mu/lam is a horizontal
     strip of the ordinary (unshifted) diagram, and e counts the j with
-    mu_{j+1} < lam_j < mu_j.  Its recursion drops the first row, capping the
-    next by it, and calls the memo _qtilde_tails of its tails, as row_peel does.
+    mu_{j+1} < lam_j < mu_j.
+
+    The parts of mu are chosen row by row, top to bottom, in a loop with no
+    recursion and no memo, as vertical_strips builds its strips.  With
+    left boxes still to place, row j takes a part m of at least lam_j and
+    at least left, since the rows below hold at most lam_j more, and at
+    most lam_j + left and the cap the row above leaves it: lam_(j-1) if
+    that row grew, one less if not.  A row that grew splits when the part
+    below it stays under its old part.  A sentinel part 0 places the one
+    possible new row.  The pairs are those of the recursion over the first
+    row that tests/oracles.py keeps, in another order.
     """
     (cap,) = bound
-    if not lam:
-        return (((k,) if k else (), 1),) if k <= cap else ()
-    head, tail = lam[0], lam[1:]
+    if not k:
+        return ((lam, 1),) if max(lam, default=0) <= cap else ()
     out = []
-    for a in range(min(k, cap - head) + 1):
-        for mu, mult in _qtilde_tails(tail, k - a, (head if a else head - 1,)):
-            split = a and (mu[0] if mu else 0) < head
-            out.append(((head + a,) + mu, 2 * mult if split else mult))
+    # the parts of mu so far, the boxes left, 2^e and the next row's cap;
+    # a head with no box left is the whole of mu once the rest of lam
+    # follows, and its last row, which grew, splits
+    partial = [((), k, 1, cap)]
+    above = None
+    for j, part in enumerate(lam + (0,)):
+        grown = []
+        for head, left, mult, top in partial:
+            # conditional expressions, not min and max: a call per head
+            # costs a quarter of the step
+            end = part + left
+            for m in range(part if part > left else left, (top if top < end else end) + 1):
+                # the row above grew if it left its old part as the cap
+                split = 2 * mult if m < top == above else mult
+                if m < end:
+                    grown.append((head + (m,), end - m, split, part - (m == part)))
+                else:
+                    out.append((head + (m,) + lam[j + 1:], 2 * split if part else split))
+        partial = grown
+        above = part
     return tuple(out)
-
-
-_qtilde_tails = cache(qtilde_pieri_step)
 
 
 def row_peel(mu: tuple[int, ...], bound: tuple[int]) -> tuple:
     """k = mu_1, nu = mu less it: c_k . Q_nu has Q_mu once, other kappa_1 > k."""
-    return mu[0], mu[1:], _qtilde_tails(mu[1:], mu[0], bound)
+    return mu[0], mu[1:], built_step(qtilde_pieri_step, mu[1:], mu[0], bound)
 
 
 def restrict(lg, lam: Partition) -> Expansion:
@@ -114,8 +135,8 @@ def restriction(n: int, lam: tuple[int, ...]) -> Expansion:
     lam = basis_key(Partition, lam)
     if not lam.fits_rectangle(n, n):
         raise ValueError(f"{lam!r} is not a Schubert index of G_{n}(V)")
-    if lam.weight > n * (n + 1) // 2:
-        return Expansion({}, degree=lam.weight, key=StrictPartition)
-    check_term_budget(lam.weight)
-    return Expansion(pieri_build((), lam, qtilde_pieri_step, (n,), column_peel, (n, n)),
-                     degree=lam.weight, key=StrictPartition)
+    coeffs = {}
+    if lam.weight <= n * (n + 1) // 2:
+        check_term_budget(lam.weight)
+        coeffs = pieri_build((), lam, qtilde_pieri_step, (n,), column_peel, (n, n))
+    return Expansion(coeffs, degree=lam.weight, key=StrictPartition)

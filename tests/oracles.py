@@ -18,6 +18,8 @@ reference identity that no schurcalc command needs.
 * Both Jacobi-Trudi determinants of s_lambda(E - F), expanded by
   memoized minors: the h-form |s_{lambda_i - i + j}(E - F)| and the dual
   form in the elementary-type classes of the conjugate.
+* The Pieri steps by a recursion over the first row: vertical strips,
+  and the Q-tilde step of Pragacz-Ratajski.
 * c-monomials folded by pieri_build's memo of their prefixes, peeled
   index by index, as monomial_fold did before it took one step per factor.
 * The ring input check by one pass over a polynomial's terms, as
@@ -420,6 +422,25 @@ def vertical_strip_rows(lam: tuple[int, ...], k: int,
     if cols is None or head < cols:
         out += [((head + 1,) + mu, 1)
                 for mu, _ in vertical_strip_rows(tail, k - 1, (below, None))]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def qtilde_pieri_rows(lam: tuple[int, ...], k: int, bound: tuple[int]) -> tuple:
+    """schubert.qtilde_pieri_step by a recursion once per row: the first row
+    takes a boxes within the cap, and the rest of lam is a step in one row
+    fewer, capped by that row (one less if it took none); the first row
+    splits when it grew and the next part stays under its old part.  Its
+    depth grows with the length of lam."""
+    (cap,) = bound
+    if not lam:
+        return (((k,) if k else (), 1),) if k <= cap else ()
+    head, tail = lam[0], lam[1:]
+    out = []
+    for a in range(min(k, cap - head) + 1):
+        for mu, mult in qtilde_pieri_rows(tail, k - a, (head if a else head - 1,)):
+            split = a and (mu[0] if mu else 0) < head
+            out.append(((head + a,) + mu, 2 * mult if split else mult))
     return tuple(out)
 
 

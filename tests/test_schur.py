@@ -18,9 +18,9 @@ from schurcalc.pieri import (
     pieri_build,
 )
 from schurcalc.positivity import VERDICT_POSITIVE, hook_contains, positivity_report
-from schurcalc.pairing import enumerate_partitions
+from schurcalc.pairing import enumerate_partitions, enumerate_strict_partitions
 from schurcalc.rings import GrassmannianRing, LagrangianRing
-from schurcalc.schubert import _qtilde_tails
+from schurcalc.schubert import qtilde_pieri_step, row_peel
 from schurcalc.polynomial import (
     FAMILY_C,
     FAMILY_CPRIME,
@@ -44,6 +44,7 @@ from oracles import (
     monomials_of_degree,
     partitions_up_to,
     prefix_memo_fold,
+    qtilde_pieri_rows,
     schur_jt,
     schur_jt_dual_form,
     schur_jt_h_form,
@@ -452,19 +453,37 @@ def test_the_strip_step_equals_the_row_recursion():
                 assert vertical_strips(lam.parts, k, bound) == strips, (lam, k, bound)
 
 
+def test_the_qtilde_step_equals_the_row_recursion():
+    # every cap from one below lam_1, where no mu fits, to n
+    for n in range(10):
+        for lam in (tuple(lam) for d in range(n * (n + 1) // 2 + 1)
+                    for lam in enumerate_strict_partitions(d, n)):
+            for k in range(n + 2):
+                for cap in range(max(lam, default=0) - 1, n + 1):
+                    assert sorted(qtilde_pieri_step(lam, k, (cap,))) == \
+                        sorted(qtilde_pieri_rows(lam, k, (cap,))), (lam, k, cap)
+
+
 def test_a_fold_fills_no_step_memo_and_a_build_memoizes_its_steps():
-    for memo in (pieri_build, built_step, column_peel, _qtilde_tails):
+    memos = (pieri_build, built_step, column_peel)
+    for memo in memos:
         memo.cache_clear()
     to_schur(c(1) ** 6 * c(2))
     GrassmannianRing(2, 8).reduce(c(1) ** 12)
-    assert built_step.cache_info().currsize == column_peel.cache_info().currsize == 0
-    # c1^2 in LG(4) steps Q_1 by c_1, whose recursion keeps its two tails
-    # of () under the caps 0 and 1, but neither whole step
+    # the Q-tilde step keeps no memo, so an LG fold fills none at all
     LagrangianRing(4).reduce(c(1) ** 2)
-    assert _qtilde_tails.cache_info().currsize == 2
-    assert built_step.cache_info().currsize == 0
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
     lr_multiply(Partition([2, 1]), Partition([3, 2]))
     assert built_step.cache_info().currsize > 0
+    # a build of Q_(2,1) peels it as c_2 . Q_1 and memoizes that step in
+    # built_step, where row_peel then finds it
+    for memo in memos:
+        memo.cache_clear()
+    LagrangianRing(4).build_product(StrictPartition([3, 1]), StrictPartition([2, 1]))
+    steps = built_step.cache_info().currsize
+    assert steps > 0
+    assert row_peel((2, 1), (4,)) == (2, (1,), qtilde_pieri_step((1,), 2, (4,)))
+    assert built_step.cache_info().currsize == steps
 
 
 def test_the_strip_step_walks_blocks_of_equal_parts():
